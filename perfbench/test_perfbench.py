@@ -61,12 +61,16 @@ def test_benchmark_json_matches_the_code():
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_every_metric_reported_and_counts_repeat(name):
-    timed = result_of(bench("--workload", name, "--seed", str(SEED),
-                            "--seconds", SECONDS, "--trace", "0"))
+    timed, again = (
+        result_of(bench("--workload", name, "--seed", str(SEED),
+                        "--seconds", SECONDS, "--trace", "0"))
+        for _ in range(2))
     assert timed["correct"] is True and timed["attempted"] >= 1
     assert {k: v["unit"] for k, v in timed["metrics"].items()} \
         == run.END_TO_END
     assert all(v["value"] > 0 for v in timed["metrics"].values())
+    assert (timed["attempted"], timed["failed"]) \
+        == (again["attempted"], again["failed"])
 
     first, second = (
         result_of(bench("--workload", name, "--seed", str(SEED),
@@ -103,6 +107,23 @@ def test_inputs_repeat_for_a_seed():
 def torus_ctx():
     wl = workloads.WORKLOADS["torus-certify"]
     return workloads.set_up(wl, SEED)
+
+
+def test_curve_has_a_fixed_size(torus_ctx):
+    assert len(torus_ctx.curve) == workloads.CURVE_PASSAGES
+
+
+def test_step_budget_stops_an_arc(torus_ctx, monkeypatch):
+    import geodense.densify as densify
+
+    c = next(workloads.thick_arcs(torus_ctx.model, workloads.stream(1, 0),
+                                  0.5))
+    monkeypatch.setattr(densify, "trace_geodesic", densify.trace_geodesic)
+    workloads.install_step_budget()
+    workloads.process_arc(torus_ctx, c)
+    monkeypatch.setattr(workloads, "STEP_BUDGET", 0)
+    with pytest.raises(workloads.StepBudgetExceeded):
+        workloads.process_arc(torus_ctx, c)
 
 
 def test_arc_checks_catch_wrong_answers(torus_ctx):

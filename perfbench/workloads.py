@@ -15,6 +15,7 @@ and counted; it is never replaced by another one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,13 @@ from tracer import NULL
 CURVE_PASSAGES = 10_000
 # every ORACLE_EVERY-th point is recomputed by brute force
 ORACLE_EVERY = 10
+# An arc whose walk takes more trace steps than this fails with
+# StepBudgetExceeded.  Past about 10^4 steps an arc's time grows faster
+# than its steps (a 15k-step sphere-fine arc takes 4 s, one of 271k steps
+# took 86 s); counting steps instead of seconds stops the same arcs on
+# every host.  The longest of 8400 sphere-fine arcs took 15k steps, dives
+# take about 4.6k and thick torus arcs under 2.5k.
+STEP_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -52,33 +60,35 @@ class Workload:
     kind: str            # "arc" or "point"
     sampler: str         # "thick", "dives" or "points"
     tail_pct: float      # percentile reported as op_tail_ms
-    trace_rate: float    # operations per run-second in the traced pass
+    list_rate: float     # distinct inputs per run-second (see input_list)
     why: str
 
 
 # tail_pct is the highest of p75/p90/p95/p99 that leaves at least ten
 # operations beyond it in a 25-second run of the parent and repeats from
 # seed to seed within the metric's bound: the rare very long hunts of the
-# arc workloads make p99 swing by half, and on torus-certify p95 falls
-# where points start to need three tiles.  It stays fixed so that a
-# faster change is read at the same percentile.
-# trace_rate sizes the traced run's fixed input list to about a third of
-# the run length per pass.
+# arc workloads make p99 swing by half, sphere-fine's p90 and p95 move by
+# a fifth with the long hunts a seed's 1250 arcs happen to hold, and on
+# torus-certify p95 falls where points start to need three tiles.  It
+# stays fixed so that a faster change is read at the same percentile.
+# list_rate sizes the fixed input list of a --trace 0 run so that one pass
+# over it takes about half the run; a --trace 1 run takes the first half
+# of that list.
 WORKLOADS = {w.name: w for w in (
     Workload("torus-thick", "once-punctured-torus", 0.2, 0.5, "arc", "thick",
-             95.0, 80.0,
+             95.0, 150.0,
              "thick-part arcs that stop on the base geodesic after short "
              "hunts: tracing and the event scan do the work, no reroutes"),
     Workload("sphere-fine", "thrice-punctured-sphere", 0.05, 0.2, "arc",
-             "thick", 95.0, 28.0,
+             "thick", 75.0, 50.0,
              "class-A cap near 47 and three deep horocycles: long hunts "
              "rescan their ray after every chunk, the quadratic tail"),
     Workload("torus-dives", "once-punctured-torus", 0.5, 0.5, "arc", "dives",
-             75.0, 0.7,
+             75.0, 1.4,
              "near-vertical arcs that dive into the cusp: every arc "
              "reroutes, the only workload running normalize"),
     Workload("torus-certify", "once-punctured-torus", 0.2, 0.5, "point",
-             "points", 90.0, 8.0,
+             "points", 90.0, 12.0,
              "points over the truncated polygon certified against a "
              "10^4-passage curve: orbit ball and distance scan, no densify"),
 )}
@@ -163,6 +173,14 @@ def inputs(ctx, seed: int):
     return truncated_points(ctx.model, rng, wl.xi)
 
 
+def input_list(ctx, seed: int, seconds: float, share: float = 1.0) -> list:
+    """The first share * list_rate * seconds inputs of the stream: what a
+    run of that length operates on, whatever the speed of the host or of
+    the code, so that a seed fixes which operations fail."""
+    n = max(1, round(share * ctx.wl.list_rate * seconds))
+    return list(itertools.islice(inputs(ctx, seed), n))
+
+
 # ---------------------------------------------------------------------------
 # set-up
 
@@ -197,8 +215,8 @@ def set_up(wl: Workload, seed: int, tr=NULL) -> Context:
 
 
 def build_curve(ctx: Context, seed: int) -> None:
-    """The certified curve: passages of processed thick arcs, taken in
-    stream order until there are CURVE_PASSAGES of them."""
+    """The certified curve: the first CURVE_PASSAGES passages of
+    processed thick arcs, taken in stream order."""
     ctx.curve, ctx.curve_arcs, ctx.curve_failures = [], [], []
     arcs = thick_arcs(ctx.model, stream(seed, 1), ctx.wl.xi)
     for k, c in enumerate(arcs):
@@ -211,12 +229,42 @@ def build_curve(ctx: Context, seed: int) -> None:
             continue
         ctx.curve_arcs.append(pa)
         ctx.curve.extend(pa.trace.segments())
+    # one arc that climbs the cusp can bring thousands of passages; the
+    # cut keeps the work per point the same from seed to seed
+    del ctx.curve[CURVE_PASSAGES:]
 
 
 # ---------------------------------------------------------------------------
 # operations
 
+class StepBudgetExceeded(Exception):
+    """An arc's walk ran past STEP_BUDGET trace steps."""
+
+
+_steps_taken = [0]
+
+
+def install_step_budget():
+    """Count the trace steps of densify's walks and stop an operation that
+    takes more than STEP_BUDGET.  The count is checked after each call,
+    which costs one wrapper call per hunt chunk or reroute leg."""
+    import geodense.densify as densify
+
+    walk = densify.trace_geodesic
+
+    def trace_geodesic(*args, **kwargs):
+        out = walk(*args, **kwargs)
+        _steps_taken[0] += len(out.steps)
+        if _steps_taken[0] > STEP_BUDGET:
+            raise StepBudgetExceeded(
+                f"walk ran past {STEP_BUDGET} trace steps")
+        return out
+
+    densify.trace_geodesic = trace_geodesic
+
+
 def process_arc(ctx: Context, c: GeodesicSegment, tr=NULL):
+    _steps_taken[0] = 0
     with tr.span("densify.classify_and_extend"):
         outs = classify_and_extend(c, ctx.params, ctx.K, ctx.model,
                                    gamma0=ctx.g0)
