@@ -75,17 +75,6 @@ class DensityParams:
             raise ValueError(f"xi must be in (0, 1], got {self.xi}")
 
 
-def run_length(word: str) -> list[tuple[str, int]]:
-    """Collapse a generator word into (letter, count) runs."""
-    out: list[tuple[str, int]] = []
-    for ch in word:
-        if out and out[-1][0] == ch:
-            out[-1] = (ch, out[-1][1] + 1)
-        else:
-            out.append((ch, 1))
-    return out
-
-
 @dataclass(frozen=True)
 class _Chord:
     """One polygon passage of a closed geodesic, with its arc-length
@@ -125,9 +114,6 @@ class ClosedGeodesicRep:
                     f"translation length {ell!r}")
             if not same_line(self.holonomy.axis(), self.axis, tol=1e-7):
                 raise ValueError("stored axis is not the holonomy axis")
-
-    def word_rle(self) -> list[tuple[str, int]]:
-        return run_length(self.word)
 
     def segments(self) -> list[GeodesicSegment]:
         return self.trace.segments()
@@ -212,16 +198,23 @@ class ExtensionOutcome:
 
 
 def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep, trace: Trace,
-                deep: list[Horocycle], theta0: float,
-                psi: float) -> list[CrossingRecord]:
+                deep: list[Horocycle], theta0: float, psi: float,
+                walked: float = 0.0, step0: int = 0,
+                last: CrossingRecord | None = None) -> list[CrossingRecord]:
     """All base and deep crossings along a traced ray, by arc length.
 
+    walked and step0 place the trace as a leg of a longer ray: the arc
+    length and the number of steps before it.  Each record's s and step
+    then count from the start of that ray, as a scan of the whole ray
+    would give them.  last is the final record kept from the earlier
+    legs, if any.
+
     A crossing sitting exactly on a polygon side is seen from both
-    adjacent passages at equal arc length; the duplicate is dropped.
+    adjacent passages at equal arc length; the duplicate is dropped,
+    also when the two sightings fall on either side of a leg joint.
     """
     events: list[CrossingRecord] = []
-    walked = 0.0
-    for k, st in enumerate(trace.steps):
+    for k, st in enumerate(trace.steps, step0):
         seg = st.segment
         for ch in gamma0.chords:
             if not lines_cross(seg.line, ch.segment.line):
@@ -252,7 +245,9 @@ def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep, trace: Trace,
     events.sort(key=lambda e: e.s)
     out: list[CrossingRecord] = []
     for e in events:
-        if out and e.kind == out[-1].kind and e.s - out[-1].s < _DEDUP:
+        prev = out[-1] if out else last
+        if prev is not None and e.kind == prev.kind \
+                and e.s - prev.s < _DEDUP:
             continue
         out.append(e)
     return out
@@ -310,25 +305,26 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
 
     # walk in chunks and stop extending once a stop lies in the traced
     # window; tracing the whole cap up front can climb a cusp lobe
-    # through a fundamental domain per strip width
+    # through a fundamental domain per strip width.  Each leg is scanned
+    # once, at its arc-length offset along the ray.
     legs: list[Trace] = []
     traced = 0.0
+    walked = 0.0
+    steps = 0
     p, u = point, tangent
     stop = None
+    last = None
     cls = ""
     bads: list[float] = []
     shallow = 0
-    while True:
+    while stop is None and traced < cap - 1e-12:
         step_len = min(_CHUNK, cap - traced)
         leg = trace_geodesic(model, p, u, step_len)
         legs.append(leg)
         traced += step_len
         p, u = leg.end_point, leg.end_dir
-        ray = legs[0] if len(legs) == 1 else concat_traces(model, legs)
-        events = _ray_events(model, gamma0, ray, deep, K.theta0, psi)
-        stop = None
-        bads = []
-        shallow = 0
+        events = _ray_events(model, gamma0, leg, deep, K.theta0, psi,
+                             walked, steps, last)
         for e in events:
             if e.s < r_eps - ANGLE_TOL:
                 continue
@@ -342,12 +338,16 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
                     stop, cls = e, "B"
                     break
                 shallow += 1
-        if stop is not None or traced >= cap - 1e-12:
-            break
+        if events:
+            last = events[-1]
+        for st in leg.steps:
+            walked += st.segment.length
+        steps += len(leg.steps)
     if stop is None:
         raise SafetyCapExceeded(
             f"no admissible stop within extension cap {cap:.6g} "
             f"(clearance {r_eps:.6g})")
+    ray = legs[0] if len(legs) == 1 else concat_traces(model, legs)
 
     extension = max(0.0, stop.s - r_eps)
     if cls == "A" and allowed is not None and extension > allowed + 1e-6:

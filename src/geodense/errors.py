@@ -41,10 +41,6 @@ class HorocyclesIntersect(GeodenseError):
     """No common perpendicular exists because the horoballs overlap."""
 
 
-class IdenticalLines(GeodenseError):
-    """Two lines expected to be distinct coincide."""
-
-
 class ArrangementDegenerate(GeodenseError):
     """The base-curve self-crossing pattern is too close to degenerate
     (near-tangency or crossings nearly coinciding) to decompose safely."""
@@ -52,10 +48,6 @@ class ArrangementDegenerate(GeodenseError):
 
 class EarConstructionFails(GeodenseError):
     """A corner-skipping chord of a face leaves the face."""
-
-
-class DegenerateCrossing(GeodenseError):
-    """A crossing test fell inside the ambiguity tolerance."""
 
 
 class ConnectionUnverified(GeodenseError):

@@ -741,10 +741,6 @@ class Isometry:
     def is_hyperbolic(self, tol: float = TOL_GEO) -> bool:
         return (not self.reversing) and abs(self.trace()) > 2.0 + tol
 
-    def is_elliptic(self, tol: float = TOL_GEO) -> bool:
-        return (not self.reversing) and abs(self.trace()) < 2.0 - tol \
-            and not self.is_identity(tol)
-
     def translation_length(self) -> float:
         t = abs(self.trace())
         if t <= 2.0:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .decomp import Face
 from .formulas import (
@@ -374,6 +373,20 @@ def _quad_signed_angle(half_width: float, u: float) -> float:
     return math.atan2(c1.real - center, eu)
 
 
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f in [lo, hi], where f changes sign, to within tol."""
+    lo_pos = f(lo) > 0.0
+    if lo_pos == (f(hi) > 0.0):
+        raise ValueError("f does not change sign on the bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > 0.0) == lo_pos:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _quad_side_circle(half_width: float, u: float) -> tuple[float, float]:
     """Center and radius of the geodesic side circle through C1."""
     eu = math.exp(u)
@@ -409,8 +422,8 @@ def oracle_quadrilateral(cfg: OracleConfig) -> OracleReport:
     for u in us:
         for psi in psis:
             rng = _rng(cfg.seed + int(1e6 * u) + int(1e3 * psi))
-            root = brentq(lambda l: _quad_signed_angle(l, u) + psi,
-                          1e-9, 3.0, xtol=1e-14)
+            root = _bisect(lambda l: _quad_signed_angle(l, u) + psi,
+                           1e-9, 3.0, 1e-14)
             closed = quad_half_width(psi, u)
             delta = abs(root - closed)
             width_err = max(width_err, delta)

@@ -23,23 +23,3 @@ def free_reduce(word: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
-
-
-def cyclic_reduce(word: str) -> str:
-    """Freely reduce, then cancel inverse pairs across the wrap-around."""
-    w = free_reduce(word)
-    while len(w) >= 2 and w[0] != w[-1] and w[0].lower() == w[-1].lower():
-        w = w[1:-1]
-    return w
-
-
-def letter_index(ch: str) -> tuple[int, bool]:
-    """Map a letter to (generator index, is_inverse)."""
-    if not ch.isalpha() or len(ch) != 1:
-        raise ValueError(f"bad letter {ch!r}")
-    return ord(ch.lower()) - ord("a"), ch.isupper()
-
-
-def index_letter(idx: int, inverse: bool) -> str:
-    ch = chr(ord("a") + idx)
-    return ch.upper() if inverse else ch

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geodense import formulas
+from geodense import densify, formulas
 from geodense.decomp import decompose
 from geodense.densify import (
     ClosedGeodesicRep,
@@ -14,7 +14,6 @@ from geodense.densify import (
     classify_and_extend,
     deep_horocycles,
     replace_arc,
-    run_length,
 )
 from geodense.halfplane import (
     INF,
@@ -76,13 +75,6 @@ class TestDensityParams:
             DensityParams(1.0, 1.5)
 
 
-class TestRunLength:
-    def test_runs(self):
-        assert run_length("aabAb") == [("a", 2), ("b", 1), ("A", 1), ("b", 1)]
-        assert run_length("") == []
-        assert run_length("AAAA") == [("A", 4)]
-
-
 class TestBaseGeodesicRep:
     def test_torus_rep(self, torus_g0):
         assert torus_g0.word == "aabAb"
@@ -90,7 +82,6 @@ class TestBaseGeodesicRep:
                                                 abs=1e-9)
         assert torus_g0.holonomy is not None
         assert torus_g0.cum[-1] == pytest.approx(torus_g0.length, abs=1e-9)
-        assert torus_g0.word_rle() == [("a", 2), ("b", 1), ("A", 1), ("b", 1)]
 
     def test_sphere_rep(self, sphere_g0):
         assert sphere_g0.length == pytest.approx(2.0 * math.acosh(3.0),
@@ -233,6 +224,93 @@ class TestExtensionCaps:
                     assert out.stop.kind == "deep"
                     assert out.stop.angle >= psi - 1e-9
         assert seen["A"] > 0
+
+
+def _hunt_cases(request, which):
+    """Sampled thick arcs of one surface, with what extending them needs."""
+    model = request.getfixturevalue(which)
+    dec = request.getfixturevalue(f"{which}_dec")
+    g0 = request.getfixturevalue(f"{which}_g0")
+    if which == "torus":
+        params, box = DensityParams(0.5, 0.5), (0.35, 2.5, 3.0)
+    else:
+        params, box = DensityParams(1.0, 0.5), (0.35, 1.2, 1.0)
+    rng = np.random.default_rng(np.random.PCG64(SEED + 11))
+    arcs = _sample_arcs(model, rng, 8, params.xi, *box)
+    return model, dec.constants, g0, params, arcs
+
+
+class TestIncrementalHunt:
+    """The hunt scans its ray one chunk at a time; the outcome must not
+    depend on where the chunks end."""
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_chunk_length_does_not_change_outcome(self, which, request,
+                                                  monkeypatch):
+        model, K, g0, params, arcs = _hunt_cases(request, which)
+        ref = [classify_and_extend(c, params, K, model, gamma0=g0)
+               for c in arcs]
+        for chunk in (0.7, 1.3, 2.9, 9.0):
+            monkeypatch.setattr(densify, "_CHUNK", chunk)
+            for c, want in zip(arcs, ref):
+                got = classify_and_extend(c, params, K, model, gamma0=g0)
+                for o, w in zip(got, want):
+                    assert (o.case_id, o.cls, o.stop.kind, o.stop.index,
+                            len(o.bad_angles), o.shallow_dips) == \
+                        (w.case_id, w.cls, w.stop.kind, w.stop.index,
+                         len(w.bad_angles), w.shallow_dips), chunk
+                    assert abs(o.stop.s - w.stop.s) < densify._DEDUP
+
+    def test_crossing_on_a_chunk_joint_counts_once(self, request,
+                                                   monkeypatch):
+        # a chunk ending exactly on a shallow crossing sees it at the end
+        # of one leg and again at the start of the next
+        model, K, g0, params, arcs = _hunt_cases(request, "sphere")
+        deep = deep_horocycles(model, params, K.theta0)
+        r_eps = formulas.clearance(params.eps, K.theta0)
+        psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
+        chunk = densify._CHUNK
+        joints = 0
+        for c in arcs:
+            outs = classify_and_extend(c, params, K, model, gamma0=g0)
+            for k, out in enumerate(outs):
+                if not out.bad_angles and not out.shallow_dips:
+                    continue
+                events = densify._ray_events(model, g0, out.trace, deep,
+                                             K.theta0, psi)
+                first = next(e for e in events
+                             if e.s >= r_eps and not e.good)
+                monkeypatch.setattr(densify, "_CHUNK", first.s)
+                o = classify_and_extend(c, params, K, model, gamma0=g0)[k]
+                monkeypatch.setattr(densify, "_CHUNK", chunk)
+                assert (o.case_id, len(o.bad_angles), o.shallow_dips) == \
+                    (out.case_id, len(out.bad_angles), out.shallow_dips)
+                joints += 1
+        assert joints >= 2
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_hunt_matches_one_full_scan(self, which, request):
+        model, K, g0, params, arcs = _hunt_cases(request, which)
+        deep = deep_horocycles(model, params, K.theta0)
+        r_eps = formulas.clearance(params.eps, K.theta0)
+        psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
+        for c in arcs:
+            for out in classify_and_extend(c, params, K, model, gamma0=g0):
+                events = densify._ray_events(model, g0, out.trace, deep,
+                                             K.theta0, psi)
+                events = [e for e in events
+                          if e.s >= r_eps - densify.ANGLE_TOL]
+                k = next(i for i, e in enumerate(events) if e.good)
+                stop = events[k]
+                assert (stop.kind, stop.index, stop.step, stop.s,
+                        stop.point) == (out.stop.kind, out.stop.index,
+                                        out.stop.step, out.stop.s,
+                                        out.stop.point)
+                before = events[:k]
+                assert sum(e.kind == "base" for e in before) \
+                    == len(out.bad_angles)
+                assert sum(e.kind == "deep" for e in before) \
+                    == out.shallow_dips
 
 
 class TestDeepHorocycles:
