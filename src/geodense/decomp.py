@@ -33,8 +33,8 @@ from .halfplane import (
     same_line,
     segments_cross,
 )
-from .surface import SurfaceModel
-from .tracing import Trace, tile_elements, trace_closed_word
+from .surface import SurfaceModel, chart_top
+from .tracing import ClosedGeodesicRep, base_geodesic
 
 # crossings closer than this to a polygon side, to each other, or to
 # tangency cannot be classified reliably
@@ -123,17 +123,10 @@ class SurfaceConstants:
 
 @dataclass
 class Decomposition:
-    model: SurfaceModel
-    word: str
-    trace: Trace
-    holonomy: Isometry
+    base: ClosedGeodesicRep
     crossings: list[Crossing]
     faces: list[Face]
     constants: SurfaceConstants
-
-    @property
-    def base_len(self) -> float:
-        return self.trace.length
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +190,12 @@ class _Complex:
     it backwards and is based at slot s+1.
     """
 
-    def __init__(self, model, trace, crossings):
-        self.model = model
-        self.trace = trace
+    def __init__(self, base, crossings):
+        self.length = base.length
         self.crossings = crossings
-        segs = trace.segments()
-        cum = [0.0]
-        for g in segs:
-            cum.append(cum[-1] + g.length)
+        self.devs = base.devs
+        segs = base.segments()
+        cum = base.cum
 
         slots = []
         for ci, c in enumerate(crossings):
@@ -217,16 +208,14 @@ class _Complex:
         self.slot_dir = [crossings[ci].dir_lo if lo else crossings[ci].dir_hi
                          for (_, ci, lo) in slots]
         for a in range(self.n):
-            gap = (self.slot_t[(a + 1) % self.n] - self.slot_t[a]) % trace.length
+            gap = (self.slot_t[(a + 1) % self.n] - self.slot_t[a]) % self.length
             if gap < MARGIN:
                 raise ArrangementDegenerate(
                     "two self-crossings nearly coincide on the curve")
 
         # locate each slot on its trace pass and develop it onto the
         # single line carrying the developed trace
-        tiles = tile_elements(model, trace.sides)
-        devs = [Isometry.identity()] + tiles
-        base = trace.steps[0].segment.line
+        axis = segs[0].line
         self.dev_point = []
         self.slot_pass = []
         for t, ci, lo in slots:
@@ -234,13 +223,12 @@ class _Complex:
             g = segs[k]
             pt = g.point_at(g.s0 + (t - cum[k]))
             self.slot_pass.append(k)
-            zdev = devs[k].apply(pt)
-            if not base.contains(zdev, tol=1e-6):
+            zdev = self.devs[k].apply(pt)
+            if not axis.contains(zdev, tol=1e-6):
                 raise ArrangementDegenerate(
                     "developed trace drifted off its line")
             self.dev_point.append(zdev)
-        self.devs = devs
-        tau = [base.param_of(z) for z in self.dev_point]
+        tau = [axis.param_of(z) for z in self.dev_point]
         for s in range(self.n):
             if abs((tau[s] - tau[0]) - (self.slot_t[s] - self.slot_t[0])) > 1e-6:
                 raise ArrangementDegenerate(
@@ -277,7 +265,7 @@ class _Complex:
 
     def arc_len(self, d):
         a = d >> 1
-        return (self.slot_t[(a + 1) % self.n] - self.slot_t[a]) % self.trace.length
+        return (self.slot_t[(a + 1) % self.n] - self.slot_t[a]) % self.length
 
     def _build_rotation(self):
         self.rot_next = [None] * (2 * self.n)
@@ -478,23 +466,12 @@ def _ordinary_diam(corners):
 # ---------------------------------------------------------------------------
 # whole-trace cusp clearance
 
-def _chart_top(chart: Isometry, seg: GeodesicSegment) -> float:
-    z1 = chart.apply(seg.start)
-    z2 = chart.apply(seg.end)
-    if abs(z1) > 1e12 or abs(z2) > 1e12:
-        return math.inf
-    top = max(z1.imag, z2.imag)
-    line = chart.apply_line(seg.line)
-    if not line.is_vertical and \
-            min(z1.real, z2.real) < line.center < max(z1.real, z2.real):
-        top = max(top, line.radius)
-    return top
-
-
-def _check_cusp_clearance(model: SurfaceModel, trace: Trace) -> None:
+def _check_cusp_clearance(model: SurfaceModel,
+                          base: ClosedGeodesicRep) -> None:
     """The base geodesic must stay strictly below every 1-horocycle."""
     for j, cusp in enumerate(model.cusps):
-        top = max(_chart_top(cusp.chart, g) for g in trace.segments())
+        top = max(chart_top(cusp.chart, g.line, g.start, g.end)
+                  for g in base.segments())
         if not top < cusp.width - 1e-9:
             raise ArrangementDegenerate(
                 f"base geodesic climbs to height {top:.6g} in the chart "
@@ -506,25 +483,20 @@ def _check_cusp_clearance(model: SurfaceModel, trace: Trace) -> None:
 
 def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
     """Cut the surface along the closed geodesic of a filling word."""
-    if word is None:
-        word = model.spec.base_word
-    trace, hol = trace_closed_word(model, word)
-    _check_cusp_clearance(model, trace)
+    base = base_geodesic(model, word)
+    word = base.word
+    _check_cusp_clearance(model, base)
 
-    segs = trace.segments()
-    cum = [0.0]
-    for g in segs:
-        cum.append(cum[-1] + g.length)
-    crossings = _collect_crossings(segs, cum)
+    crossings = _collect_crossings(base.segments(), base.cum)
     if not crossings:
         raise NotFilling(
             f"closed geodesic of {word!r} has no self-crossings; "
             "a simple geodesic never fills the surface")
 
-    cx = _Complex(model, trace, crossings)
+    cx = _Complex(base, crossings)
     faces = []
     for orbit in cx.face_orbits():
-        corners, angles, closure = _face_walk(cx, orbit, hol)
+        corners, angles, closure = _face_walk(cx, orbit, base.holonomy)
         m = len(corners)
         if closure.is_identity(1e-6):
             if m < 3:
@@ -560,13 +532,13 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
     theta0 = min(f.angle_floor for f in faces)
     diam = max(f.diam if f.diam is not None else f.side_cap for f in faces)
     cusp_reach = max(f.depth for f in faces if f.punctured)
-    base_len = trace.length
+    base_len = base.length
     constants = SurfaceConstants(
         theta0, diam, cusp_reach, base_len,
         u_budget(cusp_reach, theta0, base_len),
         arc_budget(diam, cusp_reach, theta0, base_len),
         per_arc_budget(diam, cusp_reach, theta0, base_len))
-    return Decomposition(model, word, trace, hol, crossings, faces, constants)
+    return Decomposition(base, crossings, faces, constants)
 
 
 def _check_census(model, crossings, faces, word):
@@ -590,8 +562,3 @@ def _check_census(model, crossings, faces, word):
     if abs(total - want) > 1e-6:
         raise ArrangementDegenerate(
             f"face areas sum to {total:.9g}, expected {want:.9g}")
-
-
-def surface_constants(model: SurfaceModel,
-                      word: str | None = None) -> SurfaceConstants:
-    return decompose(model, word).constants

@@ -1,11 +1,12 @@
 """Arc extension and rerouting toward dense closed geodesics.
 
-The pipeline takes a family of geodesic arcs on a truncated surface and
-turns it into one closed geodesic passing near every arc.  Each arc is
-first extended on both sides until it crosses the base filling geodesic
-at a steep angle; extensions that instead dive deep into a cusp are
-rerouted along nearby geodesics that come back out.  The processed arcs
-are then connected through the base geodesic into a single closed curve.
+The construction takes a family of geodesic arcs on a truncated surface
+and turns it into one closed geodesic passing near every arc.  Each arc
+is first extended on both sides until it crosses the base filling
+geodesic at a steep angle; extensions that instead dive deep into a cusp
+are rerouted along nearby geodesics that come back out.  Connecting the
+processed arcs through the base geodesic into a single closed curve is
+ROADMAP item 2 and is not built yet.
 
 Every quantitative step of the construction is guarded: extension
 lengths are checked against the caps the surface constants promise, and
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import formulas
 from .errors import (
@@ -40,18 +40,18 @@ from .halfplane import (
     intersect_lines,
     line_horocycle_crossings,
     lines_cross,
-    same_line,
 )
 from .decomp import SurfaceConstants
 from .surface import SurfaceModel
 from .tracing import (
+    ClosedGeodesicRep,
     Trace,
     TraceStep,
+    base_geodesic,  # not used here; callers import it from densify
     concat_traces,
     reverse_trace,
     segment_trace,
     tile_elements,
-    trace_closed_word,
     trace_geodesic,
 )
 
@@ -73,84 +73,6 @@ class DensityParams:
             raise ValueError(f"eps must be in (0, 2], got {self.eps}")
         if not 0.0 < self.xi <= 1.0:
             raise ValueError(f"xi must be in (0, 1], got {self.xi}")
-
-
-@dataclass(frozen=True)
-class _Chord:
-    """One polygon passage of a closed geodesic, with its arc-length
-    offset from the trace start."""
-
-    index: int
-    segment: GeodesicSegment
-    offset: float
-
-
-@dataclass(eq=False)
-class ClosedGeodesicRep:
-    """A closed geodesic carried as a word plus one traced period.
-
-    holonomy is the deck element translating along the traced lift, in
-    the frame of the trace start; it is None when the curve is too long
-    for its matrix entries to be representable, in which case only the
-    trace-level data is available.  axis is the lift itself.
-    """
-
-    word: str
-    length: float
-    trace: Trace
-    holonomy: Isometry | None
-    axis: GeodesicLine
-    model: SurfaceModel
-
-    def __post_init__(self):
-        if self.holonomy is not None:
-            t = abs(self.holonomy.trace())
-            if t <= 2.0:
-                raise ValueError(f"holonomy trace {t:.6g} is not hyperbolic")
-            ell = 2.0 * math.acosh(0.5 * t)
-            if abs(ell - self.length) > 1e-9 * max(1.0, self.length):
-                raise ValueError(
-                    f"length {self.length!r} disagrees with holonomy "
-                    f"translation length {ell!r}")
-            if not same_line(self.holonomy.axis(), self.axis, tol=1e-7):
-                raise ValueError("stored axis is not the holonomy axis")
-
-    def segments(self) -> list[GeodesicSegment]:
-        return self.trace.segments()
-
-    @cached_property
-    def cum(self) -> list[float]:
-        out = [0.0]
-        for seg in self.trace.segments():
-            out.append(out[-1] + seg.length)
-        return out
-
-    @cached_property
-    def chords(self) -> list[_Chord]:
-        return [_Chord(k, seg, self.cum[k])
-                for k, seg in enumerate(self.trace.segments())]
-
-    @cached_property
-    def devs(self) -> list[Isometry]:
-        """Deck element of each passage's tile in the start frame.
-
-        devs[k] applied to passage k gives the developed picture along
-        the axis; devs[0] is the identity and devs[-1] the holonomy.
-        Only meaningful for curves short enough to develop in floats.
-        """
-        return [Isometry.identity()] + tile_elements(self.model,
-                                                     self.trace.sides)
-
-
-def base_geodesic(model: SurfaceModel,
-                  word: str | None = None) -> ClosedGeodesicRep:
-    """The closed geodesic of a (catalog) filling word, traced once."""
-    if word is None:
-        word = model.spec.base_word
-    tr, hol = trace_closed_word(model, word)
-    axis = GeodesicLine.from_point_direction(tr.start_point, tr.start_dir)
-    return ClosedGeodesicRep(word=word, length=tr.length, trace=tr,
-                             holonomy=hol, axis=axis, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +294,7 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
 
 def classify_and_extend(c: GeodesicSegment, params: DensityParams,
                         K: SurfaceConstants, X: SurfaceModel,
-                        faces=None, gamma0: ClosedGeodesicRep | None = None,
+                        faces=None, *, gamma0: ClosedGeodesicRep,
                         ) -> tuple[ExtensionOutcome, ExtensionOutcome]:
     """Extend an arc on both sides to its stopping crossings.
 
@@ -380,8 +302,6 @@ def classify_and_extend(c: GeodesicSegment, params: DensityParams,
     the arc's start and forward out of its end.  The arc is given in
     polygon coordinates and must lie in the truncated part.
     """
-    if gamma0 is None:
-        gamma0 = base_geodesic(X)
     if faces is not None:
         floor = min(f.angle_floor for f in faces)
         if abs(floor - K.theta0) > 1e-9:
@@ -484,11 +404,8 @@ class _DiveFrame:
 def _walk_dev(model: SurfaceModel, outcome: ExtensionOutcome) -> Isometry:
     """Deck element taking the stop step's polygon frame to the frame
     the walk started in."""
-    k = outcome.stop.step
-    if k == 0:
-        return Isometry.identity()
-    sides = [st.side for st in outcome.trace.steps[:k]]
-    return tile_elements(model, sides)[k - 1]
+    sides = [st.side for st in outcome.trace.steps[:outcome.stop.step]]
+    return tile_elements(model, sides)[-1]
 
 
 def _dive_frame(model: SurfaceModel, outcome: ExtensionOutcome,
@@ -573,7 +490,7 @@ def _finish(model: SurfaceModel, c: GeodesicSegment, case: str,
 def replace_arc(c: GeodesicSegment,
                 outcomes: tuple[ExtensionOutcome, ExtensionOutcome],
                 params: DensityParams, K: SurfaceConstants, X: SurfaceModel,
-                gamma0: ClosedGeodesicRep | None = None) -> ProcessedArc:
+                *, gamma0: ClosedGeodesicRep) -> ProcessedArc:
     """Turn an extended arc into its processed form.
 
     Arcs whose both extensions stopped on the base geodesic keep their
@@ -581,8 +498,6 @@ def replace_arc(c: GeodesicSegment,
     geodesic whose continuations come back out of the cusp.
     """
     back, fwd = outcomes
-    if gamma0 is None:
-        gamma0 = base_geodesic(X)
     r_eps = formulas.clearance(params.eps, K.theta0)
     bound = formulas.replaced_arc_length_bound(
         c.length, params.eps, params.xi, K.arc_overhead)

@@ -50,15 +50,7 @@ class EarConstructionFails(GeodenseError):
     """A corner-skipping chord of a face leaves the face."""
 
 
-class ConnectionUnverified(GeodenseError):
-    """Closing up the arc chain failed its post-hoc checks after the
-    bounded retry sequence."""
-
-
 class SafetyCapExceeded(GeodenseError):
     """An extension ran past the total cap its constants guarantee,
     indicating a bug in the computed surface constants."""
 
-
-class EpsilonTooLargeForXi(GeodenseError):
-    """The orthogeodesic construction needs eps <= min(log(1/xi), 1)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HorocyclesIntersect, NoSharedEndpoint
 from .tolerances import TOL_ALG, TOL_GEO

@@ -50,6 +50,31 @@ def line_through_vertices(v_start, v_end) -> GeodesicLine:
     return GeodesicLine.from_points(v_start, v_end)
 
 
+def chart_top(chart: Isometry, line: GeodesicLine, a, b) -> float:
+    """Highest point reached in a cusp chart by the arc of line from a
+    to b.
+
+    Each end is a complex point or a float ideal point, as polygon
+    vertices are.  An end the chart sends to infinity, or to modulus
+    above 1e12, gives inf.
+    """
+    xs = []
+    top = 0.0
+    for v in (a, b):
+        w = complex(chart.apply_boundary(v)) if _is_ideal(v) \
+            else chart.apply(v)
+        if abs(w) > 1e12:
+            return math.inf
+        xs.append(w.real)
+        top = max(top, w.imag)
+    line = chart.apply_line(line)
+    # x runs monotonically along a half-circle arc, so the apex is on
+    # the arc exactly when the center sits between the ends
+    if not line.is_vertical and min(xs) < line.center < max(xs):
+        top = max(top, line.radius)
+    return top
+
+
 @dataclass(frozen=True)
 class Side:
     """One polygon side with its pairing."""
@@ -250,32 +275,6 @@ class SurfaceModel:
 
     # -- validation ----------------------------------------------------------
 
-    def _side_chart_top(self, chart: Isometry, side: Side) -> float:
-        """Maximal height reached by the image of a side segment in a
-        cusp chart."""
-        k = len(self.spec.vertices)
-        line = chart.apply_line(side.line)
-        xs = []
-        top = 0.0
-        for v in (self.spec.vertices[side.index],
-                  self.spec.vertices[(side.index + 1) % k]):
-            if _is_ideal(v):
-                e = chart.apply_boundary(v)
-                if math.isinf(e):
-                    return math.inf
-                xs.append(e)
-            else:
-                w = chart.apply(v)
-                xs.append(w.real)
-                top = max(top, w.imag)
-        if line.is_vertical:
-            return top
-        # x runs monotonically along a half-circle arc, so the apex is
-        # on the segment exactly when the center sits between the ends
-        if min(xs) < line.center < max(xs):
-            top = max(top, line.radius)
-        return top
-
     def _vertex_angle(self, i: int) -> float:
         """Interior angle at vertex i (0.0 at ideal vertices)."""
         if _is_ideal(self.spec.vertices[i]):
@@ -344,7 +343,9 @@ class SurfaceModel:
             for s in self.sides:
                 if s.index in adj:
                     continue
-                if self._side_chart_top(c.chart, s) >= c.width - TOL_GEO:
+                top = chart_top(c.chart, s.line, spec.vertices[s.index],
+                                spec.vertices[(s.index + 1) % k])
+                if top >= c.width - TOL_GEO:
                     raise InvalidSurface(
                         f"side {s.index} climbs into the cusp {c.index} wedge")
 

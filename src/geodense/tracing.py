@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import TraceError
 from .halfplane import (
@@ -24,7 +25,7 @@ from .halfplane import (
     same_line,
 )
 from .surface import SurfaceModel
-from .tolerances import TOL_ALG, TOL_GEO, TOL_LOOSE
+from .tolerances import TOL_GEO, TOL_LOOSE
 
 # minimal forward progress accepted when hunting the next side crossing
 _AHEAD = 1e-11
@@ -205,13 +206,14 @@ def concat_traces(model: SurfaceModel, legs: list[Trace],
 def tile_elements(model: SurfaceModel, sides: list[int]) -> list[Isometry]:
     """Deck elements of the tiles visited by a crossing record.
 
-    Entry k maps polygon coordinates of passage k+1 back to the frame of
+    Entry k maps polygon coordinates of passage k back to the frame of
     the trace start, so the developed picture of the trace is
-    out[k](segment of step k+1).  A None entry is a joint between
+    out[k](segment of step k); out[0] is the identity and out[-1] the
+    deck element of the whole record.  A None entry is a joint between
     abutting walks and carries no jump.
     """
-    out = []
     e = Isometry.identity()
+    out = [e]
     for s in sides:
         if s is not None:
             e = e @ model.sides[s].pairing.inverse()
@@ -219,26 +221,83 @@ def tile_elements(model: SurfaceModel, sides: list[int]) -> list[Isometry]:
     return out
 
 
-def loop_element(model: SurfaceModel, sides: list[int]) -> Isometry:
-    """Deck transformation of a closed trace, in the frame of its start.
+@dataclass(frozen=True)
+class _Chord:
+    """One polygon passage of a closed geodesic, with its arc-length
+    offset from the trace start."""
 
-    For a trace that closes up this is the holonomy translating along
-    the traced geodesic.
+    index: int
+    segment: GeodesicSegment
+    offset: float
+
+
+@dataclass(eq=False)
+class ClosedGeodesicRep:
+    """A closed geodesic carried as a word plus one traced period.
+
+    holonomy is the deck element translating along the traced lift, in
+    the frame of the trace start; it is None when the curve is too long
+    for its matrix entries to be representable, in which case only the
+    trace-level data is available.  axis is the lift itself.
     """
-    e = Isometry.identity()
-    for s in sides:
-        e = e @ model.sides[s].pairing.inverse()
-    return e
+
+    word: str
+    length: float
+    trace: Trace
+    holonomy: Isometry | None
+    axis: GeodesicLine
+    model: SurfaceModel
+
+    def __post_init__(self):
+        if self.holonomy is not None:
+            t = abs(self.holonomy.trace())
+            if t <= 2.0:
+                raise ValueError(f"holonomy trace {t:.6g} is not hyperbolic")
+            ell = 2.0 * math.acosh(0.5 * t)
+            if abs(ell - self.length) > 1e-9 * max(1.0, self.length):
+                raise ValueError(
+                    f"length {self.length!r} disagrees with holonomy "
+                    f"translation length {ell!r}")
+            if not same_line(self.holonomy.axis(), self.axis, tol=1e-7):
+                raise ValueError("stored axis is not the holonomy axis")
+
+    def segments(self) -> list[GeodesicSegment]:
+        return self.trace.segments()
+
+    @cached_property
+    def cum(self) -> list[float]:
+        out = [0.0]
+        for seg in self.trace.segments():
+            out.append(out[-1] + seg.length)
+        return out
+
+    @cached_property
+    def chords(self) -> list[_Chord]:
+        return [_Chord(k, seg, self.cum[k])
+                for k, seg in enumerate(self.trace.segments())]
+
+    @cached_property
+    def devs(self) -> list[Isometry]:
+        """Deck element of each passage's tile in the start frame.
+
+        devs[k] applied to passage k gives the developed picture along
+        the axis; devs[0] is the identity and devs[-1] the holonomy.
+        Only meaningful for curves short enough to develop in floats.
+        """
+        return tile_elements(self.model, self.trace.sides)
 
 
-def trace_closed_word(model: SurfaceModel, word: str,
-                      max_steps: int = 400000) -> tuple[Trace, Isometry]:
-    """Trace the closed geodesic of a hyperbolic word once around.
+def base_geodesic(model: SurfaceModel,
+                  word: str | None = None) -> ClosedGeodesicRep:
+    """The closed geodesic of a hyperbolic word (by default the catalog
+    filling word), traced once around.
 
-    Returns the trace and the deck element carrying the polygon frame of
-    the trace start (the axis of that element is the traced lift).  The
-    trace is checked to close up.
+    The holonomy carries the polygon frame of the trace start (its axis
+    is the traced lift).  The trace is checked to close up and the
+    holonomy to match the word.
     """
+    if word is None:
+        word = model.spec.base_word
     line, length = model.axis_of(word)
     # prefer a start that reduces to the polygon interior; a geodesic
     # running along the boundary never has one, and then any reduced
@@ -250,14 +309,15 @@ def trace_closed_word(model: SurfaceModel, word: str,
         z, g, _ = model.normalize(line.point_at(k * 0.381966 * length))
     start_line = g.apply_line(line)
     s = start_line.param_of(z)
-    tr = trace_geodesic(model, z, start_line.tangent_at(s), length,
-                        max_steps=max_steps)
+    tr = trace_geodesic(model, z, start_line.tangent_at(s), length)
     if not tr.closes_up(tol=1e-6):
         raise TraceError(
             f"closed trace of {word!r} misses its start by "
             f"{abs(tr.end_point - tr.start_point):.2e}")
-    hol = loop_element(model, tr.sides)
+    hol = tile_elements(model, tr.sides)[-1]
     want = (g @ model.word_iso(word) @ g.inverse()).normalized()
     if not hol.normalized().approx_equal(want, tol=1e-6):
         raise TraceError(f"holonomy of {word!r} does not match its word")
-    return tr, hol
+    axis = GeodesicLine.from_point_direction(tr.start_point, tr.start_dir)
+    return ClosedGeodesicRep(word=word, length=tr.length, trace=tr,
+                             holonomy=hol, axis=axis, model=model)

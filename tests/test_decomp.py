@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from geodense.decomp import _build_ears, _triangle, decompose, surface_constants
-from geodense.errors import NotFilling, NotHyperbolic
+from geodense.decomp import _build_ears, _triangle, decompose
+from geodense.errors import ArrangementDegenerate, NotFilling, NotHyperbolic
 from geodense.formulas import arc_budget, per_arc_budget, u_budget
 from geodense.halfplane import Isometry, dist
 from geodense.surface import load_surface
+from geodense.tracing import base_geodesic
 from geodense.verify import check_face_chord_bounds
 
 
@@ -100,7 +101,7 @@ class TestTorusCut:
 
     def test_base_length(self, torus_cut):
         # trace of the word's holonomy matrix is 18
-        assert abs(torus_cut.base_len - 2.0 * math.acosh(9.0)) < 1e-9
+        assert abs(torus_cut.base.length - 2.0 * math.acosh(9.0)) < 1e-9
 
     def test_crossings_symmetric(self, torus_cut):
         c1, c2 = torus_cut.crossings
@@ -150,7 +151,7 @@ class TestComplexStructure:
         # every arc of the cut curve borders faces along both sides
         cut = request.getfixturevalue(which)
         total = sum(e.length for f in cut.faces for e in f.boundary_edges())
-        assert abs(total - 2.0 * cut.base_len) < 1e-6
+        assert abs(total - 2.0 * cut.base.length) < 1e-6
 
     @pytest.mark.parametrize("which", ["sphere_cut", "torus_cut"])
     def test_corner_chain_consistent(self, which, request):
@@ -167,8 +168,17 @@ class TestComplexStructure:
         assert [f.area for f in d1.faces] == [f.area for f in d2.faces]
         assert [f.corners for f in d1.faces] == [f.corners for f in d2.faces]
 
-    def test_surface_constants_helper(self, sphere, sphere_cut):
-        assert surface_constants(sphere) == sphere_cut.constants
+    @pytest.mark.parametrize("which", ["sphere", "torus"])
+    def test_base_is_the_traced_geodesic(self, which, request):
+        # the decomposition carries the one traced base geodesic, equal
+        # to a fresh trace bit for bit
+        model = request.getfixturevalue(which)
+        base = request.getfixturevalue(f"{which}_cut").base
+        fresh = base_geodesic(model)
+        assert base.word == fresh.word == model.spec.base_word
+        assert base.trace.steps == fresh.trace.steps
+        assert base.holonomy == fresh.holonomy
+        assert base.length == fresh.length
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +200,13 @@ class TestRejections:
     def test_empty_word_rejected(self, torus):
         with pytest.raises(NotHyperbolic):
             decompose(torus, "")
+
+    def test_cusp_climbing_word_rejected(self, sphere):
+        # "aab" runs above the unit horocycle of the cusp at infinity
+        with pytest.raises(ArrangementDegenerate) as err:
+            decompose(sphere, "aab")
+        assert "climbs to height 2.44949" in str(err.value)
+        assert "cusp 0" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ class TestBaseGeodesicRep:
                               trace=torus_g0.trace, holonomy=torus_g0.holonomy,
                               axis=torus_g0.axis, model=torus)
 
+    def test_decomposition_base_extends_alike(self, torus, torus_dec,
+                                              torus_g0):
+        # the base geodesic a decomposition carries extends arcs exactly
+        # as a freshly traced one does
+        params = DensityParams(0.5, 0.5)
+        rng = np.random.default_rng(np.random.PCG64(SEED))
+        [c] = _sample_arcs(torus, rng, 1, params.xi, 0.35, 2.5, 3.0)
+        K = torus_dec.constants
+        assert classify_and_extend(c, params, K, torus,
+                                   gamma0=torus_dec.base) \
+            == classify_and_extend(c, params, K, torus, gamma0=torus_g0)
+
 
 def _arc(line_start, direction, length, model):
     """A single-passage arc from a point, clipped inside the polygon."""

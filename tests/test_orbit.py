@@ -9,7 +9,7 @@ from geodense.errors import RadiusTooSmall
 from geodense.halfplane import dist
 from geodense.orbit import ball, dist_to_closed_geodesic, dist_to_domain
 from geodense.surface import load_surface
-from geodense.tracing import trace_closed_word
+from geodense.tracing import base_geodesic
 from geodense.words import free_reduce
 
 
@@ -76,8 +76,7 @@ class TestBall:
 
 @pytest.fixture(scope="module")
 def commutator(sphere):
-    tr, _ = trace_closed_word(sphere, "ab")
-    return tr.segments()
+    return base_geodesic(sphere, "ab").segments()
 
 
 class TestDistToClosedGeodesic:

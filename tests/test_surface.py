@@ -7,8 +7,14 @@ import pytest
 
 from geodense.catalog import CATALOG, surface_names
 from geodense.errors import InvalidSurface, NotHyperbolic, RelatorFails
-from geodense.halfplane import INF, Isometry, dist
-from geodense.surface import SurfaceModel, line_through_vertices, load_surface
+from geodense.halfplane import INF, GeodesicLine, Isometry, dist
+from geodense.surface import (
+    SurfaceModel,
+    chart_top,
+    line_through_vertices,
+    load_surface,
+)
+from geodense.tolerances import TOL_GEO
 from geodense.words import inverse_word
 
 
@@ -197,6 +203,51 @@ class TestNormalize:
         z, g, word = torus.normalize(z0)
         assert torus.inside(z)
         assert torus.level(0, z) == pytest.approx(6.0 / 40.0)
+
+
+class TestChartTop:
+    @staticmethod
+    def _side_tops(model, cusp):
+        v = model.spec.vertices
+        return [chart_top(cusp.chart, s.line, v[s.index],
+                          v[(s.index + 1) % len(v)]) for s in model.sides]
+
+    @pytest.mark.parametrize("name", ["thrice-punctured-sphere",
+                                      "once-punctured-torus"])
+    def test_sides_below_each_cusp(self, name):
+        # the two sides at a cusp's vertex run into it; every other
+        # side stays below its unit horocycle
+        model = load_surface(name)
+        k = len(model.spec.vertices)
+        for c in model.cusps:
+            adj = {(c.vertex_index - 1) % k, c.vertex_index}
+            for s, top in zip(model.sides, self._side_tops(model, c)):
+                if s.index in adj:
+                    assert top == math.inf
+                else:
+                    assert top < c.width - TOL_GEO
+
+    def test_sphere_cusp_at_infinity(self, sphere):
+        c = sphere.cusps[0]
+        assert c.width == 2.0
+        assert self._side_tops(sphere, c) == pytest.approx(
+            [math.inf, 1.0, 1.0 / 3.0, 0.25, 1.0, math.inf], abs=1e-12)
+
+    def test_finite_segment(self, sphere):
+        chart = sphere.cusps[2].chart
+        back = chart.inverse()
+        w1 = 3.0 + 2.0 * complex(math.cos(2.5), math.sin(2.5))
+        w2 = 3.0 + 2.0 * complex(math.cos(0.6), math.sin(0.6))
+        w3 = 3.0 + 2.0 * complex(math.cos(1.2), math.sin(1.2))
+        z1, z2, z3 = back.apply(w1), back.apply(w2), back.apply(w3)
+        line = GeodesicLine.from_points(z1, z2)
+        # the apex lies between the ends: the top is the image's radius
+        image = chart.apply_line(line)
+        assert image.radius == pytest.approx(2.0)
+        assert chart_top(chart, line, z1, z2) == image.radius
+        # both ends on one side of the apex: the higher end is the top
+        assert chart_top(chart, line, z2, z3) \
+            == pytest.approx(w3.imag, rel=1e-12)
 
 
 class TestValidation:

@@ -16,9 +16,8 @@ from geodense.halfplane import (
 from geodense import tracing
 from geodense.surface import load_surface
 from geodense.tracing import (
-    loop_element,
+    base_geodesic,
     tile_elements,
-    trace_closed_word,
     trace_geodesic,
 )
 
@@ -136,7 +135,7 @@ class TestPassages:
         base = tr.steps[0].segment
         prev_end = base.end
         for k, step in enumerate(tr.steps[1:]):
-            dev = tiles[k].apply_segment(step.segment)
+            dev = tiles[k + 1].apply_segment(step.segment)
             assert same_line(dev.line, base.line, tol=1e-6)
             assert abs(dev.start - prev_end) < 1e-6
             prev_end = dev.end
@@ -148,7 +147,8 @@ class TestPassages:
 
 class TestClosedTraces:
     def test_sphere_commutator(self, sphere):
-        tr, hol = trace_closed_word(sphere, "ab")
+        g = base_geodesic(sphere, "ab")
+        tr, hol = g.trace, g.holonomy
         assert tr.length == pytest.approx(2.0 * math.acosh(3.0))
         assert tr.closes_up(tol=1e-9)
         assert hol.translation_length() == pytest.approx(tr.length)
@@ -156,13 +156,14 @@ class TestClosedTraces:
     def test_torus_generator(self, torus):
         # this geodesic runs along polygon sides, hopping vertex to
         # vertex; it traces fine but closes a little less sharply
-        tr, hol = trace_closed_word(torus, "a")
+        g = base_geodesic(torus, "a")
+        tr, hol = g.trace, g.holonomy
         assert tr.length == pytest.approx(2.0 * math.acosh(1.5))
         assert tr.closes_up(tol=1e-7)
         assert hol.translation_length() == pytest.approx(tr.length, abs=1e-9)
 
     def test_torus_base_word(self, torus):
-        tr, hol = trace_closed_word(torus, "abbaBB")
+        tr = base_geodesic(torus, "abbaBB").trace
         assert tr.closes_up(tol=1e-8)
         assert sum(s.segment.length for s in tr.steps) \
             == pytest.approx(tr.length, abs=1e-9)
@@ -170,5 +171,5 @@ class TestClosedTraces:
     def test_loop_element_identity_for_round_trip(self, sphere):
         # crossing a side and coming straight back multiplies to identity
         s = sphere.sides[0]
-        e = loop_element(sphere, [0, s.partner])
+        e = tile_elements(sphere, [0, s.partner])[-1]
         assert e.is_identity(tol=1e-9)
