@@ -534,6 +534,22 @@ def angle_with_horocycle(line: GeodesicLine, h: Horocycle,
     return folded_angle(u, h.tangent_at(z))
 
 
+def _clears_horoball(line: GeodesicLine, h: Horocycle) -> bool:
+    """Does the line miss the disc of a finite-base horoball?
+
+    The disc has center (base, size/2) and radius size/2; the line's
+    circle misses it, passing outside it or around it, when the distance
+    between the centers differs from the line's radius by more than
+    size/2.  A relative 1e-9 margin leaves near-tangent lines to the
+    exact crossing test.
+    """
+    rad = 0.5 * h.size
+    if line.is_vertical:
+        return abs(line.foot - h.base) > rad * (1.0 + 1e-9)
+    gap = abs(math.hypot(line.center - h.base, rad) - line.radius)
+    return gap > rad * (1.0 + 1e-9) + 1e-9 * line.radius
+
+
 def line_horocycle_crossings(line: GeodesicLine,
                              h: Horocycle) -> list[tuple[float, complex]]:
     """Transverse crossings of a geodesic with a horocycle, as (param,
@@ -556,6 +572,8 @@ def line_horocycle_crossings(line: GeodesicLine,
             out.append((line.param_of(z), z))
         out.sort(key=lambda t: t[0])
         return out
+    if _clears_horoball(line, h):
+        return []
     # send the base to infinity; the horocycle becomes the height 1/size
     to_inf = Isometry(0.0, 1.0, -1.0, h.base)
     img = to_inf.apply_line(line)

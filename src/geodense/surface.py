@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .catalog import CATALOG, SurfaceSpec, surface_names
 from .errors import InvalidSurface, NotHyperbolic, RelatorFails, TraceError
 from .halfplane import (
     INF,
     GeodesicLine,
+    GeodesicSegment,
     Horocycle,
     Isometry,
     angle_between,
@@ -86,6 +88,10 @@ class Side:
     word: str
     pairing: Isometry           # maps this side onto the partner side
     partner: int
+
+    @cached_property
+    def segment(self) -> GeodesicSegment:
+        return GeodesicSegment(self.line, self.s_lo, self.s_hi)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from geodense import halfplane
 from geodense.errors import HorocyclesIntersect, NoSharedEndpoint
 from geodense.halfplane import (
     angle_at,
@@ -24,6 +26,7 @@ from geodense.halfplane import (
     horo_chord,
     horoball_gap,
     intersect_lines,
+    line_horocycle_crossings,
     lines_cross,
     segments_cross,
 )
@@ -372,6 +375,36 @@ class TestHorocycles:
         v = GeodesicLine.vertical(0.0)
         assert angle_with_horocycle(v, h3, 1j) == \
             pytest.approx(math.pi / 2, abs=TOL_GEO)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 1.0), st.floats(-2.0, 8.0),
+           st.sampled_from(["outside", "around", "vertical"]),
+           st.one_of(st.floats(-1e-6, 1e-6), st.floats(-0.9, 2.0)),
+           st.booleans(), st.booleans())
+    def test_early_return_changes_nothing(self, base, log_size, log_r, kind,
+                                          off, left, pos_to_neg):
+        """A finite-base horocycle gives the same crossings with and
+        without the disc test, for lines from tangent within a relative
+        1e-6 to far off, radius up to 1e8, and either orientation."""
+        h = Horocycle(base, 10.0 ** log_size)
+        rad = 0.5 * h.size
+        side = 1.0 if left else -1.0
+        if kind == "vertical":
+            line = GeodesicLine.vertical(base + side * rad * (1.0 + off),
+                                         up=pos_to_neg)
+        else:
+            r = 10.0 ** log_r
+            # distance between the line's center and the disc's center
+            gap = r + rad * (1.0 + off) if kind == "outside" \
+                else r - rad * (1.0 + off)
+            assume(gap > rad)
+            line = GeodesicLine.circle(
+                base + side * math.sqrt((gap - rad) * (gap + rad)), r,
+                pos_to_neg=pos_to_neg)
+        got = line_horocycle_crossings(line, h)
+        with mock.patch.object(halfplane, "_clears_horoball",
+                               return_value=False):
+            assert got == line_horocycle_crossings(line, h)
 
 
 class TestIsometry:
