@@ -134,10 +134,21 @@ def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep, trace: Trace,
     A crossing sitting exactly on a polygon side is seen from both
     adjacent passages at equal arc length; the duplicate is dropped,
     also when the two sightings fall on either side of a leg joint.
+
+    A run (a step of many cusp wall crossings) stays above its cusp's
+    unit horocycle, which the base geodesic never reaches
+    (decomp._check_cusp_clearance) and no other cusp's deep horoball
+    meets.  The cusp parabolic maps the cusp's deep horocycle to itself,
+    so the run crosses it where its developed arc does, found in the
+    cusp chart.  Each record is in the frame of its step's segment.
     """
     events: list[CrossingRecord] = []
     for k, st in enumerate(trace.steps, step0):
         seg = st.segment
+        if st.count > 1:
+            events.extend(_run_deep_events(st, deep, psi, walked, k))
+            walked += seg.length
+            continue
         for ch in gamma0.chords:
             if not lines_cross(seg.line, ch.segment.line):
                 continue
@@ -175,15 +186,34 @@ def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep, trace: Trace,
     return out
 
 
+def _run_deep_events(st: TraceStep, deep: list[Horocycle], psi: float,
+                     walked: float, k: int) -> list[CrossingRecord]:
+    """Crossings of a run with its cusp's deep horocycle."""
+    c, ch = st.run.cusp, st.run.chart
+    h = c.chart.apply_horocycle(deep[c.index])
+    out = []
+    for sp, zc in line_horocycle_crossings(ch.line, h):
+        if not ch.contains_param(sp):
+            continue
+        ang = angle_with_horocycle(ch.line, h, zc)
+        out.append(CrossingRecord(
+            "deep", walked + (sp - ch.s0), c.chart_inv.apply(zc),
+            c.chart_inv.apply_tangent(zc, ch.line.tangent_at(sp)), ang,
+            ang >= psi - ANGLE_TOL, c.index, math.nan, k))
+    return out
+
+
 def _cut_trace(trace: Trace, event: CrossingRecord) -> Trace:
-    """The initial piece of a trace, ending exactly at a crossing."""
-    steps = list(trace.steps[:event.step])
-    seg = trace.steps[event.step].segment
-    sw = seg.line.param_of(event.point)
-    steps.append(TraceStep(seg.subsegment(seg.s0, sw), None))
+    """The initial piece of a trace, ending exactly at a crossing.
+
+    A crossing inside a run splits the run (TraceStep.head); the record
+    stays in the frame of its step.
+    """
+    last, end, end_dir = trace.steps[event.step].head(event.point)
+    steps = trace.steps[:event.step] + last
     length = sum(s.segment.length for s in steps)
-    return Trace(trace.start_point, trace.start_dir, steps,
-                 event.point, seg.line.tangent_at(sw), length)
+    return Trace(trace.start_point, trace.start_dir, steps, end, end_dir,
+                 length)
 
 
 def deep_horocycles(model: SurfaceModel, params: DensityParams,
@@ -226,9 +256,9 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
         cap = r_eps + allowed + 1.0
 
     # walk in chunks and stop extending once a stop lies in the traced
-    # window; tracing the whole cap up front can climb a cusp lobe
-    # through a fundamental domain per strip width.  Each leg is scanned
-    # once, at its arc-length offset along the ray.
+    # window; tracing the whole cap up front would walk far past the
+    # stop.  Each leg is scanned once, at its arc-length offset along
+    # the ray.
     legs: list[Trace] = []
     traced = 0.0
     walked = 0.0
@@ -404,8 +434,9 @@ class _DiveFrame:
 def _walk_dev(model: SurfaceModel, outcome: ExtensionOutcome) -> Isometry:
     """Deck element taking the stop step's polygon frame to the frame
     the walk started in."""
-    sides = [st.side for st in outcome.trace.steps[:outcome.stop.step]]
-    return tile_elements(model, sides)[-1]
+    steps = outcome.trace.steps[:outcome.stop.step]
+    return tile_elements(model, [st.side for st in steps],
+                         [st.count for st in steps])[-1]
 
 
 def _dive_frame(model: SurfaceModel, outcome: ExtensionOutcome,

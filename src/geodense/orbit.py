@@ -63,7 +63,7 @@ def ball(model: SurfaceModel, center: complex, radius: float,
             if nw in seen:
                 continue
             seen.add(nw)
-            queue.append((nw, g @ side.pairing.inverse()))
+            queue.append((nw, g @ side.inverse_pairing))
     return out
 
 

@@ -93,6 +93,10 @@ class Side:
     def segment(self) -> GeodesicSegment:
         return GeodesicSegment(self.line, self.s_lo, self.s_hi)
 
+    @cached_property
+    def inverse_pairing(self) -> Isometry:
+        return self.pairing.inverse()
+
 
 @dataclass(frozen=True)
 class Cusp:
@@ -106,6 +110,22 @@ class Cusp:
     word: str
     strip_lo: float             # chart image of the polygon corner wedge:
                                 # vertical strip [strip_lo, strip_lo + width]
+    walls: tuple[int, int]      # sides on x = strip_lo, x = strip_lo + width
+
+    @cached_property
+    def chart_inv(self) -> Isometry:
+        return self.chart.inverse()
+
+    def shift(self, k: int) -> Isometry:
+        """The cusp parabolic moving the chart by k widths: the pairing
+        of wall walls[0] applied k times."""
+        return (self.chart_inv @ Isometry.translation(k * self.width)
+                @ self.chart)
+
+    def jump(self, side: int) -> int:
+        """Widths the chart moves when a walk crosses a wall: +1 through
+        the left wall, -1 through the right one."""
+        return 1 if side == self.walls[0] else -1
 
 
 class SurfaceModel:
@@ -126,6 +146,7 @@ class SurfaceModel:
         self._word_cache: dict[str, Isometry] = {"": Isometry.identity()}
         self.sides = self._build_sides()
         self.cusps = self._build_cusps()
+        self.wall_cusps = {s: c for c in self.cusps for s in c.walls}
         self._validate()
 
     # -- words ---------------------------------------------------------------
@@ -190,8 +211,10 @@ class SurfaceModel:
                 raise InvalidSurface(
                     f"cusp {j}: wall separation {max(feet) - lo:.6g} does "
                     f"not match width {cs.width}")
+            walls = (before.index, after.index) if feet[0] == lo \
+                else (after.index, before.index)
             cusps.append(Cusp(j, v, cs.vertex_index, chart, cs.width,
-                              cs.word, lo))
+                              cs.word, lo, walls))
         return tuple(cusps)
 
     # -- membership and levels ----------------------------------------------
@@ -248,9 +271,7 @@ class SurfaceModel:
                 if zc.imag > c.width:        # deeper than the unit horocycle
                     k = math.floor((zc.real - c.strip_lo) / c.width)
                     if k != 0:
-                        step = (c.chart.inverse()
-                                @ Isometry.translation(-k * c.width)
-                                @ c.chart)
+                        step = c.shift(-k)
                         z = step.apply(z)
                         g = step @ g
                         w = c.word if k < 0 else inverse_word(c.word)
@@ -343,6 +364,12 @@ class SurfaceModel:
                     f"cusp word {c.word!r} is not the chart translation")
             if not self._match_vertex(c.chart.apply_boundary(c.vertex), INF):
                 raise InvalidSurface(f"cusp chart {c.index} misses infinity")
+            # the walls pair with each other by the cusp word, so a walk
+            # high in the cusp crosses them in closed form
+            lo_wall = self.sides[c.walls[0]]
+            if lo_wall.partner != c.walls[1] or lo_wall.word != c.word:
+                raise InvalidSurface(
+                    f"cusp {c.index} walls are not paired by its word")
             # every non-adjacent side must stay below the unit horocycle
             # of the chart, so deep points reduce inside the corner wedge
             adj = {(c.vertex_index - 1) % k, c.vertex_index}

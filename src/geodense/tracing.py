@@ -6,6 +6,16 @@ forward crossing with a polygon side and jumps back inside with that
 side's pairing.  Working locally keeps every step well conditioned; the
 global deck transformation is recovered from the crossing record when
 needed, never from developed coordinates.
+
+High in a cusp, above its unit horocycle, the polygon is the strip
+between the cusp's two walls, and the walk crosses one wall per strip
+width.  There a step becomes a run: one step for all of those wall
+crossings but the last.  A run's segment is the developed arc in the
+frame of its first passage, its count the number of crossings, and it
+lands in the polygon with one power of the cusp parabolic.  A plain
+step is the case count 1.  ``Trace.sides`` and ``Trace.segments()``
+list runs crossing by crossing and passage by passage, in polygon
+coordinates, as a walk without runs gives them.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from .halfplane import (
     lines_cross,
     same_line,
 )
-from .surface import SurfaceModel
+from .surface import Cusp, SurfaceModel
 from .tolerances import TOL_GEO, TOL_LOOSE
 
 # minimal forward progress accepted when hunting the next side crossing
@@ -33,13 +43,127 @@ _BEHIND = 1e-5
 
 
 @dataclass(frozen=True)
+class CuspRun:
+    """Where a run lives: its cusp, and its developed arc in the cusp
+    chart, starting in the strip as the run's first passage does.
+
+    Wall crossings and passages are computed from the chart arc: chart
+    coordinates stay well conditioned where polygon coordinates near a
+    finite cusp vertex lose digits.
+    """
+
+    cusp: Cusp
+    chart: GeodesicSegment
+
+
+def _strip_walls(cusp: Cusp, side: int) -> tuple[float, float]:
+    """Chart x of the wall a run enters each passage through, and of the
+    wall it leaves through (side)."""
+    lo, hi = cusp.strip_lo, cusp.strip_lo + cusp.width
+    return (lo, hi) if side == cusp.walls[1] else (hi, lo)
+
+
+def _wall_x(cusp: Cusp, side: int, i: int) -> float:
+    """Chart x of crossing i (from 1) of a run through side, in the
+    frame of its first passage."""
+    return _strip_walls(cusp, side)[1] \
+        - cusp.jump(side) * (i - 1) * cusp.width
+
+
+def _shifted(line: GeodesicLine, t: float) -> GeodesicLine:
+    """A half-circle line moved by t along the real axis."""
+    return GeodesicLine.from_endpoints(line.endpoint_back + t,
+                                       line.endpoint_fwd + t)
+
+
+@dataclass(slots=True)
 class TraceStep:
-    """One polygon passage: a segment of the traced geodesic in polygon
-    coordinates, and the side crossed at its far end (None when the
-    trace ends inside the polygon)."""
+    """One polygon passage, or a run of passages high in a cusp.
+
+    A plain step (count 1) is a segment of the traced geodesic in
+    polygon coordinates and the side crossed at its far end (None when
+    the trace ends inside the polygon).  A run crosses side, a wall of
+    run.cusp, count times; its segment is the developed arc in the
+    polygon frame of its first passage, ending on the last of those
+    crossings.
+    """
 
     segment: GeodesicSegment
     side: int | None
+    count: int = 1
+    run: CuspRun | None = None
+
+    def wall(self, i: int) -> complex:
+        """Chart point of a run's wall crossing i, from 1 to count, in
+        the chart frame of its first passage."""
+        z = intersect_lines(self.run.chart.line, GeodesicLine.vertical(
+            _wall_x(self.run.cusp, self.side, i)))
+        if z is None:
+            raise TraceError(f"run misses its wall crossing {i}")
+        return z
+
+    def _developed(self, z: complex) -> float:
+        """Developed parameter of a chart point of a run."""
+        ch = self.run.chart
+        return self.segment.s0 + (ch.line.param_of(z) - ch.s0)
+
+    def in_frame(self, j: int, a: complex, b: complex) -> GeodesicSegment:
+        """A run's arc between chart points a and b, both given in the
+        chart frame of passage j, in the polygon frame of passage j."""
+        c = self.run.cusp
+        line = c.chart_inv.apply_line(_shifted(
+            self.run.chart.line, c.jump(self.side) * j * c.width))
+        return GeodesicSegment(line, line.param_of(c.chart_inv.apply(a)),
+                               line.param_of(c.chart_inv.apply(b)))
+
+    def passage(self, j: int) -> GeodesicSegment:
+        """Passage j of the step in polygon coordinates."""
+        if self.count == 1:
+            return self.segment
+        b = self.wall(j + 1)
+        if j == 0:
+            return self.segment.subsegment(self.segment.s0,
+                                           self._developed(b))
+        x_in, x_out = _strip_walls(self.run.cusp, self.side)
+        return self.in_frame(j, complex(x_in, self.wall(j).imag),
+                             complex(x_out, b.imag))
+
+    def passages(self) -> list[GeodesicSegment]:
+        return [self.passage(j) for j in range(self.count)]
+
+    def head(self, point: complex):
+        """The step cut at a point of its segment, as (steps, end point,
+        end direction) with the end in polygon coordinates.
+
+        In a run, the wall crossings before the point stay one step in
+        the frame of the first passage, and the piece after them moves
+        into the frame of its own passage.
+        """
+        seg = self.segment
+        sw = seg.line.param_of(point)
+        j = 0
+        if self.count > 1:
+            c, ch = self.run.cusp, self.run.chart
+            x_in, x_out = _strip_walls(c, self.side)
+            zc = c.chart.apply(point)
+            # walls (x_out, then a width apart) strictly before the point
+            j = min(max(math.ceil(
+                c.jump(self.side) * (x_out - zc.real) / c.width), 0),
+                self.count - 1)
+        if j == 0:
+            return ([TraceStep(seg.subsegment(seg.s0, sw), None)], point,
+                    seg.line.tangent_at(sw))
+        z = self.wall(j)
+        head = TraceStep(seg.subsegment(seg.s0, self._developed(z)),
+                         self.side)
+        if j > 1:
+            head = TraceStep(head.segment, self.side, j, CuspRun(
+                c, ch.subsegment(ch.s0, ch.line.param_of(z))))
+        uc = ch.line.tangent_at(ch.line.param_of(zc))
+        zc += c.jump(self.side) * j * c.width
+        last = self.in_frame(j, complex(x_in, z.imag), zc)
+        return ([head, TraceStep(last, None)], c.chart_inv.apply(zc),
+                c.chart_inv.apply_tangent(zc, uc))
 
 
 @dataclass
@@ -55,10 +179,17 @@ class Trace:
 
     @property
     def sides(self) -> list[int]:
-        return [s.side for s in self.steps if s.side is not None]
+        return [s.side for s in self.steps if s.side is not None
+                for _ in range(s.count)]
 
     def segments(self) -> list[GeodesicSegment]:
-        return [s.segment for s in self.steps]
+        out = []
+        for s in self.steps:
+            if s.count == 1:
+                out.append(s.segment)
+            else:
+                out += s.passages()
+        return out
 
     def closes_up(self, tol: float = TOL_LOOSE) -> bool:
         return (abs(self.end_point - self.start_point) <= tol
@@ -107,9 +238,71 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     return best
 
 
+def _cusp_run(model: SurfaceModel, c: Cusp, line: GeodesicLine,
+              p: complex, u: complex, s_here: float, remaining: float):
+    """The run from p, a point on a wall of cusp c, as (step, landing
+    point, landing direction), or None where the plain step applies.
+
+    Above a cusp's unit horocycle (chart height at least the width) the
+    polygon is the strip between the cusp walls, and the ray is a
+    half-circle along which x runs monotonically, so the walls it
+    crosses before it sinks below that height or its length runs out
+    are counted in closed form.  The run takes all of them but the last,
+    which the plain step after it takes, so the walk leaves the strip by
+    _first_exit as a walk without runs does.  The landing is the run's
+    last crossing moved back by its count of widths in the chart, one
+    power of the cusp parabolic, onto the entry wall.
+    """
+    zc = c.chart.apply(p)
+    w = c.width
+    if zc.imag < w:
+        return None
+    cl = GeodesicLine.from_point_direction(zc, c.chart.apply_tangent(p, u))
+    if cl.is_vertical:
+        return None
+    right = not cl.pos_to_neg
+    # the walls ahead are counted from the entry wall, where p sits
+    t0 = (zc.real - c.strip_lo) / w
+    if (t0 > 0.5) if right else (t0 < 0.5):
+        return None
+
+    def walls_before(x: float) -> int:
+        if right:   # walls strip_lo + j * width, j = 1, 2, ...
+            return math.ceil((x - c.strip_lo) / w) - 1
+        return math.ceil((c.strip_lo - x) / w)   # strip_lo - j * width
+
+    # x where the ray sinks below the unit horocycle, then where it ends
+    drop = math.sqrt((cl.radius - w) * (cl.radius + w))
+    n = walls_before(cl.center + drop if right else cl.center - drop)
+    if n < 3:
+        return None
+    sc = cl.param_of(zc)
+    # (600 past the start the ray is at its endpoint; exp overflows later)
+    n = min(n, walls_before(cl.point_at(sc + min(remaining, 600.0)).real))
+    if n < 3:   # a run of one crossing is the plain step
+        return None
+    side = c.walls[1] if right else c.walls[0]
+    z = intersect_lines(cl, GeodesicLine.vertical(_wall_x(c, side, n - 1)))
+    if z is None:
+        return None
+    ch = GeodesicSegment(cl, sc, cl.param_of(z))
+    if not 0.0 < ch.length < remaining:
+        return None
+    land = complex(_strip_walls(c, side)[0], z.imag)
+    step = TraceStep(GeodesicSegment(line, s_here, s_here + ch.length),
+                     side, n - 1, CuspRun(c, ch))
+    return (step, c.chart_inv.apply(land),
+            c.chart_inv.apply_tangent(land, cl.tangent_at(ch.s1)))
+
+
 def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
                    length: float, max_steps: int = 400000) -> Trace:
-    """Walk the geodesic from p in direction u for the given length."""
+    """Walk the geodesic from p in direction u for the given length.
+
+    Every step but the first becomes a run where it starts above a
+    cusp's unit horocycle (see _cusp_run); max_steps counts a run as one
+    step.
+    """
     if length < 0.0:
         raise ValueError("trace length must be nonnegative")
     if not model.inside(p, tol=1e-6):
@@ -119,10 +312,24 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
     steps: list[TraceStep] = []
     walked = 0.0
     stalled = 0
+    # the cusp whose wall the last step crossed: a step above a unit
+    # horocycle starts on a wall, since no other side climbs that high
+    wall_of = None
     for _ in range(max_steps):
         line = GeodesicLine.from_point_direction(p, u)
         s_here = line.param_of(p)
         remaining = length - walked
+        run = None if wall_of is None else \
+            _cusp_run(model, wall_of, line, p, u, s_here, remaining)
+        if run is not None:
+            step, p, u = run
+            steps.append(step)
+            walked += step.segment.length
+            stalled = 0
+            if not model.inside(p, tol=1e-6):
+                raise TraceError(
+                    f"run left the polygon at step {len(steps)}: {p}")
+            continue
         exit_ = _first_exit(model, line, s_here)
         if exit_ is None or exit_[0] - s_here >= remaining:
             seg = GeodesicSegment(line, s_here, s_here + remaining)
@@ -144,6 +351,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
                     f"trace stalled at {pt} after {len(steps)} steps")
         else:
             stalled = 0
+        wall_of = model.wall_cusps.get(side_idx)
         w = model.sides[side_idx].pairing
         tangent = line.tangent_at(s_exit)
         p = w.apply(pt)
@@ -166,18 +374,43 @@ def reverse_trace(model: SurfaceModel, tr: Trace) -> Trace:
     """The same walk run backwards.
 
     Going back out of a passage crosses the partner of the side the
-    forward walk came in through.
+    forward walk came in through.  A run of k crossings turns into a
+    run of k - 1 crossings of the partner wall, developed from its last
+    passage, and a plain step for its first passage.
     """
     steps: list[TraceStep] = []
     for k in range(len(tr.steps) - 1, -1, -1):
+        st = tr.steps[k]
         side = None
         if k > 0:
             s_prev = tr.steps[k - 1].side
             if s_prev is not None:
                 side = model.sides[s_prev].partner
-        steps.append(TraceStep(tr.steps[k].segment.reversed(), side))
+        seg = st.segment
+        if st.count > 1:
+            steps.append(_reversed_tail(model, st))
+            seg = st.passage(0)
+        steps.append(TraceStep(seg.reversed(), side))
     return Trace(tr.end_point, -tr.end_dir, steps, tr.start_point,
                  -tr.start_dir, tr.length)
+
+
+def _reversed_tail(model: SurfaceModel, st: TraceStep) -> TraceStep:
+    """A run without its first passage, walked backwards: a run from
+    its last passage's frame back to its first wall crossing."""
+    partner = model.sides[st.side].partner
+    n = st.count - 1
+    if n == 1:
+        return TraceStep(st.passage(1).reversed(), partner)
+    c, ch = st.run.cusp, st.run.chart
+    t = c.jump(st.side) * n * c.width
+    a = st.wall(1) + t
+    b = complex(_strip_walls(c, st.side)[1], st.wall(st.count).imag)
+    line = _shifted(ch.line, t)
+    chart = GeodesicSegment(line, line.param_of(a), line.param_of(b))
+    seg = st.in_frame(n, a, b).reversed()
+    return TraceStep(seg.subsegment(seg.s0, seg.s0 + chart.length),
+                     partner, n, CuspRun(c, chart.reversed()))
 
 
 def concat_traces(model: SurfaceModel, legs: list[Trace],
@@ -203,20 +436,28 @@ def concat_traces(model: SurfaceModel, legs: list[Trace],
                  sum(leg.length for leg in legs))
 
 
-def tile_elements(model: SurfaceModel, sides: list[int]) -> list[Isometry]:
+def tile_elements(model: SurfaceModel, sides: list[int | None],
+                  counts: list[int] | None = None) -> list[Isometry]:
     """Deck elements of the tiles visited by a crossing record.
 
     Entry k maps polygon coordinates of passage k back to the frame of
     the trace start, so the developed picture of the trace is
     out[k](segment of step k); out[0] is the identity and out[-1] the
     deck element of the whole record.  A None entry is a joint between
-    abutting walks and carries no jump.
+    abutting walks and carries no jump.  With counts, entry k crosses
+    sides[k] counts[k] times, in one product: a run's steps give the
+    frames of their first passages.
     """
     e = Isometry.identity()
     out = [e]
-    for s in sides:
+    for k, s in enumerate(sides):
         if s is not None:
-            e = e @ model.sides[s].pairing.inverse()
+            n = 1 if counts is None else counts[k]
+            if n == 1:
+                e = e @ model.sides[s].inverse_pairing
+            else:
+                cusp = model.wall_cusps[s]
+                e = e @ cusp.shift(-cusp.jump(s) * n)
         out.append(e)
     return out
 

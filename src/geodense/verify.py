@@ -521,21 +521,6 @@ def oracle_quadrilateral(cfg: OracleConfig) -> OracleReport:
                         cfg.seed, notes)
 
 
-def run_lemma_oracles(samples: int = 100000, seed: int = 7) -> list[OracleReport]:
-    """All four lemma oracles at their documented default ranges.
-
-    ``samples`` sets the trial count of the two flat oracles; the two
-    celled oracles run samples/10 per cell.
-    """
-    celled = max(1, samples // 10)
-    return [
-        oracle_disjoint(OracleConfig(samples=samples, seed=seed)),
-        oracle_eps_distance(OracleConfig(samples=celled, seed=seed + 1)),
-        oracle_max_traverse(OracleConfig(samples=samples, seed=seed + 2)),
-        oracle_quadrilateral(OracleConfig(samples=celled, seed=seed + 3)),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # face chord sampling for the base decomposition
 

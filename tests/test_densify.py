@@ -17,6 +17,7 @@ from geodense.densify import (
 )
 from geodense.halfplane import (
     INF,
+    GeodesicLine,
     GeodesicSegment,
     Horocycle,
     Isometry,
@@ -337,11 +338,10 @@ class TestDeepHorocycles:
 
 
 def _trace_point(trace, s):
-    """Point at arc length s along a trace, in that step's polygon
+    """Point at arc length s along a trace, in that passage's polygon
     coordinates."""
     acc = 0.0
-    for st in trace.steps:
-        seg = st.segment
+    for seg in trace.segments():
         if s <= acc + seg.length + 1e-12:
             return seg.point_at(seg.s0 + (s - acc))
         acc += seg.length
@@ -484,3 +484,67 @@ class TestReplaceArc:
         assert done == 25
         assert cases["BA"] + cases["BB"] == done
         assert cases["BA"] >= 1
+
+
+def _witness(center, radius, pos_to_neg, s0):
+    """A benchmark arc of length 0.45 on a half-circle line."""
+    return GeodesicSegment(GeodesicLine.circle(center, radius, pos_to_neg),
+                           s0, s0 + 0.45)
+
+
+class TestCuspExcursionWitnesses:
+    """Arcs whose extensions climb high into a cusp.  Walked one
+    passage per strip width, the first two took 20,866 and 28,140 trace
+    steps, and the last two stalled next to the sphere's cusp vertex 1
+    with a TraceError."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        taken = []
+        walk = densify.trace_geodesic
+
+        def counted(*args, **kwargs):
+            out = walk(*args, **kwargs)
+            taken.append(len(out.steps))
+            return out
+
+        monkeypatch.setattr(densify, "trace_geodesic", counted)
+        return taken
+
+    @pytest.mark.parametrize("which,eps,xi,arc,case,detail,length,sides", [
+        # torus-thick, seed 3, arc 454: extensions of cases 4 and 2
+        ("torus", 0.2, 0.5,
+         (-62549.955372095865, 62551.22036063326, False, 11.307231252184891),
+         "A", {"cases": (4, 2)}, 27.605564729648954, 20854),
+        # torus-thick, seed 5, arc 2581: a dive rerouted by its first tail
+        ("torus", 0.2, 0.5,
+         (0.39332066456492676, 3.60667492206145, True, 1.1019359767300707),
+         "BA", {"candidate": 1, "tail_case": 3, "dive_case": 4},
+         32.6994936401333, 28074),
+        # sphere-fine, seed 1, arc 1118
+        ("sphere", 0.05, 0.2,
+         (-4.087472322977253, 4.912548771241424, True, -2.269542700964721),
+         "A", {"cases": (3, 4)}, None, None),
+        # sphere-fine, seed 9, arc 774
+        ("sphere", 0.05, 0.2,
+         (0.41537144695944705, 0.5846259837153948, True,
+          -0.8101771401719486),
+         "A", {"cases": (4, 3)}, None, None),
+    ])
+    def test_processes_in_few_steps(self, which, eps, xi, arc, case, detail,
+                                    length, sides, steps, request):
+        model = request.getfixturevalue(which)
+        dec = request.getfixturevalue(f"{which}_dec")
+        params = DensityParams(eps, xi)
+        c = _witness(*arc)
+        outs = classify_and_extend(c, params, dec.constants, model,
+                                   gamma0=dec.base)
+        pa = replace_arc(c, outs, params, dec.constants, model,
+                         gamma0=dec.base)
+        assert sum(steps) < 200
+        assert pa.case == case
+        assert {k: pa.detail[k] for k in detail} == detail
+        if length is not None:
+            # the passage-by-passage walk's length and crossing count
+            assert pa.length == pytest.approx(length, rel=1e-9)
+            assert len(pa.trace.sides) == sides

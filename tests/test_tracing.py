@@ -8,15 +8,19 @@ from geodense.errors import TraceError
 from geodense.halfplane import (
     INF,
     GeodesicLine,
+    GeodesicSegment,
     Horocycle,
     dist,
     line_horocycle_crossings,
     same_line,
 )
-from geodense import tracing
+from geodense import densify, tracing
 from geodense.surface import load_surface
 from geodense.tracing import (
+    Trace,
+    TraceStep,
     base_geodesic,
+    reverse_trace,
     tile_elements,
     trace_geodesic,
 )
@@ -122,9 +126,9 @@ class TestPassages:
     def test_segments_stay_inside(self, torus):
         u = complex(math.cos(0.4), math.sin(0.4))
         tr = trace_geodesic(torus, torus.base_point, u, 25.0)
-        assert len(tr.steps) > 3
-        for st in tr.steps:
-            assert torus.inside(st.segment.point_at_fraction(0.5), tol=1e-6)
+        assert len(tr.segments()) > 3
+        for seg in tr.segments():
+            assert torus.inside(seg.point_at_fraction(0.5), tol=1e-6)
 
     def test_development_is_one_line(self, sphere):
         u = complex(math.cos(-0.2), math.sin(-0.2))
@@ -132,10 +136,11 @@ class TestPassages:
         sides = tr.sides
         assert len(sides) >= 3
         tiles = tile_elements(sphere, sides)
-        base = tr.steps[0].segment
+        segs = tr.segments()
+        base = segs[0]
         prev_end = base.end
-        for k, step in enumerate(tr.steps[1:]):
-            dev = tiles[k + 1].apply_segment(step.segment)
+        for k, seg in enumerate(segs[1:]):
+            dev = tiles[k + 1].apply_segment(seg)
             assert same_line(dev.line, base.line, tol=1e-6)
             assert abs(dev.start - prev_end) < 1e-6
             prev_end = dev.end
@@ -173,3 +178,151 @@ class TestClosedTraces:
         s = sphere.sides[0]
         e = tile_elements(sphere, [0, s.partner])[-1]
         assert e.is_identity(tol=1e-9)
+
+
+def _walk_passages(model, p, u, length):
+    """The oracle: the walk one polygon passage at a time, each found by
+    _first_exit, with no cusp runs."""
+    u = u / abs(u)
+    p0, u0 = p, u
+    steps = []
+    walked = 0.0
+    while True:
+        line = GeodesicLine.from_point_direction(p, u)
+        s_here = line.param_of(p)
+        remaining = length - walked
+        exit_ = tracing._first_exit(model, line, s_here)
+        if exit_ is None or exit_[0] - s_here >= remaining:
+            seg = GeodesicSegment(line, s_here, s_here + remaining)
+            steps.append(TraceStep(seg, None))
+            return Trace(p0, u0, steps, seg.end,
+                         line.tangent_at(s_here + remaining), length)
+        s_exit, side, pt = exit_
+        steps.append(TraceStep(GeodesicSegment(line, s_here, s_exit), side))
+        walked += s_exit - s_here
+        w = model.sides[side].pairing
+        tangent = line.tangent_at(s_exit)
+        p = w.apply(pt)
+        u = w.apply_tangent(pt, tangent)
+        u = u / abs(u)
+
+
+def _hd(a, b):
+    """Hyperbolic distance to first order, resolved below 1e-8."""
+    return abs(a - b) / math.sqrt(a.imag * b.imag)
+
+
+def _assert_same_walk(got, want, tol=1e-9):
+    assert got.sides == want.sides
+    a, b = got.segments(), want.segments()
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert _hd(x.start, y.start) < tol and _hd(x.end, y.end) < tol
+        assert abs(x.length - y.length) < tol
+    assert _hd(got.end_point, want.end_point) < tol
+    assert abs(got.end_dir - want.end_dir) < tol
+    assert got.length == pytest.approx(want.length, abs=tol)
+
+
+def _cusp_ray(model, j, apex, climb, right):
+    """A ray on the half-circle of chart height apex in cusp j: from
+    height 1.2 widths over the whole excursion (climb), or a window of
+    about 100 passages at 0.6 apex.  Returns (point, direction, length)
+    in polygon coordinates."""
+    c = model.cusps[j]
+    y0 = 1.2 * c.width if climb else 0.6 * apex
+    zc = complex(c.strip_lo + 0.37 * c.width, y0)
+    center = zc.real + math.copysign(math.sqrt(apex ** 2 - y0 ** 2),
+                                     1.0 if right else -1.0)
+    t = 1j * (zc - center) / apex
+    if t.imag < 0.0:
+        t = -t
+    length = 2.0 * math.log(apex / c.width) + 3.0 if climb \
+        else 100.0 * c.width / apex
+    return c.chart_inv.apply(zc), c.chart_inv.apply_tangent(zc, t), length
+
+
+# (surface, cusp, chart height, climb): whole excursions and windows
+# high in each cusp.  Near the sphere's finite cusp vertices (cusp 1 at
+# 0, cusp 2 at 1) the passage walk loses digits: after an excursion to
+# chart height 1e3 it ends 2e-9 and 1.5e-7 from the run, whose landing
+# a 40-digit reference puts within 2e-10 (the walk's within 9e-9).
+# Near 1, passages at chart height 1e6 are 1e-12 across, below the
+# walk's resolution.
+_RAYS = [(name, j, apex, climb)
+         for name, cusps in (("torus", (0,)), ("sphere", (0, 1, 2)))
+         for j in cusps
+         for apex, climb in ((1e2, True), (1e3, True), (1e4, False),
+                             (1e6, False))
+         if (apex, climb) != (1e3, True) or j == 0
+         if (name, j, apex) != ("sphere", 2, 1e6)]
+
+
+class TestCuspRuns:
+    """A run crosses the walls of a cusp in one step; expanded, it must
+    be the walk one passage at a time."""
+
+    @pytest.mark.parametrize("right", [True, False])
+    @pytest.mark.parametrize("name,j,apex,climb", _RAYS)
+    def test_run_matches_passage_walk(self, name, j, apex, climb, right,
+                                      request):
+        model = request.getfixturevalue(name)
+        p, u, length = _cusp_ray(model, j, apex, climb, right)
+        got = trace_geodesic(model, p, u, length)
+        assert max(st.count for st in got.steps) > 20
+        # a run leaves its last wall crossing to the plain step after it
+        for st, nxt in zip(got.steps, got.steps[1:]):
+            if st.count > 1:
+                assert (nxt.count, nxt.side) == (1, st.side)
+        _assert_same_walk(got, _walk_passages(model, p, u, length))
+
+    @pytest.mark.parametrize("name,j", [("torus", 0), ("sphere", 1),
+                                        ("sphere", 2)])
+    def test_reverse_splits_runs(self, name, j, request):
+        model = request.getfixturevalue(name)
+        p, u, length = _cusp_ray(model, j, 1e2, True, True)
+        got = trace_geodesic(model, p, u, length)
+        want = _walk_passages(model, p, u, length)
+        back = reverse_trace(model, got)
+        assert any(st.count > 1 for st in back.steps)
+        _assert_same_walk(back, reverse_trace(model, want))
+
+    @pytest.mark.parametrize("name,j", [("torus", 0), ("sphere", 0),
+                                        ("sphere", 2)])
+    def test_cut_inside_a_run(self, name, j, request):
+        model = request.getfixturevalue(name)
+        p, u, length = _cusp_ray(model, j, 1e2, True, False)
+        got = trace_geodesic(model, p, u, length)
+        want = _walk_passages(model, p, u, length)
+        g0 = base_geodesic(model)
+        # a horocycle at half the chart height of the apex, crossed on
+        # the way up and on the way down
+        deep = [model.cusp_horocycle(i, c.width / 50.0)
+                for i, c in enumerate(model.cusps)]
+
+        def deep_events(tr):
+            return [e for e in densify._ray_events(model, g0, tr, deep, 0.5,
+                                                   0.5) if e.kind == "deep"]
+
+        ev_got, ev_want = deep_events(got), deep_events(want)
+        assert len(ev_got) == len(ev_want) == 2
+        for e, f in zip(ev_got, ev_want):
+            assert got.steps[e.step].count > 1
+            assert e.s == pytest.approx(f.s, abs=1e-9)
+            assert e.angle == pytest.approx(f.angle, abs=1e-9)
+            cut = densify._cut_trace(got, e)
+            _assert_same_walk(cut, densify._cut_trace(want, f))
+            # the record stays in the frame of its step
+            assert cut.steps[e.step].segment.line.contains(e.point)
+
+    def test_tiles_take_one_product_per_run(self, sphere):
+        p, u, length = _cusp_ray(sphere, 1, 1e3, True, True)
+        tr = trace_geodesic(sphere, p, u, length)
+        per_step = tile_elements(sphere, [st.side for st in tr.steps],
+                                 [st.count for st in tr.steps])
+        per_passage = tile_elements(sphere, tr.sides)
+        k = 0
+        for st, e in zip(tr.steps, per_step):
+            assert e.approx_equal(per_passage[k], tol=1e-9)
+            k += st.count
+        assert per_step[-1].approx_equal(per_passage[-1], tol=1e-9)
