@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArrangementDegenerate, EarConstructionFails, NotFilling
-from .formulas import arc_budget, per_arc_budget, u_budget
+from .formulas import arc_budget, per_arc_budget
 from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
@@ -116,7 +116,6 @@ class SurfaceConstants:
     diam: float               # largest face size (diameter or ear side)
     cusp_reach: float         # deepest face corner below a 1-horocycle
     base_len: float
-    deep_budget: float        # xi/eps-independent deep-excursion cap
     arc_overhead: float       # per-arc overhead before connection slack
     per_arc_cap: float        # arc_overhead plus worst connecting detour
 
@@ -393,7 +392,7 @@ def _build_ears(corners, closure=None):
             continue
         chord = GeodesicSegment.between(a, c)
         for e in edges:
-            if segments_cross(chord, e, tol=1e-9) is not None:
+            if segments_cross(chord, e) is not None:
                 raise EarConstructionFails(
                     f"ear chord {a:.4g} -> {c:.4g} leaves the face")
         ears.append(_triangle(a, b, c))
@@ -535,7 +534,6 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
     base_len = base.length
     constants = SurfaceConstants(
         theta0, diam, cusp_reach, base_len,
-        u_budget(cusp_reach, theta0, base_len),
         arc_budget(diam, cusp_reach, theta0, base_len),
         per_arc_budget(diam, cusp_reach, theta0, base_len))
     return Decomposition(base, crossings, faces, constants)

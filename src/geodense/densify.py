@@ -6,7 +6,7 @@ is first extended on both sides until it crosses the base filling
 geodesic at a steep angle; extensions that instead dive deep into a cusp
 are rerouted along nearby geodesics that come back out.  Connecting the
 processed arcs through the base geodesic into a single closed curve is
-ROADMAP item 2 and is not built yet.
+not built yet (see ROADMAP.md).
 
 Every quantitative step of the construction is guarded: extension
 lengths are checked against the caps the surface constants promise, and
@@ -324,7 +324,7 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
 
 def classify_and_extend(c: GeodesicSegment, params: DensityParams,
                         K: SurfaceConstants, X: SurfaceModel,
-                        faces=None, *, gamma0: ClosedGeodesicRep,
+                        *, gamma0: ClosedGeodesicRep,
                         ) -> tuple[ExtensionOutcome, ExtensionOutcome]:
     """Extend an arc on both sides to its stopping crossings.
 
@@ -332,11 +332,6 @@ def classify_and_extend(c: GeodesicSegment, params: DensityParams,
     the arc's start and forward out of its end.  The arc is given in
     polygon coordinates and must lie in the truncated part.
     """
-    if faces is not None:
-        floor = min(f.angle_floor for f in faces)
-        if abs(floor - K.theta0) > 1e-9:
-            raise ValueError(
-                f"constants theta0 {K.theta0!r} do not match faces {floor!r}")
     for z in (c.start, c.end):
         if not X.in_truncation(z, params.xi, tol=1e-6):
             raise ValueError(
@@ -375,10 +370,6 @@ class ProcessedArc:
     clearance: float
     theta0: float
     detail: dict
-
-    @property
-    def zeta_length(self) -> float:
-        return self.zeta_span[1] - self.zeta_span[0]
 
     @property
     def ext_back(self) -> float:

@@ -33,10 +33,6 @@ class NotHyperbolic(GeodenseError):
     """A word expected to act as a hyperbolic isometry does not."""
 
 
-class NoSharedEndpoint(GeodenseError):
-    """Two segments expected to meet at a common endpoint do not."""
-
-
 class HorocyclesIntersect(GeodenseError):
     """No common perpendicular exists because the horoballs overlap."""
 

@@ -56,11 +56,6 @@ def deep_horocycle_length(eps: float, xi: float, theta0: float) -> float:
     return eps * xi * math.sin(theta0) / (2.0 * E)
 
 
-def deep_horocycle_height(eps: float, xi: float, theta0: float) -> float:
-    """Height of the deep horocycle in a width-1 cusp chart (= 1/length)."""
-    return 1.0 / deep_horocycle_length(eps, xi, theta0)
-
-
 def deep_entry_angle(eps: float, xi: float, theta0: float) -> float:
     """Entry angle threshold at the deep horocycle.
 
@@ -146,14 +141,6 @@ def ba_extra_extension(eps: float, xi: float, theta0: float, base_len: float) ->
     the reroute displaces endpoints by at most the deep horocycle
     length and may need to pass one more closed-curve crossing."""
     return 2.0 * deep_horocycle_length(eps, xi, theta0) + 2.0 * base_len
-
-
-def u_budget(cusp_reach: float, theta0: float, base_len: float) -> float:
-    """Bound on the deep-excursion segment replaced in the two-sided
-    reroute, minus the eps- and xi-dependent terms."""
-    _check_angle(theta0)
-    return (2.0 * cusp_reach + 4.0 * math.log(2.0 * E / math.sin(theta0))
-            + math.sin(theta0) / E + 2.0 * base_len)
 
 
 def arc_budget(diam: float, cusp_reach: float, theta0: float, base_len: float) -> float:
@@ -244,17 +231,3 @@ def normalized_length_constant(display: float, eps: float, xi: float) -> float:
     across parameter sweeps: display * eps / (log(1/eps) + log(1/xi) + 1)."""
     return display * eps / (math.log(1.0 / eps) + math.log(1.0 / xi) + 1.0)
 
-
-def corollary_log_constant(normalized_length: float) -> float:
-    """Log of the self-intersection constant.
-
-    The number of self-crossings of a closed geodesic grows at most
-    exponentially with its length, so the length constant enters the
-    crossing bound through its exponential; we keep the log.
-    """
-    return 2.0 * normalized_length
-
-
-def crossing_count_log_bound(eps: float, xi: float, log_constant: float) -> float:
-    """Bound on log(2*crossings + 1) for the eps-dense geodesic."""
-    return (1.0 / eps) * (math.log(1.0 / eps) + math.log(1.0 / xi) + 1.0) * log_constant + 1.0

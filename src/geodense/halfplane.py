@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import HorocyclesIntersect, NoSharedEndpoint
+from .errors import HorocyclesIntersect
 from .tolerances import TOL_ALG, TOL_GEO
 
 INF = math.inf
@@ -185,10 +185,6 @@ class GeodesicLine:
         s = math.log(abs(z - p)) - math.log(abs(z - q))
         return s if self.pos_to_neg else -s
 
-    def project(self, z: complex) -> complex:
-        """Foot of the perpendicular from z onto the line."""
-        return self.point_at(self.param_of(z))
-
     # -- metric queries ------------------------------------------------------
 
     def signed_sinh_dist(self, z: complex) -> float:
@@ -224,33 +220,37 @@ def same_line(l1: GeodesicLine, l2: GeodesicLine, tol: float = TOL_GEO) -> bool:
 # ---------------------------------------------------------------------------
 # intersections and crossings
 
-def _boundary_angle(xi: float) -> float:
-    """Embed the boundary circle: finite xi -> 2 atan(xi), inf -> pi."""
-    if math.isinf(xi):
-        return math.pi
-    return 2.0 * math.atan(xi)
+# Endpoints x, y are shared when |2 atan x - 2 atan y| <= TOL_ALG, with
+# inf at angle pi and no wrap-around: as tan(atan x - atan y) is
+# (x - y) / (1 + xy), that is |x - y| <= t (1 + xy), t = tan(TOL_ALG / 2),
+# and x >= 1/t against inf.
+_SHARED_TAN = math.tan(0.5 * TOL_ALG)
+_SHARED_WITH_INF = 1.0 / _SHARED_TAN
 
 
-def _in_open_arc(a: float, b: float, x: float) -> bool:
-    """Is angle x strictly inside the ccw arc from a to b."""
-    twopi = 2.0 * math.pi
-    return (x - a) % twopi < (b - a) % twopi and abs((x - a) % twopi) > 0
+def _same_end(x: float, y: float) -> bool:
+    if math.isinf(x):
+        return math.isinf(y) or y >= _SHARED_WITH_INF
+    if math.isinf(y):
+        return x >= _SHARED_WITH_INF
+    return abs(x - y) <= _SHARED_TAN * (1.0 + x * y)
 
 
 def lines_cross(l1: GeodesicLine, l2: GeodesicLine) -> bool:
     """True when the complete geodesics intersect transversally.
 
-    Decided by interleaving of ideal endpoints on the boundary circle;
-    shared endpoints count as non-crossing.
+    Decided on the extended real line: the lines cross when exactly one
+    endpoint of l2 lies strictly between the endpoints of l1.  Shared
+    endpoints (``_same_end``) count as non-crossing.
     """
-    a1 = _boundary_angle(l1.endpoint_back)
-    a2 = _boundary_angle(l1.endpoint_fwd)
-    b1 = _boundary_angle(l2.endpoint_back)
-    b2 = _boundary_angle(l2.endpoint_fwd)
-    for b in (b1, b2):
-        if min(abs(b - a1), abs(b - a2)) <= TOL_ALG:
-            return False
-    return _in_open_arc(a1, a2, b1) != _in_open_arc(a1, a2, b2)
+    a, b = l1.endpoint_back, l1.endpoint_fwd
+    c, d = l2.endpoint_back, l2.endpoint_fwd
+    if _same_end(a, c) or _same_end(a, d) or _same_end(b, c) \
+            or _same_end(b, d):
+        return False
+    if b < a:
+        a, b = b, a
+    return (a < c < b) != (a < d < b)
 
 
 def _sq_gap(r: float, a: float, b: float) -> float:
@@ -410,8 +410,7 @@ class GeodesicSegment:
         return dist(z, self.line.point_at(s))
 
 
-def segments_cross(g1: GeodesicSegment, g2: GeodesicSegment,
-                   tol: float = TOL_GEO):
+def segments_cross(g1: GeodesicSegment, g2: GeodesicSegment):
     """Transversal interior crossing point of two segments, or None."""
     if same_line(g1.line, g2.line):
         return None
@@ -420,38 +419,10 @@ def segments_cross(g1: GeodesicSegment, g2: GeodesicSegment,
         return None
     s1 = g1.line.param_of(z)
     s2 = g2.line.param_of(z)
-    if g1.s0 + tol < s1 < g1.s1 - tol and g2.s0 + tol < s2 < g2.s1 - tol:
+    if g1.s0 + TOL_GEO < s1 < g1.s1 - TOL_GEO \
+            and g2.s0 + TOL_GEO < s2 < g2.s1 - TOL_GEO:
         return z
     return None
-
-
-def dist_segments(g1: GeodesicSegment, g2: GeodesicSegment) -> float:
-    """Distance between two geodesic segments."""
-    if segments_cross(g1, g2, tol=0.0) is not None:
-        return 0.0
-    best = min(g1.dist_to_point(g2.start), g1.dist_to_point(g2.end),
-               g2.dist_to_point(g1.start), g2.dist_to_point(g1.end))
-    if not same_line(g1.line, g2.line):
-        d, f1, f2 = dist_lines(g1.line, g2.line)
-        if f1 is not None and g1.contains_param(f1) and g2.contains_param(f2):
-            best = min(best, d)
-    return best
-
-
-def angle_at(g1: GeodesicSegment, g2: GeodesicSegment,
-             tol: float = TOL_GEO) -> float:
-    """Angle in [0, pi] between two segments at their shared endpoint.
-
-    Measured between the tangent directions pointing from the shared
-    endpoint into each segment.
-    """
-    for (s1, u1) in ((g1.s0, 1.0), (g1.s1, -1.0)):
-        for (s2, u2) in ((g2.s0, 1.0), (g2.s1, -1.0)):
-            if abs(g1.point_at(s1) - g2.point_at(s2)) <= tol:
-                t1 = u1 * g1.line.tangent_at(s1)
-                t2 = u2 * g2.line.tangent_at(s2)
-                return angle_between(t1, t2)
-    raise NoSharedEndpoint("segments do not share an endpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +486,6 @@ def horoball_gap(h1: Horocycle, h2: Horocycle) -> float:
         raise ValueError("horoballs share the base point")
     return 2.0 * math.log(abs(h1.base - h2.base)) \
         - math.log(h1.size) - math.log(h2.size)
-
-
-def horo_chord(arc_length: float) -> float:
-    """Geodesic chord length subtending a horocyclic arc of given length."""
-    return 2.0 * math.asinh(arc_length / 2.0)
-
-
-def horo_arc(chord_length: float) -> float:
-    """Horocyclic arc length subtended by a geodesic chord of given length."""
-    return 2.0 * math.sinh(chord_length / 2.0)
 
 
 def angle_with_horocycle(line: GeodesicLine, h: Horocycle,

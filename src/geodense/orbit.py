@@ -167,8 +167,8 @@ def _passages(segments: list[GeodesicSegment]) -> _Passages:
 
 
 def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
-                            segments: list[GeodesicSegment], radius: float,
-                            max_tiles: int = 20000) -> float:
+                            segments: list[GeodesicSegment],
+                            radius: float) -> float:
     """Certified distance from a polygon point to a closed geodesic.
 
     The geodesic is given by its polygon passages.  Every lift passing
@@ -187,8 +187,7 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     message alike.  The table behind the bounds is built once per curve
     and kept for the next call with the same passages.
     """
-    ws = [g.inverse().apply(z)
-          for _, g in ball(model, z, radius, max_tiles=max_tiles)]
+    ws = [g.inverse().apply(z) for _, g in ball(model, z, radius)]
     best = math.inf
     if ws and segments:
         for t, i in zip(*_passages(segments).near(ws)):

@@ -28,6 +28,9 @@ from .halfplane import (
 from .tolerances import TOL_ALG, TOL_GEO, TOL_LOOSE
 from .words import inverse_word
 
+# a point reduction taking more steps than this has failed to terminate
+NORMALIZE_STEPS = 20000
+
 
 def _is_ideal(v) -> bool:
     return not isinstance(v, complex)
@@ -165,9 +168,6 @@ class SurfaceModel:
             self._word_cache[word] = g
         return g
 
-    def generator(self, ch: str) -> Isometry:
-        return self._gens[ch]
-
     # -- construction --------------------------------------------------------
 
     def _build_sides(self) -> tuple[Side, ...]:
@@ -250,11 +250,11 @@ class SurfaceModel:
         """Horocycle of given length around cusp j, in polygon coordinates."""
         c = self.cusps[j]
         chart_h = Horocycle(INF, c.width / length)
-        return c.chart.inverse().apply_horocycle(chart_h)
+        return c.chart_inv.apply_horocycle(chart_h)
 
     # -- reduction -----------------------------------------------------------
 
-    def normalize(self, z: complex, max_steps: int = 20000):
+    def normalize(self, z: complex):
         """Reduce a point of the half-plane into the polygon.
 
         Returns (point, iso, word) with iso the applied deck element
@@ -262,7 +262,7 @@ class SurfaceModel:
         """
         g = Isometry.identity()
         word = ""
-        for _ in range(max_steps):
+        for _ in range(NORMALIZE_STEPS):
             if self.inside(z):
                 return z, g, word
             moved = False

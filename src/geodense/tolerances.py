@@ -12,6 +12,3 @@ TOL_GEO = 1e-9
 
 # Accumulated error across long traces and developed configurations.
 TOL_LOOSE = 1e-6
-
-# Unit tangent comparisons after transport through many charts.
-TOL_TANGENT = 1e-7

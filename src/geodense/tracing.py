@@ -40,6 +40,8 @@ from .tolerances import TOL_GEO, TOL_LOOSE
 # minimal forward progress accepted when hunting the next side crossing
 _AHEAD = 1e-11
 _BEHIND = 1e-5
+# a trace taking more steps than this, a run counting as one, fails
+TRACE_STEPS = 400000
 
 
 @dataclass(frozen=True)
@@ -296,12 +298,12 @@ def _cusp_run(model: SurfaceModel, c: Cusp, line: GeodesicLine,
 
 
 def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
-                   length: float, max_steps: int = 400000) -> Trace:
+                   length: float) -> Trace:
     """Walk the geodesic from p in direction u for the given length.
 
     Every step but the first becomes a run where it starts above a
-    cusp's unit horocycle (see _cusp_run); max_steps counts a run as one
-    step.
+    cusp's unit horocycle (see _cusp_run); TRACE_STEPS counts a run as
+    one step.
     """
     if length < 0.0:
         raise ValueError("trace length must be nonnegative")
@@ -315,7 +317,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
     # the cusp whose wall the last step crossed: a step above a unit
     # horocycle starts on a wall, since no other side climbs that high
     wall_of = None
-    for _ in range(max_steps):
+    for _ in range(TRACE_STEPS):
         line = GeodesicLine.from_point_direction(p, u)
         s_here = line.param_of(p)
         remaining = length - walked
@@ -360,7 +362,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
         if not model.inside(p, tol=1e-6):
             raise TraceError(
                 f"trace left the polygon at step {len(steps)}: {p}")
-    raise TraceError(f"trace exceeded {max_steps} steps")
+    raise TraceError(f"trace exceeded {TRACE_STEPS} steps")
 
 
 def segment_trace(seg: GeodesicSegment) -> Trace:
@@ -413,8 +415,7 @@ def _reversed_tail(model: SurfaceModel, st: TraceStep) -> TraceStep:
                      partner, n, CuspRun(c, chart.reversed()))
 
 
-def concat_traces(model: SurfaceModel, legs: list[Trace],
-                  tol: float = TOL_LOOSE) -> Trace:
+def concat_traces(model: SurfaceModel, legs: list[Trace]) -> Trace:
     """Join walks whose ends abut into one walk.
 
     Joints carry no side jump, so consecutive legs must meet in the same
@@ -428,7 +429,7 @@ def concat_traces(model: SurfaceModel, legs: list[Trace],
     for k, leg in enumerate(legs):
         if k > 0:
             gap = dist(legs[k - 1].end_point, leg.start_point)
-            if gap > tol:
+            if gap > TOL_LOOSE:
                 raise TraceError(f"trace joint {k} off by {gap:.3g}")
         steps.extend(leg.steps)
     return Trace(legs[0].start_point, legs[0].start_dir, steps,
@@ -502,20 +503,25 @@ class ClosedGeodesicRep:
             if not same_line(self.holonomy.axis(), self.axis, tol=1e-7):
                 raise ValueError("stored axis is not the holonomy axis")
 
-    def segments(self) -> list[GeodesicSegment]:
+    @cached_property
+    def _passages(self) -> list[GeodesicSegment]:
         return self.trace.segments()
+
+    def segments(self) -> list[GeodesicSegment]:
+        """The passages of the traced period; the list is shared."""
+        return self._passages
 
     @cached_property
     def cum(self) -> list[float]:
         out = [0.0]
-        for seg in self.trace.segments():
+        for seg in self._passages:
             out.append(out[-1] + seg.length)
         return out
 
     @cached_property
     def chords(self) -> list[_Chord]:
         return [_Chord(k, seg, self.cum[k])
-                for k, seg in enumerate(self.trace.segments())]
+                for k, seg in enumerate(self._passages)]
 
     @cached_property
     def devs(self) -> list[Isometry]:

@@ -562,7 +562,7 @@ def face_chords(face: Face, rng: np.random.Generator, count: int):
             chord = GeodesicSegment.between(za, zb)
         except ValueError:
             continue
-        if any(segments_cross(chord, e, tol=1e-9) is not None for e in guard):
+        if any(segments_cross(chord, e) is not None for e in guard):
             # valid face chords stay inside the face; for punctured
             # faces a straight connection may leave through the chain
             continue

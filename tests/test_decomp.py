@@ -5,7 +5,7 @@ import pytest
 
 from geodense.decomp import _build_ears, _triangle, decompose
 from geodense.errors import ArrangementDegenerate, NotFilling, NotHyperbolic
-from geodense.formulas import arc_budget, per_arc_budget, u_budget
+from geodense.formulas import arc_budget, per_arc_budget
 from geodense.halfplane import Isometry, dist
 from geodense.surface import load_surface
 from geodense.tracing import base_geodesic
@@ -81,7 +81,6 @@ class TestSphereCut:
 
     def test_budget_wiring(self, sphere_cut):
         c = sphere_cut.constants
-        assert c.deep_budget == u_budget(c.cusp_reach, c.theta0, c.base_len)
         assert c.arc_overhead == arc_budget(c.diam, c.cusp_reach, c.theta0,
                                             c.base_len)
         assert c.per_arc_cap == per_arc_budget(c.diam, c.cusp_reach, c.theta0,
@@ -127,7 +126,7 @@ class TestTorusCut:
         c = torus_cut.constants
         assert 0.0 < c.theta0 < math.pi / 2.0
         assert 0.0 < c.cusp_reach < c.diam
-        assert c.per_arc_cap > c.arc_overhead > c.deep_budget > 0.0
+        assert c.per_arc_cap > c.arc_overhead > 0.0
 
 
 # ---------------------------------------------------------------------------

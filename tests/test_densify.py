@@ -124,7 +124,7 @@ class TestClassifyAndExtend:
         params = DensityParams(0.5, 0.5)
         c = _arc(0.0 + 2.5j, 1j, 0.5, torus)
         back, fwd = classify_and_extend(c, params, torus_dec.constants, torus,
-                                        faces=torus_dec.faces, gamma0=torus_g0)
+                                        gamma0=torus_g0)
         assert fwd.cls == "B" and fwd.case_id == 5
         assert fwd.stop.kind == "deep" and fwd.stop.index == 0
         # perpendicular entry into the cusp
@@ -164,14 +164,6 @@ class TestClassifyAndExtend:
             assert abs(out.trace.start_point - anchor) < 1e-9
             assert abs(out.trace.end_point - out.stop.point) < 1e-9
             assert out.trace.length == pytest.approx(out.total, abs=1e-9)
-
-    def test_faces_theta0_mismatch_rejected(self, torus, torus_dec,
-                                            sphere_dec, torus_g0):
-        c = _arc(0.0 + 2.5j, 1j, 0.4, torus)
-        with pytest.raises(ValueError):
-            classify_and_extend(c, DensityParams(1.0, 1.0),
-                                sphere_dec.constants, torus,
-                                faces=torus_dec.faces, gamma0=torus_g0)
 
     def test_arc_outside_truncation_rejected(self, torus, torus_dec,
                                              torus_g0):
@@ -369,7 +361,8 @@ class TestReplaceArc:
                                           abs=1e-9)
         assert pa.ext_back == pytest.approx(back.total, abs=1e-9)
         assert pa.ext_fwd == pytest.approx(fwd.total, abs=1e-9)
-        assert pa.zeta_length == pytest.approx(c.length, abs=1e-9)
+        assert pa.zeta_span[1] - pa.zeta_span[0] \
+            == pytest.approx(c.length, abs=1e-9)
         assert pa.end_back is back.stop and pa.end_fwd is fwd.stop
         # the rebuilt trace passes through the untouched arc endpoints
         assert dist(_trace_point(pa.trace, pa.zeta_span[0]), c.start) < 1e-6
@@ -445,7 +438,8 @@ class TestReplaceArc:
 
         hw = pa.detail["half_width"]
         assert pa.displacement <= 2.0 * hw + 1e-6
-        assert abs(pa.zeta_length - c.length) <= 5.0 * s_deep
+        a, b = pa.zeta_span
+        assert abs(b - a - c.length) <= 5.0 * s_deep
         assert pa.detail["v_dive"] > 0 and pa.detail["v_tail"] > 0
         assert pa.length <= pa.bound + 1e-6
 

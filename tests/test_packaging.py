@@ -1,6 +1,8 @@
-"""Packaging: the package imports only what it declares."""
+"""Packaging: the package imports only what it declares, and keeps every
+name the benchmark uses."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "geodense"
+BENCH = ROOT / "perfbench"
 
 
 def _declared() -> set[str]:
@@ -40,3 +43,64 @@ def test_every_import_is_declared():
              for line, name in _imports(path)
              if name not in allowed]
     assert not stray, "undeclared dependencies: " + "; ".join(stray)
+
+
+def _bench_references(path: Path):
+    """(line, dotted path) of every geodense name a perfbench module
+    uses: its from-imports, attributes of the geodense names it binds,
+    and the targets of patch(owner, "name", ...) and setattr calls."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "geodense":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+                yield node.lineno, f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "geodense":
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in bound:
+            yield node.lineno, f"{bound[node.value.id]}.{node.attr}"
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            owner, name = node.args[:2]
+            if func in ("patch", "setattr") \
+                    and isinstance(owner, ast.Name) and owner.id in bound \
+                    and isinstance(name, ast.Constant):
+                yield node.lineno, f"{bound[owner.id]}.{name.value}"
+
+
+def _resolves(dotted: str) -> bool:
+    """Does the dotted path name a module, or an attribute reached from
+    the longest importable module prefix?"""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[k:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_perfbench_names_resolve():
+    """perfbench is parsed, not imported: a deletion that breaks the
+    benchmark fails here."""
+    refs = [(path, line, dotted) for path in sorted(BENCH.glob("*.py"))
+            for line, dotted in _bench_references(path)]
+    # tracer.instrument patches lines_cross where tracing imported it
+    assert (BENCH / "tracer.py", "geodense.tracing.lines_cross") \
+        in {(path, dotted) for path, _, dotted in refs}
+    missing = [f"{path.relative_to(ROOT)}:{line} uses {dotted}"
+               for path, line, dotted in refs if not _resolves(dotted)]
+    assert not missing, "names perfbench needs are gone: " + "; ".join(missing)
