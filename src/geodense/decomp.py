@@ -416,7 +416,7 @@ def _locate_cusp(model: SurfaceModel, closure: Isometry):
         probe = complex(x, 1.0 / max(abs(closure.c), 1e-12))
         deepen = 1.0 / math.e
     for _ in range(60):
-        z, red, _ = model.normalize(probe)
+        z, red = model.normalize(probe)
         levels = model.levels(z)
         j = min(range(len(levels)), key=lambda i: levels[i])
         cand = model.cusps[j].chart @ red

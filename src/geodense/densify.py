@@ -410,16 +410,13 @@ class _DiveFrame:
 
     In the normalized chart the dived cusp sits at infinity with its
     deep horocycle at the stated height and parabolic z -> z + 1, and
-    the carrying line of the dive runs from 0 to x_far.  One map takes
-    the dive walk's final polygon frame there, the other the frame of
-    the original arc.
+    the carrying line of the dive leaves 0 toward the side sigma.
+    to_norm_arc takes the frame of the original arc there.
     """
 
-    to_norm_step: Isometry
     to_norm_arc: Isometry
     height: float
     sigma: float
-    x_far: float
 
 
 def _walk_dev(model: SurfaceModel, outcome: ExtensionOutcome) -> Isometry:
@@ -459,7 +456,7 @@ def _dive_frame(model: SurfaceModel, outcome: ExtensionOutcome,
                 "normalized dive enters shallower than the deep threshold")
         sigma = math.copysign(1.0, x_far)
     to_norm_arc = to_norm_step @ _walk_dev(model, outcome).inverse()
-    return _DiveFrame(to_norm_step, to_norm_arc, height, sigma, x_far)
+    return _DiveFrame(to_norm_arc, height, sigma)
 
 
 def _centered_meet(line: GeodesicLine, radius: float) -> complex:
@@ -486,15 +483,29 @@ def _to_surface(model: SurfaceModel, back_iso: Isometry, z: complex,
     polygon; returns the normalizing deck element as well."""
     z_raw = back_iso.apply(z)
     u_raw = back_iso.apply_tangent(z, u)
-    z_f, g, _ = model.normalize(z_raw)
+    z_f, g = model.normalize(z_raw)
     return z_f, g.apply_tangent(z_raw, u_raw), g
 
 
 def _finish(model: SurfaceModel, c: GeodesicSegment, case: str,
-            start_rec: CrossingRecord, end_rec: CrossingRecord, pre: float,
-            zeta_len: float, post: float, displacement: float, bound: float,
-            r_eps: float, theta0: float, detail: dict,
-            legs: list[Trace]) -> ProcessedArc:
+            tail: ExtensionOutcome, pre: float, mid: Trace, zeta_len: float,
+            post: float, dive: ExtensionOutcome, dive_dir: int,
+            displacement: float, bound: float, r_eps: float, theta0: float,
+            detail: dict) -> ProcessedArc:
+    """Join tail, mid and dive into the processed arc.
+
+    The walk runs tail -> mid -> dive, with pre and post the lengths
+    before and after the replacement arc mid.  When the dive leaves the
+    arc's start (dive_dir -1), the arc runs the other way: dive, mid and
+    tail reversed.
+    """
+    if dive_dir > 0:
+        start_rec, end_rec = tail.stop, dive.stop
+        legs = [reverse_trace(model, tail.trace), mid, dive.trace]
+    else:
+        start_rec, end_rec, pre, post = dive.stop, tail.stop, post, pre
+        legs = [reverse_trace(model, dive.trace),
+                reverse_trace(model, mid), tail.trace]
     total = pre + zeta_len + post
     tr = concat_traces(model, legs)
     if dist(tr.start_point, start_rec.point) > 1e-9 \
@@ -525,10 +536,9 @@ def replace_arc(c: GeodesicSegment,
         c.length, params.eps, params.xi, K.arc_overhead)
     if back.cls == "A" and fwd.cls == "A":
         return _finish(
-            X, c, "A", back.stop, fwd.stop, back.total, c.length, fwd.total,
-            0.0, bound, r_eps, K.theta0,
-            {"cases": (back.case_id, fwd.case_id)},
-            [reverse_trace(X, back.trace), segment_trace(c), fwd.trace])
+            X, c, "A", back, back.total, segment_trace(c), c.length,
+            fwd.total, fwd, +1, 0.0, bound, r_eps, K.theta0,
+            {"cases": (back.case_id, fwd.case_id)})
     deep = deep_horocycles(X, params, K.theta0)
     dive_out, dive_dir = (fwd, +1) if fwd.cls == "B" else (back, -1)
     return _reroute(X, gamma0, c, params, K, deep, dive_out, dive_dir,
@@ -603,16 +613,9 @@ def _ba_assemble(model, gamma0, c, params, K, deep, frame, eta, cand,
     detail = {"candidate": cand, "tail_case": t_out.case_id,
               "dive_case": d_out.case_id,
               "displacement_dive": dp, "displacement_tail": dq}
-    if dive_dir > 0:
-        return _finish(model, c, "BA", t_out.stop, d_out.stop, t_out.total,
-                       zeta_len, d_out.total, max(dp, dq), bound, r_eps,
-                       K.theta0, detail,
-                       [reverse_trace(model, t_out.trace), mid, d_out.trace])
-    return _finish(model, c, "BA", d_out.stop, t_out.stop, d_out.total,
-                   zeta_len, t_out.total, max(dp, dq), bound, r_eps,
-                   K.theta0, detail,
-                   [reverse_trace(model, d_out.trace),
-                    reverse_trace(model, mid), t_out.trace])
+    return _finish(model, c, "BA", t_out, t_out.total, mid, zeta_len,
+                   d_out.total, d_out, dive_dir, max(dp, dq), bound, r_eps,
+                   K.theta0, detail)
 
 
 def _bb_assemble(model, gamma0, c, params, K, deep, dive_out, first_tail,
@@ -699,18 +702,6 @@ def _bb_assemble(model, gamma0, c, params, K, deep, dive_out, first_tail,
               "v_tail": out_bot.total, "side_length": gap_len,
               "displacement_dive": dp, "displacement_tail": dq,
               "tail_case": t_out.case_id}
-    zeta_len = s_p0 - s_q0
-    pre_tail = out_bot.total + (s_q0 - s_bot)
-    post_dive = (s_top - s_p0) + out_top.total
-    displacement = max(dp, dq)
-    if dive_dir > 0:
-        return _finish(model, c, "BB", out_bot.stop, out_top.stop, pre_tail,
-                       zeta_len, post_dive, displacement, bound, r_eps,
-                       K.theta0, detail,
-                       [reverse_trace(model, out_bot.trace), mid,
-                        out_top.trace])
-    return _finish(model, c, "BB", out_top.stop, out_bot.stop, post_dive,
-                   zeta_len, pre_tail, displacement, bound, r_eps,
-                   K.theta0, detail,
-                   [reverse_trace(model, out_top.trace),
-                    reverse_trace(model, mid), out_bot.trace])
+    return _finish(model, c, "BB", out_bot, out_bot.total + (s_q0 - s_bot),
+                   mid, s_p0 - s_q0, (s_top - s_p0) + out_top.total, out_top,
+                   dive_dir, max(dp, dq), bound, r_eps, K.theta0, detail)

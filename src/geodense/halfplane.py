@@ -580,18 +580,16 @@ def horocycle_perpendicular(h1: Horocycle, h2: Horocycle) -> GeodesicSegment:
 
 @dataclass(frozen=True)
 class Isometry:
-    """Isometry of the upper half-plane.
+    """Orientation-preserving isometry of the upper half-plane,
+    z -> (az+b)/(cz+d) with ad-bc = 1.
 
-    Direct maps act as z -> (az+b)/(cz+d) with ad-bc = 1; orientation
-    reversing maps act on the conjugate, z -> (a zbar + b)/(c zbar + d),
-    and preserve the half-plane exactly when ad-bc = -1.
+    The deck groups of the catalog surfaces contain no other kind.
     """
 
     a: float
     b: float
     c: float
     d: float
-    reversing: bool = False
 
     @staticmethod
     def identity() -> "Isometry":
@@ -602,10 +600,9 @@ class Isometry:
         return Isometry(1.0, t, 0.0, 1.0)
 
     @staticmethod
-    def from_matrix(m, reversing: bool = False) -> "Isometry":
+    def from_matrix(m) -> "Isometry":
         return Isometry(float(m[0][0]), float(m[0][1]),
-                        float(m[1][0]), float(m[1][1]),
-                        reversing=reversing).normalized()
+                        float(m[1][0]), float(m[1][1])).normalized()
 
     @staticmethod
     def point_frame(z: complex, u: complex) -> "Isometry":
@@ -624,46 +621,37 @@ class Isometry:
         ch, sh = math.cos(0.5 * phi), math.sin(0.5 * phi)
         return shift @ Isometry(ch, sh, -sh, ch)
 
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
     def normalized(self) -> "Isometry":
-        """Scale so |det| = 1 and fix the projective sign."""
-        dt = self.det()
-        want = -1.0 if self.reversing else 1.0
-        if dt * want <= 0:
-            raise ValueError(
-                f"determinant sign {dt:+.3g} inconsistent with "
-                f"reversing={self.reversing}")
-        s = 1.0 / math.sqrt(abs(dt))
+        """Scale so det = 1 and fix the projective sign; det <= 0 does
+        not preserve the half-plane and is refused."""
+        dt = self.a * self.d - self.b * self.c
+        if not dt > 0:
+            raise ValueError(f"determinant {dt:+.3g} is not positive")
+        s = 1.0 / math.sqrt(dt)
         a, b, c, d = self.a * s, self.b * s, self.c * s, self.d * s
         if a < -TOL_ALG or (abs(a) <= TOL_ALG and b < 0) \
                 or (abs(a) <= TOL_ALG and abs(b) <= TOL_ALG and c < 0):
             a, b, c, d = -a, -b, -c, -d
-        return Isometry(a, b, c, d, self.reversing)
+        return Isometry(a, b, c, d)
 
     def compose(self, other: "Isometry") -> "Isometry":
-        """self after other (matrix product; reversing flags add mod 2)."""
+        """self after other (matrix product)."""
         a = self.a * other.a + self.b * other.c
         b = self.a * other.b + self.b * other.d
         c = self.c * other.a + self.d * other.c
         d = self.c * other.b + self.d * other.d
-        return Isometry(a, b, c, d,
-                        self.reversing != other.reversing).normalized()
+        return Isometry(a, b, c, d).normalized()
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        # for det -1 the adjugate has det -1 again, which is what we store
-        return Isometry(self.d, -self.b, -self.c, self.a,
-                        self.reversing).normalized()
+        return Isometry(self.d, -self.b, -self.c, self.a).normalized()
 
     # -- actions ------------------------------------------------------------
 
     def apply(self, z: complex) -> complex:
-        w = z.conjugate() if self.reversing else z
-        return (self.a * w + self.b) / (self.c * w + self.d)
+        return (self.a * z + self.b) / (self.c * z + self.d)
 
     def apply_boundary(self, x: float) -> float:
         if math.isinf(x):
@@ -675,12 +663,8 @@ class Isometry:
 
     def apply_tangent(self, z: complex, u: complex) -> complex:
         """Image of a tangent vector u at z, returned as a unit vector."""
-        if self.reversing:
-            den = self.c * z.conjugate() + self.d
-            v = -u.conjugate() / (den * den)
-        else:
-            den = self.c * z + self.d
-            v = u / (den * den)
+        den = self.c * z + self.d
+        v = u / (den * den)
         return v / abs(v)
 
     def apply_line(self, line: GeodesicLine) -> GeodesicLine:
@@ -708,17 +692,15 @@ class Isometry:
         return self.a + self.d
 
     def is_identity(self, tol: float = TOL_GEO) -> bool:
-        if self.reversing:
-            return False
         return abs(self.b) <= tol and abs(self.c) <= tol \
             and abs(self.a - self.d) <= tol and abs(abs(self.a) - 1.0) <= tol
 
     def is_parabolic(self, tol: float = TOL_GEO) -> bool:
-        return (not self.reversing) and not self.is_identity(tol) \
+        return not self.is_identity(tol) \
             and abs(abs(self.trace()) - 2.0) <= tol
 
     def is_hyperbolic(self, tol: float = TOL_GEO) -> bool:
-        return (not self.reversing) and abs(self.trace()) > 2.0 + tol
+        return abs(self.trace()) > 2.0 + tol
 
     def translation_length(self) -> float:
         t = abs(self.trace())
@@ -751,8 +733,6 @@ class Isometry:
         return GeodesicLine.from_endpoints(x1, x2)
 
     def approx_equal(self, other: "Isometry", tol: float = TOL_GEO) -> bool:
-        if self.reversing != other.reversing:
-            return False
         for s in (1.0, -1.0):
             if abs(self.a - s * other.a) <= tol \
                     and abs(self.b - s * other.b) <= tol \

@@ -138,15 +138,12 @@ class SurfaceModel:
     def __init__(self, spec: SurfaceSpec):
         self.spec = spec
         self.name = spec.name
-        self.genus = spec.genus
-        self.n_cusps = spec.n_cusps
         self.base_point = spec.base_point
         self._gens: dict[str, Isometry] = {}
         for i, ch in enumerate(spec.gen_names):
             g = Isometry.from_matrix(spec.gen_matrices[i])
             self._gens[ch] = g
             self._gens[ch.upper()] = g.inverse()
-        self._word_cache: dict[str, Isometry] = {"": Isometry.identity()}
         self.sides = self._build_sides()
         self.cusps = self._build_cusps()
         self.wall_cusps = {s: c for c in self.cusps for s in c.walls}
@@ -156,16 +153,11 @@ class SurfaceModel:
 
     def word_iso(self, word: str) -> Isometry:
         """Isometry of a word; "xy" acts as x after y."""
-        got = self._word_cache.get(word)
-        if got is not None:
-            return got
         g = Isometry.identity()
         for ch in word:
             if ch not in self._gens:
                 raise ValueError(f"unknown generator letter {ch!r}")
             g = g @ self._gens[ch]
-        if len(self._word_cache) < 4096:
-            self._word_cache[word] = g
         return g
 
     # -- construction --------------------------------------------------------
@@ -257,14 +249,13 @@ class SurfaceModel:
     def normalize(self, z: complex):
         """Reduce a point of the half-plane into the polygon.
 
-        Returns (point, iso, word) with iso the applied deck element
-        (point = iso(z)) and word its letters.
+        Returns (point, iso) with iso the applied deck element
+        (point = iso(z)).
         """
         g = Isometry.identity()
-        word = ""
         for _ in range(NORMALIZE_STEPS):
             if self.inside(z):
-                return z, g, word
+                return z, g
             moved = False
             for c in self.cusps:
                 zc = c.chart.apply(z)
@@ -274,8 +265,6 @@ class SurfaceModel:
                         step = c.shift(-k)
                         z = step.apply(z)
                         g = step @ g
-                        w = c.word if k < 0 else inverse_word(c.word)
-                        word = w * abs(k) + word
                         moved = True
                         break
             if moved:
@@ -283,11 +272,10 @@ class SurfaceModel:
             dists = self.side_signed_dists(z)
             i = min(range(len(dists)), key=lambda t: dists[t])
             if dists[i] >= -TOL_GEO:
-                return z, g, word
+                return z, g
             side = self.sides[i]
             z = side.pairing.apply(z)
             g = side.pairing @ g
-            word = side.word + word
         raise TraceError(f"point reduction did not terminate for {z}")
 
     # -- axes ----------------------------------------------------------------

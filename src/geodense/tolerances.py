@@ -1,7 +1,9 @@
 """Shared numeric tolerances.
 
-All comparisons in the package go through these constants so that the
-meaning of "equal" is consistent and auditable in one place.
+These constants fix the three common meanings of "equal": algebraic,
+geometric and accumulated.  Checks sized to one quantity (an angle
+slack, a relative margin, a bound's rounding allowance) keep their own
+literal tolerances next to the check.
 """
 
 # Algebraic identities (matrix products, determinants, trace formulas).

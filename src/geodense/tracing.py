@@ -185,13 +185,7 @@ class Trace:
                 for _ in range(s.count)]
 
     def segments(self) -> list[GeodesicSegment]:
-        out = []
-        for s in self.steps:
-            if s.count == 1:
-                out.append(s.segment)
-            else:
-                out += s.passages()
-        return out
+        return [p for s in self.steps for p in s.passages()]
 
     def closes_up(self, tol: float = TOL_LOOSE) -> bool:
         return (abs(self.end_point - self.start_point) <= tol
@@ -549,11 +543,11 @@ def base_geodesic(model: SurfaceModel,
     # prefer a start that reduces to the polygon interior; a geodesic
     # running along the boundary never has one, and then any reduced
     # point works since the walker resolves on-boundary starts
-    z, g, _ = model.normalize(line.point_at(0.0))
+    z, g = model.normalize(line.point_at(0.0))
     for k in range(1, 25):
         if min(model.side_signed_dists(z)) > 1e-7:
             break
-        z, g, _ = model.normalize(line.point_at(k * 0.381966 * length))
+        z, g = model.normalize(line.point_at(k * 0.381966 * length))
     start_line = g.apply_line(line)
     s = start_line.param_of(z)
     tr = trace_geodesic(model, z, start_line.tangent_at(s), length)

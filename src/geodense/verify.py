@@ -367,10 +367,8 @@ def _quad_signed_angle(half_width: float, u: float) -> float:
     C1 = l e^u + i e^u and its involution image, negative while the
     side still leans toward the center."""
     eu = math.exp(u)
-    c1 = complex(half_width * eu, eu)
-    c2 = complex(half_width, 1.0) / (half_width * half_width + 1.0)
-    center = (abs(c1) ** 2 - abs(c2) ** 2) / (2.0 * (c1.real - c2.real))
-    return math.atan2(c1.real - center, eu)
+    center, _ = _quad_side_circle(half_width, u)
+    return math.atan2(half_width * eu - center, eu)
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:

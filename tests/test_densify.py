@@ -410,6 +410,15 @@ class TestReplaceArc:
         assert pa2.displacement == pytest.approx(pa.displacement, abs=1e-12)
         assert dist(pa2.end_back.point, pa.end_fwd.point) < 1e-9
         assert dist(pa2.end_fwd.point, pa.end_back.point) < 1e-9
+        # the mirrored arc walks the same passages backwards, leaving
+        # each tile through the partner of the side it came in by
+        assert pa2.trace.sides == [torus.sides[s].partner
+                                   for s in reversed(pa.trace.sides)]
+        assert dist(pa2.trace.start_point, pa.trace.end_point) < 1e-9
+        assert dist(pa2.trace.end_point, pa.trace.start_point) < 1e-9
+        lo, hi = pa.zeta_span
+        assert pa2.zeta_span == pytest.approx(
+            (pa.length - hi, pa.length - lo), abs=1e-9)
 
     def test_symmetric_bb_gap_matches_depth(self, sphere, sphere_dec,
                                             sphere_g0):

@@ -102,17 +102,6 @@ class TestDist:
         assert dist(g.apply(z1), g.apply(z2)) == \
             pytest.approx(dist(z1, z2), rel=1e-9, abs=TOL_LOOSE)
 
-    def test_reversing_invariance(self):
-        u = 1.7
-        f = Isometry(0.0, math.exp(u / 2), math.exp(-u / 2), 0.0,
-                     reversing=True)
-        assert f.det() == pytest.approx(-1.0, abs=TOL_GEO)
-        assert abs(f.apply(1j * math.exp(u)) - 1j) < TOL_GEO
-        assert (f @ f).is_identity()
-        z1, z2 = 0.3 + 1.1j, -2.0 + 0.4j
-        assert dist(f.apply(z1), f.apply(z2)) == \
-            pytest.approx(dist(z1, z2), abs=TOL_LOOSE)
-
 
 class TestLines:
     @given(points, points)
@@ -435,13 +424,12 @@ class TestIsometry:
         assert abs(g.inverse().apply(g.apply(z)) - z) < \
             TOL_LOOSE * max(1.0, abs(z))
 
-    def test_reversing_composition(self):
-        f = Isometry(0.0, 1.0, 1.0, 0.0, reversing=True)   # z -> 1/zbar
-        g = Isometry(1.0, 1.0, 0.0, 1.0)                   # z -> z+1
-        fg = f @ g
-        assert fg.reversing
-        gg = f @ f
-        assert not gg.reversing and gg.is_identity()
+    def test_rejects_nonpositive_determinant(self):
+        # a det -1 matrix would act as z -> 1/z, off the half-plane
+        with pytest.raises(ValueError):
+            Isometry.from_matrix([[0, 1], [1, 0]])
+        with pytest.raises(ValueError):
+            Isometry(0, 1, 1, 0).normalized()
 
     @given(matrices, points, st.floats(0, 2 * math.pi))
     def test_tangent_transport(self, m, z, theta):
@@ -532,7 +520,6 @@ class TestPointFrame:
         g = Isometry.point_frame(-0.4 + 2.5j, 3.0 * u)
         assert abs(g.apply(1j) - (-0.4 + 2.5j)) < 1e-12
         assert abs(g.apply_tangent(1j, 1j) - u) < 1e-12
-        assert not g.reversing
 
     @given(st.floats(-5, 5), st.floats(-3, 2), st.floats(-math.pi, math.pi))
     def test_frame_map_between_two_frames(self, x, logy, phi):
