@@ -119,21 +119,22 @@ class ExtensionOutcome:
     trace: Trace
 
 
-def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep, trace: Trace,
-                deep: list[Horocycle], theta0: float, psi: float,
-                walked: float = 0.0, step0: int = 0,
+def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep,
+                steps: list[TraceStep], deep: list[Horocycle],
+                theta0: float, psi: float, walked: float = 0.0,
+                step0: int = 0,
                 last: CrossingRecord | None = None) -> list[CrossingRecord]:
-    """All base and deep crossings along a traced ray, by arc length.
+    """All base and deep crossings along traced steps, by arc length.
 
-    walked and step0 place the trace as a leg of a longer ray: the arc
-    length and the number of steps before it.  Each record's s and step
-    then count from the start of that ray, as a scan of the whole ray
-    would give them.  last is the final record kept from the earlier
-    legs, if any.
+    walked and step0 place the steps inside a longer ray: the arc length
+    and the number of steps before them.  Each record's s and step then
+    count from the start of that ray, as a scan of the whole ray would
+    give them.  last is the final record kept from the earlier steps, if
+    any.
 
     A crossing sitting exactly on a polygon side is seen from both
     adjacent passages at equal arc length; the duplicate is dropped,
-    also when the two sightings fall on either side of a leg joint.
+    also when the two sightings fall in separate calls.
 
     A run (a step of many cusp wall crossings) stays above its cusp's
     unit horocycle, which the base geodesic never reaches
@@ -143,7 +144,7 @@ def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep, trace: Trace,
     cusp chart.  Each record is in the frame of its step's segment.
     """
     events: list[CrossingRecord] = []
-    for k, st in enumerate(trace.steps, step0):
+    for k, st in enumerate(steps, step0):
         seg = st.segment
         if st.count > 1:
             events.extend(_run_deep_events(st, deep, psi, walked, k))
@@ -231,7 +232,7 @@ def deep_horocycles(model: SurfaceModel, params: DensityParams,
 # marker asking _hunt to cap class-A extensions by the standard bound
 _CLASS_A_CAP = object()
 
-# hunt chunk length; overshoot past a stop stays within this much walk
+# hunt leg length: the hunt restarts its walk every _CHUNK of ray
 _CHUNK = 4.0
 
 
@@ -255,10 +256,11 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
     if cap is None:
         cap = r_eps + allowed + 1.0
 
-    # walk in chunks and stop extending once a stop lies in the traced
-    # window; tracing the whole cap up front would walk far past the
-    # stop.  Each leg is scanned once, at its arc-length offset along
-    # the ray.
+    # Each step is scanned as the walk takes it (trace_geodesic's until),
+    # at its arc-length offset along the ray, and the walk ends at the
+    # step holding the stop.  _CHUNK only places the leg restarts: each
+    # leg starts afresh from the end of the last, which splits the
+    # passage under the joint.
     legs: list[Trace] = []
     traced = 0.0
     walked = 0.0
@@ -269,32 +271,36 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
     cls = ""
     bads: list[float] = []
     shallow = 0
-    while stop is None and traced < cap - 1e-12:
-        step_len = min(_CHUNK, cap - traced)
-        leg = trace_geodesic(model, p, u, step_len)
-        legs.append(leg)
-        traced += step_len
-        p, u = leg.end_point, leg.end_dir
-        events = _ray_events(model, gamma0, leg, deep, K.theta0, psi,
+
+    def scan(st: TraceStep) -> bool:
+        nonlocal walked, steps, last, stop, cls, shallow
+        events = _ray_events(model, gamma0, [st], deep, K.theta0, psi,
                              walked, steps, last)
+        walked += st.segment.length
+        steps += 1
         for e in events:
             if e.s < r_eps - ANGLE_TOL:
                 continue
             if e.kind == "base":
                 if e.good:
                     stop, cls = e, "A"
-                    break
+                    return True
                 bads.append(e.angle)
             else:
                 if e.good and deep_stop:
                     stop, cls = e, "B"
-                    break
+                    return True
                 shallow += 1
         if events:
             last = events[-1]
-        for st in leg.steps:
-            walked += st.segment.length
-        steps += len(leg.steps)
+        return False
+
+    while stop is None and traced < cap - 1e-12:
+        step_len = min(_CHUNK, cap - traced)
+        leg = trace_geodesic(model, p, u, step_len, until=scan)
+        legs.append(leg)
+        traced += step_len
+        p, u = leg.end_point, leg.end_dir
     if stop is None:
         raise SafetyCapExceeded(
             f"no admissible stop within extension cap {cap:.6g} "

@@ -152,6 +152,13 @@ class GeodesicLine:
         return self.center + self.radius if self.pos_to_neg \
             else self.center - self.radius
 
+    @property
+    def ends(self) -> tuple[float, float]:
+        """Both endpoints in increasing order, INF last."""
+        if self.is_vertical:
+            return self.foot, INF
+        return self.center - self.radius, self.center + self.radius
+
     def reversed(self) -> "GeodesicLine":
         if self.is_vertical:
             return GeodesicLine.vertical(self.foot, up=not self.up)
@@ -241,16 +248,15 @@ def lines_cross(l1: GeodesicLine, l2: GeodesicLine) -> bool:
 
     Decided on the extended real line: the lines cross when exactly one
     endpoint of l2 lies strictly between the endpoints of l1.  Shared
-    endpoints (``_same_end``) count as non-crossing.
+    endpoints (``_same_end``) count as non-crossing; that rule is only
+    run on lines that pass the cheap interleave test.
     """
-    a, b = l1.endpoint_back, l1.endpoint_fwd
-    c, d = l2.endpoint_back, l2.endpoint_fwd
-    if _same_end(a, c) or _same_end(a, d) or _same_end(b, c) \
-            or _same_end(b, d):
+    a, b = l1.ends
+    c, d = l2.ends
+    if (a < c < b) == (a < d < b):
         return False
-    if b < a:
-        a, b = b, a
-    return (a < c < b) != (a < d < b)
+    return not (_same_end(a, c) or _same_end(a, d) or _same_end(b, c)
+                or _same_end(b, d))
 
 
 def _sq_gap(r: float, a: float, b: float) -> float:

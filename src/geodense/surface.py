@@ -215,7 +215,11 @@ class SurfaceModel:
         return [s.line.signed_sinh_dist(z) for s in self.sides]
 
     def inside(self, z: complex, tol: float = TOL_GEO) -> bool:
-        return all(d >= -tol for d in self.side_signed_dists(z))
+        # "not >=" so that a NaN distance counts as outside
+        for s in self.sides:
+            if not s.line.signed_sinh_dist(z) >= -tol:
+                return False
+        return True
 
     def level(self, j: int, z: complex) -> float:
         """Length of the cusp-j horocycle through z, measured in the chart.

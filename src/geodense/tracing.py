@@ -21,6 +21,7 @@ coordinates, as a walk without runs gives them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,9 +206,7 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     best = None
     probe = None
     for side in model.sides:
-        if same_line(line, side.line):
-            continue
-        if not lines_cross(line, side.line):
+        if not lines_cross(line, side.line) or same_line(line, side.line):
             continue
         pt = intersect_lines(line, side.line)
         if pt is None:
@@ -292,12 +291,18 @@ def _cusp_run(model: SurfaceModel, c: Cusp, line: GeodesicLine,
 
 
 def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
-                   length: float) -> Trace:
+                   length: float,
+                   until: Callable[[TraceStep], bool] | None = None) -> Trace:
     """Walk the geodesic from p in direction u for the given length.
 
     Every step but the first becomes a run where it starts above a
     cusp's unit horocycle (see _cusp_run); TRACE_STEPS counts a run as
     one step.
+
+    until, if given, is called with each step, runs included, as soon as
+    the step is taken.  When it returns True the walk ends there: the
+    trace holds the steps so far, and ends where the next step would
+    start, with the length walked.
     """
     if length < 0.0:
         raise ValueError("trace length must be nonnegative")
@@ -325,6 +330,8 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
             if not model.inside(p, tol=1e-6):
                 raise TraceError(
                     f"run left the polygon at step {len(steps)}: {p}")
+            if until is not None and until(step):
+                return Trace(p0, u0, steps, p, u, walked)
             continue
         exit_ = _first_exit(model, line, s_here)
         if exit_ is None or exit_[0] - s_here >= remaining:
@@ -333,6 +340,8 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
                 raise TraceError(
                     f"trace ran out of the polygon near {seg.end}")
             steps.append(TraceStep(seg, None))
+            if until is not None:
+                until(steps[-1])
             return Trace(p0, u0, steps, seg.end,
                          line.tangent_at(s_here + remaining),
                          length)
@@ -356,6 +365,8 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
         if not model.inside(p, tol=1e-6):
             raise TraceError(
                 f"trace left the polygon at step {len(steps)}: {p}")
+        if until is not None and until(steps[-1]):
+            return Trace(p0, u0, steps, p, u, walked)
     raise TraceError(f"trace exceeded {TRACE_STEPS} steps")
 
 

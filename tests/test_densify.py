@@ -246,8 +246,9 @@ def _hunt_cases(request, which):
 
 
 class TestIncrementalHunt:
-    """The hunt scans its ray one chunk at a time; the outcome must not
-    depend on where the chunks end."""
+    """The hunt scans its ray one step at a time, in legs of one chunk,
+    and stops walking at the stopping step; the outcome must not depend
+    on where the chunks end."""
 
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_chunk_length_does_not_change_outcome(self, which, request,
@@ -281,7 +282,7 @@ class TestIncrementalHunt:
             for k, out in enumerate(outs):
                 if not out.bad_angles and not out.shallow_dips:
                     continue
-                events = densify._ray_events(model, g0, out.trace, deep,
+                events = densify._ray_events(model, g0, out.trace.steps, deep,
                                              K.theta0, psi)
                 first = next(e for e in events
                              if e.s >= r_eps and not e.good)
@@ -294,6 +295,34 @@ class TestIncrementalHunt:
         assert joints >= 2
 
     @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_walk_ends_at_the_stopping_step(self, which, request,
+                                            monkeypatch):
+        # counted at densify's trace_geodesic, the name a step budget
+        # wrapped around the hunts' walks needs them to go through
+        model, K, g0, params, arcs = _hunt_cases(request, which)
+        walk, hunt = densify.trace_geodesic, densify._hunt
+        walked = [0]
+        hunts = []   # (steps walked, step index of the stop)
+
+        def counted(*args, **kwargs):
+            out = walk(*args, **kwargs)
+            walked[0] += len(out.steps)
+            return out
+
+        def hunted(*args, **kwargs):
+            walked[0] = 0
+            out = hunt(*args, **kwargs)
+            hunts.append((walked[0], out.stop.step))
+            return out
+
+        monkeypatch.setattr(densify, "trace_geodesic", counted)
+        monkeypatch.setattr(densify, "_hunt", hunted)
+        for c in arcs:
+            classify_and_extend(c, params, K, model, gamma0=g0)
+        assert len(hunts) == 2 * len(arcs)
+        assert all(n == k + 1 for n, k in hunts)
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_hunt_matches_one_full_scan(self, which, request):
         model, K, g0, params, arcs = _hunt_cases(request, which)
         deep = deep_horocycles(model, params, K.theta0)
@@ -301,7 +330,7 @@ class TestIncrementalHunt:
         psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
         for c in arcs:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
-                events = densify._ray_events(model, g0, out.trace, deep,
+                events = densify._ray_events(model, g0, out.trace.steps, deep,
                                              K.theta0, psi)
                 events = [e for e in events
                           if e.s >= r_eps - densify.ANGLE_TOL]

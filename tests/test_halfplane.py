@@ -26,7 +26,7 @@ from geodense.halfplane import (
     lines_cross,
     segments_cross,
 )
-from geodense.tolerances import TOL_GEO, TOL_LOOSE
+from geodense.tolerances import TOL_ALG, TOL_GEO, TOL_LOOSE
 
 points = st.builds(
     complex,
@@ -75,6 +75,61 @@ def separated_exactly(l1, l2):
         if not (math.isinf(x) or math.isinf(y)):
             ratio *= (Fraction(x) - Fraction(y)) ** power
     return ratio < 0
+
+
+_T = math.tan(0.5 * TOL_ALG)   # the shared-endpoint tangent
+
+
+def _same_end_ref(x, y):
+    if math.isinf(x):
+        return math.isinf(y) or y >= 1.0 / _T
+    if math.isinf(y):
+        return x >= 1.0 / _T
+    return abs(x - y) <= _T * (1.0 + x * y)
+
+
+def shared_rule_first(l1, l2):
+    """lines_cross as first written: the shared-endpoint rule, then the
+    interleave test."""
+    a, b = l1.endpoint_back, l1.endpoint_fwd
+    c, d = l2.endpoint_back, l2.endpoint_fwd
+    if _same_end_ref(a, c) or _same_end_ref(a, d) or _same_end_ref(b, c) \
+            or _same_end_ref(b, d):
+        return False
+    if b < a:
+        a, b = b, a
+    return (a < c < b) != (a < d < b)
+
+
+_ends = st.one_of(st.floats(-10, 10), st.floats(-1e8, 1e8),
+                  st.sampled_from([INF, -INF]))
+
+
+@st.composite
+def line_pairs(draw):
+    """Two lines with ends small, up to 1e8 or infinite, some of them
+    the far end of a circle of radius up to 1e8 or within a few shared
+    tolerances t (1 + xy) of an end of the other line."""
+    e = []
+    for _ in range(2):
+        a = draw(_ends)
+        if not math.isinf(a) and draw(st.booleans()):
+            b = a + draw(st.sampled_from([2.0, -2.0])) \
+                * draw(st.floats(1e-6, 1e8))
+        else:
+            b = draw(_ends)
+        e += [a, b]
+    for i in (2, 3):
+        if draw(st.booleans()):
+            x = e[draw(st.sampled_from([0, 1]))]
+            f = draw(st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)))
+            e[i] = 1.0 / (f * _T) if math.isinf(x) \
+                else x + f * _T * (1.0 + x * x)
+    try:
+        return (GeodesicLine.from_endpoints(e[0], e[1]),
+                GeodesicLine.from_endpoints(e[2], e[3]))
+    except ValueError:   # coincident ends
+        assume(False)
 
 
 class TestDist:
@@ -242,6 +297,15 @@ class TestCrossings:
         for a, b in ((steep, other), (other, steep)):
             w = intersect_lines(a, b)
             assert w is not None and abs(w - z) < TOL_LOOSE
+
+    @settings(max_examples=400)
+    @given(line_pairs())
+    def test_interleave_first_keeps_the_shared_rule(self, pair):
+        l1, l2 = pair
+        for m1 in (l1, l1.reversed()):
+            want = shared_rule_first(m1, l2)
+            assert lines_cross(m1, l2) == want
+            assert lines_cross(l2, m1) == want
 
     def test_shared_endpoint_does_not_cross(self):
         a = GeodesicLine.from_endpoints(0.0, 2.0)

@@ -1,7 +1,9 @@
 """Catalog surfaces: construction, validation, reduction, axes."""
 
+import cmath
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -111,6 +113,33 @@ class TestTorusGeometry:
         assert torus.inside(torus.base_point)
         assert not torus.inside(0.5 + 0.3j)        # inside a boundary disk
         assert not torus.inside(3.5 + 1.0j)
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus"])
+class TestInside:
+    """inside returns at the first side a point is outside of."""
+
+    def test_nan_is_outside(self, name, request):
+        model = request.getfixturevalue(name)
+        assert not model.inside(complex(math.nan, 1.0))
+
+    def test_matches_every_side_test(self, name, request):
+        model = request.getfixturevalue(name)
+        rng = random.Random(20261018)
+        points = [complex(rng.uniform(-3.5, 3.5),
+                          math.exp(rng.uniform(-3.0, 2.0)))
+                  for _ in range(300)]
+        # and points 1e-11 to 1e-5 heights off each side
+        for s in model.sides:
+            for _ in range(30):
+                z = s.line.point_at(rng.uniform(max(s.s_lo, -4.0),
+                                                min(s.s_hi, 4.0)))
+                off = 10.0 ** rng.uniform(-11.0, -5.0) * z.imag
+                points.append(z + off * cmath.exp(1j * rng.uniform(0, 7)))
+        for z in points:
+            for tol in (0.0, 1e-9, 1e-6):
+                assert model.inside(z, tol) == all(
+                    d >= -tol for d in model.side_signed_dists(z))
 
 
 class TestAxes:

@@ -301,8 +301,9 @@ class TestCuspRuns:
                 for i, c in enumerate(model.cusps)]
 
         def deep_events(tr):
-            return [e for e in densify._ray_events(model, g0, tr, deep, 0.5,
-                                                   0.5) if e.kind == "deep"]
+            return [e for e in densify._ray_events(model, g0, tr.steps, deep,
+                                                   0.5, 0.5)
+                    if e.kind == "deep"]
 
         ev_got, ev_want = deep_events(got), deep_events(want)
         assert len(ev_got) == len(ev_want) == 2
@@ -314,6 +315,30 @@ class TestCuspRuns:
             _assert_same_walk(cut, densify._cut_trace(want, f))
             # the record stays in the frame of its step
             assert cut.steps[e.step].segment.line.contains(e.point)
+
+    @pytest.mark.parametrize("name,j", [("torus", 0), ("sphere", 1)])
+    def test_until_ends_the_walk_at_its_step(self, name, j, request):
+        model = request.getfixturevalue(name)
+        p, u, length = _cusp_ray(model, j, 1e2, True, True)
+        full = trace_geodesic(model, p, u, length)
+        assert trace_geodesic(model, p, u, length,
+                              until=lambda st: False) == full
+        run = next(k for k, st in enumerate(full.steps) if st.count > 1)
+        for k in (0, run, run + 1, len(full.steps) - 1):
+            seen = []
+
+            def until(st):
+                seen.append(st)
+                return len(seen) == k + 1
+
+            got = trace_geodesic(model, p, u, length, until=until)
+            assert got.steps == seen == full.steps[:k + 1]
+            if k + 1 < len(full.steps):
+                # it ends where the walk goes on, with the length walked
+                assert _hd(got.end_point, full.steps[k + 1].segment.start) \
+                    < 1e-9
+                assert got.length == sum(st.segment.length
+                                         for st in got.steps)
 
     def test_tiles_take_one_product_per_run(self, sphere):
         p, u, length = _cusp_ray(sphere, 1, 1e3, True, True)
