@@ -229,17 +229,10 @@ def deep_horocycles(model: SurfaceModel, params: DensityParams,
     return [model.cusp_horocycle(j, s) for j in range(len(model.cusps))]
 
 
-# marker asking _hunt to cap class-A extensions by the standard bound
-_CLASS_A_CAP = object()
-
-# hunt leg length: the hunt restarts its walk every _CHUNK of ray
-_CHUNK = 4.0
-
-
 def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
           point: complex, tangent: complex, direction: int,
           params: DensityParams, K: SurfaceConstants,
-          deep: list[Horocycle], allowed=_CLASS_A_CAP,
+          deep: list[Horocycle], allowed: float | None,
           cap: float | None = None, deep_stop: bool = True) -> ExtensionOutcome:
     """Walk one ray to its stopping crossing.
 
@@ -250,22 +243,14 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
     """
     r_eps = formulas.clearance(params.eps, K.theta0)
     psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
-    if allowed is _CLASS_A_CAP:
-        allowed = formulas.class_a_extension_bound(
-            K.diam, K.cusp_reach, params.eps, params.xi, K.theta0)
     if cap is None:
         cap = r_eps + allowed + 1.0
 
-    # Each step is scanned as the walk takes it (trace_geodesic's until),
-    # at its arc-length offset along the ray, and the walk ends at the
-    # step holding the stop.  _CHUNK only places the leg restarts: each
-    # leg starts afresh from the end of the last, which splits the
-    # passage under the joint.
-    legs: list[Trace] = []
-    traced = 0.0
+    # The ray is walked in one piece, and each step is scanned as the
+    # walk takes it (trace_geodesic's until), at its arc-length offset
+    # along the ray; the walk ends at the step holding the stop.
     walked = 0.0
     steps = 0
-    p, u = point, tangent
     stop = None
     last = None
     cls = ""
@@ -295,17 +280,11 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
             last = events[-1]
         return False
 
-    while stop is None and traced < cap - 1e-12:
-        step_len = min(_CHUNK, cap - traced)
-        leg = trace_geodesic(model, p, u, step_len, until=scan)
-        legs.append(leg)
-        traced += step_len
-        p, u = leg.end_point, leg.end_dir
+    ray = trace_geodesic(model, point, tangent, cap, until=scan)
     if stop is None:
         raise SafetyCapExceeded(
             f"no admissible stop within extension cap {cap:.6g} "
             f"(clearance {r_eps:.6g})")
-    ray = legs[0] if len(legs) == 1 else concat_traces(model, legs)
 
     extension = max(0.0, stop.s - r_eps)
     if cls == "A" and allowed is not None and extension > allowed + 1e-6:
@@ -343,10 +322,12 @@ def classify_and_extend(c: GeodesicSegment, params: DensityParams,
             raise ValueError(
                 f"arc endpoint {z} is below the length-{params.xi} horocycles")
     deep = deep_horocycles(X, params, K.theta0)
+    m_a = formulas.class_a_extension_bound(
+        K.diam, K.cusp_reach, params.eps, params.xi, K.theta0)
     fwd = _hunt(X, gamma0, c.end, c.line.tangent_at(c.s1), +1,
-                params, K, deep)
+                params, K, deep, m_a)
     back = _hunt(X, gamma0, c.start, -c.line.tangent_at(c.s0), -1,
-                 params, K, deep)
+                 params, K, deep, m_a)
     return back, fwd
 
 
@@ -583,7 +564,8 @@ def _reroute(model: SurfaceModel, gamma0: ClosedGeodesicRep,
         tail_points.append(zq)
         t_q = eta.tangent_at(eta.param_of(zq))
         zf, uf, g = _to_surface(model, frame.to_norm_arc.inverse(), zq, -t_q)
-        t_out = _hunt(model, gamma0, zf, uf, -dive_dir, params, K, deep)
+        t_out = _hunt(model, gamma0, zf, uf, -dive_dir, params, K, deep,
+                      m_a)
         if cand == 1:
             first_tail = (t_out, g)
         if t_out.cls == "A":

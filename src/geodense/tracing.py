@@ -423,10 +423,12 @@ def _reversed_tail(model: SurfaceModel, st: TraceStep) -> TraceStep:
 def concat_traces(model: SurfaceModel, legs: list[Trace]) -> Trace:
     """Join walks whose ends abut into one walk.
 
-    Joints carry no side jump, so consecutive legs must meet in the same
-    polygon representative.  Joining independently anchored legs keeps
-    long walks accurate; rewalking them end to end does not, because
-    nearby geodesics separate exponentially.
+    This is how a processed arc is put together from its pieces: the two
+    extensions and the arc, or its replacement, between them.  Joints
+    carry no side jump, so consecutive legs must meet in the same
+    polygon representative.  Joining independently anchored pieces keeps
+    the arc accurate; rewalking it end to end does not, because nearby
+    geodesics separate exponentially.
     """
     if not legs:
         raise ValueError("nothing to join")

@@ -36,6 +36,8 @@ from .halfplane import (
 )
 
 HALF_PI = math.pi / 2
+# slack every oracle allows a checked inequality for rounding
+_TOL = 1e-9
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -44,23 +46,14 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass
 class OracleConfig:
-    """Sampling plan for one oracle run.
-
-    ``ranges`` overrides the documented default parameter ranges; keys
-    not set fall back per oracle.  The seed fully determines the run.
-    """
+    """Sampling plan for one oracle run; the seed fully determines it."""
 
     samples: int = 1000
     seed: int = 0
-    tol: float = 1e-9
-    ranges: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"sample count must be >= 1: {self.samples}")
-
-    def range(self, key: str, default):
-        return self.ranges.get(key, default)
 
 
 @dataclass
@@ -132,12 +125,11 @@ def oracle_disjoint(cfg: OracleConfig) -> OracleReport:
     two lines.
     """
     rng = _rng(cfg.seed)
-    th_lo, th_hi = cfg.range("theta0", (math.pi / 12, HALF_PI))
-    margin = cfg.range("margin", 1e-6)
+    margin = 1e-6
     violations = []
     tight = math.inf
     for _ in range(cfg.samples):
-        theta0 = float(rng.uniform(th_lo, th_hi))
+        theta0 = float(rng.uniform(math.pi / 12, HALF_PI))
         length = disjointness_threshold(theta0) + margin \
             + float(rng.exponential(0.7))
         a1 = _acute_at_least(rng, theta0)
@@ -216,17 +208,14 @@ def oracle_eps_distance(cfg: OracleConfig) -> OracleReport:
     limiting-ray angle identity behind the containment argument.
     """
     rng = _rng(cfg.seed)
-    eps_values = cfg.range("eps", (0.1, 1.0, 2.0))
-    theta_values = cfg.range("theta0", (math.pi / 6, math.pi / 3))
-    per_config = cfg.range("test_lines", 10)
     violations = []
     cells = {}
     trials = 0
     worst_p1 = math.inf
     worst_p2 = math.inf
     worst_identity = 0.0
-    for eps in eps_values:
-        for theta0 in theta_values:
+    for eps in (0.1, 1.0, 2.0):
+        for theta0 in (math.pi / 6, math.pi / 3):
             r = clearance(eps, theta0)
             p1_margin = math.inf
             p2_margin = math.inf
@@ -249,7 +238,7 @@ def oracle_eps_distance(cfg: OracleConfig) -> OracleReport:
                 if lines_cross(g1, g2):
                     violations.append({**witness, "kind": "supports cross"})
                     continue
-                for _ in range(per_config):
+                for _ in range(10):   # test lines per configuration
                     s1 = float(rng.uniform(-18.0, 18.0))
                     s2 = float(rng.uniform(-18.0, 18.0))
                     trials += 1
@@ -268,8 +257,8 @@ def oracle_eps_distance(cfg: OracleConfig) -> OracleReport:
                     lo, hi = min(w1, w2), max(w1, w2)
                     pr = sorted((test.param_of(c_lo), test.param_of(c_hi)))
                     p2_margin = min(p2_margin, pr[0] - lo, hi - pr[1])
-                    if d_sup > eps + cfg.tol or pr[0] < lo - cfg.tol \
-                            or pr[1] > hi + cfg.tol:
+                    if d_sup > eps + _TOL or pr[0] < lo - _TOL \
+                            or pr[1] > hi + _TOL:
                         violations.append({**witness, "kind": "p1/p2",
                                            "anchors": (s1, s2),
                                            "sup_dist": d_sup})
@@ -279,7 +268,7 @@ def oracle_eps_distance(cfg: OracleConfig) -> OracleReport:
                 measured = _measured_limit_ray_cos(rr, theta0)
                 closed = math.cos(transversal_limit_angle(rr, theta0))
                 identity_err = max(identity_err, abs(measured - closed))
-            if identity_err > cfg.tol:
+            if identity_err > _TOL:
                 violations.append({"eps": eps, "theta0": theta0,
                                    "kind": "limit ray identity",
                                    "error": identity_err})
@@ -310,14 +299,12 @@ def oracle_max_traverse(cfg: OracleConfig) -> OracleReport:
     closely the extreme chord attains the bound on a small grid.
     """
     rng = _rng(cfg.seed)
-    d_lo, d_hi = cfg.range("d", (0.0, 3.0))
-    psi_lo, psi_hi = cfg.range("psi", (0.0, 1.4))
     horo = Horocycle(math.inf, 1.0)
     violations = []
     tight = math.inf
     for k in range(cfg.samples):
-        d = float(rng.uniform(d_lo, d_hi))
-        psi = float(rng.uniform(psi_lo, psi_hi))
+        d = float(rng.uniform(0.0, 3.0))
+        psi = float(rng.uniform(0.0, 1.4))
         theta = psi * (1.0 - float(rng.uniform()) ** 3)
         dep1 = d * (1.0 - float(rng.uniform()) ** 3)
         dep2 = d * (1.0 - float(rng.uniform()) ** 3)
@@ -329,7 +316,7 @@ def oracle_max_traverse(cfg: OracleConfig) -> OracleReport:
         chord = dist(z1, z2)
         bound = max_traverse(d, psi)
         tight = min(tight, bound - chord)
-        if chord > bound + cfg.tol:
+        if chord > bound + _TOL:
             violations.append({"d": d, "psi": psi, "theta": theta,
                                "depths": (dep1, dep2), "length": chord,
                                "bound": bound})
@@ -351,7 +338,7 @@ def oracle_max_traverse(cfg: OracleConfig) -> OracleReport:
             a = math.sqrt(math.exp(2.0 * d) / math.cos(psi) ** 2 - 1.0)
             straight = dist(1j, 2.0 * a + 1j)
             attain = max(attain, abs(arc - bound), abs(straight - bound))
-    if attain > cfg.tol:
+    if attain > _TOL:
         violations.append({"kind": "extreme chord misses bound",
                            "error": attain})
     notes = {"attain_err": attain}
@@ -409,16 +396,14 @@ def oracle_quadrilateral(cfg: OracleConfig) -> OracleReport:
     hypothesis is enforced exactly: the second crossing of the chord
     circle with either horocycle must not sit inside the arc.
     """
-    psis = cfg.range("psi", (0.0, 0.3, 0.6, 1.0, 1.4))
-    us = cfg.range("u", (0.1, 1.0, 3.0))
     checks_per_chord = 17
     violations = []
     cells = {}
     trials = 0
     width_err = 0.0
     worst_slack = math.inf
-    for u in us:
-        for psi in psis:
+    for u in (0.1, 1.0, 3.0):
+        for psi in (0.0, 0.3, 0.6, 1.0, 1.4):
             rng = _rng(cfg.seed + int(1e6 * u) + int(1e3 * psi))
             root = _bisect(lambda l: _quad_signed_angle(l, u) + psi,
                            1e-9, 3.0, 1e-14)
@@ -426,7 +411,7 @@ def oracle_quadrilateral(cfg: OracleConfig) -> OracleReport:
             delta = abs(root - closed)
             width_err = max(width_err, delta)
             trials += 1
-            if delta > cfg.tol:
+            if delta > _TOL:
                 violations.append({"kind": "width", "psi": psi, "u": u,
                                    "root": root, "closed": closed})
             eu = math.exp(u)

@@ -246,53 +246,50 @@ def _hunt_cases(request, which):
 
 
 class TestIncrementalHunt:
-    """The hunt scans its ray one step at a time, in legs of one chunk,
-    and stops walking at the stopping step; the outcome must not depend
-    on where the chunks end."""
+    """The hunt walks its ray in one piece, scans it one step at a time,
+    and stops walking at the stopping step."""
 
-    @pytest.mark.parametrize("which", ["torus", "sphere"])
-    def test_chunk_length_does_not_change_outcome(self, which, request,
-                                                  monkeypatch):
-        model, K, g0, params, arcs = _hunt_cases(request, which)
-        ref = [classify_and_extend(c, params, K, model, gamma0=g0)
-               for c in arcs]
-        for chunk in (0.7, 1.3, 2.9, 9.0):
-            monkeypatch.setattr(densify, "_CHUNK", chunk)
-            for c, want in zip(arcs, ref):
-                got = classify_and_extend(c, params, K, model, gamma0=g0)
-                for o, w in zip(got, want):
-                    assert (o.case_id, o.cls, o.stop.kind, o.stop.index,
-                            len(o.bad_angles), o.shallow_dips) == \
-                        (w.case_id, w.cls, w.stop.kind, w.stop.index,
-                         len(w.bad_angles), w.shallow_dips), chunk
-                    assert abs(o.stop.s - w.stop.s) < densify._DEDUP
-
-    def test_crossing_on_a_chunk_joint_counts_once(self, request,
-                                                   monkeypatch):
-        # a chunk ending exactly on a shallow crossing sees it at the end
-        # of one leg and again at the start of the next
+    def test_crossing_on_a_step_joint_counts_once(self, request):
+        # a walk ending exactly on a non-stopping crossing sees it at the
+        # end of its last step, and the walk on from there sees it again
+        # at the start of its first
         model, K, g0, params, arcs = _hunt_cases(request, "sphere")
         deep = deep_horocycles(model, params, K.theta0)
         r_eps = formulas.clearance(params.eps, K.theta0)
         psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
-        chunk = densify._CHUNK
-        joints = 0
+        joints = seen_twice = 0
         for c in arcs:
-            outs = classify_and_extend(c, params, K, model, gamma0=g0)
-            for k, out in enumerate(outs):
+            for out in classify_and_extend(c, params, K, model, gamma0=g0):
                 if not out.bad_angles and not out.shallow_dips:
                     continue
                 events = densify._ray_events(model, g0, out.trace.steps, deep,
                                              K.theta0, psi)
-                first = next(e for e in events
-                             if e.s >= r_eps and not e.good)
-                monkeypatch.setattr(densify, "_CHUNK", first.s)
-                o = classify_and_extend(c, params, K, model, gamma0=g0)[k]
-                monkeypatch.setattr(densify, "_CHUNK", chunk)
-                assert (o.case_id, len(o.bad_angles), o.shallow_dips) == \
-                    (out.case_id, len(out.bad_angles), out.shallow_dips)
+                e = next(e for e in events if e.s >= r_eps and not e.good)
+
+                def is_e(g, e=e):
+                    return g.kind == e.kind and abs(g.s - e.s) < densify._DEDUP
+
+                tr = out.trace
+                w1 = trace_geodesic(model, tr.start_point, tr.start_dir, e.s)
+                w2 = trace_geodesic(model, w1.end_point, w1.end_dir,
+                                    out.total - e.s)
+                ev1 = densify._ray_events(model, g0, w1.steps, deep,
+                                          K.theta0, psi)
+                ev2 = densify._ray_events(model, g0, w2.steps, deep,
+                                          K.theta0, psi, w1.length,
+                                          len(w1.steps), ev1[-1])
+                got = ev1 + ev2
+                assert sum(map(is_e, got)) == 1
+                assert [(g.kind, g.index) for g in got] \
+                    == [(w.kind, w.index) for w in events]
+                assert all(abs(g.s - w.s) < densify._DEDUP
+                           for g, w in zip(got, events))
+                # the walk on from the joint does see the crossing again
+                again = densify._ray_events(model, g0, w2.steps, deep,
+                                            K.theta0, psi, w1.length)
+                seen_twice += any(map(is_e, again))
                 joints += 1
-        assert joints >= 2
+        assert joints >= 2 and seen_twice >= 1
 
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_walk_ends_at_the_stopping_step(self, which, request,
@@ -301,18 +298,18 @@ class TestIncrementalHunt:
         # wrapped around the hunts' walks needs them to go through
         model, K, g0, params, arcs = _hunt_cases(request, which)
         walk, hunt = densify.trace_geodesic, densify._hunt
-        walked = [0]
-        hunts = []   # (steps walked, step index of the stop)
+        walks = []   # steps of each walk of the current hunt
+        hunts = []   # (steps of each walk, step index of the stop)
 
         def counted(*args, **kwargs):
             out = walk(*args, **kwargs)
-            walked[0] += len(out.steps)
+            walks.append(len(out.steps))
             return out
 
         def hunted(*args, **kwargs):
-            walked[0] = 0
+            walks.clear()
             out = hunt(*args, **kwargs)
-            hunts.append((walked[0], out.stop.step))
+            hunts.append((list(walks), out.stop.step))
             return out
 
         monkeypatch.setattr(densify, "trace_geodesic", counted)
@@ -320,7 +317,7 @@ class TestIncrementalHunt:
         for c in arcs:
             classify_and_extend(c, params, K, model, gamma0=g0)
         assert len(hunts) == 2 * len(arcs)
-        assert all(n == k + 1 for n, k in hunts)
+        assert all(n == [k + 1] for n, k in hunts)
 
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_hunt_matches_one_full_scan(self, which, request):
@@ -480,6 +477,28 @@ class TestReplaceArc:
         assert abs(b - a - c.length) <= 5.0 * s_deep
         assert pa.detail["v_dive"] > 0 and pa.detail["v_tail"] > 0
         assert pa.length <= pa.bound + 1e-6
+
+        # run backwards, the arc dives on its back side (replace_arc
+        # would pick the front dive, so the reroute is called directly),
+        # and the reroute mirrors the one above
+        c2 = c.reversed()
+        back2, _ = classify_and_extend(c2, params, K, sphere,
+                                       gamma0=sphere_g0)
+        assert back2.cls == "B"
+        deep = deep_horocycles(sphere, params, K.theta0)
+        r_eps = formulas.clearance(params.eps, K.theta0)
+        pa2 = densify._reroute(sphere, sphere_g0, c2, params, K, deep, back2,
+                               -1, pa.bound, r_eps)
+        assert pa2.case == "BB"
+        assert pa2.length == pytest.approx(pa.length, abs=1e-9)
+        assert pa2.displacement == pytest.approx(pa.displacement, abs=1e-12)
+        lo, hi = pa.zeta_span
+        assert pa2.zeta_span == pytest.approx(
+            (pa.length - hi, pa.length - lo), abs=1e-9)
+        assert dist(pa2.end_back.point, pa.end_fwd.point) < 1e-9
+        assert dist(pa2.end_fwd.point, pa.end_back.point) < 1e-9
+        assert pa2.trace.sides == [sphere.sides[s].partner
+                                   for s in reversed(pa.trace.sides)]
 
     def test_random_dives_reroute(self, torus, torus_dec, torus_g0):
         params = DensityParams(0.5, 0.5)

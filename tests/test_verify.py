@@ -81,9 +81,7 @@ class TestDisjointOracle:
 class TestEpsDistanceOracle:
 
     def test_clean_run(self):
-        cfg = OracleConfig(samples=250, seed=SEED,
-                           ranges={"test_lines": 5})
-        report = oracle_eps_distance(cfg)
+        report = oracle_eps_distance(OracleConfig(samples=250, seed=SEED))
         assert report.ok
         assert report.notes["p1_margin"] > 0.0
         assert report.notes["p2_margin"] > 0.0
