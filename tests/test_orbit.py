@@ -5,6 +5,8 @@ import dataclasses
 import itertools
 import math
 import random
+import re
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from geodense.decomp import decompose
 from geodense.densify import DensityParams, classify_and_extend, replace_arc
 from geodense.errors import RadiusTooSmall
-from geodense.halfplane import GeodesicLine, GeodesicSegment, dist
+from geodense.halfplane import GeodesicLine, GeodesicSegment, Isometry, dist
 from geodense.orbit import (
     DIST_TOL,
     _Passages,
@@ -84,6 +86,87 @@ class TestBall:
     def test_deep_center_trips_budget(self, sphere):
         with pytest.raises(RadiusTooSmall):
             ball(sphere, complex(0.05, 2000.0), 2.0, max_tiles=50)
+
+
+def _plain_ball(model, center, radius, max_tiles=20000):
+    """Breadth-first search that gives every candidate the exact test."""
+    seen = {""}
+    out = []
+    queue = deque([("", Isometry.identity())])
+    while queue:
+        word, g = queue.popleft()
+        if dist_to_domain(model, g.inverse().apply(center)) > radius + 1e-9:
+            continue
+        out.append((word, g))
+        if len(out) > max_tiles:
+            raise RadiusTooSmall(
+                f"radius {radius:.3g} ball around {center:.6g} exceeds "
+                f"{max_tiles} tiles")
+        for side in model.sides:
+            nw = free_reduce(word + model.sides[side.partner].word)
+            if nw not in seen:
+                seen.add(nw)
+                queue.append((nw, g @ side.inverse_pairing))
+    return out
+
+
+def _ball_centers(model):
+    """Points inside the polygon, 1e-9 to either side of each side line,
+    and 20 widths up each cusp."""
+    rng = random.Random(7)
+    out = [model.base_point]
+    while len(out) < 4:
+        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
+        if model.inside(z, tol=0.0):
+            out.append(z)
+    for side in model.sides:
+        lo, hi = side.s_lo, side.s_hi
+        s = hi - 1.0 if math.isinf(lo) else lo + 1.0 if math.isinf(hi) \
+            else 0.5 * (lo + hi)
+        p = side.line.point_at(s)
+        inward = 1j * side.line.tangent_at(s)
+        out += [p + 1e-9 * p.imag * inward, p - 1e-9 * p.imag * inward]
+    for c in model.cusps:
+        out.append(c.chart_inv.apply(
+            complex(c.strip_lo + 0.37 * c.width, 20.0 * c.width)))
+    return out
+
+
+class TestBallBound:
+    """ball's half-plane bound drops only candidates the exact test
+    drops: the list is the plain search's, word for word, element for
+    element and in order."""
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_equals_plain_search(self, name, request):
+        model = request.getfixturevalue(name)
+        for z in _ball_centers(model):
+            for radius in (0.01, 0.2, 1.0, 2.5):
+                assert ball(model, z, radius) == _plain_ball(model, z, radius)
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_tiles_on_the_rim(self, name, request):
+        """Radii that put a tile's distance on the rim of the disk, where
+        the bound's own rounding would decide without its slack."""
+        model = request.getfixturevalue(name)
+        for z in _ball_centers(model)[:4]:
+            for _, g in _plain_ball(model, z, 1.0)[1:]:
+                d = dist_to_domain(model, g.inverse().apply(z))
+                for radius in (d - 1e-9, math.nextafter(d - 1e-9, 0.0)):
+                    assert ball(model, z, radius) \
+                        == _plain_ball(model, z, radius)
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_budget_trips_at_the_same_tile(self, name, request):
+        model = request.getfixturevalue(name)
+        for z in _ball_centers(model)[-len(model.cusps) - 2:]:
+            n = len(_plain_ball(model, z, 1.0))
+            assert len(ball(model, z, 1.0, max_tiles=n)) == n
+            with pytest.raises(RadiusTooSmall) as got:
+                ball(model, z, 1.0, max_tiles=n - 1)
+            with pytest.raises(RadiusTooSmall) as want:
+                _plain_ball(model, z, 1.0, max_tiles=n - 1)
+            assert str(got.value) == str(want.value)
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +336,114 @@ class TestBoundedScan:
         w = complex(x + sign * 10.0 ** log_off * y, y)
         t, i = _Passages([seg]).near([w], cut=seg.dist_to_point(w) + DIST_TOL)
         assert (t, i) == ([0], [0])
+
+
+def _excursion(torus, apex=1.5e3):
+    """The passages of a whole excursion to chart height apex in the
+    torus cusp, from 1.2 widths up along a near-vertical half-circle."""
+    c = torus.cusps[0]
+    z = complex(c.strip_lo + 0.37 * c.width, 1.2 * c.width)
+    center = z.real + math.sqrt(apex ** 2 - z.imag ** 2)
+    u = 1j * (z - center) / apex
+    if u.imag < 0.0:
+        u = -u
+    length = 2.0 * math.log(apex / c.width) + 3.0
+    return trace_geodesic(torus, z, u, length).segments()
+
+
+@pytest.fixture(scope="module")
+def excursion(torus):
+    return _excursion(torus)
+
+
+def _all_rows(segments):
+    """A table whose height window holds every row."""
+    table = _Passages(segments)
+    table._window = lambda log_top, cut: len(segments)
+    return table
+
+
+def _top_points(torus, xi=0.5):
+    """Points at the top of the truncation, where the window is widest."""
+    y = torus.cusps[0].width / xi
+    return [complex(x, y) for x in (-2.9, -1.3, 0.4, 2.5)]
+
+
+class TestHeightWindow:
+    def test_curve_reaches_above_the_window(self, torus, excursion):
+        assert max(s.start.imag for s in excursion) > 1e3
+        table = _Passages(excursion)
+        log_top = math.log(_top_points(torus)[0].imag)
+        assert 0 < table._window(log_top, 1.0) < len(excursion)
+
+    @pytest.mark.parametrize("cut", [None, 0.05, 0.3, 1.0])
+    def test_same_pairs_as_every_row(self, torus, torus_curve, excursion,
+                                     cut):
+        curve = torus_curve + excursion
+        table, every = _Passages(curve), _all_rows(curve)
+        for z in _top_points(torus) + _truncated_points(torus, 4, seed=14):
+            ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
+            got = table.near(ws, cut)
+            assert got == every.near(ws, cut)
+            assert list(zip(*got)) == sorted(zip(*got))
+
+    def test_equals_plain_scan(self, torus, torus_curve, excursion):
+        curve = torus_curve + excursion
+        for z in _top_points(torus):
+            assert _certify(torus, z, curve, 0.2) \
+                == _expected(torus, z, curve, 0.2)
+
+    @pytest.mark.parametrize("cut", [None, 0.01])
+    def test_infinite_passage_always_kept(self, torus, torus_curve,
+                                          excursion, cut):
+        ray = torus.sides[0].segment
+        assert math.isinf(ray.s0)
+        curve = [ray] + torus_curve + excursion + [ray]
+        table = _Passages(curve)
+        for z in _top_points(torus) + [torus.base_point]:
+            ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
+            pairs = set(zip(*table.near(ws, cut)))
+            for t in range(len(ws)):
+                assert {(t, 0), (t, len(curve) - 1)} <= pairs
+
+    def test_tie_takes_the_first_passage(self):
+        """Two passages share a midpoint on a line of radius 1e8; the
+        longer one has the larger slack and the lower height bound.  The
+        default cut takes the slack of the first one in the list, as a
+        scan of every row does, which leaves out a third passage
+        3e-6 away."""
+        line = GeodesicLine.circle(0.0, 1e8)
+        short, long_ = GeodesicSegment(line, 15.0, 17.0), \
+            GeodesicSegment(line, 11.0, 21.0)
+        m = line.point_at(16.0)
+        x = m.real + m.imag * math.sinh(3e-6)
+        side = GeodesicSegment(GeodesicLine.vertical(x),
+                               math.log(m.imag) - 1.0, math.log(m.imag) + 1.0)
+        table = _Passages([short, long_, side])
+        assert _Passages([long_]).slack[0] \
+            > 10.0 * _Passages([short]).slack[0] > 0.0
+        assert table.near([m]) == ([0, 0], [0, 1])
+        assert table.near([m], 1e-5) == ([0, 0, 0], [0, 1, 2])
+
+    def test_empty_inputs(self, torus, torus_curve):
+        ws = [torus.base_point]
+        for cut in (None, 1.0):
+            assert _Passages([]).near(ws, cut) == ([], [])
+            assert _Passages(torus_curve).near([], cut) == ([], [])
+
+    def test_every_row_above_the_window(self, torus, excursion):
+        """The window of cut 0 holds no row: it widens to the lowest
+        one, and the answer is still the plain scan's RadiusTooSmall."""
+        high = [s for s in excursion if min(s.start.imag, s.end.imag) > 100.0]
+        assert len(high) > 100
+        z = torus.base_point
+        ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
+        table, every = _Passages(high), _all_rows(high)
+        assert table._window(math.log(max(w.imag for w in ws)), 0.0) == 0
+        assert table.near(ws) == every.near(ws)
+        assert table.near(ws) != ([], [])
+        assert table.near(ws, 0.5) == every.near(ws, 0.5) == ([], [])
+        want = _expected(torus, z, high, 0.2)
+        assert isinstance(want, str)
+        with pytest.raises(RadiusTooSmall, match=re.escape(want)):
+            dist_to_closed_geodesic(torus, z, high, 0.2)
