@@ -11,12 +11,16 @@ not built yet (see ROADMAP.md).
 Every quantitative step of the construction is guarded: extension
 lengths are checked against the caps the surface constants promise, and
 reroute displacements against their brackets.  A violated guard raises
-instead of producing a silently wrong curve.
+instead of producing a silently wrong curve.  Each threshold that depends
+only on the run is derived once, in _setting; each per-arc bound is
+derived where it is checked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import formulas
@@ -75,6 +79,40 @@ class DensityParams:
             raise ValueError(f"xi must be in (0, 1], got {self.xi}")
 
 
+@dataclass(frozen=True)
+class _Setting:
+    """One run's inputs and the thresholds derived from them alone."""
+
+    model: SurfaceModel
+    gamma0: ClosedGeodesicRep
+    params: DensityParams
+    K: SurfaceConstants
+    r_eps: float     # clearance: every extension walks at least this far
+    psi: float       # entry angle a deep crossing must clear to stop
+    s_deep: float    # length of the deep horocycles
+    m_a: float       # cap on a class-A extension past the clearance
+    # Per cusp, the deep horocycle bounding the reroute region, in polygon
+    # coordinates.  Each catalog cusp owns exactly one ideal polygon
+    # vertex, so its deep horoball meets the polygon in one piece there.
+    deep: tuple[Horocycle, ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _setting(params: DensityParams, K: SurfaceConstants, X: SurfaceModel,
+             gamma0: ClosedGeodesicRep) -> _Setting:
+    """The run's setting, derived once and shared by all its arcs."""
+    eps, xi, theta0 = params.eps, params.xi, K.theta0
+    s_deep = formulas.deep_horocycle_length(eps, xi, theta0)
+    return _Setting(X, gamma0, params, K,
+                    r_eps=formulas.clearance(eps, theta0),
+                    psi=formulas.deep_entry_angle(eps, xi, theta0),
+                    s_deep=s_deep,
+                    m_a=formulas.class_a_extension_bound(
+                        K.diam, K.cusp_reach, eps, xi, theta0),
+                    deep=tuple(X.cusp_horocycle(j, s_deep)
+                               for j in range(len(X.cusps))))
+
+
 # ---------------------------------------------------------------------------
 # extension walker
 
@@ -120,7 +158,7 @@ class ExtensionOutcome:
 
 
 def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep,
-                steps: list[TraceStep], deep: list[Horocycle],
+                steps: list[TraceStep], deep: Sequence[Horocycle],
                 theta0: float, psi: float, walked: float = 0.0,
                 step0: int = 0,
                 last: CrossingRecord | None = None) -> list[CrossingRecord]:
@@ -187,7 +225,7 @@ def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep,
     return out
 
 
-def _run_deep_events(st: TraceStep, deep: list[Horocycle], psi: float,
+def _run_deep_events(st: TraceStep, deep: Sequence[Horocycle], psi: float,
                      walked: float, k: int) -> list[CrossingRecord]:
     """Crossings of a run with its cusp's deep horocycle."""
     c, ch = st.run.cusp, st.run.chart
@@ -217,32 +255,17 @@ def _cut_trace(trace: Trace, event: CrossingRecord) -> Trace:
                  length)
 
 
-def deep_horocycles(model: SurfaceModel, params: DensityParams,
-                    theta0: float) -> list[Horocycle]:
-    """Per cusp, the deep horocycle bounding the reroute region, in
-    polygon coordinates.
-
-    Each catalog cusp owns exactly one ideal polygon vertex, so its deep
-    horoball meets the polygon in the single piece at that vertex.
-    """
-    s = formulas.deep_horocycle_length(params.eps, params.xi, theta0)
-    return [model.cusp_horocycle(j, s) for j in range(len(model.cusps))]
-
-
-def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
-          point: complex, tangent: complex, direction: int,
-          params: DensityParams, K: SurfaceConstants,
-          deep: list[Horocycle], allowed: float | None,
-          cap: float | None = None, deep_stop: bool = True) -> ExtensionOutcome:
-    """Walk one ray to its stopping crossing.
+def _hunt(S: _Setting, point: complex, tangent: complex, direction: int,
+          allowed: float | None, cap: float | None = None,
+          deep_stop: bool = True) -> ExtensionOutcome:
+    """Walk one ray to its stopping crossing, by the run's thresholds S.
 
     allowed caps the extension past the clearance prefix for base stops
     (None skips the check); cap bounds the traced length.  With
     deep_stop off, steep deep crossings are passed through and counted
     with the shallow ones; this is how reroutes re-enter a cusp.
     """
-    r_eps = formulas.clearance(params.eps, K.theta0)
-    psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
+    r_eps = S.r_eps
     if cap is None:
         cap = r_eps + allowed + 1.0
 
@@ -259,8 +282,8 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
 
     def scan(st: TraceStep) -> bool:
         nonlocal walked, steps, last, stop, cls, shallow
-        events = _ray_events(model, gamma0, [st], deep, K.theta0, psi,
-                             walked, steps, last)
+        events = _ray_events(S.model, S.gamma0, [st], S.deep, S.K.theta0,
+                             S.psi, walked, steps, last)
         walked += st.segment.length
         steps += 1
         for e in events:
@@ -280,7 +303,7 @@ def _hunt(model: SurfaceModel, gamma0: ClosedGeodesicRep,
             last = events[-1]
         return False
 
-    ray = trace_geodesic(model, point, tangent, cap, until=scan)
+    ray = trace_geodesic(S.model, point, tangent, cap, until=scan)
     if stop is None:
         raise SafetyCapExceeded(
             f"no admissible stop within extension cap {cap:.6g} "
@@ -315,19 +338,16 @@ def classify_and_extend(c: GeodesicSegment, params: DensityParams,
 
     Returns the (backward, forward) outcomes, backward walking out of
     the arc's start and forward out of its end.  The arc is given in
-    polygon coordinates and must lie in the truncated part.
+    polygon coordinates and must lie in the truncated part.  The
+    thresholds are the run's setting, derived once (_setting).
     """
     for z in (c.start, c.end):
         if not X.in_truncation(z, params.xi, tol=1e-6):
             raise ValueError(
                 f"arc endpoint {z} is below the length-{params.xi} horocycles")
-    deep = deep_horocycles(X, params, K.theta0)
-    m_a = formulas.class_a_extension_bound(
-        K.diam, K.cusp_reach, params.eps, params.xi, K.theta0)
-    fwd = _hunt(X, gamma0, c.end, c.line.tangent_at(c.s1), +1,
-                params, K, deep, m_a)
-    back = _hunt(X, gamma0, c.start, -c.line.tangent_at(c.s0), -1,
-                 params, K, deep, m_a)
+    S = _setting(params, K, X, gamma0)
+    fwd = _hunt(S, c.end, c.line.tangent_at(c.s1), +1, S.m_a)
+    back = _hunt(S, c.start, -c.line.tangent_at(c.s0), -1, S.m_a)
     return back, fwd
 
 
@@ -414,10 +434,9 @@ def _walk_dev(model: SurfaceModel, outcome: ExtensionOutcome) -> Isometry:
                          [st.count for st in steps])[-1]
 
 
-def _dive_frame(model: SurfaceModel, outcome: ExtensionOutcome,
-                s_deep: float) -> _DiveFrame:
+def _dive_frame(S: _Setting, outcome: ExtensionOutcome) -> _DiveFrame:
     stop = outcome.stop
-    cusp = model.cusps[stop.index]
+    cusp = S.model.cusps[stop.index]
     rw = math.sqrt(cusp.width)
     unit = Isometry(1.0 / rw, 0.0, 0.0, rw) @ cusp.chart
     line = outcome.trace.steps[stop.step].segment.line
@@ -426,7 +445,7 @@ def _dive_frame(model: SurfaceModel, outcome: ExtensionOutcome,
         raise ArrangementDegenerate(
             "dive tail runs straight out of the cusp point")
     to_norm_step = Isometry.translation(-e_tail) @ unit
-    height = 1.0 / s_deep
+    height = 1.0 / S.s_deep
     x_far = to_norm_step.apply_boundary(line.endpoint_fwd)
     zc = to_norm_step.apply(stop.point)
     if abs(zc.imag - height) > 1e-6 * height:
@@ -442,7 +461,7 @@ def _dive_frame(model: SurfaceModel, outcome: ExtensionOutcome,
             raise ArrangementDegenerate(
                 "normalized dive enters shallower than the deep threshold")
         sigma = math.copysign(1.0, x_far)
-    to_norm_arc = to_norm_step @ _walk_dev(model, outcome).inverse()
+    to_norm_arc = to_norm_step @ _walk_dev(S.model, outcome).inverse()
     return _DiveFrame(to_norm_arc, height, sigma)
 
 
@@ -474,11 +493,10 @@ def _to_surface(model: SurfaceModel, back_iso: Isometry, z: complex,
     return z_f, g.apply_tangent(z_raw, u_raw), g
 
 
-def _finish(model: SurfaceModel, c: GeodesicSegment, case: str,
+def _finish(S: _Setting, c: GeodesicSegment, case: str,
             tail: ExtensionOutcome, pre: float, mid: Trace, zeta_len: float,
             post: float, dive: ExtensionOutcome, dive_dir: int,
-            displacement: float, bound: float, r_eps: float, theta0: float,
-            detail: dict) -> ProcessedArc:
+            displacement: float, bound: float, detail: dict) -> ProcessedArc:
     """Join tail, mid and dive into the processed arc.
 
     The walk runs tail -> mid -> dive, with pre and post the lengths
@@ -488,21 +506,21 @@ def _finish(model: SurfaceModel, c: GeodesicSegment, case: str,
     """
     if dive_dir > 0:
         start_rec, end_rec = tail.stop, dive.stop
-        legs = [reverse_trace(model, tail.trace), mid, dive.trace]
+        legs = [reverse_trace(S.model, tail.trace), mid, dive.trace]
     else:
         start_rec, end_rec, pre, post = dive.stop, tail.stop, post, pre
-        legs = [reverse_trace(model, dive.trace),
-                reverse_trace(model, mid), tail.trace]
+        legs = [reverse_trace(S.model, dive.trace),
+                reverse_trace(S.model, mid), tail.trace]
     total = pre + zeta_len + post
-    tr = concat_traces(model, legs)
+    tr = concat_traces(S.model, legs)
     if dist(tr.start_point, start_rec.point) > 1e-9 \
             or dist(tr.end_point, end_rec.point) > 1e-6:
         raise TraceError("joined arc does not run between its stops")
     arc = ProcessedArc(
         original=c, case=case, end_back=start_rec, end_fwd=end_rec,
         trace=tr, length=total, zeta_span=(pre, pre + zeta_len),
-        displacement=displacement, bound=bound, clearance=r_eps,
-        theta0=theta0, detail=detail)
+        displacement=displacement, bound=bound, clearance=S.r_eps,
+        theta0=S.K.theta0, detail=detail)
     arc.validate()
     return arc
 
@@ -515,32 +533,27 @@ def replace_arc(c: GeodesicSegment,
 
     Arcs whose both extensions stopped on the base geodesic keep their
     position; a deep dive on either side replaces the arc by a nearby
-    geodesic whose continuations come back out of the cusp.
+    geodesic whose continuations come back out of the cusp.  The
+    thresholds are the run's setting (_setting), the length bound the arc's.
     """
     back, fwd = outcomes
-    r_eps = formulas.clearance(params.eps, K.theta0)
+    S = _setting(params, K, X, gamma0)
     bound = formulas.replaced_arc_length_bound(
         c.length, params.eps, params.xi, K.arc_overhead)
     if back.cls == "A" and fwd.cls == "A":
-        return _finish(
-            X, c, "A", back, back.total, segment_trace(c), c.length,
-            fwd.total, fwd, +1, 0.0, bound, r_eps, K.theta0,
-            {"cases": (back.case_id, fwd.case_id)})
-    deep = deep_horocycles(X, params, K.theta0)
+        return _finish(S, c, "A", back, back.total, segment_trace(c),
+                       c.length, fwd.total, fwd, +1, 0.0, bound,
+                       {"cases": (back.case_id, fwd.case_id)})
     dive_out, dive_dir = (fwd, +1) if fwd.cls == "B" else (back, -1)
-    return _reroute(X, gamma0, c, params, K, deep, dive_out, dive_dir,
-                    bound, r_eps)
+    return _reroute(S, c, dive_out, dive_dir, bound)
 
 
-def _reroute(model: SurfaceModel, gamma0: ClosedGeodesicRep,
-             c: GeodesicSegment, params: DensityParams, K: SurfaceConstants,
-             deep: list[Horocycle], dive_out: ExtensionOutcome, dive_dir: int,
-             bound: float, r_eps: float) -> ProcessedArc:
-    s_deep = formulas.deep_horocycle_length(params.eps, params.xi, K.theta0)
-    m_a = formulas.class_a_extension_bound(
-        K.diam, K.cusp_reach, params.eps, params.xi, K.theta0)
-    frame = _dive_frame(model, dive_out, s_deep)
+def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
+             dive_dir: int, bound: float) -> ProcessedArc:
+    model, params, K = S.model, S.params, S.K
+    frame = _dive_frame(S, dive_out)
     H = frame.height
+    from_norm = frame.to_norm_arc.inverse()
     if dive_dir > 0:
         p_c, q_c = c.end, c.start
     else:
@@ -557,62 +570,50 @@ def _reroute(model: SurfaceModel, gamma0: ClosedGeodesicRep,
         zp = _centered_meet(eta, abs(p_n))
         zq = _centered_meet(eta, abs(q_n))
         dp, dq = dist(p_n, zp), dist(q_n, zq)
-        if max(dp, dq) > 2.0 * s_deep + 1e-9:
+        if max(dp, dq) > 2.0 * S.s_deep + 1e-9:
             raise CaseBoundViolated(
                 f"reroute endpoint displaced by {max(dp, dq):.9g}, over the "
-                f"deep-length bound {2.0 * s_deep:.9g}")
+                f"deep-length bound {2.0 * S.s_deep:.9g}")
         tail_points.append(zq)
-        t_q = eta.tangent_at(eta.param_of(zq))
-        zf, uf, g = _to_surface(model, frame.to_norm_arc.inverse(), zq, -t_q)
-        t_out = _hunt(model, gamma0, zf, uf, -dive_dir, params, K, deep,
-                      m_a)
+        s_q = eta.param_of(zq)
+        zf_q, uf_q, g = _to_surface(model, from_norm, zq, -eta.tangent_at(s_q))
+        t_out = _hunt(S, zf_q, uf_q, -dive_dir, S.m_a)
         if cand == 1:
             first_tail = (t_out, g)
-        if t_out.cls == "A":
-            return _ba_assemble(
-                model, gamma0, c, params, K, deep, frame, eta, cand,
-                zp, zq, dp, dq, t_out, (zf, uf), dive_dir, bound, r_eps,
-                m_a)
+        if t_out.cls != "A":
+            continue
+        # case BA: the tail comes out; walk the dive side through the cusp
+        s_p = eta.param_of(zp)
+        zeta_len = s_p - s_q
+        if zeta_len <= 0.0:
+            raise ArrangementDegenerate("reroute inverted the arc's endpoints")
+        zf, uf, _ = _to_surface(model, from_norm, zp, eta.tangent_at(s_p))
+        allowed = S.m_a + formulas.ba_extra_extension(
+            params.eps, params.xi, K.theta0, K.base_len)
+        d_out = _hunt(S, zf, uf, dive_dir, allowed, deep_stop=False)
+        mid = trace_geodesic(model, zf_q, -uf_q, zeta_len)
+        detail = {"candidate": cand, "tail_case": t_out.case_id,
+                  "dive_case": d_out.case_id,
+                  "displacement_dive": dp, "displacement_tail": dq}
+        return _finish(S, c, "BA", t_out, t_out.total, mid, zeta_len,
+                       d_out.total, d_out, dive_dir, max(dp, dq), bound,
+                       detail)
     # both candidate tails dive as well
     assert first_tail is not None
     if dist(tail_points[0], tail_points[1]) > 0.5 * params.eps:
         raise CaseBoundViolated(
             "candidate tail endpoints farther apart than eps/2")
-    return _bb_assemble(model, gamma0, c, params, K, deep, dive_out,
-                        first_tail, p_c, q_c, dive_dir, bound, r_eps, s_deep)
+    return _bb_assemble(S, c, dive_out, first_tail, p_c, q_c, dive_dir, bound)
 
 
-def _ba_assemble(model, gamma0, c, params, K, deep, frame, eta, cand,
-                 zp, zq, dp, dq, t_out, tail_anchor, dive_dir, bound,
-                 r_eps, m_a) -> ProcessedArc:
-    s_p = eta.param_of(zp)
-    s_q = eta.param_of(zq)
-    zeta_len = s_p - s_q
-    if zeta_len <= 0.0:
-        raise ArrangementDegenerate("reroute inverted the arc's endpoints")
-    t_p = eta.tangent_at(s_p)
-    zf, uf, _ = _to_surface(model, frame.to_norm_arc.inverse(), zp, t_p)
-    allowed = m_a + formulas.ba_extra_extension(
-        params.eps, params.xi, K.theta0, K.base_len)
-    d_out = _hunt(model, gamma0, zf, uf, dive_dir, params, K, deep,
-                  allowed=allowed, deep_stop=False)
-    zf_q, uf_q = tail_anchor
-    mid = trace_geodesic(model, zf_q, -uf_q, zeta_len)
-    detail = {"candidate": cand, "tail_case": t_out.case_id,
-              "dive_case": d_out.case_id,
-              "displacement_dive": dp, "displacement_tail": dq}
-    return _finish(model, c, "BA", t_out, t_out.total, mid, zeta_len,
-                   d_out.total, d_out, dive_dir, max(dp, dq), bound, r_eps,
-                   K.theta0, detail)
-
-
-def _bb_assemble(model, gamma0, c, params, K, deep, dive_out, first_tail,
-                 p_c, q_c, dive_dir, bound, r_eps, s_deep) -> ProcessedArc:
+def _bb_assemble(S, c, dive_out, first_tail, p_c, q_c, dive_dir,
+                 bound) -> ProcessedArc:
+    model, params, K, psi = S.model, S.params, S.K, S.psi
     t_out, g_tail = first_tail
     h_dive = _walk_dev(model, dive_out).apply_horocycle(
-        model.cusp_horocycle(dive_out.stop.index, s_deep))
+        S.deep[dive_out.stop.index])
     h_tail = (g_tail.inverse() @ _walk_dev(model, t_out)).apply_horocycle(
-        model.cusp_horocycle(t_out.stop.index, s_deep))
+        S.deep[t_out.stop.index])
     try:
         perp = horocycle_perpendicular(h_tail, h_dive)
     except (HorocyclesIntersect, ValueError) as exc:
@@ -624,7 +625,6 @@ def _bb_assemble(model, gamma0, c, params, K, deep, dive_out, first_tail,
     if not lo_u - 1e-6 <= u <= hi_u + 1e-6:
         raise CaseBoundViolated(
             f"horoball gap {u:.9g} outside [{lo_u:.9g}, {hi_u:.9g}]")
-    psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
     hw = formulas.quad_half_width(psi, u)
     if not hw < 2.0 / math.e:
         raise CaseBoundViolated(
@@ -674,11 +674,11 @@ def _bb_assemble(model, gamma0, c, params, K, deep, dive_out, first_tail,
         params.eps, params.xi, K.theta0, K.cusp_reach)
     to_arc = to_std.inverse()
     z1, u1, _ = _to_surface(model, to_arc, c_top, side.tangent_at(s_top))
-    out_top = _hunt(model, gamma0, z1, u1, dive_dir, params, K, deep,
-                    allowed=None, cap=v_hi + 1.0, deep_stop=False)
+    out_top = _hunt(S, z1, u1, dive_dir, None, cap=v_hi + 1.0,
+                    deep_stop=False)
     z2, u2, _ = _to_surface(model, to_arc, c_bot, -side.tangent_at(s_bot))
-    out_bot = _hunt(model, gamma0, z2, u2, -dive_dir, params, K, deep,
-                    allowed=None, cap=v_hi + 1.0, deep_stop=False)
+    out_bot = _hunt(S, z2, u2, -dive_dir, None, cap=v_hi + 1.0,
+                    deep_stop=False)
     for out in (out_top, out_bot):
         if not v_lo - 1e-6 <= out.total <= v_hi + 1e-6:
             raise CaseBoundViolated(
@@ -690,6 +690,6 @@ def _bb_assemble(model, gamma0, c, params, K, deep, dive_out, first_tail,
               "v_tail": out_bot.total, "side_length": gap_len,
               "displacement_dive": dp, "displacement_tail": dq,
               "tail_case": t_out.case_id}
-    return _finish(model, c, "BB", out_bot, out_bot.total + (s_q0 - s_bot),
+    return _finish(S, c, "BB", out_bot, out_bot.total + (s_q0 - s_bot),
                    mid, s_p0 - s_q0, (s_top - s_p0) + out_top.total, out_top,
-                   dive_dir, max(dp, dq), bound, r_eps, K.theta0, detail)
+                   dive_dir, max(dp, dq), bound, detail)

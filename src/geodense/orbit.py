@@ -16,7 +16,7 @@ import numpy as np
 from .errors import RadiusTooSmall
 from .halfplane import GeodesicSegment, Isometry
 from .surface import SurfaceModel
-from .words import free_reduce
+from .words import join_reduced
 
 # How far GeodesicSegment.dist_to_point may sit from the true distance,
 # besides the slack of _Passages: acosh(1 + x) rounds distances under
@@ -86,7 +86,7 @@ def ball(model: SurfaceModel, center: complex, radius: float,
                 f"{max_tiles} tiles")
         for side in model.sides:
             partner = model.sides[side.partner]
-            nw = free_reduce(word + partner.word)
+            nw = join_reduced(word, partner.word)
             if nw in seen:
                 continue
             seen.add(nw)

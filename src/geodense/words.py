@@ -23,3 +23,16 @@ def free_reduce(word: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+def join_reduced(u: str, v: str) -> str:
+    """free_reduce(u + v) for reduced words u and v.
+
+    Only the junction can cancel, so the scan stops at the first pair
+    that does not: it costs the letters it cancels, where free_reduce
+    rescans both words.
+    """
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k].swapcase():
+        k += 1
+    return u[:len(u) - k] + v[k:]

@@ -7,29 +7,12 @@ from geodense.decomp import _build_ears, _triangle, decompose
 from geodense.errors import ArrangementDegenerate, NotFilling, NotHyperbolic
 from geodense.formulas import arc_budget, per_arc_budget
 from geodense.halfplane import Isometry, dist
-from geodense.surface import load_surface
 from geodense.tracing import base_geodesic
 from geodense.verify import check_face_chord_bounds
 
-
-@pytest.fixture(scope="module")
-def sphere():
-    return load_surface("thrice-punctured-sphere")
-
-
-@pytest.fixture(scope="module")
-def torus():
-    return load_surface("once-punctured-torus")
-
-
-@pytest.fixture(scope="module")
-def sphere_cut(sphere):
-    return decompose(sphere)
-
-
-@pytest.fixture(scope="module")
-def torus_cut(torus):
-    return decompose(torus)
+# each decomposition is the surface cut along its base geodesic
+each_cut = pytest.mark.parametrize("which", ["sphere_dec", "torus_dec"],
+                                   ids=["sphere_cut", "torus_cut"])
 
 
 # ---------------------------------------------------------------------------
@@ -38,39 +21,39 @@ def torus_cut(torus):
 # once-punctured bigon
 
 class TestSphereCut:
-    def test_census(self, sphere_cut):
-        assert len(sphere_cut.crossings) == 1
-        kinds = sorted((f.n_corners, f.punctured) for f in sphere_cut.faces)
+    def test_census(self, sphere_dec):
+        assert len(sphere_dec.crossings) == 1
+        kinds = sorted((f.n_corners, f.punctured) for f in sphere_dec.faces)
         assert kinds == [(1, True), (1, True), (2, True)]
-        assert sorted(f.cusp for f in sphere_cut.faces) == [0, 1, 2]
+        assert sorted(f.cusp for f in sphere_dec.faces) == [0, 1, 2]
 
-    def test_crossing_point(self, sphere_cut):
-        c = sphere_cut.crossings[0]
+    def test_crossing_point(self, sphere_dec):
+        c = sphere_dec.crossings[0]
         assert abs(c.point - 1j) < 1e-9
         # the half-turn symmetry of the curve swaps the two passes, so
         # they must cross at a right angle
         assert abs(c.angle - math.pi / 2.0) < 1e-9
 
-    def test_face_areas(self, sphere_cut):
+    def test_face_areas(self, sphere_dec):
         # monogon: pi - pi/2; bigon: 2 pi - 2 (pi/2)
-        areas = sorted(f.area for f in sphere_cut.faces)
+        areas = sorted(f.area for f in sphere_dec.faces)
         assert abs(areas[0] - math.pi / 2.0) < 1e-9
         assert abs(areas[1] - math.pi / 2.0) < 1e-9
         assert abs(areas[2] - math.pi) < 1e-9
         assert abs(sum(areas) - 2.0 * math.pi) < 1e-9
 
-    def test_depths(self, sphere_cut):
+    def test_depths(self, sphere_dec):
         # the crossing lifts to height 1 in the width-2 chart of cusp 0
         # (identity chart) and to 1/(1-i) of height 1/2 in the chart of
         # cusp 2, so the reaches below the unit horocycles are log(2/1)
         # and log(2/(1/2))
-        by_cusp = {f.cusp: f for f in sphere_cut.faces}
+        by_cusp = {f.cusp: f for f in sphere_dec.faces}
         assert abs(by_cusp[0].depth - math.log(2.0)) < 1e-6
         assert abs(by_cusp[1].depth - math.log(2.0)) < 1e-6
         assert abs(by_cusp[2].depth - math.log(4.0)) < 1e-6
 
-    def test_constants_closed_forms(self, sphere_cut):
-        c = sphere_cut.constants
+    def test_constants_closed_forms(self, sphere_dec):
+        c = sphere_dec.constants
         # ear of a monogon: chain corners (0,1), (2,1), (4,1); the law
         # of cosines gives corner angle acos(3/sqrt(10)) = atan(1/3)
         # and longest side arccosh(9)
@@ -79,8 +62,8 @@ class TestSphereCut:
         assert abs(c.cusp_reach - math.log(4.0)) < 1e-6
         assert abs(c.base_len - 2.0 * math.acosh(3.0)) < 1e-9
 
-    def test_budget_wiring(self, sphere_cut):
-        c = sphere_cut.constants
+    def test_budget_wiring(self, sphere_dec):
+        c = sphere_dec.constants
         assert c.arc_overhead == arc_budget(c.diam, c.cusp_reach, c.theta0,
                                             c.base_len)
         assert c.per_arc_cap == per_arc_budget(c.diam, c.cusp_reach, c.theta0,
@@ -92,29 +75,29 @@ class TestSphereCut:
 # surface into an ordinary hexagon and a once-punctured bigon
 
 class TestTorusCut:
-    def test_census(self, torus_cut):
-        assert len(torus_cut.crossings) == 2
-        kinds = sorted((f.n_corners, f.punctured) for f in torus_cut.faces)
+    def test_census(self, torus_dec):
+        assert len(torus_dec.crossings) == 2
+        kinds = sorted((f.n_corners, f.punctured) for f in torus_dec.faces)
         assert kinds == [(2, True), (6, False)]
-        assert [f.cusp for f in torus_cut.faces if f.punctured] == [0]
+        assert [f.cusp for f in torus_dec.faces if f.punctured] == [0]
 
-    def test_base_length(self, torus_cut):
+    def test_base_length(self, torus_dec):
         # trace of the word's holonomy matrix is 18
-        assert abs(torus_cut.base.length - 2.0 * math.acosh(9.0)) < 1e-9
+        assert abs(torus_dec.base.length - 2.0 * math.acosh(9.0)) < 1e-9
 
-    def test_crossings_symmetric(self, torus_cut):
-        c1, c2 = torus_cut.crossings
+    def test_crossings_symmetric(self, torus_dec):
+        c1, c2 = torus_dec.crossings
         assert abs(c1.point - complex(-0.5, c1.point.imag)) < 1e-9
         assert abs(c2.point - complex(2.5, c2.point.imag)) < 1e-9
         assert abs(c1.angle - c2.angle) < 1e-9
 
-    def test_areas(self, torus_cut):
-        assert all(f.area > 1e-6 for f in torus_cut.faces)
-        assert abs(sum(f.area for f in torus_cut.faces)
+    def test_areas(self, torus_dec):
+        assert all(f.area > 1e-6 for f in torus_dec.faces)
+        assert abs(sum(f.area for f in torus_dec.faces)
                    - 2.0 * math.pi) < 1e-9
 
-    def test_hexagon_diam(self, torus_cut):
-        hexagon = next(f for f in torus_cut.faces if not f.punctured)
+    def test_hexagon_diam(self, torus_dec):
+        hexagon = next(f for f in torus_dec.faces if not f.punctured)
         # conservative size: at least the largest corner separation
         m = hexagon.n_corners
         across = max(dist(hexagon.corners[i], hexagon.corners[j])
@@ -122,8 +105,8 @@ class TestTorusCut:
         assert hexagon.diam >= across - 1e-12
         assert hexagon.diam <= 2.0 * across + 1e-12
 
-    def test_constants_positive(self, torus_cut):
-        c = torus_cut.constants
+    def test_constants_positive(self, torus_dec):
+        c = torus_dec.constants
         assert 0.0 < c.theta0 < math.pi / 2.0
         assert 0.0 < c.cusp_reach < c.diam
         assert c.per_arc_cap > c.arc_overhead > 0.0
@@ -133,26 +116,26 @@ class TestTorusCut:
 # shared structure
 
 class TestComplexStructure:
-    @pytest.mark.parametrize("which", ["sphere_cut", "torus_cut"])
+    @each_cut
     def test_angle_census(self, which, request):
         cut = request.getfixturevalue(which)
         total = sum(sum(f.angles) for f in cut.faces)
         assert abs(total - 2.0 * math.pi * len(cut.crossings)) < 1e-9
 
-    @pytest.mark.parametrize("which", ["sphere_cut", "torus_cut"])
+    @each_cut
     def test_angles_in_range(self, which, request):
         cut = request.getfixturevalue(which)
         for f in cut.faces:
             assert all(0.0 < a < math.pi for a in f.angles)
 
-    @pytest.mark.parametrize("which", ["sphere_cut", "torus_cut"])
+    @each_cut
     def test_edges_cover_curve_twice(self, which, request):
         # every arc of the cut curve borders faces along both sides
         cut = request.getfixturevalue(which)
         total = sum(e.length for f in cut.faces for e in f.boundary_edges())
         assert abs(total - 2.0 * cut.base.length) < 1e-6
 
-    @pytest.mark.parametrize("which", ["sphere_cut", "torus_cut"])
+    @each_cut
     def test_corner_chain_consistent(self, which, request):
         # consecutive developed corners are joined by boundary edges
         cut = request.getfixturevalue(which)
@@ -172,7 +155,7 @@ class TestComplexStructure:
         # the decomposition carries the one traced base geodesic, equal
         # to a fresh trace bit for bit
         model = request.getfixturevalue(which)
-        base = request.getfixturevalue(f"{which}_cut").base
+        base = request.getfixturevalue(f"{which}_dec").base
         fresh = base_geodesic(model)
         assert base.word == fresh.word == model.spec.base_word
         assert base.trace.steps == fresh.trace.steps
@@ -235,8 +218,8 @@ class TestEars:
             for x, y in zip(e.side_lengths, ears[0].side_lengths):
                 assert abs(x - y) < 1e-9
 
-    def test_ordinary_ears_count(self, torus_cut):
-        for f in torus_cut.faces:
+    def test_ordinary_ears_count(self, torus_dec):
+        for f in torus_dec.faces:
             assert len(f.ears) == f.n_corners
             assert f.angle_floor == min(min(e.angles) for e in f.ears)
             assert f.side_cap == max(max(e.side_lengths) for e in f.ears)
@@ -248,7 +231,7 @@ class TestEars:
 # are no longer than the face side cap
 
 class TestChordOracle:
-    @pytest.mark.parametrize("which", ["sphere_cut", "torus_cut"])
+    @each_cut
     def test_standing_chord_property(self, which, request):
         cut = request.getfixturevalue(which)
         rng = np.random.default_rng(np.random.PCG64(20260823))

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from geodense import densify, formulas
-from geodense.decomp import decompose
 from geodense.densify import (
     ClosedGeodesicRep,
     DensityParams,
     base_geodesic,
     classify_and_extend,
-    deep_horocycles,
     replace_arc,
 )
 from geodense.halfplane import (
@@ -23,40 +21,9 @@ from geodense.halfplane import (
     Isometry,
     dist,
 )
-from geodense.surface import load_surface
 from geodense.tracing import trace_geodesic
 
 SEED = 20260823
-
-
-@pytest.fixture(scope="module")
-def torus():
-    return load_surface("once-punctured-torus")
-
-
-@pytest.fixture(scope="module")
-def sphere():
-    return load_surface("thrice-punctured-sphere")
-
-
-@pytest.fixture(scope="module")
-def torus_dec(torus):
-    return decompose(torus)
-
-
-@pytest.fixture(scope="module")
-def sphere_dec(sphere):
-    return decompose(sphere)
-
-
-@pytest.fixture(scope="module")
-def torus_g0(torus):
-    return base_geodesic(torus)
-
-
-@pytest.fixture(scope="module")
-def sphere_g0(sphere):
-    return base_geodesic(sphere)
 
 
 class TestDensityParams:
@@ -99,8 +66,7 @@ class TestBaseGeodesicRep:
                               trace=torus_g0.trace, holonomy=torus_g0.holonomy,
                               axis=torus_g0.axis, model=torus)
 
-    def test_decomposition_base_extends_alike(self, torus, torus_dec,
-                                              torus_g0):
+    def test_decomposition_base_extends_alike(self, torus, torus_dec):
         # the base geodesic a decomposition carries extends arcs exactly
         # as a freshly traced one does
         params = DensityParams(0.5, 0.5)
@@ -109,7 +75,8 @@ class TestBaseGeodesicRep:
         K = torus_dec.constants
         assert classify_and_extend(c, params, K, torus,
                                    gamma0=torus_dec.base) \
-            == classify_and_extend(c, params, K, torus, gamma0=torus_g0)
+            == classify_and_extend(c, params, K, torus,
+                                   gamma0=base_geodesic(torus))
 
 
 def _arc(line_start, direction, length, model):
@@ -254,9 +221,8 @@ class TestIncrementalHunt:
         # end of its last step, and the walk on from there sees it again
         # at the start of its first
         model, K, g0, params, arcs = _hunt_cases(request, "sphere")
-        deep = deep_horocycles(model, params, K.theta0)
-        r_eps = formulas.clearance(params.eps, K.theta0)
-        psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
+        S = densify._setting(params, K, model, g0)
+        deep, r_eps, psi = S.deep, S.r_eps, S.psi
         joints = seen_twice = 0
         for c in arcs:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
@@ -322,9 +288,8 @@ class TestIncrementalHunt:
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_hunt_matches_one_full_scan(self, which, request):
         model, K, g0, params, arcs = _hunt_cases(request, which)
-        deep = deep_horocycles(model, params, K.theta0)
-        r_eps = formulas.clearance(params.eps, K.theta0)
-        psi = formulas.deep_entry_angle(params.eps, params.xi, K.theta0)
+        S = densify._setting(params, K, model, g0)
+        deep, r_eps, psi = S.deep, S.r_eps, S.psi
         for c in arcs:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
                 events = densify._ray_events(model, g0, out.trace.steps, deep,
@@ -345,14 +310,51 @@ class TestIncrementalHunt:
 
 
 class TestDeepHorocycles:
-    def test_lengths_match_formula(self, torus, torus_dec):
+    """The run's setting: its deep horocycles and thresholds."""
+
+    def test_lengths_match_formula(self, torus, torus_dec, torus_g0):
         params = DensityParams(0.5, 0.5)
         th = torus_dec.constants.theta0
-        horos = deep_horocycles(torus, params, th)
-        assert len(horos) == 1
+        S = densify._setting(params, torus_dec.constants, torus, torus_g0)
+        assert len(S.deep) == 1
         s = formulas.deep_horocycle_length(0.5, 0.5, th)
         # cusp at infinity with width 6: height is width / length
-        assert horos[0].size == pytest.approx(6.0 / s, abs=1e-9)
+        assert S.deep[0].size == pytest.approx(6.0 / s, abs=1e-9)
+
+    @pytest.mark.parametrize("which,eps,xi", [
+        ("torus", 0.5, 0.5),
+        ("sphere", 0.05, 0.2),
+    ])
+    def test_fields_match_formulas(self, which, eps, xi, request):
+        model = request.getfixturevalue(which)
+        dec = request.getfixturevalue(f"{which}_dec")
+        K, th = dec.constants, dec.constants.theta0
+        S = densify._setting(DensityParams(eps, xi), K, model, dec.base)
+        assert (S.model, S.gamma0, S.K) == (model, dec.base, K)
+        assert S.params == DensityParams(eps, xi)
+        assert S.r_eps == formulas.clearance(eps, th)
+        assert S.psi == formulas.deep_entry_angle(eps, xi, th)
+        assert S.s_deep == formulas.deep_horocycle_length(eps, xi, th)
+        assert S.m_a == formulas.class_a_extension_bound(
+            K.diam, K.cusp_reach, eps, xi, th)
+        assert S.deep == tuple(model.cusp_horocycle(j, S.s_deep)
+                               for j in range(len(model.cusps)))
+
+    def test_derived_once_per_run(self, torus, torus_dec, sphere,
+                                  sphere_dec):
+        params = DensityParams(0.5, 0.5)
+        K = torus_dec.constants
+        S = densify._setting(params, K, torus, torus_dec.base)
+        assert densify._setting(DensityParams(0.5, 0.5), K, torus,
+                                torus_dec.base) is S
+        finer = densify._setting(DensityParams(0.2, 0.5), K, torus,
+                                 torus_dec.base)
+        assert finer.params.eps == 0.2
+        assert finer.r_eps > S.r_eps and finer.s_deep < S.s_deep
+        other = densify._setting(params, sphere_dec.constants, sphere,
+                                 sphere_dec.base)
+        assert other.model is sphere and len(other.deep) == 3
+        assert other.r_eps != S.r_eps
 
 
 def _trace_point(trace, s):
@@ -485,10 +487,8 @@ class TestReplaceArc:
         back2, _ = classify_and_extend(c2, params, K, sphere,
                                        gamma0=sphere_g0)
         assert back2.cls == "B"
-        deep = deep_horocycles(sphere, params, K.theta0)
-        r_eps = formulas.clearance(params.eps, K.theta0)
-        pa2 = densify._reroute(sphere, sphere_g0, c2, params, K, deep, back2,
-                               -1, pa.bound, r_eps)
+        S = densify._setting(params, K, sphere, sphere_g0)
+        pa2 = densify._reroute(S, c2, back2, -1, pa.bound)
         assert pa2.case == "BB"
         assert pa2.length == pytest.approx(pa.length, abs=1e-9)
         assert pa2.displacement == pytest.approx(pa.displacement, abs=1e-12)

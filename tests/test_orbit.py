@@ -11,7 +11,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geodense.decomp import decompose
+from geodense.catalog import CATALOG
 from geodense.densify import DensityParams, classify_and_extend, replace_arc
 from geodense.errors import RadiusTooSmall
 from geodense.halfplane import GeodesicLine, GeodesicSegment, Isometry, dist
@@ -22,14 +22,8 @@ from geodense.orbit import (
     dist_to_closed_geodesic,
     dist_to_domain,
 )
-from geodense.surface import load_surface
 from geodense.tracing import base_geodesic, trace_geodesic
-from geodense.words import free_reduce
-
-
-@pytest.fixture(scope="module")
-def sphere():
-    return load_surface("thrice-punctured-sphere")
+from geodense.words import free_reduce, join_reduced
 
 
 def all_reduced_words(letters, max_len):
@@ -86,6 +80,24 @@ class TestBall:
     def test_deep_center_trips_budget(self, sphere):
         with pytest.raises(RadiusTooSmall):
             ball(sphere, complex(0.05, 2000.0), 2.0, max_tiles=50)
+
+    def test_join_is_free_reduction(self):
+        words = list(all_reduced_words("abAB", 4))
+        for u, v in itertools.product(words, repeat=2):
+            assert join_reduced(u, v) == free_reduce(u + v)
+        for spec in CATALOG.values():
+            for v in spec.side_words:
+                assert free_reduce(v) == v
+                for u in words + list(spec.side_words):
+                    assert join_reduced(u, v) == free_reduce(u + v)
+                    assert join_reduced(v, u) == free_reduce(v + u)
+
+    def test_deep_center_long_words(self, torus):
+        # up the cusp each strip lengthens the words by the cusp word;
+        # joining at the junction keeps this a fraction of a second
+        got = ball(torus, complex(0.3, 600.0), 2.5)
+        assert len(got) == 1211
+        assert max(len(w) for w, _ in got) == 2420
 
 
 def _plain_ball(model, center, radius, max_tiles=20000):
@@ -197,19 +209,13 @@ class TestDistToClosedGeodesic:
 
 
 @pytest.fixture(scope="module")
-def torus():
-    return load_surface("once-punctured-torus")
+def torus_curve(torus, torus_dec):
+    return _processed_curve(torus, torus_dec)
 
 
-@pytest.fixture(scope="module")
-def torus_curve(torus):
-    return _processed_curve(torus)
-
-
-def _processed_curve(torus):
+def _processed_curve(torus, dec):
     """The passages of processed thick arcs at eps 0.2, xi 0.5: 2000 or
     more, the scale of a certificate's curve."""
-    dec = decompose(torus)
     params = DensityParams(0.2, 0.5)
     rng = random.Random(5)
     curve = []

@@ -104,3 +104,21 @@ def test_perfbench_names_resolve():
     missing = [f"{path.relative_to(ROOT)}:{line} uses {dotted}"
                for path, line, dotted in refs if not _resolves(dotted)]
     assert not missing, "names perfbench needs are gone: " + "; ".join(missing)
+
+
+def _called(node):
+    """Names of the functions called anywhere under an AST node."""
+    return [getattr(n.func, "attr", getattr(n.func, "id", None))
+            for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+
+def test_run_thresholds_derived_once():
+    """Each threshold that depends only on the run is derived in one
+    place, densify._setting, which every hunt and reroute reads."""
+    tree = ast.parse((PACKAGE / "densify.py").read_text())
+    [setting] = [n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_setting"]
+    everywhere, inside = _called(tree), _called(setting)
+    for name in ("clearance", "deep_entry_angle", "deep_horocycle_length",
+                 "class_a_extension_bound"):
+        assert everywhere.count(name) == inside.count(name) == 1, name

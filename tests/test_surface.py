@@ -20,16 +20,6 @@ from geodense.tolerances import TOL_GEO
 from geodense.words import inverse_word
 
 
-@pytest.fixture(scope="module")
-def sphere():
-    return load_surface("thrice-punctured-sphere")
-
-
-@pytest.fixture(scope="module")
-def torus():
-    return load_surface("once-punctured-torus")
-
-
 class TestCatalog:
     def test_names(self):
         assert surface_names() == ["once-punctured-torus",

@@ -15,7 +15,6 @@ from geodense.halfplane import (
     same_line,
 )
 from geodense import densify, tracing
-from geodense.surface import load_surface
 from geodense.tracing import (
     Trace,
     TraceStep,
@@ -24,16 +23,6 @@ from geodense.tracing import (
     tile_elements,
     trace_geodesic,
 )
-
-
-@pytest.fixture(scope="module")
-def sphere():
-    return load_surface("thrice-punctured-sphere")
-
-
-@pytest.fixture(scope="module")
-def torus():
-    return load_surface("once-punctured-torus")
 
 
 class TestHorocycleCrossings:
@@ -294,7 +283,7 @@ class TestCuspRuns:
         p, u, length = _cusp_ray(model, j, 1e2, True, False)
         got = trace_geodesic(model, p, u, length)
         want = _walk_passages(model, p, u, length)
-        g0 = base_geodesic(model)
+        g0 = request.getfixturevalue(f"{name}_g0")
         # a horocycle at half the chart height of the apex, crossed on
         # the way up and on the way down
         deep = [model.cusp_horocycle(i, c.width / 50.0)
