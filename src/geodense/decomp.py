@@ -214,7 +214,7 @@ class _Complex:
 
         # locate each slot on its trace pass and develop it onto the
         # single line carrying the developed trace
-        axis = segs[0].line
+        axis = base.axis
         self.dev_point = []
         self.slot_pass = []
         for t, ci, lo in slots:

@@ -146,7 +146,6 @@ class ExtensionOutcome:
     horocycle crossing (case 5).
     """
 
-    direction: int
     case_id: int
     cls: str
     extension: float
@@ -255,7 +254,7 @@ def _cut_trace(trace: Trace, event: CrossingRecord) -> Trace:
                  length)
 
 
-def _hunt(S: _Setting, point: complex, tangent: complex, direction: int,
+def _hunt(S: _Setting, point: complex, tangent: complex,
           allowed: float | None, cap: float | None = None,
           deep_stop: bool = True) -> ExtensionOutcome:
     """Walk one ray to its stopping crossing, by the run's thresholds S.
@@ -325,7 +324,7 @@ def _hunt(S: _Setting, point: complex, tangent: complex, direction: int,
     else:
         case_id = 3
     return ExtensionOutcome(
-        direction=direction, case_id=case_id, cls=cls, extension=extension,
+        case_id=case_id, cls=cls, extension=extension,
         total=stop.s, stop=stop, bad_angles=tuple(bads),
         shallow_dips=shallow, trace=_cut_trace(ray, stop))
 
@@ -346,8 +345,8 @@ def classify_and_extend(c: GeodesicSegment, params: DensityParams,
             raise ValueError(
                 f"arc endpoint {z} is below the length-{params.xi} horocycles")
     S = _setting(params, K, X, gamma0)
-    fwd = _hunt(S, c.end, c.line.tangent_at(c.s1), +1, S.m_a)
-    back = _hunt(S, c.start, -c.line.tangent_at(c.s0), -1, S.m_a)
+    fwd = _hunt(S, c.end, c.line.tangent_at(c.s1), S.m_a)
+    back = _hunt(S, c.start, -c.line.tangent_at(c.s0), S.m_a)
     return back, fwd
 
 
@@ -418,10 +417,12 @@ class _DiveFrame:
     In the normalized chart the dived cusp sits at infinity with its
     deep horocycle at the stated height and parabolic z -> z + 1, and
     the carrying line of the dive leaves 0 toward the side sigma.
-    to_norm_arc takes the frame of the original arc there.
+    to_norm_arc takes the frame of the original arc there, and dev takes
+    the polygon frame of the dive's stop step to the frame of the arc.
     """
 
     to_norm_arc: Isometry
+    dev: Isometry
     height: float
     sigma: float
 
@@ -429,9 +430,7 @@ class _DiveFrame:
 def _walk_dev(model: SurfaceModel, outcome: ExtensionOutcome) -> Isometry:
     """Deck element taking the stop step's polygon frame to the frame
     the walk started in."""
-    steps = outcome.trace.steps[:outcome.stop.step]
-    return tile_elements(model, [st.side for st in steps],
-                         [st.count for st in steps])[-1]
+    return tile_elements(model, outcome.trace.steps[:outcome.stop.step])[-1]
 
 
 def _dive_frame(S: _Setting, outcome: ExtensionOutcome) -> _DiveFrame:
@@ -461,8 +460,8 @@ def _dive_frame(S: _Setting, outcome: ExtensionOutcome) -> _DiveFrame:
             raise ArrangementDegenerate(
                 "normalized dive enters shallower than the deep threshold")
         sigma = math.copysign(1.0, x_far)
-    to_norm_arc = to_norm_step @ _walk_dev(S.model, outcome).inverse()
-    return _DiveFrame(to_norm_arc, height, sigma)
+    dev = _walk_dev(S.model, outcome)
+    return _DiveFrame(to_norm_step @ dev.inverse(), dev, height, sigma)
 
 
 def _centered_meet(line: GeodesicLine, radius: float) -> complex:
@@ -577,7 +576,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
         tail_points.append(zq)
         s_q = eta.param_of(zq)
         zf_q, uf_q, g = _to_surface(model, from_norm, zq, -eta.tangent_at(s_q))
-        t_out = _hunt(S, zf_q, uf_q, -dive_dir, S.m_a)
+        t_out = _hunt(S, zf_q, uf_q, S.m_a)
         if cand == 1:
             first_tail = (t_out, g)
         if t_out.cls != "A":
@@ -590,7 +589,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
         zf, uf, _ = _to_surface(model, from_norm, zp, eta.tangent_at(s_p))
         allowed = S.m_a + formulas.ba_extra_extension(
             params.eps, params.xi, K.theta0, K.base_len)
-        d_out = _hunt(S, zf, uf, dive_dir, allowed, deep_stop=False)
+        d_out = _hunt(S, zf, uf, allowed, deep_stop=False)
         mid = trace_geodesic(model, zf_q, -uf_q, zeta_len)
         detail = {"candidate": cand, "tail_case": t_out.case_id,
                   "dive_case": d_out.case_id,
@@ -603,15 +602,15 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
     if dist(tail_points[0], tail_points[1]) > 0.5 * params.eps:
         raise CaseBoundViolated(
             "candidate tail endpoints farther apart than eps/2")
-    return _bb_assemble(S, c, dive_out, first_tail, p_c, q_c, dive_dir, bound)
+    return _bb_assemble(S, c, dive_out, frame, first_tail, p_c, q_c,
+                        dive_dir, bound)
 
 
-def _bb_assemble(S, c, dive_out, first_tail, p_c, q_c, dive_dir,
+def _bb_assemble(S, c, dive_out, frame, first_tail, p_c, q_c, dive_dir,
                  bound) -> ProcessedArc:
     model, params, K, psi = S.model, S.params, S.K, S.psi
     t_out, g_tail = first_tail
-    h_dive = _walk_dev(model, dive_out).apply_horocycle(
-        S.deep[dive_out.stop.index])
+    h_dive = frame.dev.apply_horocycle(S.deep[dive_out.stop.index])
     h_tail = (g_tail.inverse() @ _walk_dev(model, t_out)).apply_horocycle(
         S.deep[t_out.stop.index])
     try:
@@ -674,11 +673,9 @@ def _bb_assemble(S, c, dive_out, first_tail, p_c, q_c, dive_dir,
         params.eps, params.xi, K.theta0, K.cusp_reach)
     to_arc = to_std.inverse()
     z1, u1, _ = _to_surface(model, to_arc, c_top, side.tangent_at(s_top))
-    out_top = _hunt(S, z1, u1, dive_dir, None, cap=v_hi + 1.0,
-                    deep_stop=False)
+    out_top = _hunt(S, z1, u1, None, cap=v_hi + 1.0, deep_stop=False)
     z2, u2, _ = _to_surface(model, to_arc, c_bot, -side.tangent_at(s_bot))
-    out_bot = _hunt(S, z2, u2, -dive_dir, None, cap=v_hi + 1.0,
-                    deep_stop=False)
+    out_bot = _hunt(S, z2, u2, None, cap=v_hi + 1.0, deep_stop=False)
     for out in (out_top, out_bot):
         if not v_lo - 1e-6 <= out.total <= v_hi + 1e-6:
             raise CaseBoundViolated(

@@ -444,28 +444,27 @@ def concat_traces(model: SurfaceModel, legs: list[Trace]) -> Trace:
                  sum(leg.length for leg in legs))
 
 
-def tile_elements(model: SurfaceModel, sides: list[int | None],
-                  counts: list[int] | None = None) -> list[Isometry]:
-    """Deck elements of the tiles visited by a crossing record.
+def tile_elements(model: SurfaceModel,
+                  steps: list[TraceStep]) -> list[Isometry]:
+    """Deck elements of the tiles a walk visits, one per step.
 
-    Entry k maps polygon coordinates of passage k back to the frame of
-    the trace start, so the developed picture of the trace is
-    out[k](segment of step k); out[0] is the identity and out[-1] the
-    deck element of the whole record.  A None entry is a joint between
-    abutting walks and carries no jump.  With counts, entry k crosses
-    sides[k] counts[k] times, in one product: a run's steps give the
-    frames of their first passages.
+    Entry k maps polygon coordinates of step k back to the frame of the
+    walk's start, so the developed picture of the walk is out[k](segment
+    of step k); out[0] is the identity and out[-1] the deck element of
+    the whole walk.  A run crosses its wall count times in one Cusp.shift
+    product, so its entry is the frame of its first passage.  A step
+    without a side (the end of a walk, or a joint between abutting walks)
+    adds no jump.
     """
     e = Isometry.identity()
     out = [e]
-    for k, s in enumerate(sides):
-        if s is not None:
-            n = 1 if counts is None else counts[k]
-            if n == 1:
-                e = e @ model.sides[s].inverse_pairing
+    for st in steps:
+        if st.side is not None:
+            if st.count == 1:
+                e = e @ model.sides[st.side].inverse_pairing
             else:
-                cusp = model.wall_cusps[s]
-                e = e @ cusp.shift(-cusp.jump(s) * n)
+                cusp = model.wall_cusps[st.side]
+                e = e @ cusp.shift(-cusp.jump(st.side) * st.count)
         out.append(e)
     return out
 
@@ -482,33 +481,29 @@ class _Chord:
 
 @dataclass(eq=False)
 class ClosedGeodesicRep:
-    """A closed geodesic carried as a word plus one traced period.
+    """A closed geodesic carried as its word and one traced period.
 
-    holonomy is the deck element translating along the traced lift, in
-    the frame of the trace start; it is None when the curve is too long
-    for its matrix entries to be representable, in which case only the
-    trace-level data is available.  axis is the lift itself.
+    The length, the traced lift (axis) and the holonomy, the deck
+    element translating along that lift in the frame of the trace start,
+    are read off the trace.  The holonomy is developed only when asked,
+    which only a curve short enough to develop in floats can do.
     """
 
     word: str
-    length: float
     trace: Trace
-    holonomy: Isometry | None
-    axis: GeodesicLine
     model: SurfaceModel
 
-    def __post_init__(self):
-        if self.holonomy is not None:
-            t = abs(self.holonomy.trace())
-            if t <= 2.0:
-                raise ValueError(f"holonomy trace {t:.6g} is not hyperbolic")
-            ell = 2.0 * math.acosh(0.5 * t)
-            if abs(ell - self.length) > 1e-9 * max(1.0, self.length):
-                raise ValueError(
-                    f"length {self.length!r} disagrees with holonomy "
-                    f"translation length {ell!r}")
-            if not same_line(self.holonomy.axis(), self.axis, tol=1e-7):
-                raise ValueError("stored axis is not the holonomy axis")
+    @property
+    def length(self) -> float:
+        return self.trace.length
+
+    @property
+    def axis(self) -> GeodesicLine:
+        return self.trace.steps[0].segment.line
+
+    @property
+    def holonomy(self) -> Isometry:
+        return self.devs[-1]
 
     @cached_property
     def _passages(self) -> list[GeodesicSegment]:
@@ -532,13 +527,12 @@ class ClosedGeodesicRep:
 
     @cached_property
     def devs(self) -> list[Isometry]:
-        """Deck element of each passage's tile in the start frame.
-
-        devs[k] applied to passage k gives the developed picture along
-        the axis; devs[0] is the identity and devs[-1] the holonomy.
-        Only meaningful for curves short enough to develop in floats.
+        """Deck element of each step's tile in the frame of the trace
+        start, as tile_elements gives them; devs[-1], past the last step,
+        which crosses no side, is the holonomy.  A base geodesic below
+        the unit horocycles has no runs, so one step per passage.
         """
-        return tile_elements(self.model, self.trace.sides)
+        return tile_elements(self.model, self.trace.steps)
 
 
 def base_geodesic(model: SurfaceModel,
@@ -568,10 +562,8 @@ def base_geodesic(model: SurfaceModel,
         raise TraceError(
             f"closed trace of {word!r} misses its start by "
             f"{abs(tr.end_point - tr.start_point):.2e}")
-    hol = tile_elements(model, tr.sides)[-1]
+    rep = ClosedGeodesicRep(word, tr, model)
     want = (g @ model.word_iso(word) @ g.inverse()).normalized()
-    if not hol.normalized().approx_equal(want, tol=1e-6):
+    if not rep.holonomy.normalized().approx_equal(want, tol=1e-6):
         raise TraceError(f"holonomy of {word!r} does not match its word")
-    axis = GeodesicLine.from_point_direction(tr.start_point, tr.start_dir)
-    return ClosedGeodesicRep(word=word, length=tr.length, trace=tr,
-                             holonomy=hol, axis=axis, model=model)
+    return rep

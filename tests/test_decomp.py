@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from geodense.decomp import _build_ears, _triangle, decompose
-from geodense.errors import ArrangementDegenerate, NotFilling, NotHyperbolic
+from geodense.errors import (
+    ArrangementDegenerate,
+    EarConstructionFails,
+    NotFilling,
+    NotHyperbolic,
+)
 from geodense.formulas import arc_budget, per_arc_budget
 from geodense.halfplane import Isometry, dist
 from geodense.tracing import base_geodesic
@@ -217,6 +222,17 @@ class TestEars:
                 assert abs(x - y) < 1e-9
             for x, y in zip(e.side_lengths, ears[0].side_lengths):
                 assert abs(x - y) < 1e-9
+
+    def test_chord_leaving_the_face_fails(self):
+        # a non-convex pentagon near i: the edge from its reflex corner
+        # d crosses the chord a -> c of the first ear.  (With four corners
+        # every edge shares an endpoint with each ear chord, so no chord
+        # can cross one.)
+        corners = [1j + 0.1 * complex(x, y) for x, y in
+                   ((0.0, 0.0), (1.0, -2.0), (2.0, 0.0), (1.2, -0.5),
+                    (0.8, 1.0))]
+        with pytest.raises(EarConstructionFails, match="leaves the face"):
+            _build_ears(corners)
 
     def test_ordinary_ears_count(self, torus_dec):
         for f in torus_dec.faces:

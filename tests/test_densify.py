@@ -1,13 +1,14 @@
 """Arc extension, classification, and the machinery feeding it."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from geodense import densify, formulas
+from geodense.errors import CaseBoundViolated, SafetyCapExceeded
 from geodense.densify import (
-    ClosedGeodesicRep,
     DensityParams,
     base_geodesic,
     classify_and_extend,
@@ -60,12 +61,6 @@ class TestBaseGeodesicRep:
         assert torus_g0.devs[0].is_identity(tol=1e-12)
         assert torus_g0.devs[-1].approx_equal(torus_g0.holonomy, tol=1e-9)
 
-    def test_rejects_wrong_length(self, torus, torus_g0):
-        with pytest.raises(ValueError):
-            ClosedGeodesicRep(word=torus_g0.word, length=torus_g0.length + 0.1,
-                              trace=torus_g0.trace, holonomy=torus_g0.holonomy,
-                              axis=torus_g0.axis, model=torus)
-
     def test_decomposition_base_extends_alike(self, torus, torus_dec):
         # the base geodesic a decomposition carries extends arcs exactly
         # as a freshly traced one does
@@ -98,7 +93,9 @@ class TestClassifyAndExtend:
         assert fwd.stop.angle == pytest.approx(math.pi / 2, abs=1e-6)
         r_eps = formulas.clearance(params.eps, torus_dec.constants.theta0)
         assert fwd.total >= r_eps - 1e-9
-        assert fwd.direction == +1 and back.direction == -1
+        # backward walks out of the arc's start, forward out of its end
+        assert back.trace.start_point == c.start
+        assert fwd.trace.start_point == c.end
 
     def test_zero_additional_extension(self, sphere, sphere_dec, sphere_g0):
         params = DensityParams(1.0, 1.0)
@@ -307,6 +304,39 @@ class TestIncrementalHunt:
                     == len(out.bad_angles)
                 assert sum(e.kind == "deep" for e in before) \
                     == out.shallow_dips
+
+
+class TestGuards:
+    """Each guard of arc processing raises its named error."""
+
+    def test_extension_over_its_cap(self, request):
+        model, K, g0, params, arcs = _hunt_cases(request, "torus")
+        S = densify._setting(params, K, model, g0)
+        for c in arcs:
+            p, u = c.end, c.line.tangent_at(c.s1)
+            out = densify._hunt(S, p, u, S.m_a)
+            if out.cls == "A" and out.extension > 1e-3:
+                break
+        else:
+            pytest.fail("no sampled arc extends past the clearance")
+        with pytest.raises(CaseBoundViolated, match="exceeds its cap 0"):
+            densify._hunt(S, p, u, 0.0, cap=out.total + 1.0)
+
+    def test_walk_past_its_cap(self, request):
+        model, K, g0, params, [c, *_] = _hunt_cases(request, "torus")
+        S = densify._setting(params, K, model, g0)
+        # no crossing before the clearance stops a hunt
+        with pytest.raises(SafetyCapExceeded, match="no admissible stop"):
+            densify._hunt(S, c.end, c.line.tangent_at(c.s1), S.m_a,
+                          cap=0.5 * S.r_eps)
+
+    def test_length_over_its_bound(self, request):
+        model, K, g0, params, [c, *_] = _hunt_cases(request, "torus")
+        outs = classify_and_extend(c, params, K, model, gamma0=g0)
+        pa = replace_arc(c, outs, params, K, model, gamma0=g0)
+        pa.validate()
+        with pytest.raises(CaseBoundViolated, match="per-arc bound"):
+            dataclasses.replace(pa, bound=0.5 * pa.length).validate()
 
 
 class TestDeepHorocycles:

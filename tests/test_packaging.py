@@ -2,7 +2,9 @@
 name the benchmark uses."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -122,3 +124,30 @@ def test_run_thresholds_derived_once():
     for name in ("clearance", "deep_entry_angle", "deep_horocycle_length",
                  "class_a_extension_bound"):
         assert everywhere.count(name) == inside.count(name) == 1, name
+
+
+def test_base_geodesic_is_its_trace():
+    """A closed geodesic stores its word and traced period only; the deck
+    elements of any walk are developed from its steps, one way."""
+    tracing = importlib.import_module("geodense.tracing")
+    fields = [f.name for f in dataclasses.fields(tracing.ClosedGeodesicRep)]
+    assert fields == ["word", "trace", "model"]
+    params = inspect.signature(tracing.tile_elements).parameters
+    assert list(params) == ["model", "steps"]
+
+
+def test_every_error_is_raised():
+    """Each error class names a step that is built: something in the
+    package raises it."""
+    errors = importlib.import_module("geodense.errors")
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__}
+    raised = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert sorted(classes - raised) == ["GeodenseError"]

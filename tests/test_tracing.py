@@ -10,6 +10,7 @@ from geodense.halfplane import (
     GeodesicLine,
     GeodesicSegment,
     Horocycle,
+    Isometry,
     dist,
     line_horocycle_crossings,
     same_line,
@@ -120,16 +121,17 @@ class TestPassages:
             assert torus.inside(seg.point_at_fraction(0.5), tol=1e-6)
 
     def test_development_is_one_line(self, sphere):
+        # out[k] develops step k, a run's segment included, onto the
+        # line of the first step, end to end
         u = complex(math.cos(-0.2), math.sin(-0.2))
         tr = trace_geodesic(sphere, sphere.base_point, u, 12.0)
-        sides = tr.sides
-        assert len(sides) >= 3
-        tiles = tile_elements(sphere, sides)
-        segs = tr.segments()
-        base = segs[0]
+        assert len(tr.sides) >= 3
+        assert any(st.count > 1 for st in tr.steps)
+        tiles = tile_elements(sphere, tr.steps)
+        base = tr.steps[0].segment
         prev_end = base.end
-        for k, seg in enumerate(segs[1:]):
-            dev = tiles[k + 1].apply_segment(seg)
+        for k, st in enumerate(tr.steps[1:], 1):
+            dev = tiles[k].apply_segment(st.segment)
             assert same_line(dev.line, base.line, tol=1e-6)
             assert abs(dev.start - prev_end) < 1e-6
             prev_end = dev.end
@@ -165,7 +167,9 @@ class TestClosedTraces:
     def test_loop_element_identity_for_round_trip(self, sphere):
         # crossing a side and coming straight back multiplies to identity
         s = sphere.sides[0]
-        e = tile_elements(sphere, [0, s.partner])[-1]
+        seg = GeodesicSegment.between(0.5j, 0.6j)
+        e = tile_elements(sphere, [TraceStep(seg, 0),
+                                   TraceStep(seg, s.partner)])[-1]
         assert e.is_identity(tol=1e-9)
 
 
@@ -332,9 +336,13 @@ class TestCuspRuns:
     def test_tiles_take_one_product_per_run(self, sphere):
         p, u, length = _cusp_ray(sphere, 1, 1e3, True, True)
         tr = trace_geodesic(sphere, p, u, length)
-        per_step = tile_elements(sphere, [st.side for st in tr.steps],
-                                 [st.count for st in tr.steps])
-        per_passage = tile_elements(sphere, tr.sides)
+        assert any(st.count > 1 for st in tr.steps)
+        per_step = tile_elements(sphere, tr.steps)
+        # the oracle: one pairing per crossing
+        per_passage = [Isometry.identity()]
+        for s in tr.sides:
+            per_passage.append(
+                per_passage[-1] @ sphere.sides[s].inverse_pairing)
         k = 0
         for st, e in zip(tr.steps, per_step):
             assert e.approx_equal(per_passage[k], tol=1e-9)
