@@ -170,9 +170,13 @@ class GeodesicLine:
     def point_at(self, s: float) -> complex:
         if self.is_vertical:
             return complex(self.foot, math.exp(s if self.up else -s))
-        phi = 2.0 * math.atan(math.exp(s if self.pos_to_neg else -s))
-        return complex(self.center + self.radius * math.cos(phi),
-                       self.radius * math.sin(phi))
+        # measured from the nearer endpoint, since center + r cos(phi)
+        # cancels on a near-vertical circle
+        t = math.exp(-abs(s))
+        y = 2.0 * self.radius * t / (1.0 + t * t)
+        if (s <= 0.0) == self.pos_to_neg:
+            return complex(self.center + self.radius - y * t, y)
+        return complex(self.center - self.radius + y * t, y)
 
     def tangent_at(self, s: float) -> complex:
         """Forward unit tangent (Euclidean) at the point with parameter s."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geodense import halfplane
 from geodense.errors import HorocyclesIntersect
@@ -192,6 +192,9 @@ class TestLines:
         assert dist(z1, z2) == pytest.approx(1.5, abs=TOL_GEO)
 
     @given(points, points, points)
+    # a circle of radius 1.25e9 through two points near the imaginary
+    # axis: point_at must not cancel on it
+    @example(0.0625j, 9.500172576266567e-07 + 48.75j, 0.25j)
     def test_projection_is_nearest(self, z1, z2, w):
         if abs(z1 - z2) < 1e-3:
             return
