@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from geodense import densify, formulas
-from geodense.errors import CaseBoundViolated, SafetyCapExceeded
 from geodense.densify import (
     DensityParams,
     base_geodesic,
     classify_and_extend,
     replace_arc,
 )
+from geodense.errors import CaseBoundViolated, SafetyCapExceeded
 from geodense.halfplane import (
     INF,
     GeodesicLine,

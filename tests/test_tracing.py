@@ -167,7 +167,7 @@ class TestClosedTraces:
     def test_loop_element_identity_for_round_trip(self, sphere):
         # crossing a side and coming straight back multiplies to identity
         s = sphere.sides[0]
-        seg = GeodesicSegment.between(0.5j, 0.6j)
+        seg = GeodesicSegment.between(0.5j, 0.6j)   # only sides count
         e = tile_elements(sphere, [TraceStep(seg, 0),
                                    TraceStep(seg, s.partner)])[-1]
         assert e.is_identity(tol=1e-9)
