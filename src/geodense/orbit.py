@@ -145,12 +145,12 @@ class _Passages:
         self.order = np.argsort(low, kind="stable")
         self.low = low[self.order].tolist()
         cols = cols[:, self.order]
-        self.mx, self.my, reach, self.slack, self.c, self.r = cols[:6]
+        self.mx, self.my, self.reach, self.slack, self.c, self.r = cols[:6]
         self.my4 = 4.0 * self.my
-        self.cosh_reach2 = np.cosh(0.5 * reach)
-        self.sinh_reach2 = np.sinh(0.5 * reach)
+        self.cosh_reach2 = np.cosh(0.5 * self.reach)
+        self.sinh_reach2 = np.sinh(0.5 * self.reach)
         self.vertical = cols[6].astype(bool)
-        self.unbounded = np.isinf(reach)
+        self.unbounded = np.isinf(self.reach)
 
     def _window(self, log_top: float, cut: float) -> int:
         """The number of rows whose height bound is at most e^cut times
@@ -170,11 +170,15 @@ class _Passages:
         bound on the distance is at most cut, in point-major order.
 
         The lower bound is the larger of d(w, midpoint) - half-length -
-        slack and the distance to the carrying line.  The default cut is
-        the smallest upper bound, d(w, midpoint) + slack at the nearest
+        slack and the distance to the carrying line (-inf for a passage
+        with an infinite parameter); it exceeds the pair's computed
+        ``dist_to_point`` by at most DIST_TOL.  The default cut is the
+        smallest upper bound, d(w, midpoint) + slack at the nearest
         midpoint, with a 1e-9 relative slack and twice DIST_TOL added.
         Both bounds are compared in sinh form, so no transcendental
-        function runs per pair.  Tests pass a cut of their own.
+        function runs per pair but for the pairs kept, whose bounds
+        ``_bounded`` returns in distance units.  Tests pass a cut of
+        their own.
 
         Only the rows in the height window of cut are bounded.  A row
         above it has its midpoint farther than cut + half-length + slack
@@ -187,8 +191,16 @@ class _Passages:
         pairs kept, are those of a scan over every row.
         """
         n = len(self.segments)
-        if not ws or not n:
-            return [], []
+        t, i, _ = self._bounded(ws, cut)
+        t, i = np.divmod(np.sort(t * n + i), n)
+        return t.tolist(), i.tolist()
+
+    def _bounded(self, ws: list[complex], cut: float | None = None):
+        """The pairs ``near`` keeps, as arrays of point index, passage
+        index and lower bound, in no particular order."""
+        if not ws or not self.segments:
+            none = np.zeros(0, dtype=np.intp)
+            return none, none, np.zeros(0)
         wx = np.array([w.real for w in ws])[:, None]
         wy = np.array([w.imag for w in ws])[:, None]
         log_top = math.log(max(w.imag for w in ws))
@@ -228,10 +240,14 @@ class _Passages:
             / (2.0 * r * y)
         sinh_line = np.where(self.vertical[i], d / y, sinh_line)
         keep = (sinh_line <= math.sinh(cut)) | self.unbounded[i]
-        # back to passage indices, in the order of a scan of every row
-        pairs = np.sort(t[keep] * n + self.order[i[keep]])
-        t, i = np.divmod(pairs, n)
-        return t.tolist(), i.tolist()
+        t, i, sinh_line = t[keep], i[keep], sinh_line[keep]
+        # an unbounded row's midpoint term would be inf - inf
+        bounded = ~self.unbounded[i]
+        mid = np.subtract(2.0 * np.arcsinh(np.sqrt(q2[t, i])), self.reach[i],
+                          out=np.full(len(i), -np.inf), where=bounded)
+        bound = np.where(bounded, np.maximum(mid, np.arcsinh(sinh_line)),
+                         -np.inf)
+        return t, self.order[i], bound
 
 
 _memo: _Passages | None = None
@@ -249,26 +265,37 @@ def _passages(segments: list[GeodesicSegment]) -> _Passages:
     return table
 
 
+# How far past the best distance so far a lower bound must lie to end
+# the scan of dist_to_closed_geodesic: the bound's own error, DIST_TOL,
+# and the rounding of its asinh, a few ulps, with room to spare.
+_STOP_MARGIN = 4.0 * DIST_TOL
+
+
 def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
                             segments: list[GeodesicSegment],
                             radius: float) -> float:
-    """Certified distance from a polygon point to a closed geodesic.
+    """Certified distance from a point within radius of the polygon to a
+    closed geodesic.
 
     The geodesic is given by its polygon passages.  Every lift passing
     within the radius runs through some tile of the ball, so the minimum
     over ball tiles is exact whenever it is at most the radius; a larger
     minimum only certifies a lower bound, which is reported by raising
-    RadiusTooSmall.
+    RadiusTooSmall.  A point farther than the radius from the polygon
+    has no tile in its ball and raises ValueError: the curve may pass
+    through it.
 
     The minimum over tiles and passages of ``dist_to_point`` is taken
-    over a subset of the pairs: those whose lower bound is at most the
-    smallest upper bound over all pairs (``_Passages.near``).  Up to
-    DIST_TOL, each pair's lower bound is below its computed distance and
-    the smallest computed distance is below that upper bound, so the
-    subset holds the argmin, and the result equals the minimum over all
-    pairs bit for bit, in the 0 returned early and in the RadiusTooSmall
-    message alike.  The table behind the bounds is built once per curve
-    and kept for the next call with the same passages.
+    over the pairs ``_Passages.near`` keeps, best first: in increasing
+    lower bound (ties by point, then passage), up to the first bound
+    above the best so far by more than _STOP_MARGIN.  Up to DIST_TOL,
+    each pair's lower bound is below its computed distance, and the
+    smallest computed distance is below near's cut, so every pair left
+    out has a computed distance above the best: the result is the
+    minimum over all pairs bit for bit, in the 0 returned early and in
+    the RadiusTooSmall message alike.  The table behind the bounds is
+    built once per curve and kept for the next call with the same
+    passages.
 
     Neither shortcut behind the two steps changes the result: ``ball``'s
     half-plane bound drops only tiles its exact test drops, and the
@@ -276,12 +303,20 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     bound rules out, after the cut has been found over all of them.
     """
     ws = [g.inverse().apply(z) for _, g in ball(model, z, radius)]
+    if not ws:
+        raise ValueError(
+            f"{z:.6g} lies {dist_to_domain(model, z):.6g} from the polygon, "
+            f"farther than the radius {radius:.6g}")
     best = math.inf
-    if ws and segments:
-        for t, i in zip(*_passages(segments).near(ws)):
-            best = min(best, segments[i].dist_to_point(ws[t]))
-            if best == 0.0:
-                return 0.0
+    t, i, bound = _passages(segments)._bounded(ws)
+    order = np.lexsort((i, t, bound))
+    for b, k, p in zip(bound[order].tolist(), t[order].tolist(),
+                       i[order].tolist()):
+        if b > best + _STOP_MARGIN:
+            break
+        best = min(best, segments[p].dist_to_point(ws[k]))
+        if best == 0.0:
+            return 0.0
     if best > radius:
         raise RadiusTooSmall(
             f"geodesic stays farther than {radius:.6g} from {z:.6g} "

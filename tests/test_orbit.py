@@ -8,6 +8,7 @@ import random
 import re
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from geodense.errors import RadiusTooSmall
 from geodense.halfplane import GeodesicLine, GeodesicSegment, Isometry, dist
 from geodense.orbit import (
     DIST_TOL,
+    _STOP_MARGIN,
     _Passages,
     ball,
     dist_to_closed_geodesic,
@@ -207,6 +209,21 @@ class TestDistToClosedGeodesic:
             dist_to_closed_geodesic(sphere, complex(0.05, 4.0),
                                     commutator, 0.01)
 
+    def test_center_beyond_the_radius_refused(self, torus, torus_dec):
+        """A side pairing maps a point of the base geodesic 1.1 away from
+        the polygon.  Its ball holds no tile, so "farther than the radius"
+        would be false: the curve passes through the point."""
+        curve = torus_dec.base.segments()
+        seg = curve[0]
+        z = seg.point_at(0.5 * (seg.s0 + seg.s1))
+        assert dist_to_closed_geodesic(torus, z, curve, 0.2) == 0.0
+        image = torus.sides[0].pairing.apply(z)
+        d = dist_to_domain(torus, image)
+        assert d > 1.0 and ball(torus, image, 0.2) == []
+        with pytest.raises(ValueError, match=re.escape(
+                f"{image:.6g} lies {d:.6g} from the polygon")):
+            dist_to_closed_geodesic(torus, image, curve, 0.2)
+
 
 @pytest.fixture(scope="module")
 def torus_curve(torus, torus_dec):
@@ -264,7 +281,11 @@ def _certify(model, z, segments, radius):
 
 
 def _expected(model, z, segments, radius):
-    best = _plain_scan(model, z, segments, radius)
+    return _verdict(z, radius, _plain_scan(model, z, segments, radius))
+
+
+def _verdict(z, radius, best):
+    """The answer, or the RadiusTooSmall message, for a minimum best."""
     if best > radius:
         return (f"geodesic stays farther than {radius:.6g} from {z:.6g} "
                 f"(best lift at {best:.6g})")
@@ -323,9 +344,10 @@ class TestBoundedScan:
                                           left, outward, a, b, vertical,
                                           pos_to_neg):
         """No passage is ruled out at a cut of its own distance plus
-        DIST_TOL.  The point sits off a line of radius up to 1e8 by a
-        factor 1e-12 to 1 of its height, on either side, anywhere along
-        the passage or beyond its ends, and mostly outside the polygon."""
+        DIST_TOL, and its lower bound is at most that.  The point sits
+        off a line of radius up to 1e8 by a factor 1e-12 to 1 of its
+        height, on either side, anywhere along the passage or beyond its
+        ends, and mostly outside the polygon."""
         y = 10.0 ** log_y
         r = max(10.0 ** log_r, 1.5 * y)
         sign = 1.0 if left else -1.0
@@ -340,8 +362,11 @@ class TestBoundedScan:
         if outward:
             sign = -sign
         w = complex(x + sign * 10.0 ** log_off * y, y)
-        t, i = _Passages([seg]).near([w], cut=seg.dist_to_point(w) + DIST_TOL)
-        assert (t, i) == ([0], [0])
+        d = seg.dist_to_point(w)
+        table = _Passages([seg])
+        assert table.near([w], cut=d + DIST_TOL) == ([0], [0])
+        _, _, bound = table._bounded([w], cut=d + DIST_TOL)
+        assert bound[0] <= d + DIST_TOL
 
 
 def _excursion(torus, apex=1.5e3):
@@ -453,3 +478,78 @@ class TestHeightWindow:
         assert isinstance(want, str)
         with pytest.raises(RadiusTooSmall, match=re.escape(want)):
             dist_to_closed_geodesic(torus, z, high, 0.2)
+
+
+class TestBestFirst:
+    """dist_to_closed_geodesic evaluates near's pairs in increasing lower
+    bound and stops at the first bound above the best by more than the
+    bound's error."""
+
+    @pytest.mark.parametrize("radius", [0.2, 0.001])
+    def test_few_exact_distances(self, torus, torus_curve, excursion,
+                                 radius, monkeypatch):
+        """The plain scan's answer from fewer exact distances than near
+        keeps pairs.  In bound order, every pair before the nearest one
+        has a bound below the answer plus DIST_TOL, and every pair after
+        it one below the answer plus the margin: each passage measured
+        has its carrying line and its midpoint bound that close."""
+        curve = torus_curve + excursion
+        table = _Passages(curve)
+        mine = {id(seg) for seg in curve}
+        dist_to_point = GeodesicSegment.dist_to_point
+        measured = []
+
+        def counted(seg, w):
+            if id(seg) in mine:
+                measured.append((seg, w))
+            return dist_to_point(seg, w)
+
+        made = kept = 0
+        for z in _truncated_points(torus, 25, seed=11) + _top_points(torus):
+            best = _plain_scan(torus, z, curve, radius)
+            measured.clear()
+            with monkeypatch.context() as m:
+                m.setattr(GeodesicSegment, "dist_to_point", counted)
+                assert _certify(torus, z, curve, radius) \
+                    == _verdict(z, radius, best)
+            for seg, w in measured:
+                mid = seg.point_at(0.5 * (seg.s0 + seg.s1))
+                lower = max(dist(w, mid) - 0.5 * seg.length,
+                            seg.line.dist_to(w))
+                assert lower <= best + _STOP_MARGIN + DIST_TOL
+            ws = [g.inverse().apply(z) for _, g in ball(torus, z, radius)]
+            pairs = len(table.near(ws)[0])
+            assert len(measured) <= pairs
+            made += len(measured)
+            kept += pairs
+        assert made < kept
+
+    def test_scan_goes_past_a_bound_within_its_error(self, torus,
+                                                    monkeypatch):
+        """A bound may exceed its pair's computed distance by up to
+        DIST_TOL.  Here the farther passage's distance comes out
+        DIST_TOL / 2 short, below the nearer one's, while its bound stays
+        above: a scan that stopped at the first bound above the best
+        would miss it."""
+        z = complex(0.3, 1.2)
+        assert [w for w, _ in ball(torus, z, 0.01)] == [""]
+
+        def vertical(d):
+            x = z.real + z.imag * math.sinh(d)
+            s = math.log(z.imag)
+            return GeodesicSegment(GeodesicLine.vertical(x), s - 0.1, s + 0.1)
+
+        near_seg, far_seg = vertical(-0.005), vertical(0.005 + DIST_TOL / 4)
+        dist_to_point = GeodesicSegment.dist_to_point
+
+        def short(seg, w):
+            return dist_to_point(seg, w) - 0.5 * DIST_TOL * (seg is far_seg)
+
+        monkeypatch.setattr(GeodesicSegment, "dist_to_point", short)
+        curve = [near_seg, far_seg]
+        _, i, bound = _Passages(curve)._bounded([z])
+        b_near, b_far = bound[np.argsort(i)]
+        assert b_near < b_far
+        assert short(far_seg, z) < short(near_seg, z) < b_far
+        assert dist_to_closed_geodesic(torus, z, curve, 0.01) \
+            == short(far_seg, z)
