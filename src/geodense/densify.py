@@ -465,21 +465,17 @@ def _dive_frame(S: _Setting, outcome: ExtensionOutcome) -> _DiveFrame:
 
 
 def _centered_meet(line: GeodesicLine, radius: float) -> complex:
-    """Crossing of a geodesic circle with the geodesic |z| = radius.
+    """Crossing of a geodesic with the geodesic |z| = radius.
 
     The centered circles are exactly the geodesics orthogonal to the
     vertical through 0, which makes them the projection family of the
     reroute constructions.
     """
-    if line.is_vertical:
-        raise ArrangementDegenerate("projection target is vertical")
-    m, r = line.center, line.radius
-    x = (radius * radius + m * m - r * r) / (2.0 * m)
-    y2 = radius * radius - x * x
-    if y2 <= 0.0:
+    z = intersect_lines(line, GeodesicLine.circle(0.0, radius))
+    if z is None:
         raise CaseBoundViolated(
             "projection along centered circles misses the reroute line")
-    return complex(x, math.sqrt(y2))
+    return z
 
 
 def _to_surface(model: SurfaceModel, back_iso: Isometry, z: complex,

@@ -113,13 +113,15 @@ class _Passages:
     midpoint lies at most a factor e^h lower.  Two points at heights
     y < y' lie at least ln(y'/y) apart, so a passage whose bound lies
     higher than e^cut times the highest query point is more than cut
-    from every query point.  ``near`` bounds only the rows below that
-    height, its window.  The window prunes the cusp at infinity only: a
-    passage high in a cusp at a finite vertex lies low in the polygon.
+    from every query point.  ``_bounded`` bounds only the rows below
+    that height, its window.  The window prunes the cusp at infinity
+    only: a passage high in a cusp at a finite vertex lies low in the
+    polygon.
 
     A passage with an infinite parameter has no midpoint; its row gets
     the midpoint at infinity and an infinite half-length, so its height
-    bound is 0, it sits in every window and ``near`` always keeps it.
+    bound is 0, it sits in every window and ``_bounded`` always keeps
+    it.
     """
 
     def __init__(self, segments: list[GeodesicSegment]):
@@ -156,7 +158,8 @@ class _Passages:
         """The number of rows whose height bound is at most e^cut times
         e^log_top; the rows after them are more than cut from every point
         no higher than e^log_top.  The 1e-9 covers the rounding of the
-        logs, so the bounds of ``near`` rule out every row left out."""
+        logs, so the bounds of ``_bounded`` rule out every row left
+        out."""
         return bisect.bisect_right(self.low, log_top + cut + 1e-9)
 
     def _q2(self, wx, wy, lo: int, hi: int):
@@ -165,64 +168,45 @@ class _Passages:
         dy = wy - self.my[lo:hi]
         return (dx * dx + dy * dy) / (wy * self.my4[lo:hi])
 
-    def near(self, ws: list[complex], cut: float | None = None):
-        """(point index, passage index) lists of the pairs whose lower
-        bound on the distance is at most cut, in point-major order.
+    def _bounded(self, ws: list[complex], cut: float | None = None):
+        """(point index, passage index, lower bound) arrays of the pairs
+        whose lower bound on the distance is at most cut, in no
+        particular order.
 
         The lower bound is the larger of d(w, midpoint) - half-length -
         slack and the distance to the carrying line (-inf for a passage
         with an infinite parameter); it exceeds the pair's computed
-        ``dist_to_point`` by at most DIST_TOL.  The default cut is the
-        smallest upper bound, d(w, midpoint) + slack at the nearest
-        midpoint, with a 1e-9 relative slack and twice DIST_TOL added.
-        Both bounds are compared in sinh form, so no transcendental
-        function runs per pair but for the pairs kept, whose bounds
-        ``_bounded`` returns in distance units.  Tests pass a cut of
-        their own.
+        ``dist_to_point`` by at most DIST_TOL.  Both bounds are compared
+        in sinh form, so no transcendental function runs per pair but
+        for the pairs kept, whose bounds are returned in distance units.
 
-        Only the rows in the height window of cut are bounded.  A row
-        above it has its midpoint farther than cut + half-length + slack
-        from every point, so the midpoint bound would rule it out.  The
-        default cut is first found over the window of cut 0 (over the
-        lowest row when that window is empty), and the window is widened
-        to the cut found until it holds it.  A row left out is then
-        farther from every point than the nearest midpoint in the
-        window, so that midpoint is the nearest of all: the cut, and the
-        pairs kept, are those of a scan over every row.
+        The default cut is an upper bound, d(w, midpoint) + slack at the
+        nearest midpoint in the height window of cut 0 (at the lowest
+        row when that window is empty), with a 1e-9 relative slack and
+        twice DIST_TOL added.  It exceeds that pair's computed distance,
+        so every pair left out has a computed distance above the
+        smallest.  Only the rows in the height window of cut are
+        bounded: a row above it has its midpoint farther than cut +
+        half-length + slack from every point, so the midpoint bound
+        would rule it out.
         """
-        n = len(self.segments)
-        t, i, _ = self._bounded(ws, cut)
-        t, i = np.divmod(np.sort(t * n + i), n)
-        return t.tolist(), i.tolist()
-
-    def _bounded(self, ws: list[complex], cut: float | None = None):
-        """The pairs ``near`` keeps, as arrays of point index, passage
-        index and lower bound, in no particular order."""
         if not ws or not self.segments:
             none = np.zeros(0, dtype=np.intp)
             return none, none, np.zeros(0)
         wx = np.array([w.real for w in ws])[:, None]
         wy = np.array([w.imag for w in ws])[:, None]
         log_top = math.log(max(w.imag for w in ws))
+        j, q2 = 0, np.zeros((len(ws), 0))
         if cut is None:
             j = max(1, self._window(log_top, 0.0))
             q2 = self._q2(wx, wy, 0, j)
-            while True:
-                # the first passage among exact ties, as a scan of every
-                # row in passage order picks it
-                t, k = divmod(int(q2.argmin()), j)
-                ties = np.flatnonzero(q2[t] == q2[t, k])
-                k = ties[self.order[ties].argmin()]
-                upper = 2.0 * math.asinh(math.sqrt(q2[t, k])) + self.slack[k]
-                cut = upper * (1.0 + 1e-9) + 2.0 * DIST_TOL
-                wider = self._window(log_top, cut)
-                if wider <= j:
-                    break
-                q2 = np.hstack((q2, self._q2(wx, wy, j, wider)))
-                j = wider
-        else:
-            j = self._window(log_top, cut)
-            q2 = self._q2(wx, wy, 0, j)
+            t, k = divmod(int(q2.argmin()), j)
+            upper = 2.0 * math.asinh(math.sqrt(q2[t, k])) + self.slack[k]
+            cut = upper * (1.0 + 1e-9) + 2.0 * DIST_TOL
+        wider = self._window(log_top, cut)
+        if wider > j:
+            q2 = np.hstack((q2, self._q2(wx, wy, j, wider)))
+            j = wider
         # d(w, m) - reach <= cut  <=>  q2 <= sinh((cut + reach) / 2)^2
         cap = math.sinh(0.5 * cut) * self.cosh_reach2[:j] \
             + math.cosh(0.5 * cut) * self.sinh_reach2[:j]
@@ -286,21 +270,22 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     through it.
 
     The minimum over tiles and passages of ``dist_to_point`` is taken
-    over the pairs ``_Passages.near`` keeps, best first: in increasing
-    lower bound (ties by point, then passage), up to the first bound
-    above the best so far by more than _STOP_MARGIN.  Up to DIST_TOL,
-    each pair's lower bound is below its computed distance, and the
-    smallest computed distance is below near's cut, so every pair left
-    out has a computed distance above the best: the result is the
-    minimum over all pairs bit for bit, in the 0 returned early and in
-    the RadiusTooSmall message alike.  The table behind the bounds is
+    over the pairs ``_Passages._bounded`` keeps at its default cut, best
+    first: in increasing lower bound, up to the first bound above the
+    best so far by more than _STOP_MARGIN.  Up to DIST_TOL, each pair's
+    lower bound is below its computed distance, and some pair's
+    computed distance is below the cut, so every pair left out has a
+    computed distance above the best: the result is the minimum over
+    all pairs bit for bit, in the 0 returned early and in the
+    RadiusTooSmall message alike.  Which of two equal bounds is walked
+    first does not change that minimum.  The table behind the bounds is
     built once per curve and kept for the next call with the same
     passages.
 
     Neither shortcut behind the two steps changes the result: ``ball``'s
     half-plane bound drops only tiles its exact test drops, and the
-    height window of ``near`` leaves out only passages its midpoint
-    bound rules out, after the cut has been found over all of them.
+    height window of ``_bounded`` leaves out only passages its midpoint
+    bound rules out.
     """
     ws = [g.inverse().apply(z) for _, g in ball(model, z, radius)]
     if not ws:
@@ -309,7 +294,7 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
             f"farther than the radius {radius:.6g}")
     best = math.inf
     t, i, bound = _passages(segments)._bounded(ws)
-    order = np.lexsort((i, t, bound))
+    order = np.argsort(bound, kind="stable")
     for b, k, p in zip(bound[order].tolist(), t[order].tolist(),
                        i[order].tolist()):
         if b > best + _STOP_MARGIN:

@@ -324,48 +324,40 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
             _cusp_run(model, wall_of, line, p, u, s_here, remaining)
         if run is not None:
             step, p, u = run
-            steps.append(step)
-            walked += step.segment.length
             stalled = 0
-            if not model.inside(p, tol=1e-6):
-                raise TraceError(
-                    f"run left the polygon at step {len(steps)}: {p}")
-            if until is not None and until(step):
-                return Trace(p0, u0, steps, p, u, walked)
-            continue
-        exit_ = _first_exit(model, line, s_here)
-        if exit_ is None or exit_[0] - s_here >= remaining:
-            seg = GeodesicSegment(line, s_here, s_here + remaining)
-            if not model.inside(seg.end, tol=1e-6):
-                raise TraceError(
-                    f"trace ran out of the polygon near {seg.end}")
-            steps.append(TraceStep(seg, None))
-            if until is not None:
-                until(steps[-1])
-            return Trace(p0, u0, steps, seg.end,
-                         line.tangent_at(s_here + remaining),
-                         length)
-        s_exit, side_idx, pt = exit_
-        steps.append(TraceStep(GeodesicSegment(line, s_here, s_exit),
-                               side_idx))
-        walked += s_exit - s_here
-        if s_exit - s_here < 1e-9:
-            stalled += 1
-            if stalled > 60:
-                raise TraceError(
-                    f"trace stalled at {pt} after {len(steps)} steps")
         else:
-            stalled = 0
-        wall_of = model.wall_cusps.get(side_idx)
-        w = model.sides[side_idx].pairing
-        tangent = line.tangent_at(s_exit)
-        p = w.apply(pt)
-        u = w.apply_tangent(pt, tangent)
-        u = u / abs(u)
+            exit_ = _first_exit(model, line, s_here)
+            if exit_ is None or exit_[0] - s_here >= remaining:
+                seg = GeodesicSegment(line, s_here, s_here + remaining)
+                if not model.inside(seg.end, tol=1e-6):
+                    raise TraceError(
+                        f"trace ran out of the polygon near {seg.end}")
+                steps.append(TraceStep(seg, None))
+                if until is not None:
+                    until(steps[-1])
+                return Trace(p0, u0, steps, seg.end,
+                             line.tangent_at(s_here + remaining),
+                             length)
+            s_exit, side_idx, pt = exit_
+            step = TraceStep(GeodesicSegment(line, s_here, s_exit), side_idx)
+            if s_exit - s_here < 1e-9:
+                stalled += 1
+                if stalled > 60:
+                    raise TraceError(
+                        f"trace stalled at {pt} after {len(steps) + 1} steps")
+            else:
+                stalled = 0
+            wall_of = model.wall_cusps.get(side_idx)
+            w = model.sides[side_idx].pairing
+            p = w.apply(pt)
+            u = w.apply_tangent(pt, line.tangent_at(s_exit))
+            u = u / abs(u)
+        steps.append(step)
+        walked += step.segment.length
         if not model.inside(p, tol=1e-6):
             raise TraceError(
                 f"trace left the polygon at step {len(steps)}: {p}")
-        if until is not None and until(steps[-1]):
+        if until is not None and until(step):
             return Trace(p0, u0, steps, p, u, walked)
     raise TraceError(f"trace exceeded {TRACE_STEPS} steps")
 

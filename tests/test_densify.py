@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,6 +338,28 @@ class TestGuards:
         pa.validate()
         with pytest.raises(CaseBoundViolated, match="per-arc bound"):
             dataclasses.replace(pa, bound=0.5 * pa.length).validate()
+
+
+class TestCenteredMeet:
+    """The crossing with a centered circle that reroutes project along."""
+
+    def test_near_tangent_witness(self):
+        """A small circle crossing a far larger centered one at a shallow
+        angle: forming m^2 - r^2 plainly put the point 9.9e-10 low, 8.9e-11
+        of its height."""
+        line = GeodesicLine.circle(9309.50224664775, 17.517944276242996)
+        radius = 9296.00875657999
+        m, r, big = map(Fraction, (line.center, line.radius, radius))
+        x = (big * big + m * m - r * r) / (2 * m)
+        want = complex(float(x), math.sqrt(float(big * big - x * x)))
+        got = densify._centered_meet(line, radius)
+        assert abs(got.real - want.real) <= 1e-15 * want.real
+        assert abs(got.imag - want.imag) <= 1e-15 * want.imag
+
+    @pytest.mark.parametrize("center, r", [(10.0, 1.0), (0.5, 0.1)])
+    def test_miss_raises(self, center, r):
+        with pytest.raises(CaseBoundViolated, match="misses the reroute"):
+            densify._centered_meet(GeodesicLine.circle(center, r), 2.0)
 
 
 class TestDeepHorocycles:

@@ -363,9 +363,8 @@ class TestBoundedScan:
             sign = -sign
         w = complex(x + sign * 10.0 ** log_off * y, y)
         d = seg.dist_to_point(w)
-        table = _Passages([seg])
-        assert table.near([w], cut=d + DIST_TOL) == ([0], [0])
-        _, _, bound = table._bounded([w], cut=d + DIST_TOL)
+        t, i, bound = _Passages([seg])._bounded([w], cut=d + DIST_TOL)
+        assert (t.tolist(), i.tolist()) == ([0], [0])
         assert bound[0] <= d + DIST_TOL
 
 
@@ -394,6 +393,17 @@ def _all_rows(segments):
     return table
 
 
+def _pairs(table, ws, cut=None):
+    """The (point, passage) pairs _bounded keeps, sorted."""
+    t, i, _ = table._bounded(ws, cut)
+    return sorted(zip(t.tolist(), i.tolist()))
+
+
+def _nearest(segments, ws, pairs):
+    """The smallest computed distance over the pairs."""
+    return min(segments[i].dist_to_point(ws[t]) for t, i in pairs)
+
+
 def _top_points(torus, xi=0.5):
     """Points at the top of the truncation, where the window is widest."""
     y = torus.cusps[0].width / xi
@@ -410,13 +420,19 @@ class TestHeightWindow:
     @pytest.mark.parametrize("cut", [None, 0.05, 0.3, 1.0])
     def test_same_pairs_as_every_row(self, torus, torus_curve, excursion,
                                      cut):
+        """The pairs of a table that bounds every row at an explicit cut.
+        The default cut is found over the window of cut 0 only, so it may
+        be larger and keep more pairs, but never a nearer one."""
         curve = torus_curve + excursion
         table, every = _Passages(curve), _all_rows(curve)
         for z in _top_points(torus) + _truncated_points(torus, 4, seed=14):
             ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
-            got = table.near(ws, cut)
-            assert got == every.near(ws, cut)
-            assert list(zip(*got)) == sorted(zip(*got))
+            got, want = _pairs(table, ws, cut), _pairs(every, ws, cut)
+            if cut is not None:
+                assert got == want
+                continue
+            assert set(got) >= set(want)
+            assert _nearest(curve, ws, got) == _nearest(curve, ws, want)
 
     def test_equals_plain_scan(self, torus, torus_curve, excursion):
         curve = torus_curve + excursion
@@ -433,16 +449,15 @@ class TestHeightWindow:
         table = _Passages(curve)
         for z in _top_points(torus) + [torus.base_point]:
             ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
-            pairs = set(zip(*table.near(ws, cut)))
+            pairs = set(_pairs(table, ws, cut))
             for t in range(len(ws)):
                 assert {(t, 0), (t, len(curve) - 1)} <= pairs
 
     def test_tie_takes_the_first_passage(self):
         """Two passages share a midpoint on a line of radius 1e8; the
-        longer one has the larger slack and the lower height bound.  The
-        default cut takes the slack of the first one in the list, as a
-        scan of every row does, which leaves out a third passage
-        3e-6 away."""
+        longer one has the larger slack and the lower height bound.  A
+        cut of 1e-5 keeps both and a third passage 3e-6 away; the
+        default cut keeps both at least."""
         line = GeodesicLine.circle(0.0, 1e8)
         short, long_ = GeodesicSegment(line, 15.0, 17.0), \
             GeodesicSegment(line, 11.0, 21.0)
@@ -453,27 +468,29 @@ class TestHeightWindow:
         table = _Passages([short, long_, side])
         assert _Passages([long_]).slack[0] \
             > 10.0 * _Passages([short]).slack[0] > 0.0
-        assert table.near([m]) == ([0, 0], [0, 1])
-        assert table.near([m], 1e-5) == ([0, 0, 0], [0, 1, 2])
+        assert {(0, 0), (0, 1)} <= set(_pairs(table, [m]))
+        assert _pairs(table, [m], 1e-5) == [(0, 0), (0, 1), (0, 2)]
 
     def test_empty_inputs(self, torus, torus_curve):
         ws = [torus.base_point]
         for cut in (None, 1.0):
-            assert _Passages([]).near(ws, cut) == ([], [])
-            assert _Passages(torus_curve).near([], cut) == ([], [])
+            assert _pairs(_Passages([]), ws, cut) == []
+            assert _pairs(_Passages(torus_curve), [], cut) == []
 
     def test_every_row_above_the_window(self, torus, excursion):
-        """The window of cut 0 holds no row: it widens to the lowest
-        one, and the answer is still the plain scan's RadiusTooSmall."""
+        """The window of cut 0 holds no row: the default cut is found at
+        the lowest one, and the answer is still the plain scan's
+        RadiusTooSmall."""
         high = [s for s in excursion if min(s.start.imag, s.end.imag) > 100.0]
         assert len(high) > 100
         z = torus.base_point
         ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
         table, every = _Passages(high), _all_rows(high)
         assert table._window(math.log(max(w.imag for w in ws)), 0.0) == 0
-        assert table.near(ws) == every.near(ws)
-        assert table.near(ws) != ([], [])
-        assert table.near(ws, 0.5) == every.near(ws, 0.5) == ([], [])
+        got, want = _pairs(table, ws), _pairs(every, ws)
+        assert set(got) >= set(want) != set()
+        assert _nearest(high, ws, got) == _nearest(high, ws, want)
+        assert _pairs(table, ws, 0.5) == _pairs(every, ws, 0.5) == []
         want = _expected(torus, z, high, 0.2)
         assert isinstance(want, str)
         with pytest.raises(RadiusTooSmall, match=re.escape(want)):
@@ -481,18 +498,19 @@ class TestHeightWindow:
 
 
 class TestBestFirst:
-    """dist_to_closed_geodesic evaluates near's pairs in increasing lower
-    bound and stops at the first bound above the best by more than the
-    bound's error."""
+    """dist_to_closed_geodesic evaluates _bounded's pairs in increasing
+    lower bound and stops at the first bound above the best by more than
+    the bound's error."""
 
     @pytest.mark.parametrize("radius", [0.2, 0.001])
     def test_few_exact_distances(self, torus, torus_curve, excursion,
                                  radius, monkeypatch):
-        """The plain scan's answer from fewer exact distances than near
-        keeps pairs.  In bound order, every pair before the nearest one
-        has a bound below the answer plus DIST_TOL, and every pair after
-        it one below the answer plus the margin: each passage measured
-        has its carrying line and its midpoint bound that close."""
+        """The plain scan's answer from fewer exact distances than
+        _bounded keeps pairs.  In bound order, every pair before the
+        nearest one has a bound below the answer plus DIST_TOL, and every
+        pair after it one below the answer plus the margin: each passage
+        measured has its carrying line and its midpoint bound that
+        close."""
         curve = torus_curve + excursion
         table = _Passages(curve)
         mine = {id(seg) for seg in curve}
@@ -518,11 +536,24 @@ class TestBestFirst:
                             seg.line.dist_to(w))
                 assert lower <= best + _STOP_MARGIN + DIST_TOL
             ws = [g.inverse().apply(z) for _, g in ball(torus, z, radius)]
-            pairs = len(table.near(ws)[0])
+            pairs = len(_pairs(table, ws))
             assert len(measured) <= pairs
             made += len(measured)
             kept += pairs
         assert made < kept
+
+    @pytest.mark.parametrize("radius", [0.2, 0.001])
+    def test_order_of_equal_bounds(self, torus, torus_curve, radius):
+        """Equal bounds are walked in whatever order the sort leaves
+        them: the curve reversed, or with its passage nearest the point
+        listed twice, gives the same answer bit for bit."""
+        for z in _truncated_points(torus, 8, seed=15):
+            ws = [g.inverse().apply(z) for _, g in ball(torus, z, radius)]
+            k = min(range(len(torus_curve)), key=lambda k: min(
+                torus_curve[k].dist_to_point(w) for w in ws))
+            want = repr(_certify(torus, z, torus_curve, radius))
+            for curve in (torus_curve[::-1], torus_curve + [torus_curve[k]]):
+                assert repr(_certify(torus, z, curve, radius)) == want
 
     def test_scan_goes_past_a_bound_within_its_error(self, torus,
                                                     monkeypatch):

@@ -1,5 +1,5 @@
-"""Packaging: the package imports only what it declares, and keeps every
-name the benchmark uses."""
+"""Packaging: the package imports only what it declares, keeps every
+name the benchmark uses, and defines nothing that goes unused."""
 
 import ast
 import dataclasses
@@ -151,3 +151,57 @@ def test_every_error_is_raised():
                     else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert sorted(classes - raised) == ["GeodenseError"]
+
+
+# Definitions no code in src/ or perfbench/ uses, each kept on purpose.
+_UNUSED_KEPT = {
+    "formulas.quad_entry_angle": "test oracle",
+    "halfplane.crossing_angle": "test oracle",
+    "halfplane.GeodesicLine.dist_to": "test oracle",
+    "halfplane.Horocycle.on_horocycle": "test oracle",
+    "halfplane.Horocycle.contains_in_ball": "test oracle",
+    "words.free_reduce": "test oracle",
+    "formulas.connection_bound": "held back for ROADMAP items 2-4",
+    "formulas.display_bound": "held back for ROADMAP items 2-4",
+    "formulas.normalized_length_constant": "held back for ROADMAP items 2-4",
+    "formulas.ortho_connection_bound": "held back for ROADMAP item 7",
+}
+
+
+def _definitions():
+    """(module.name, name, is a method) of every module-level function
+    and every non-dunder method of a module-level class in the package,
+    but for verify, the oracle module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node.name, False
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not re.fullmatch(r"__\w+__", item.name):
+                        yield (f"{path.stem}.{node.name}.{item.name}",
+                               item.name, True)
+
+
+def test_no_dead_api():
+    """Every function and method is used by the package or the
+    benchmark, or kept on purpose in _UNUSED_KEPT.  Methods count by
+    attribute name only: a local variable of the same name is not a
+    use."""
+    names, attrs = set(), set()
+    for path in sorted((ROOT / "src").rglob("*.py")) \
+            + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    unused = {qual for qual, name, method in _definitions()
+              if name not in attrs and (method or name not in names)}
+    assert sorted(unused - set(_UNUSED_KEPT)) == []
+    assert sorted(set(_UNUSED_KEPT) - unused) == []
