@@ -15,6 +15,7 @@ aggregate them into the constants that drive every length bound
 downstream.
 """
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -138,18 +139,9 @@ def _collect_crossings(segs, cumlen):
         for j in range(i + 1, len(segs)):
             gj = segs[j]
             if same_line(gi.line, gj.line):
-                # two passes along one line are fine (the curve visits
-                # the same lift twice) as long as they do not retrace a
-                # common sub-segment
-                if gi.line.is_vertical:
-                    flip = gi.line.up != gj.line.up
-                else:
-                    flip = gi.line.pos_to_neg != gj.line.pos_to_neg
-                sj0, sj1 = (-gj.s1, -gj.s0) if flip else (gj.s0, gj.s1)
-                if min(gi.s1, sj1) - max(gi.s0, sj0) > MARGIN:
-                    raise ArrangementDegenerate(
-                        f"passes {i} and {j} retrace the same line")
-                continue
+                # a lift meets the convex polygon once: the period repeats
+                raise ArrangementDegenerate(
+                    f"passes {i} and {j} retrace the same line")
             if not lines_cross(gi.line, gj.line):
                 continue
             z = intersect_lines(gi.line, gj.line)
@@ -193,7 +185,7 @@ class _Complex:
         self.length = base.length
         self.crossings = crossings
         self.devs = base.devs
-        segs = base.segments()
+        segs = base.trace.segments()
         cum = base.cum
 
         slots = []
@@ -214,11 +206,12 @@ class _Complex:
 
         # locate each slot on its trace pass and develop it onto the
         # single line carrying the developed trace
-        axis = base.axis
+        axis = segs[0].line
         self.dev_point = []
         self.slot_pass = []
         for t, ci, lo in slots:
-            k = self._pass_of(cum, t)
+            # a crossing sits strictly inside its pass (MARGIN)
+            k = bisect.bisect_right(cum, t) - 1
             g = segs[k]
             pt = g.point_at(g.s0 + (t - cum[k]))
             self.slot_pass.append(k)
@@ -234,13 +227,6 @@ class _Complex:
                     "developed crossing parameters do not match arc lengths")
 
         self._build_rotation()
-
-    @staticmethod
-    def _pass_of(cum, t):
-        for k in range(len(cum) - 1):
-            if cum[k] - 1e-12 <= t < cum[k + 1]:
-                return k
-        return len(cum) - 2
 
     # darts -----------------------------------------------------------------
 
@@ -470,7 +456,7 @@ def _check_cusp_clearance(model: SurfaceModel,
     """The base geodesic must stay strictly below every 1-horocycle."""
     for j, cusp in enumerate(model.cusps):
         top = max(chart_top(cusp.chart, g.line, g.start, g.end)
-                  for g in base.segments())
+                  for g in base.trace.segments())
         if not top < cusp.width - 1e-9:
             raise ArrangementDegenerate(
                 f"base geodesic climbs to height {top:.6g} in the chart "
@@ -486,7 +472,7 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
     word = base.word
     _check_cusp_clearance(model, base)
 
-    crossings = _collect_crossings(base.segments(), base.cum)
+    crossings = _collect_crossings(base.trace.segments(), base.cum)
     if not crossings:
         raise NotFilling(
             f"closed geodesic of {word!r} has no self-crossings; "

@@ -187,22 +187,22 @@ def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep,
             events.extend(_run_deep_events(st, deep, psi, walked, k))
             walked += seg.length
             continue
-        for ch in gamma0.chords:
-            if not lines_cross(seg.line, ch.segment.line):
+        for index, chord, offset in gamma0.chords:
+            if not lines_cross(seg.line, chord.line):
                 continue
-            z = intersect_lines(seg.line, ch.segment.line)
+            z = intersect_lines(seg.line, chord.line)
             sw = seg.line.param_of(z)
             if not seg.contains_param(sw):
                 continue
-            tc = ch.segment.line.param_of(z)
-            if not ch.segment.contains_param(tc):
+            tc = chord.line.param_of(z)
+            if not chord.contains_param(tc):
                 continue
             u = seg.line.tangent_at(sw)
-            ang = folded_angle(u, ch.segment.line.tangent_at(tc))
-            tau = (ch.offset + (tc - ch.segment.s0)) % gamma0.length
+            ang = folded_angle(u, chord.line.tangent_at(tc))
+            tau = (offset + (tc - chord.s0)) % gamma0.length
             events.append(CrossingRecord(
                 "base", walked + (sw - seg.s0), z, u, ang,
-                ang >= theta0 - ANGLE_TOL, ch.index, tau, k))
+                ang >= theta0 - ANGLE_TOL, index, tau, k))
         for j, h in enumerate(deep):
             for sp, z in line_horocycle_crossings(seg.line, h):
                 if not seg.contains_param(sp):

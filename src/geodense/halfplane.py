@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import HorocyclesIntersect
+from .errors import HorocyclesIntersect, NotHyperbolic
 from .tolerances import TOL_ALG, TOL_GEO
 
 INF = math.inf
@@ -115,8 +115,9 @@ class GeodesicLine:
         if abs(dx) <= TOL_GEO * max(1.0, abs(z1.imag), abs(z2.imag)):
             return GeodesicLine.vertical(0.5 * (z1.real + z2.real),
                                          up=(z2.imag > z1.imag))
-        # center equidistant from both points on the real axis
-        c = ((abs(z2) ** 2 - abs(z1) ** 2) / (2.0 * dx))
+        # center equidistant from both points, kept exact far out
+        c = 0.5 * ((z1.real + z2.real)
+                   + (z2.imag - z1.imag) * (z2.imag + z1.imag) / dx)
         r = abs(z1 - c)
         # forward tangent at z1 along pos_to_neg is i(z1-c)/r
         t = 1j * (z1 - c) / r
@@ -207,7 +208,7 @@ class GeodesicLine:
         if self.is_vertical:
             v = (self.foot - z.real) / z.imag
             return v if self.up else -v
-        v = (abs(z - self.center) ** 2 - self.radius ** 2) \
+        v = (z.imag * z.imag - _sq_gap(self.radius, z.real, self.center)) \
             / (2.0 * self.radius * z.imag)
         return -v if self.pos_to_neg else v
 
@@ -709,38 +710,10 @@ class Isometry:
         return not self.is_identity(tol) \
             and abs(abs(self.trace()) - 2.0) <= tol
 
-    def is_hyperbolic(self, tol: float = TOL_GEO) -> bool:
-        return abs(self.trace()) > 2.0 + tol
-
-    def translation_length(self) -> float:
-        t = abs(self.trace())
-        if t <= 2.0:
-            return 0.0
-        return 2.0 * math.acosh(t / 2.0)
-
     def fixed_point_parabolic(self) -> float:
         if abs(self.c) <= TOL_ALG:
             return INF
         return (self.a - self.d) / (2.0 * self.c)
-
-    def axis(self) -> GeodesicLine:
-        """Translation axis of a hyperbolic element, oriented toward the
-        attracting fixed point."""
-        t = self.trace()
-        if abs(t) <= 2.0:
-            raise ValueError("axis of a non-hyperbolic isometry")
-        disc = math.sqrt(t * t - 4.0)
-        if abs(self.c) <= TOL_ALG:
-            other = self.b / (self.d - self.a)
-            if abs(self.a) > abs(self.d):
-                return GeodesicLine.from_endpoints(other, INF)
-            return GeodesicLine.from_endpoints(INF, other)
-        x1 = (self.a - self.d + disc) / (2.0 * self.c)
-        x2 = (self.a - self.d - disc) / (2.0 * self.c)
-        # attracting fixed point has |derivative| < 1, i.e. (c x + d)^2 > 1
-        if (self.c * x1 + self.d) ** 2 > 1.0:
-            return GeodesicLine.from_endpoints(x2, x1)
-        return GeodesicLine.from_endpoints(x1, x2)
 
     def approx_equal(self, other: "Isometry", tol: float = TOL_GEO) -> bool:
         for s in (1.0, -1.0):
@@ -750,3 +723,46 @@ class Isometry:
                     and abs(self.d - s * other.d) <= tol:
                 return True
         return False
+
+
+# ---------------------------------------------------------------------------
+# axes of cyclic products
+
+# a hyperbolic cycle of length L settles from any start in about 40 / L
+# passes (at most 22 over the catalog words of up to 8 letters)
+CYCLE_PASSES = 64
+
+
+def cycle_axes(maps: list[Isometry],
+               seeds: list[GeodesicLine] | None = None):
+    """Ends and translation length L of the cyclic products maps[k] @ ...
+    @ maps[k - 1], as (xi, eta, L): xi[k] and eta[k] are the attracting
+    and repelling ends of position k's product.
+
+    Iterates xi_k = maps[k](xi_{k+1}) and eta_{k+1} = maps[k]^-1(eta_k)
+    around the cycle, from the seed lines' ends or from e - 2, until a
+    pass ends in a state seen before (rounding can leave the last bit
+    alternating).  A pass contracts their error by e^-L, so each end
+    keeps a few ulps, and L = 2 sum log|c_k xi_{k+1} + d_k| forms no
+    product.  An empty or parabolic cycle never settles: it raises
+    NotHyperbolic.
+    """
+    n = len(maps)
+    m = [(g.a, g.b, g.c, g.d) for g in maps]
+    eta = [ln.endpoint_back for ln in seeds] if seeds else [math.e - 2.0] * n
+    xi = [ln.endpoint_fwd for ln in seeds] if seeds else [math.e - 2.0] * n
+    seen = []
+    for _ in range(CYCLE_PASSES if n else 0):
+        seen.append(xi + eta)
+        for k in range(n - 1, -1, -1):
+            a, b, c, d = m[k]
+            xi[k] = (a * xi[(k + 1) % n] + b) / (c * xi[(k + 1) % n] + d)
+        for k in range(n):
+            a, b, c, d = m[k]
+            eta[(k + 1) % n] = (d * eta[k] - b) / (a - c * eta[k])
+        if xi + eta in seen:
+            return xi, eta, 2.0 * math.fsum(
+                math.log(abs(c * xi[(k + 1) % n] + d))
+                for k, (_, _, c, d) in enumerate(m))
+    raise NotHyperbolic(
+        f"a cycle of {n} maps does not settle in {CYCLE_PASSES} passes")

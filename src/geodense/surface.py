@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .catalog import CATALOG, SurfaceSpec, surface_names
-from .errors import InvalidSurface, NotHyperbolic, RelatorFails, TraceError
+from .errors import InvalidSurface, RelatorFails, TraceError
 from .halfplane import (
     INF,
     GeodesicLine,
@@ -139,11 +139,11 @@ class SurfaceModel:
         self.spec = spec
         self.name = spec.name
         self.base_point = spec.base_point
-        self._gens: dict[str, Isometry] = {}
+        self.gens: dict[str, Isometry] = {}
         for i, ch in enumerate(spec.gen_names):
             g = Isometry.from_matrix(spec.gen_matrices[i])
-            self._gens[ch] = g
-            self._gens[ch.upper()] = g.inverse()
+            self.gens[ch] = g
+            self.gens[ch.upper()] = g.inverse()
         self.sides = self._build_sides()
         self.cusps = self._build_cusps()
         self.wall_cusps = {s: c for c in self.cusps for s in c.walls}
@@ -155,9 +155,9 @@ class SurfaceModel:
         """Isometry of a word; "xy" acts as x after y."""
         g = Isometry.identity()
         for ch in word:
-            if ch not in self._gens:
+            if ch not in self.gens:
                 raise ValueError(f"unknown generator letter {ch!r}")
-            g = g @ self._gens[ch]
+            g = g @ self.gens[ch]
         return g
 
     # -- construction --------------------------------------------------------
@@ -281,16 +281,6 @@ class SurfaceModel:
             z = side.pairing.apply(z)
             g = side.pairing @ g
         raise TraceError(f"point reduction did not terminate for {z}")
-
-    # -- axes ----------------------------------------------------------------
-
-    def axis_of(self, word: str) -> tuple[GeodesicLine, float]:
-        """Translation axis and length of a hyperbolic word."""
-        g = self.word_iso(word)
-        if not g.is_hyperbolic():
-            raise NotHyperbolic(
-                f"word {word!r} has trace {g.trace():.6g}")
-        return g.axis(), g.translation_length()
 
     # -- validation ----------------------------------------------------------
 

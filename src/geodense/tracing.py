@@ -20,16 +20,18 @@ coordinates, as a walk without runs gives them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import TraceError
+from .errors import ArrangementDegenerate, NotHyperbolic, TraceError
 from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
     Isometry,
+    cycle_axes,
     dist,
     intersect_lines,
     lines_cross,
@@ -37,6 +39,7 @@ from .halfplane import (
 )
 from .surface import Cusp, SurfaceModel
 from .tolerances import TOL_GEO, TOL_LOOSE
+from .words import cyclic_reduce, inverse_word
 
 # minimal forward progress accepted when hunting the next side crossing
 _AHEAD = 1e-11
@@ -187,10 +190,6 @@ class Trace:
 
     def segments(self) -> list[GeodesicSegment]:
         return [p for s in self.steps for p in s.passages()]
-
-    def closes_up(self, tol: float = TOL_LOOSE) -> bool:
-        return (abs(self.end_point - self.start_point) <= tol
-                and abs(self.end_dir - self.start_dir) <= tol)
 
 
 def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
@@ -461,25 +460,44 @@ def tile_elements(model: SurfaceModel,
     return out
 
 
-@dataclass(frozen=True)
-class _Chord:
-    """One polygon passage of a closed geodesic, with its arc-length
-    offset from the trace start."""
-
-    index: int
-    segment: GeodesicSegment
-    offset: float
+def close_walk(model: SurfaceModel, steps: list[TraceStep]) -> Trace:
+    """A walk that returns to its start, closed exactly: one chord per
+    side step, on the axes cycle_axes finds for the inverse pairings
+    that tile_elements composes, seeded with the walk's lines.  Chord k
+    runs from the partner of side k - 1 to side k.  A chord missing its
+    sides or turning back raises TraceError, and a run (many wall
+    crossings in one step) ArrangementDegenerate naming its cusp."""
+    steps = [st for st in steps if st.side is not None]
+    run = next((st.run for st in steps if st.count > 1), None)
+    if run is not None:
+        raise ArrangementDegenerate(f"a run in cusp {run.cusp.index}")
+    xi, eta, length = cycle_axes(
+        [model.sides[st.side].inverse_pairing for st in steps],
+        [st.segment.line for st in steps])
+    chords = []
+    for k, st in enumerate(steps):
+        line = GeodesicLine.from_endpoints(eta[k], xi[k])
+        entry = model.sides[steps[k - 1].side].partner
+        ends = []
+        for side in (model.sides[entry], model.sides[st.side]):
+            z = intersect_lines(line, side.line)
+            if z is None or not side.segment.contains_param(
+                    side.line.param_of(z)):
+                raise TraceError(f"chord {k} misses side {side.index}")
+            ends.append(line.param_of(z))
+        if entry == st.side or ends[1] < ends[0] - TOL_GEO:
+            raise TraceError(f"chord {k} turns back")
+        chords.append(TraceStep(GeodesicSegment(line, *ends), st.side))
+    seg = chords[0].segment
+    u = seg.line.tangent_at(seg.s0)
+    return Trace(seg.start, u, chords, seg.start, u, length)
 
 
 @dataclass(eq=False)
 class ClosedGeodesicRep:
-    """A closed geodesic carried as its word and one traced period.
-
-    The length, the traced lift (axis) and the holonomy, the deck
-    element translating along that lift in the frame of the trace start,
-    are read off the trace.  The holonomy is developed only when asked,
-    which only a curve short enough to develop in floats can do.
-    """
+    """A closed geodesic carried as its word and its period, closed by
+    close_walk.  The length and the holonomy, the deck element along the
+    lift of the first passage, are read off the period."""
 
     word: str
     trace: Trace
@@ -490,72 +508,52 @@ class ClosedGeodesicRep:
         return self.trace.length
 
     @property
-    def axis(self) -> GeodesicLine:
-        return self.trace.steps[0].segment.line
-
-    @property
     def holonomy(self) -> Isometry:
         return self.devs[-1]
 
     @cached_property
-    def _passages(self) -> list[GeodesicSegment]:
-        return self.trace.segments()
-
-    def segments(self) -> list[GeodesicSegment]:
-        """The passages of the traced period; the list is shared."""
-        return self._passages
-
-    @cached_property
     def cum(self) -> list[float]:
-        out = [0.0]
-        for seg in self._passages:
-            out.append(out[-1] + seg.length)
-        return out
+        return [0.0, *itertools.accumulate(
+            s.length for s in self.trace.segments())]
 
     @cached_property
-    def chords(self) -> list[_Chord]:
-        return [_Chord(k, seg, self.cum[k])
-                for k, seg in enumerate(self._passages)]
+    def chords(self) -> list[tuple[int, GeodesicSegment, float]]:
+        """(index, passage, arc length from the period start) each."""
+        return list(zip(itertools.count(), self.trace.segments(), self.cum))
 
     @cached_property
     def devs(self) -> list[Isometry]:
-        """Deck element of each step's tile in the frame of the trace
-        start, as tile_elements gives them; devs[-1], past the last step,
-        which crosses no side, is the holonomy.  A base geodesic below
-        the unit horocycles has no runs, so one step per passage.
-        """
+        """tile_elements of the period's steps; devs[-1] is the holonomy."""
         return tile_elements(self.model, self.trace.steps)
 
 
 def base_geodesic(model: SurfaceModel,
                   word: str | None = None) -> ClosedGeodesicRep:
     """The closed geodesic of a hyperbolic word (by default the catalog
-    filling word), traced once around.
-
-    The holonomy carries the polygon frame of the trace start (its axis
-    is the traced lift).  The trace is checked to close up and the
-    holonomy to match the word.
-    """
+    filling word).  The cycle of its letters gives a lift and the length
+    to shoot along.  The shot's side words, joined, must be conjugate to
+    the word, an exact check; close_walk rebuilds each passage."""
     if word is None:
         word = model.spec.base_word
-    line, length = model.axis_of(word)
-    # prefer a start that reduces to the polygon interior; a geodesic
-    # running along the boundary never has one, and then any reduced
-    # point works since the walker resolves on-boundary starts
-    z, g = model.normalize(line.point_at(0.0))
-    for k in range(1, 25):
-        if min(model.side_signed_dists(z)) > 1e-7:
-            break
-        z, g = model.normalize(line.point_at(k * 0.381966 * length))
-    start_line = g.apply_line(line)
-    s = start_line.param_of(z)
-    tr = trace_geodesic(model, z, start_line.tangent_at(s), length)
-    if not tr.closes_up(tol=1e-6):
-        raise TraceError(
-            f"closed trace of {word!r} misses its start by "
-            f"{abs(tr.end_point - tr.start_point):.2e}")
-    rep = ClosedGeodesicRep(word, tr, model)
-    want = (g @ model.word_iso(word) @ g.inverse()).normalized()
-    if not rep.holonomy.normalized().approx_equal(want, tol=1e-6):
-        raise TraceError(f"holonomy of {word!r} does not match its word")
-    return rep
+    want = cyclic_reduce(word)
+    try:
+        xi, eta, length = cycle_axes([model.gens[ch] for ch in want])
+        line = GeodesicLine.from_endpoints(eta[0], xi[0])
+        # prefer a start that reduces to the polygon interior; a geodesic
+        # running along the boundary never has one, and then any reduced
+        # point works since the walker resolves on-boundary starts
+        z, g = model.normalize(line.point_at(0.0))
+        for k in range(1, 25):
+            if min(model.side_signed_dists(z)) > 1e-7:
+                break
+            z, g = model.normalize(line.point_at(k * 0.381966 * length))
+        start_line = g.apply_line(line)
+        s = start_line.param_of(z)
+        shot = trace_geodesic(model, z, start_line.tangent_at(s), length)
+        got = cyclic_reduce("".join(inverse_word(model.sides[i].word)
+                                    for i in shot.sides))
+        if len(got) != len(want) or got not in want + want:
+            raise TraceError(f"its shot crosses the sides of {got!r}")
+        return ClosedGeodesicRep(word, close_walk(model, shot.steps), model)
+    except (TraceError, NotHyperbolic, ArrangementDegenerate) as exc:
+        raise type(exc)(f"closed geodesic of {word!r}: {exc}") from exc

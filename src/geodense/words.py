@@ -36,3 +36,12 @@ def join_reduced(u: str, v: str) -> str:
     while k < n and u[-1 - k] == v[k].swapcase():
         k += 1
     return u[:len(u) - k] + v[k:]
+
+
+def cyclic_reduce(word: str) -> str:
+    """The word freely reduced, then stripped of inverse end letters:
+    conjugate words reduce to rotations of each other."""
+    w = free_reduce(word)
+    while len(w) > 1 and w[0] == w[-1].swapcase():
+        w = w[1:-1]
+    return w

@@ -188,6 +188,11 @@ class TestRejections:
         with pytest.raises(NotHyperbolic):
             decompose(torus, "")
 
+    def test_proper_power_retraces(self, torus):
+        # abab runs the period of ab twice, two passes on each line
+        with pytest.raises(ArrangementDegenerate, match="retrace"):
+            decompose(torus, "abab")
+
     def test_cusp_climbing_word_rejected(self, sphere):
         # "aab" runs above the unit horocycle of the cusp at infinity
         with pytest.raises(ArrangementDegenerate) as err:

@@ -102,8 +102,10 @@ class TestClassifyAndExtend:
         params = DensityParams(1.0, 1.0)
         K = sphere_dec.constants
         r_eps = formulas.clearance(params.eps, K.theta0)
-        ch = sphere_g0.chords[0].segment
-        z_star = ch.point_at_fraction(0.5)
+        # a point of the first passage low enough that the walk back
+        # from it stays in the truncation
+        ch = sphere_g0.trace.segments()[0]
+        z_star = ch.point_at_fraction(0.8)
         v = ch.line.tangent_at(ch.line.param_of(z_star))
         rot = complex(math.cos(1.2), math.sin(1.2))
         u = v * rot
@@ -624,7 +626,7 @@ class TestCuspExcursionWitnesses:
         ("torus", 0.2, 0.5,
          (0.39332066456492676, 3.60667492206145, True, 1.1019359767300707),
          "BA", {"candidate": 1, "tail_case": 3, "dive_case": 4},
-         32.6994936401333, 28074),
+         32.69949352460638, 28074),
         # sphere-fine, seed 1, arc 1118
         ("sphere", 0.05, 0.2,
          (-4.087472322977253, 4.912548771241424, True, -2.269542700964721),

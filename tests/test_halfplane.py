@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from geodense import halfplane
-from geodense.errors import HorocyclesIntersect
+from geodense.errors import HorocyclesIntersect, NotHyperbolic
 from geodense.halfplane import (
     horocycle_perpendicular,
     INF,
@@ -17,6 +17,7 @@ from geodense.halfplane import (
     angle_with_horocycle,
     cosh_dist,
     crossing_angle,
+    cycle_axes,
     dist,
     dist_lines,
     folded_angle,
@@ -212,6 +213,39 @@ class TestLines:
         # left of the upward axis is x < 0
         assert axis.signed_sinh_dist(-1.0 + 1j) > 0
         assert axis.signed_sinh_dist(1.0 + 1j) < 0
+
+    @given(st.floats(-3.0, 3.0), st.floats(1.0, 1e8), st.booleans(),
+           st.floats(0.01, 10.0), st.booleans(), st.floats(-3.0, 3.0))
+    def test_signed_sinh_dist_exact(self, c, r, pos_to_neg, y, right, off):
+        """Points near a circle of radius up to 1e8, where |z - c|^2 - r^2
+        cancels: the error stays at the rounding of y^2 and the gap."""
+        assume(y < r)
+        x = c + (1.0 if right else -1.0) * math.sqrt((r - y) * (r + y)) \
+            + off * y
+        line = GeodesicLine.circle(c, r, pos_to_neg)
+        X, Y, C, R = map(Fraction, (x, y, c, r))
+        gap = R * R - (X - C) ** 2
+        want = (Y * Y - gap) / (2 * R * Y)
+        if pos_to_neg:
+            want = -want
+        scale = (Y * Y + abs(gap)) / (2 * R * Y)
+        got = line.signed_sinh_dist(complex(x, y))
+        assert abs(Fraction(got) - want) <= Fraction(1e-15) * scale
+
+    @given(st.floats(1e5, 1e8), st.booleans(), st.floats(-5.0, 5.0),
+           st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+    def test_from_points_center_exact(self, far, left, a, b, y1, y2):
+        """Two points far from the origin: the center keeps the digits
+        that |z2|^2 - |z1|^2 loses."""
+        assume(abs(a - b) > 1e-3)
+        x0 = -far if left else far
+        z1, z2 = complex(x0 + a, y1), complex(x0 + b, y2)
+        X1, X2, Y1, Y2 = map(Fraction, (z1.real, z2.real, y1, y2))
+        q = (Y2 - Y1) * (Y2 + Y1) / (X2 - X1)
+        want = ((X1 + X2) + q) / 2
+        got = GeodesicLine.from_points(z1, z2).center
+        assert abs(Fraction(got) - want) \
+            <= Fraction(1e-15) * (abs(X1) + abs(X2) + abs(q))
 
 
 class TestCrossings:
@@ -511,27 +545,56 @@ class TestIsometry:
         t = img.tangent_at(img.param_of(w))
         assert abs(t - v) < 1e-5
 
-    def test_translation_length(self):
+    def test_cycle_length(self):
+        # translation by lam along the axis from -1 to 1: t sends 0 to -1
+        # and infinity to 1
         lam = 1.6
-        g = Isometry(math.exp(lam / 2), 0.0, 0.0, math.exp(-lam / 2))
-        assert g.translation_length() == pytest.approx(lam, abs=TOL_GEO)
-        ax = g.axis()
-        assert ax.endpoint_back == 0.0
-        assert math.isinf(ax.endpoint_fwd)
+        t = Isometry.from_matrix([[1.0, -1.0], [1.0, 1.0]])
+        g = t @ Isometry(math.exp(lam / 2), 0.0, 0.0, math.exp(-lam / 2)) \
+            @ t.inverse()
+        [xi], [eta], length = cycle_axes([g])
+        assert length == pytest.approx(lam, abs=1e-12)
+        assert eta == pytest.approx(-1.0, abs=1e-12)
+        assert xi == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_generic(self):
-        g = Isometry.from_matrix([[2.0, 1.0], [1.0, 1.0]])
-        ax = g.axis()
-        # fixed points of z -> (2z+1)/(z+1): z^2 - z - 1 = 0
+        # z -> (2z+1)/(z+1) is h1 after h2; its fixed points solve
+        # z^2 - z - 1 = 0
+        h1 = Isometry(1.0, 1.0, 0.0, 1.0)
+        h2 = Isometry(1.0, 0.0, 1.0, 1.0)
+        xi, eta, length = cycle_axes([h1, h2])
         phi = (1 + math.sqrt(5)) / 2
-        assert ax.endpoint_fwd == pytest.approx(phi, abs=1e-9)
-        assert ax.endpoint_back == pytest.approx(1 - phi, abs=1e-9)
-        # translation moves points along the axis by the translation length
+        assert xi[0] == pytest.approx(phi, abs=1e-12)
+        assert eta[0] == pytest.approx(1 - phi, abs=1e-12)
+        # position 1 is the axis of h2 after h1, which h1 carries onto
+        # position 0
+        assert xi[1] == pytest.approx(phi - 1, abs=1e-12)
+        assert eta[1] == pytest.approx(-phi, abs=1e-12)
+        assert length == pytest.approx(2 * math.acosh(1.5), abs=1e-12)
+        # the product moves points along the axis by the length
+        ax = GeodesicLine.from_endpoints(eta[0], xi[0])
+        g = h1 @ h2
         z = ax.point_at(0.0)
         w = g.apply(z)
         assert ax.contains(w, tol=1e-9)
-        assert dist(z, w) == pytest.approx(g.translation_length(), abs=1e-9)
+        assert dist(z, w) == pytest.approx(length, abs=1e-9)
         assert ax.param_of(w) > 0
+
+    def test_settles_through_a_rounding_cycle(self):
+        # the inverse pairings of the sphere's sides 1, 2, 5, 5 and 3:
+        # their product has trace 6, and its repelling ends end up
+        # alternating in the last bit instead of settling
+        maps = [Isometry(1.0, 0.0, -2.0, 1.0), Isometry(1.0, 0.0, 2.0, 1.0),
+                Isometry(1.0, 2.0, 0.0, 1.0), Isometry(1.0, 2.0, 0.0, 1.0),
+                Isometry(1.0, -2.0, 2.0, -3.0)]
+        _, _, length = cycle_axes(maps)
+        assert length == pytest.approx(2 * math.acosh(3.0), rel=1e-12)
+
+    def test_cycle_without_axis_rejected(self):
+        with pytest.raises(NotHyperbolic, match="does not settle"):
+            cycle_axes([Isometry(1.0, 3.0, 0.0, 1.0)])
+        with pytest.raises(NotHyperbolic, match="0 maps"):
+            cycle_axes([])
 
     def test_parabolic(self):
         g = Isometry(1.0, 3.0, 0.0, 1.0)

@@ -15,7 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 from geodense.catalog import CATALOG
 from geodense.densify import DensityParams, classify_and_extend, replace_arc
 from geodense.errors import RadiusTooSmall
-from geodense.halfplane import GeodesicLine, GeodesicSegment, Isometry, dist
+from geodense.halfplane import (
+    GeodesicLine,
+    GeodesicSegment,
+    Isometry,
+    cycle_axes,
+    dist,
+)
 from geodense.orbit import (
     DIST_TOL,
     _STOP_MARGIN,
@@ -185,18 +191,24 @@ class TestBallBound:
 
 @pytest.fixture(scope="module")
 def commutator(sphere):
-    return base_geodesic(sphere, "ab").segments()
+    return base_geodesic(sphere, "ab").trace.segments()
+
+
+def _axis(model, word):
+    """The axis of a word's element, from the cycle of its letters."""
+    xi, eta, _ = cycle_axes([model.word_iso(ch) for ch in word])
+    return GeodesicLine.from_endpoints(eta[0], xi[0])
 
 
 class TestDistToClosedGeodesic:
     def test_point_on_geodesic(self, sphere, commutator):
-        line, _ = sphere.axis_of("ab")
+        line = _axis(sphere, "ab")
         z = line.point_at(0.0)       # axis apex, on the polygon boundary
         assert dist_to_closed_geodesic(sphere, z, commutator, 1.0) \
             == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_lift_enumeration(self, sphere, commutator):
-        line, _ = sphere.axis_of("ab")
+        line = _axis(sphere, "ab")
         for z in (sphere.base_point, complex(-0.4, 0.8), complex(0.3, 1.7)):
             oracle = min(
                 sphere.word_iso(w).apply_line(line).dist_to(z)
@@ -213,9 +225,8 @@ class TestDistToClosedGeodesic:
         """A side pairing maps a point of the base geodesic 1.1 away from
         the polygon.  Its ball holds no tile, so "farther than the radius"
         would be false: the curve passes through the point."""
-        curve = torus_dec.base.segments()
-        seg = curve[0]
-        z = seg.point_at(0.5 * (seg.s0 + seg.s1))
+        curve = torus_dec.base.trace.segments()
+        z = curve[0].point_at_fraction(0.625)
         assert dist_to_closed_geodesic(torus, z, curve, 0.2) == 0.0
         image = torus.sides[0].pairing.apply(z)
         d = dist_to_domain(torus, image)

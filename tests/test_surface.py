@@ -9,7 +9,13 @@ import pytest
 
 from geodense.catalog import CATALOG, surface_names
 from geodense.errors import InvalidSurface, NotHyperbolic, RelatorFails
-from geodense.halfplane import INF, GeodesicLine, Isometry, dist
+from geodense.halfplane import (
+    INF,
+    GeodesicLine,
+    Isometry,
+    cycle_axes,
+    dist,
+)
 from geodense.surface import (
     SurfaceModel,
     chart_top,
@@ -133,28 +139,28 @@ class TestInside:
 
 
 class TestAxes:
+    """A word's axis and length, from the cycle of its letters."""
+
     def test_torus_generator_axis(self, torus):
-        line, length = torus.axis_of("a")
+        [xi], [eta], length = cycle_axes([torus.word_iso("a")])
         assert length == pytest.approx(2 * math.acosh(1.5), abs=1e-12)
         assert length == pytest.approx(1.9248473002384139, abs=1e-12)
         golden = (math.sqrt(5.0) - 1.0) / 2.0
-        assert line.endpoint_fwd == pytest.approx(golden)
-        assert line.endpoint_back == pytest.approx(-1.0 / golden)
+        assert xi == pytest.approx(golden)
+        assert eta == pytest.approx(-1.0 / golden)
 
     def test_sphere_commutator_axis(self, sphere):
-        line, length = sphere.axis_of("ab")
+        xi, eta, length = cycle_axes([sphere.word_iso(ch) for ch in "ab"])
         assert length == pytest.approx(2 * math.acosh(3.0), abs=1e-12)
         g = sphere.word_iso("ab")
+        line = GeodesicLine.from_endpoints(eta[0], xi[0])
         p = line.point_at(0.3)
         assert dist(g.apply(p), line.point_at(0.3 + length)) < 1e-9
 
     def test_parabolic_rejected(self, sphere, torus):
-        with pytest.raises(NotHyperbolic):
-            sphere.axis_of("a")
-        with pytest.raises(NotHyperbolic):
-            torus.axis_of("BAba")
-        with pytest.raises(NotHyperbolic):
-            torus.axis_of("")
+        for model, word in ((sphere, "a"), (torus, "BAba"), (torus, "")):
+            with pytest.raises(NotHyperbolic):
+                cycle_axes([model.word_iso(ch) for ch in word])
 
 
 class TestLevels:

@@ -1,16 +1,19 @@
 """Walker tests: polygon passages, development, closed traces."""
 
+import itertools
 import math
+import random
 
 import pytest
 
-from geodense.errors import TraceError
+from geodense.errors import ArrangementDegenerate, NotHyperbolic, TraceError
 from geodense.halfplane import (
     INF,
     GeodesicLine,
     GeodesicSegment,
     Horocycle,
     Isometry,
+    cycle_axes,
     dist,
     line_horocycle_crossings,
     same_line,
@@ -84,7 +87,6 @@ class TestStraightIntoCusp:
         assert tr.end_point == pytest.approx(
             complex(p.real, p.imag * math.e ** 3))
         assert tr.end_dir == pytest.approx(1j)
-        assert not tr.closes_up()
 
     def test_zero_length(self, sphere):
         tr = trace_geodesic(sphere, sphere.base_point, 1.0, 0.0)
@@ -141,28 +143,39 @@ class TestPassages:
             trace_geodesic(sphere, complex(-3.0, 0.5), 1j, 1.0)
 
 
+def _assert_closed(model, g, length):
+    """A closed period: one chord per side crossing, each ending where
+    its side's pairing puts the next chord's start, lengths adding up to
+    the closed geodesic's, and a holonomy of that translation length."""
+    steps = g.trace.steps
+    assert all(st.side is not None and st.count == 1 for st in steps)
+    assert g.length == pytest.approx(length, rel=1e-12)
+    assert sum(st.segment.length for st in steps) \
+        == pytest.approx(length, rel=1e-12)
+    for k, st in enumerate(steps):
+        nxt = steps[(k + 1) % len(steps)].segment.start
+        assert abs(model.sides[st.side].pairing.apply(st.segment.end)
+                   - nxt) < 1e-12
+    assert abs(g.holonomy.trace()) \
+        == pytest.approx(2.0 * math.cosh(length / 2.0), rel=1e-12)
+
+
 class TestClosedTraces:
     def test_sphere_commutator(self, sphere):
-        g = base_geodesic(sphere, "ab")
-        tr, hol = g.trace, g.holonomy
-        assert tr.length == pytest.approx(2.0 * math.acosh(3.0))
-        assert tr.closes_up(tol=1e-9)
-        assert hol.translation_length() == pytest.approx(tr.length)
+        _assert_closed(sphere, base_geodesic(sphere, "ab"),
+                       2.0 * math.acosh(3.0))
 
     def test_torus_generator(self, torus):
-        # this geodesic runs along polygon sides, hopping vertex to
-        # vertex; it traces fine but closes a little less sharply
+        # this geodesic runs along a polygon side, from vertex to vertex:
+        # one chord, on the side's own line
         g = base_geodesic(torus, "a")
-        tr, hol = g.trace, g.holonomy
-        assert tr.length == pytest.approx(2.0 * math.acosh(1.5))
-        assert tr.closes_up(tol=1e-7)
-        assert hol.translation_length() == pytest.approx(tr.length, abs=1e-9)
+        _assert_closed(torus, g, 2.0 * math.acosh(1.5))
+        assert same_line(g.trace.steps[0].segment.line, torus.sides[2].line)
 
     def test_torus_base_word(self, torus):
-        tr = base_geodesic(torus, "abbaBB").trace
-        assert tr.closes_up(tol=1e-8)
-        assert sum(s.segment.length for s in tr.steps) \
-            == pytest.approx(tr.length, abs=1e-9)
+        # the trace of abbaBB is 43
+        _assert_closed(torus, base_geodesic(torus, "abbaBB"),
+                       2.0 * math.acosh(21.5))
 
     def test_loop_element_identity_for_round_trip(self, sphere):
         # crossing a side and coming straight back multiplies to identity
@@ -171,6 +184,136 @@ class TestClosedTraces:
         e = tile_elements(sphere, [TraceStep(seg, 0),
                                    TraceStep(seg, s.partner)])[-1]
         assert e.is_identity(tol=1e-9)
+
+
+def _exact_length(model, word):
+    """2 acosh(|tr| / 2) of a word, its trace taken in Python ints from
+    the generators' integer matrices; None when |tr| <= 2."""
+    gens = {}
+    for ch, m in zip(model.spec.gen_names, model.spec.gen_matrices):
+        (a, b), (c, d) = [[int(v) for v in row] for row in m]
+        assert ((a, b), (c, d)) == m
+        gens[ch], gens[ch.upper()] = (a, b, c, d), (d, -b, -c, a)
+    a, b, c, d = 1, 0, 0, 1
+    for ch in word:
+        e, f, g, h = gens[ch]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    t = abs(a + d)
+    return 2.0 * math.acosh(t / 2) if t > 2 else None
+
+
+def _cyclically_reduced(word):
+    return all(word[i] != word[i - 1].swapcase() for i in range(len(word)))
+
+
+def _random_word(rng, n):
+    """A cyclically reduced word of n letters, drawn letter by letter."""
+    while True:
+        w = rng.choice("abAB")
+        while len(w) < n:
+            ch = rng.choice("abAB")
+            if ch != w[-1].swapcase():
+                w += ch
+        if _cyclically_reduced(w):
+            return w
+
+
+class TestCycleAxes:
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_letters_give_the_exact_length(self, which, request):
+        """Every cyclically reduced word of 2 to 8 letters: the cycle of
+        its letters gives 2 acosh(|tr| / 2) to 1e-12, or raises
+        NotHyperbolic when the word is parabolic."""
+        model = request.getfixturevalue(which)
+        gens = {ch: model.word_iso(ch) for ch in "abAB"}
+        worst, hyperbolic = 0.0, 0
+        for n in range(2, 9):
+            for letters in itertools.product("abAB", repeat=n):
+                if not _cyclically_reduced(letters):
+                    continue
+                want = _exact_length(model, letters)
+                if want is None:
+                    with pytest.raises(NotHyperbolic):
+                        cycle_axes([gens[ch] for ch in letters])
+                    continue
+                _, _, got = cycle_axes([gens[ch] for ch in letters])
+                worst = max(worst, abs(got - want) / want)
+                hyperbolic += 1
+        assert hyperbolic > 9000
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_catalog_period(self, which, request):
+        """The catalog word's period: exact chords, and a fresh walk from
+        chord 0's start crosses the same sides along them."""
+        model = request.getfixturevalue(which)
+        g = request.getfixturevalue(f"{which}_g0")
+        _assert_closed(model, g, _exact_length(model, model.spec.base_word))
+        first = g.trace.steps[0].segment
+        # a little past the length, so that the walk takes the last side
+        fresh = trace_geodesic(model, first.start,
+                               first.line.tangent_at(first.s0),
+                               g.length + 1e-6)
+        n = len(g.trace.steps)
+        assert fresh.sides == g.trace.sides
+        for x, y in zip(fresh.segments()[:n], g.trace.segments()):
+            assert _hd(x.start, y.start) < 1e-9 and _hd(x.end, y.end) < 1e-9
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_never_wrong(self, which, n, request):
+        """Random words: the period is exact, or an error names the word.
+        A shot of a long word drifts off its geodesic and fails the side
+        check; a period holding a cusp run is refused."""
+        model = request.getfixturevalue(which)
+        rng = random.Random(n)
+        closed = 0
+        for _ in range(12):
+            w = _random_word(rng, n)
+            want = _exact_length(model, w)
+            try:
+                g = base_geodesic(model, w)
+            except (TraceError, NotHyperbolic) as exc:
+                assert repr(w) in str(exc)
+                continue
+            except ArrangementDegenerate as exc:
+                assert repr(w) in str(exc) and "run in cusp" in str(exc)
+                continue
+            closed += 1
+            assert sum(st.segment.length for st in g.trace.steps) \
+                == pytest.approx(want, rel=1e-12)
+        if n == 8:
+            assert closed >= 6
+
+    def test_shot_of_another_word_refused(self, torus, monkeypatch):
+        """A shot whose sides spell another word closes up exactly, onto
+        the wrong geodesic: the side check refuses it."""
+        g = base_geodesic(torus)
+        first = g.trace.steps[0].segment
+        shot = trace_geodesic(torus, first.start,
+                              first.line.tangent_at(first.s0), g.length + 1e-6)
+        monkeypatch.setattr(tracing, "trace_geodesic", lambda *a: shot)
+        with pytest.raises(TraceError,
+                           match="'abbaBB': its shot crosses the sides of"):
+            base_geodesic(torus, "abbaBB")
+
+    @pytest.mark.parametrize("sides,match", [
+        # crossing a side and coming straight back
+        ((2, 5, 2, 1), "turns back"), ((2, 5, 0, 5), "turns back"),
+        # a detour through the partner sides 3 and 4, round the cusp at 1
+        ((2, 3, 4, 5), "misses side")])
+    def test_wrong_walk_refused(self, sphere, sides, match):
+        """Walks whose side words, joined, are conjugate to ab, the
+        period of sides 2 and 5, but which the geodesic does not take."""
+        seg = base_geodesic(sphere, "ab").trace.steps[0].segment
+        with pytest.raises(TraceError, match=match):
+            tracing.close_walk(sphere, [TraceStep(seg, s) for s in sides])
+
+    def test_cusp_run_refused(self, sphere):
+        """aaaaab climbs high in cusp 0: its period holds a run."""
+        with pytest.raises(ArrangementDegenerate,
+                           match="'aaaaab': a run in cusp 0"):
+            base_geodesic(sphere, "aaaaab")
 
 
 def _walk_passages(model, p, u, length):
