@@ -29,7 +29,6 @@ from .errors import (
     CaseBoundViolated,
     HorocyclesIntersect,
     SafetyCapExceeded,
-    TraceError,
 )
 from .halfplane import (
     INF,
@@ -143,7 +142,9 @@ class ExtensionOutcome:
     extension is the length walked beyond the mandatory clearance
     prefix; total includes the prefix.  Class A stopped on a steep
     base-geodesic crossing (cases 1 to 4), class B on a steep deep
-    horocycle crossing (case 5).
+    horocycle crossing (case 5).  trace is the walk as taken: it ends
+    with the step that holds the stop, and a processed arc cuts its
+    class-A legs there (_cut_trace).
     """
 
     case_id: int
@@ -156,7 +157,7 @@ class ExtensionOutcome:
     trace: Trace
 
 
-def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep,
+def _ray_events(gamma0: ClosedGeodesicRep,
                 steps: list[TraceStep], deep: Sequence[Horocycle],
                 theta0: float, psi: float, walked: float = 0.0,
                 step0: int = 0,
@@ -178,7 +179,8 @@ def _ray_events(model: SurfaceModel, gamma0: ClosedGeodesicRep,
     (decomp._check_cusp_clearance) and no other cusp's deep horoball
     meets.  The cusp parabolic maps the cusp's deep horocycle to itself,
     so the run crosses it where its developed arc does, found in the
-    cusp chart.  Each record is in the frame of its step's segment.
+    cusp chart; base records therefore lie in plain steps only.  Each
+    record is in the frame of its step's segment.
     """
     events: list[CrossingRecord] = []
     for k, st in enumerate(steps, step0):
@@ -242,16 +244,15 @@ def _run_deep_events(st: TraceStep, deep: Sequence[Horocycle], psi: float,
 
 
 def _cut_trace(trace: Trace, event: CrossingRecord) -> Trace:
-    """The initial piece of a trace, ending exactly at a crossing.
-
-    A crossing inside a run splits the run (TraceStep.head); the record
-    stays in the frame of its step.
-    """
-    last, end, end_dir = trace.steps[event.step].head(event.point)
-    steps = trace.steps[:event.step] + last
+    """The initial piece of a trace, ending exactly at a base crossing,
+    which lies in a plain step (_ray_events)."""
+    seg = trace.steps[event.step].segment
+    sw = seg.line.param_of(event.point)
+    steps = trace.steps[:event.step] + [
+        TraceStep(seg.subsegment(seg.s0, sw), None)]
     length = sum(s.segment.length for s in steps)
-    return Trace(trace.start_point, trace.start_dir, steps, end, end_dir,
-                 length)
+    return Trace(trace.start_point, trace.start_dir, steps, event.point,
+                 seg.line.tangent_at(sw), length)
 
 
 def _hunt(S: _Setting, point: complex, tangent: complex,
@@ -281,8 +282,8 @@ def _hunt(S: _Setting, point: complex, tangent: complex,
 
     def scan(st: TraceStep) -> bool:
         nonlocal walked, steps, last, stop, cls, shallow
-        events = _ray_events(S.model, S.gamma0, [st], S.deep, S.K.theta0,
-                             S.psi, walked, steps, last)
+        events = _ray_events(S.gamma0, [st], S.deep, S.K.theta0, S.psi,
+                             walked, steps, last)
         walked += st.segment.length
         steps += 1
         for e in events:
@@ -326,7 +327,7 @@ def _hunt(S: _Setting, point: complex, tangent: complex,
     return ExtensionOutcome(
         case_id=case_id, cls=cls, extension=extension,
         total=stop.s, stop=stop, bad_angles=tuple(bads),
-        shallow_dips=shallow, trace=_cut_trace(ray, stop))
+        shallow_dips=shallow, trace=ray)
 
 
 def classify_and_extend(c: GeodesicSegment, params: DensityParams,
@@ -357,8 +358,11 @@ def classify_and_extend(c: GeodesicSegment, params: DensityParams,
 class ProcessedArc:
     """One arc after extension and, if needed, rerouting.
 
-    trace runs the whole extension from the stop on the original start
-    side to the stop on the end side.  zeta_span brackets the
+    original is the arc as processed: the given arc, or its reverse when
+    only its start dives, since a dive is always rerouted forward.  So an
+    arc and its reverse give the same processed arc when the same side
+    dives.  trace runs the whole extension from the stop on the original
+    start side to the stop on the end side.  zeta_span brackets the
     replacement arc inside it, so both extensions past the replacement
     are at least the clearance.  displacement bounds how far the
     replacement endpoints moved from the original ones.
@@ -374,7 +378,6 @@ class ProcessedArc:
     displacement: float
     bound: float
     clearance: float
-    theta0: float
     detail: dict
 
     @property
@@ -395,9 +398,6 @@ class ProcessedArc:
             if rec.kind != "base" or not rec.good:
                 raise CaseBoundViolated(
                     "extension does not end on a steep base crossing")
-            if rec.angle < self.theta0 - ANGLE_TOL:
-                raise CaseBoundViolated(
-                    f"end angle {rec.angle:.9g} under theta0 {self.theta0:.9g}")
             if ext < self.clearance - 1e-9:
                 raise CaseBoundViolated(
                     f"extension {ext:.9g} under the clearance "
@@ -490,32 +490,22 @@ def _to_surface(model: SurfaceModel, back_iso: Isometry, z: complex,
 
 def _finish(S: _Setting, c: GeodesicSegment, case: str,
             tail: ExtensionOutcome, pre: float, mid: Trace, zeta_len: float,
-            post: float, dive: ExtensionOutcome, dive_dir: int,
-            displacement: float, bound: float, detail: dict) -> ProcessedArc:
+            post: float, dive: ExtensionOutcome, displacement: float,
+            bound: float, detail: dict) -> ProcessedArc:
     """Join tail, mid and dive into the processed arc.
 
-    The walk runs tail -> mid -> dive, with pre and post the lengths
-    before and after the replacement arc mid.  When the dive leaves the
-    arc's start (dive_dir -1), the arc runs the other way: dive, mid and
-    tail reversed.
+    The walk runs the tail reversed, mid, then the dive, each extension
+    cut at its stop, so it starts and ends exactly at the two stops; pre
+    and post are the lengths before and after the replacement arc mid.
     """
-    if dive_dir > 0:
-        start_rec, end_rec = tail.stop, dive.stop
-        legs = [reverse_trace(S.model, tail.trace), mid, dive.trace]
-    else:
-        start_rec, end_rec, pre, post = dive.stop, tail.stop, post, pre
-        legs = [reverse_trace(S.model, dive.trace),
-                reverse_trace(S.model, mid), tail.trace]
-    total = pre + zeta_len + post
-    tr = concat_traces(S.model, legs)
-    if dist(tr.start_point, start_rec.point) > 1e-9 \
-            or dist(tr.end_point, end_rec.point) > 1e-6:
-        raise TraceError("joined arc does not run between its stops")
+    tr = concat_traces([
+        reverse_trace(S.model, _cut_trace(tail.trace, tail.stop)), mid,
+        _cut_trace(dive.trace, dive.stop)])
     arc = ProcessedArc(
-        original=c, case=case, end_back=start_rec, end_fwd=end_rec,
-        trace=tr, length=total, zeta_span=(pre, pre + zeta_len),
-        displacement=displacement, bound=bound, clearance=S.r_eps,
-        theta0=S.K.theta0, detail=detail)
+        original=c, case=case, end_back=tail.stop, end_fwd=dive.stop,
+        trace=tr, length=pre + zeta_len + post,
+        zeta_span=(pre, pre + zeta_len), displacement=displacement,
+        bound=bound, clearance=S.r_eps, detail=detail)
     arc.validate()
     return arc
 
@@ -528,7 +518,9 @@ def replace_arc(c: GeodesicSegment,
 
     Arcs whose both extensions stopped on the base geodesic keep their
     position; a deep dive on either side replaces the arc by a nearby
-    geodesic whose continuations come back out of the cusp.  The
+    geodesic whose continuations come back out of the cusp.  A dive is
+    rerouted forward: when only the start dives, the processed arc runs
+    along c.reversed(), whose forward hunt is the backward outcome.  The
     thresholds are the run's setting (_setting), the length bound the arc's.
     """
     back, fwd = outcomes
@@ -537,24 +529,22 @@ def replace_arc(c: GeodesicSegment,
         c.length, params.eps, params.xi, K.arc_overhead)
     if back.cls == "A" and fwd.cls == "A":
         return _finish(S, c, "A", back, back.total, segment_trace(c),
-                       c.length, fwd.total, fwd, +1, 0.0, bound,
+                       c.length, fwd.total, fwd, 0.0, bound,
                        {"cases": (back.case_id, fwd.case_id)})
-    dive_out, dive_dir = (fwd, +1) if fwd.cls == "B" else (back, -1)
-    return _reroute(S, c, dive_out, dive_dir, bound)
+    if fwd.cls == "B":
+        return _reroute(S, c, fwd, bound)
+    return _reroute(S, c.reversed(), back, bound)
 
 
 def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
-             dive_dir: int, bound: float) -> ProcessedArc:
+             bound: float) -> ProcessedArc:
+    """Reroute the forward dive dive_out of c."""
     model, params, K = S.model, S.params, S.K
     frame = _dive_frame(S, dive_out)
     H = frame.height
     from_norm = frame.to_norm_arc.inverse()
-    if dive_dir > 0:
-        p_c, q_c = c.end, c.start
-    else:
-        p_c, q_c = c.start, c.end
-    p_n = frame.to_norm_arc.apply(p_c)
-    q_n = frame.to_norm_arc.apply(q_c)
+    p_n = frame.to_norm_arc.apply(c.end)
+    q_n = frame.to_norm_arc.apply(c.start)
 
     first_tail: tuple[ExtensionOutcome, Isometry] | None = None
     tail_points: list[complex] = []
@@ -591,19 +581,16 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
                   "dive_case": d_out.case_id,
                   "displacement_dive": dp, "displacement_tail": dq}
         return _finish(S, c, "BA", t_out, t_out.total, mid, zeta_len,
-                       d_out.total, d_out, dive_dir, max(dp, dq), bound,
-                       detail)
+                       d_out.total, d_out, max(dp, dq), bound, detail)
     # both candidate tails dive as well
     assert first_tail is not None
     if dist(tail_points[0], tail_points[1]) > 0.5 * params.eps:
         raise CaseBoundViolated(
             "candidate tail endpoints farther apart than eps/2")
-    return _bb_assemble(S, c, dive_out, frame, first_tail, p_c, q_c,
-                        dive_dir, bound)
+    return _bb_assemble(S, c, dive_out, frame, first_tail, bound)
 
 
-def _bb_assemble(S, c, dive_out, frame, first_tail, p_c, q_c, dive_dir,
-                 bound) -> ProcessedArc:
+def _bb_assemble(S, c, dive_out, frame, first_tail, bound) -> ProcessedArc:
     model, params, K, psi = S.model, S.params, S.K, S.psi
     t_out, g_tail = first_tail
     h_dive = frame.dev.apply_horocycle(S.deep[dive_out.stop.index])
@@ -633,8 +620,8 @@ def _bb_assemble(S, c, dive_out, frame, first_tail, p_c, q_c, dive_dir,
     if abs(to_std.apply(perp.start) - 1j) > 1e-7 \
             or abs(to_std.apply(perp.end) - 1j * eu) > 1e-6 * eu:
         raise ArrangementDegenerate("standard position frame drifted")
-    wp = to_std.apply(p_c)
-    wq = to_std.apply(q_c)
+    wp = to_std.apply(c.end)
+    wq = to_std.apply(c.start)
     sgn = 1.0 if wp.real + wq.real >= 0.0 else -1.0
     c_top = complex(sgn * hw * eu, eu)
     c_bot = complex(sgn * hw, 1.0) / (hw * hw + 1.0)
@@ -685,4 +672,4 @@ def _bb_assemble(S, c, dive_out, frame, first_tail, p_c, q_c, dive_dir,
               "tail_case": t_out.case_id}
     return _finish(S, c, "BB", out_bot, out_bot.total + (s_q0 - s_bot),
                    mid, s_p0 - s_q0, (s_top - s_p0) + out_top.total, out_top,
-                   dive_dir, max(dp, dq), bound, detail)
+                   max(dp, dq), bound, detail)

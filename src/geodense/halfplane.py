@@ -232,20 +232,20 @@ def same_line(l1: GeodesicLine, l2: GeodesicLine, tol: float = TOL_GEO) -> bool:
 # ---------------------------------------------------------------------------
 # intersections and crossings
 
-# Endpoints x, y are shared when |2 atan x - 2 atan y| <= TOL_ALG, with
-# inf at angle pi and no wrap-around: as tan(atan x - atan y) is
-# (x - y) / (1 + xy), that is |x - y| <= t (1 + xy), t = tan(TOL_ALG / 2),
-# and x >= 1/t against inf.
+# Endpoints x, y are shared when the boundary angles 2 atan x and 2 atan y
+# are within TOL_ALG on the circle, inf at angle pi wrapping round to -inf:
+# as tan(atan x - atan y) is (x - y) / (1 + xy), that is
+# |x - y| <= t |1 + xy|, t = tan(TOL_ALG / 2), and |x| >= 1/t against inf.
 _SHARED_TAN = math.tan(0.5 * TOL_ALG)
 _SHARED_WITH_INF = 1.0 / _SHARED_TAN
 
 
 def _same_end(x: float, y: float) -> bool:
     if math.isinf(x):
-        return math.isinf(y) or y >= _SHARED_WITH_INF
+        return math.isinf(y) or abs(y) >= _SHARED_WITH_INF
     if math.isinf(y):
-        return x >= _SHARED_WITH_INF
-    return abs(x - y) <= _SHARED_TAN * (1.0 + x * y)
+        return abs(x) >= _SHARED_WITH_INF
+    return abs(x - y) <= _SHARED_TAN * abs(1.0 + x * y)
 
 
 def lines_cross(l1: GeodesicLine, l2: GeodesicLine) -> bool:

@@ -47,17 +47,19 @@ def dist_to_domain(model: SurfaceModel, z: complex) -> float:
 # Widening the sinh s to s (1 + d) + d moves its asinh up by about d at
 # least, and 2 DIST_TOL leaves room over the three.
 _HALF_PLANE_SLACK = 2.0 * DIST_TOL
+# a ball of more tiles than this raises RadiusTooSmall
+MAX_TILES = 20000
 
 
-def ball(model: SurfaceModel, center: complex, radius: float,
-         max_tiles: int = 20000) -> list[tuple[str, Isometry]]:
+def ball(model: SurfaceModel, center: complex,
+         radius: float) -> list[tuple[str, Isometry]]:
     """All deck elements whose tile meets the disk around center.
 
     Returned as (word, isometry) pairs in breadth-first order starting
     with the identity.  A tile g is kept when
     ``dist_to_domain(model, g.inverse().apply(center))`` is at most
     radius + 1e-9.  Deep centers make the tile count explode along the
-    cusp, which trips the budget.
+    cusp, which trips the budget MAX_TILES.
 
     Most candidates are rejected before their element is built.  The
     search carries each tile's point w = g^-1(center), so a candidate
@@ -80,10 +82,10 @@ def ball(model: SurfaceModel, center: complex, radius: float,
         if dist_to_domain(model, g.inverse().apply(center)) > reach:
             continue
         out.append((word, g))
-        if len(out) > max_tiles:
+        if len(out) > MAX_TILES:
             raise RadiusTooSmall(
                 f"radius {radius:.3g} ball around {center:.6g} exceeds "
-                f"{max_tiles} tiles")
+                f"{MAX_TILES} tiles")
         for side in model.sides:
             partner = model.sides[side.partner]
             nw = join_reduced(word, partner.word)

@@ -137,40 +137,6 @@ class TraceStep:
     def passages(self) -> list[GeodesicSegment]:
         return [self.passage(j) for j in range(self.count)]
 
-    def head(self, point: complex):
-        """The step cut at a point of its segment, as (steps, end point,
-        end direction) with the end in polygon coordinates.
-
-        In a run, the wall crossings before the point stay one step in
-        the frame of the first passage, and the piece after them moves
-        into the frame of its own passage.
-        """
-        seg = self.segment
-        sw = seg.line.param_of(point)
-        j = 0
-        if self.count > 1:
-            c, ch = self.run.cusp, self.run.chart
-            x_in, x_out = _strip_walls(c, self.side)
-            zc = c.chart.apply(point)
-            # walls (x_out, then a width apart) strictly before the point
-            j = min(max(math.ceil(
-                c.jump(self.side) * (x_out - zc.real) / c.width), 0),
-                self.count - 1)
-        if j == 0:
-            return ([TraceStep(seg.subsegment(seg.s0, sw), None)], point,
-                    seg.line.tangent_at(sw))
-        z = self.wall(j)
-        head = TraceStep(seg.subsegment(seg.s0, self._developed(z)),
-                         self.side)
-        if j > 1:
-            head = TraceStep(head.segment, self.side, j, CuspRun(
-                c, ch.subsegment(ch.s0, ch.line.param_of(z))))
-        uc = ch.line.tangent_at(ch.line.param_of(zc))
-        zc += c.jump(self.side) * j * c.width
-        last = self.in_frame(j, complex(x_in, z.imag), zc)
-        return ([head, TraceStep(last, None)], c.chart_inv.apply(zc),
-                c.chart_inv.apply_tangent(zc, uc))
-
 
 @dataclass
 class Trace:
@@ -232,8 +198,8 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     return best
 
 
-def _cusp_run(model: SurfaceModel, c: Cusp, line: GeodesicLine,
-              p: complex, u: complex, s_here: float, remaining: float):
+def _cusp_run(c: Cusp, line: GeodesicLine, p: complex, u: complex,
+              s_here: float, remaining: float):
     """The run from p, a point on a wall of cusp c, as (step, landing
     point, landing direction), or None where the plain step applies.
 
@@ -320,7 +286,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
         s_here = line.param_of(p)
         remaining = length - walked
         run = None if wall_of is None else \
-            _cusp_run(model, wall_of, line, p, u, s_here, remaining)
+            _cusp_run(wall_of, line, p, u, s_here, remaining)
         if run is not None:
             step, p, u = run
             stalled = 0
@@ -411,7 +377,7 @@ def _reversed_tail(model: SurfaceModel, st: TraceStep) -> TraceStep:
                      partner, n, CuspRun(c, chart.reversed()))
 
 
-def concat_traces(model: SurfaceModel, legs: list[Trace]) -> Trace:
+def concat_traces(legs: list[Trace]) -> Trace:
     """Join walks whose ends abut into one walk.
 
     This is how a processed arc is put together from its pieces: the two

@@ -128,9 +128,16 @@ class TestClassifyAndExtend:
         back, fwd = classify_and_extend(c, params, sphere_dec.constants,
                                         sphere, gamma0=sphere_g0)
         for out, anchor in ((back, c.start), (fwd, c.end)):
+            assert out.cls == "A"
+            # the walk as taken ends with the step holding the stop
             assert abs(out.trace.start_point - anchor) < 1e-9
-            assert abs(out.trace.end_point - out.stop.point) < 1e-9
-            assert out.trace.length == pytest.approx(out.total, abs=1e-9)
+            assert len(out.trace.steps) == out.stop.step + 1
+            assert out.trace.length > out.total
+            # cut at its stop, it ends there
+            cut = densify._cut_trace(out.trace, out.stop)
+            assert cut.steps[:-1] == out.trace.steps[:-1]
+            assert cut.end_point == out.stop.point
+            assert cut.length == pytest.approx(out.total, abs=1e-9)
 
     def test_arc_outside_truncation_rejected(self, torus, torus_dec,
                                              torus_g0):
@@ -228,7 +235,7 @@ class TestIncrementalHunt:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
                 if not out.bad_angles and not out.shallow_dips:
                     continue
-                events = densify._ray_events(model, g0, out.trace.steps, deep,
+                events = densify._ray_events(g0, out.trace.steps, deep,
                                              K.theta0, psi)
                 e = next(e for e in events if e.s >= r_eps and not e.good)
 
@@ -239,11 +246,9 @@ class TestIncrementalHunt:
                 w1 = trace_geodesic(model, tr.start_point, tr.start_dir, e.s)
                 w2 = trace_geodesic(model, w1.end_point, w1.end_dir,
                                     out.total - e.s)
-                ev1 = densify._ray_events(model, g0, w1.steps, deep,
-                                          K.theta0, psi)
-                ev2 = densify._ray_events(model, g0, w2.steps, deep,
-                                          K.theta0, psi, w1.length,
-                                          len(w1.steps), ev1[-1])
+                ev1 = densify._ray_events(g0, w1.steps, deep, K.theta0, psi)
+                ev2 = densify._ray_events(g0, w2.steps, deep, K.theta0, psi,
+                                          w1.length, len(w1.steps), ev1[-1])
                 got = ev1 + ev2
                 assert sum(map(is_e, got)) == 1
                 assert [(g.kind, g.index) for g in got] \
@@ -251,8 +256,8 @@ class TestIncrementalHunt:
                 assert all(abs(g.s - w.s) < densify._DEDUP
                            for g, w in zip(got, events))
                 # the walk on from the joint does see the crossing again
-                again = densify._ray_events(model, g0, w2.steps, deep,
-                                            K.theta0, psi, w1.length)
+                again = densify._ray_events(g0, w2.steps, deep, K.theta0,
+                                            psi, w1.length)
                 seen_twice += any(map(is_e, again))
                 joints += 1
         assert joints >= 2 and seen_twice >= 1
@@ -292,7 +297,7 @@ class TestIncrementalHunt:
         deep, r_eps, psi = S.deep, S.r_eps, S.psi
         for c in arcs:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
-                events = densify._ray_events(model, g0, out.trace.steps, deep,
+                events = densify._ray_events(g0, out.trace.steps, deep,
                                              K.theta0, psi)
                 events = [e for e in events
                           if e.s >= r_eps - densify.ANGLE_TOL]
@@ -307,6 +312,43 @@ class TestIncrementalHunt:
                     == len(out.bad_angles)
                 assert sum(e.kind == "deep" for e in before) \
                     == out.shallow_dips
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_class_a_walks_cut_at_their_stops(self, which, request):
+        # a class-A stop is a base crossing, and base crossings lie in
+        # plain steps, so cutting the walk at the stop cuts one plain
+        # step.  Some walks climb a cusp in runs, the torus witness arcs'
+        # (TestCuspExcursionWitnesses) by thousands of crossings
+        model, K, g0, params, arcs = _hunt_cases(request, which)
+        groups = [(params, arcs)]
+        if which == "torus":
+            groups.append((DensityParams(0.2, 0.5), [
+                _witness(-62549.955372095865, 62551.22036063326, False,
+                         11.307231252184891),
+                _witness(0.39332066456492676, 3.60667492206145, True,
+                         1.1019359767300707)]))
+        cuts = runs = 0
+        for prm, cs in groups:
+            S = densify._setting(prm, K, model, g0)
+            for c in cs:
+                for out in classify_and_extend(c, prm, K, model, gamma0=g0):
+                    steps = out.trace.steps
+                    runs += sum(st.count > 1 for st in steps)
+                    events = densify._ray_events(g0, steps, S.deep,
+                                                 K.theta0, S.psi)
+                    assert all(steps[e.step].count == 1
+                               for e in events if e.kind == "base")
+                    if out.cls != "A":
+                        continue
+                    cut = densify._cut_trace(out.trace, out.stop)
+                    assert cut.steps[:-1] == steps[:out.stop.step]
+                    assert (cut.steps[-1].count, cut.steps[-1].side) \
+                        == (1, None)
+                    assert cut.end_point == out.stop.point
+                    assert cut.length == pytest.approx(out.total, abs=1e-9)
+                    cuts += 1
+        assert cuts >= len(arcs)
+        assert runs > 0
 
 
 class TestGuards:
@@ -481,27 +523,15 @@ class TestReplaceArc:
         assert min(pa.ext_back, pa.ext_fwd) >= pa.clearance - 1e-9
         assert pa.length <= pa.bound + 1e-6
 
-        # reversing the arc mirrors the whole construction
+        # reversed, the arc dives at its start only; the dive is rerouted
+        # forward, along the reverse of the reversed arc, which gives the
+        # same processed arc
         c2 = c.reversed()
         outs2 = classify_and_extend(c2, params, K, torus, gamma0=torus_g0)
         assert outs2[0].cls == "B" and outs2[1].cls == "A"
         pa2 = replace_arc(c2, outs2, params, K, torus, gamma0=torus_g0)
-        assert pa2.case == pa.case
-        assert pa2.length == pytest.approx(pa.length, abs=1e-9)
-        assert pa2.ext_back == pytest.approx(pa.ext_fwd, abs=1e-9)
-        assert pa2.ext_fwd == pytest.approx(pa.ext_back, abs=1e-9)
-        assert pa2.displacement == pytest.approx(pa.displacement, abs=1e-12)
-        assert dist(pa2.end_back.point, pa.end_fwd.point) < 1e-9
-        assert dist(pa2.end_fwd.point, pa.end_back.point) < 1e-9
-        # the mirrored arc walks the same passages backwards, leaving
-        # each tile through the partner of the side it came in by
-        assert pa2.trace.sides == [torus.sides[s].partner
-                                   for s in reversed(pa.trace.sides)]
-        assert dist(pa2.trace.start_point, pa.trace.end_point) < 1e-9
-        assert dist(pa2.trace.end_point, pa.trace.start_point) < 1e-9
-        lo, hi = pa.zeta_span
-        assert pa2.zeta_span == pytest.approx(
-            (pa.length - hi, pa.length - lo), abs=1e-9)
+        assert pa2.original == c
+        _assert_same_arc(pa2, pa)
 
     def test_symmetric_bb_gap_matches_depth(self, sphere, sphere_dec,
                                             sphere_g0):
@@ -535,61 +565,83 @@ class TestReplaceArc:
         assert pa.detail["v_dive"] > 0 and pa.detail["v_tail"] > 0
         assert pa.length <= pa.bound + 1e-6
 
-        # run backwards, the arc dives on its back side (replace_arc
-        # would pick the front dive, so the reroute is called directly),
-        # and the reroute mirrors the one above
+        # run backwards, the arc dives on its back side.  replace_arc
+        # would pick the front dive, so the reroute is called as
+        # replace_arc calls it for a dive at the start only: as the
+        # forward dive of the reversed arc, which is the reroute above
         c2 = c.reversed()
         back2, _ = classify_and_extend(c2, params, K, sphere,
                                        gamma0=sphere_g0)
         assert back2.cls == "B"
         S = densify._setting(params, K, sphere, sphere_g0)
-        pa2 = densify._reroute(S, c2, back2, -1, pa.bound)
-        assert pa2.case == "BB"
-        assert pa2.length == pytest.approx(pa.length, abs=1e-9)
-        assert pa2.displacement == pytest.approx(pa.displacement, abs=1e-12)
-        lo, hi = pa.zeta_span
-        assert pa2.zeta_span == pytest.approx(
-            (pa.length - hi, pa.length - lo), abs=1e-9)
-        assert dist(pa2.end_back.point, pa.end_fwd.point) < 1e-9
-        assert dist(pa2.end_fwd.point, pa.end_back.point) < 1e-9
-        assert pa2.trace.sides == [sphere.sides[s].partner
-                                   for s in reversed(pa.trace.sides)]
+        pa2 = densify._reroute(S, c2.reversed(), back2, pa.bound)
+        _assert_same_arc(pa2, pa)
 
     def test_random_dives_reroute(self, torus, torus_dec, torus_g0):
         params = DensityParams(0.5, 0.5)
         K = torus_dec.constants
         s_deep = formulas.deep_horocycle_length(params.eps, params.xi,
                                                 K.theta0)
-        rng = np.random.default_rng(np.random.PCG64(SEED + 7))
         cases = {"BA": 0, "BB": 0}
-        done = 0
-        attempts = 0
-        while done < 25 and attempts < 100:
-            attempts += 1
-            z = complex(rng.uniform(-2.9, 2.9), rng.uniform(1.2, 2.2))
-            if not torus.inside(z, tol=0.0):
-                continue
-            # tilts of order 1e-4 keep the ray steep enough to enter
-            # the deep horocycle at an angle past the entry threshold
-            phi = math.pi / 2 + rng.uniform(-8e-5, 8e-5)
-            u = complex(math.cos(phi), math.sin(phi))
-            tr = trace_geodesic(torus, z, u, 0.5)
-            seg = tr.steps[0].segment
-            if seg.length < 0.3:
-                continue
-            c = seg.subsegment(seg.s0, seg.s0 + 0.3)
-            outs = classify_and_extend(c, params, K, torus, gamma0=torus_g0)
-            if outs[0].cls == "A" and outs[1].cls == "A":
-                continue
+        dives = _sampled_dives(torus, K, torus_g0, params)
+        for c, outs in dives:
             pa = replace_arc(c, outs, params, K, torus, gamma0=torus_g0)
             cases[pa.case] += 1
             assert pa.length <= pa.bound + 1e-6
             assert pa.displacement <= 4.2 * s_deep
             assert min(pa.ext_back, pa.ext_fwd) >= pa.clearance - 1e-9
-            done += 1
-        assert done == 25
-        assert cases["BA"] + cases["BB"] == done
+        assert len(dives) == 25
+        assert cases["BA"] + cases["BB"] == len(dives)
         assert cases["BA"] >= 1
+
+    def test_reversed_dives_reroute_alike(self, torus, torus_dec, torus_g0):
+        # each sampled arc dives at its end only, so its reverse dives at
+        # its start only, and is rerouted forward along the arc itself
+        params = DensityParams(0.5, 0.5)
+        K = torus_dec.constants
+        for c, outs in _sampled_dives(torus, K, torus_g0, params):
+            c2 = c.reversed()
+            outs2 = classify_and_extend(c2, params, K, torus, gamma0=torus_g0)
+            assert [o.cls for o in outs2] == ["B", "A"]
+            pa2 = replace_arc(c2, outs2, params, K, torus, gamma0=torus_g0)
+            assert pa2.original == c
+            _assert_same_arc(
+                pa2, replace_arc(c, outs, params, K, torus, gamma0=torus_g0))
+
+
+def _sampled_dives(model, K, g0, params):
+    """25 arcs of length 0.3 tilted at most 8e-5 from vertical, with
+    their outcomes, each diving on at least one side."""
+    rng = np.random.default_rng(np.random.PCG64(SEED + 7))
+    dives = []
+    attempts = 0
+    while len(dives) < 25 and attempts < 100:
+        attempts += 1
+        z = complex(rng.uniform(-2.9, 2.9), rng.uniform(1.2, 2.2))
+        if not model.inside(z, tol=0.0):
+            continue
+        # tilts of order 1e-4 keep the ray steep enough to enter the
+        # deep horocycle at an angle past the entry threshold
+        phi = math.pi / 2 + rng.uniform(-8e-5, 8e-5)
+        u = complex(math.cos(phi), math.sin(phi))
+        tr = trace_geodesic(model, z, u, 0.5)
+        seg = tr.steps[0].segment
+        if seg.length < 0.3:
+            continue
+        c = seg.subsegment(seg.s0, seg.s0 + 0.3)
+        outs = classify_and_extend(c, params, K, model, gamma0=g0)
+        if outs[0].cls == "A" and outs[1].cls == "A":
+            continue
+        dives.append((c, outs))
+    return dives
+
+
+def _assert_same_arc(got, want):
+    """Two processed arcs agree in every field, bit for bit."""
+    for name in ("case", "original", "length", "zeta_span", "displacement",
+                 "bound", "end_back", "end_fwd", "detail"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.trace.sides == want.trace.sides
 
 
 def _witness(center, radius, pos_to_neg, s0):

@@ -83,10 +83,10 @@ _T = math.tan(0.5 * TOL_ALG)   # the shared-endpoint tangent
 
 def _same_end_ref(x, y):
     if math.isinf(x):
-        return math.isinf(y) or y >= 1.0 / _T
+        return math.isinf(y) or abs(y) >= 1.0 / _T
     if math.isinf(y):
-        return x >= 1.0 / _T
-    return abs(x - y) <= _T * (1.0 + x * y)
+        return abs(x) >= 1.0 / _T
+    return abs(x - y) <= _T * abs(1.0 + x * y)
 
 
 def shared_rule_first(l1, l2):
@@ -348,19 +348,35 @@ class TestCrossings:
         a = GeodesicLine.from_endpoints(0.0, 2.0)
         b = GeodesicLine.from_endpoints(0.0, 1.0)
         assert not lines_cross(a, b)
-        # Shared means TOL_ALG apart as boundary angles 2 atan x, so far
-        # out, ends 1 apart are one point; there is no wrap-around:
-        # +3e12 is shared with infinity, -3e12 is not, though both lines
-        # in the loop meet their vertical (near height 1.2e6).
+        # Shared means TOL_ALG apart as boundary angles 2 atan x on the
+        # circle, so far out, ends 1 apart are one point, and the angles
+        # wrap round through infinity: +3e12 and -3e12 are both shared
+        # with it, so neither line in the loop counts as meeting its
+        # vertical (the complete lines meet near height 1.2e6).
         far = GeodesicLine.from_endpoints(5.0, 1e7 + 1.0)
         assert not lines_cross(GeodesicLine.from_endpoints(0.0, 1e7), far)
         up = GeodesicLine.from_endpoints(0.5, 3e12)
         down = GeodesicLine.from_endpoints(-0.5, -3e12)
         for l1, l2 in ((up, GeodesicLine.vertical(1.0)),
                        (down, GeodesicLine.vertical(-1.0))):
-            want = l1 is down
-            assert lines_cross(l1, l2) == want
-            assert lines_cross(l2, l1) == want
+            assert not lines_cross(l1, l2)
+            assert not lines_cross(l2, l1)
+        # ends on either side of infinity, 2/3e12 + 2/1e13 < TOL_ALG
+        # apart through it
+        wrap = GeodesicLine.from_endpoints(-3e12, 2.0)
+        assert not lines_cross(wrap, GeodesicLine.from_endpoints(1.0, 1e13))
+        assert lines_cross(wrap, GeodesicLine.from_endpoints(1.0, 1e12))
+
+    @settings(max_examples=400)
+    @given(line_pairs())
+    def test_reflection_keeps_the_verdict(self, pair):
+        # x -> -x maps the boundary to itself keeping which ends are
+        # shared, so it keeps whether two lines cross
+        l1, l2 = pair
+        m1, m2 = (GeodesicLine.from_endpoints(-line.endpoint_back,
+                                              -line.endpoint_fwd)
+                  for line in pair)
+        assert lines_cross(m1, m2) == lines_cross(l1, l2)
 
 
 class TestDistLines:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geodense import orbit
 from geodense.catalog import CATALOG
 from geodense.densify import DensityParams, classify_and_extend, replace_arc
 from geodense.errors import RadiusTooSmall
@@ -85,9 +86,10 @@ class TestBall:
             if d <= r - 1e-9:
                 assert w in words, w
 
-    def test_deep_center_trips_budget(self, sphere):
-        with pytest.raises(RadiusTooSmall):
-            ball(sphere, complex(0.05, 2000.0), 2.0, max_tiles=50)
+    def test_deep_center_trips_budget(self, sphere, monkeypatch):
+        monkeypatch.setattr(orbit, "MAX_TILES", 50)
+        with pytest.raises(RadiusTooSmall, match="exceeds 50 tiles"):
+            ball(sphere, complex(0.05, 2000.0), 2.0)
 
     def test_join_is_free_reduction(self):
         words = list(all_reduced_words("abAB", 4))
@@ -177,13 +179,16 @@ class TestBallBound:
                         == _plain_ball(model, z, radius)
 
     @pytest.mark.parametrize("name", ["torus", "sphere"])
-    def test_budget_trips_at_the_same_tile(self, name, request):
+    def test_budget_trips_at_the_same_tile(self, name, request,
+                                           monkeypatch):
         model = request.getfixturevalue(name)
         for z in _ball_centers(model)[-len(model.cusps) - 2:]:
             n = len(_plain_ball(model, z, 1.0))
-            assert len(ball(model, z, 1.0, max_tiles=n)) == n
+            monkeypatch.setattr(orbit, "MAX_TILES", n)
+            assert len(ball(model, z, 1.0)) == n
+            monkeypatch.setattr(orbit, "MAX_TILES", n - 1)
             with pytest.raises(RadiusTooSmall) as got:
-                ball(model, z, 1.0, max_tiles=n - 1)
+                ball(model, z, 1.0)
             with pytest.raises(RadiusTooSmall) as want:
                 _plain_ball(model, z, 1.0, max_tiles=n - 1)
             assert str(got.value) == str(want.value)

@@ -215,3 +215,36 @@ def test_no_dead_api():
               if name not in attrs and (method or name not in names)}
     assert sorted(unused - set(_UNUSED_KEPT)) == []
     assert sorted(set(_UNUSED_KEPT) - unused) == []
+
+
+def _parameters(node, prefix, method=False):
+    """(qualified name, parameter, read anywhere in the body) of every
+    function under an AST node, nested ones included.  A method's first
+    parameter, its receiver, is left out."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _parameters(child, f"{prefix}.{child.name}", True)
+        elif isinstance(child, ast.FunctionDef):
+            qual = f"{prefix}.{child.name}"
+            a = child.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            if method and "staticmethod" not in {
+                    getattr(d, "id", None) for d in child.decorator_list}:
+                params = params[1:]
+            read = {n.id for n in ast.walk(child)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for p in params:
+                yield qual, p, p in read
+            yield from _parameters(child, qual)
+        else:
+            yield from _parameters(child, prefix, method)
+
+
+def test_no_unused_parameters():
+    """Every parameter of every function in the package is read."""
+    unused = [f"{qual}.{p}" for path in sorted(PACKAGE.glob("*.py"))
+              for qual, p, read in _parameters(
+                  ast.parse(path.read_text(), str(path)), path.stem)
+              if not read]
+    assert unused == []

@@ -425,7 +425,7 @@ class TestCuspRuns:
 
     @pytest.mark.parametrize("name,j", [("torus", 0), ("sphere", 0),
                                         ("sphere", 2)])
-    def test_cut_inside_a_run(self, name, j, request):
+    def test_deep_crossing_inside_a_run(self, name, j, request):
         model = request.getfixturevalue(name)
         p, u, length = _cusp_ray(model, j, 1e2, True, False)
         got = trace_geodesic(model, p, u, length)
@@ -437,7 +437,7 @@ class TestCuspRuns:
                 for i, c in enumerate(model.cusps)]
 
         def deep_events(tr):
-            return [e for e in densify._ray_events(model, g0, tr.steps, deep,
+            return [e for e in densify._ray_events(g0, tr.steps, deep,
                                                    0.5, 0.5)
                     if e.kind == "deep"]
 
@@ -447,10 +447,36 @@ class TestCuspRuns:
             assert got.steps[e.step].count > 1
             assert e.s == pytest.approx(f.s, abs=1e-9)
             assert e.angle == pytest.approx(f.angle, abs=1e-9)
-            cut = densify._cut_trace(got, e)
-            _assert_same_walk(cut, densify._cut_trace(want, f))
-            # the record stays in the frame of its step
-            assert cut.steps[e.step].segment.line.contains(e.point)
+            # the record is in the frame of its step
+            assert got.steps[e.step].segment.line.contains(e.point)
+
+    @pytest.mark.parametrize("right", [True, False])
+    @pytest.mark.parametrize("name,j,apex,climb",
+                             [r for r in _RAYS if r[3]])
+    def test_base_crossings_in_plain_steps(self, name, j, apex, climb,
+                                           right, request):
+        # runs stay above the unit horocycle, which the base geodesic
+        # never reaches, so a cut at a base crossing cuts a plain step
+        model = request.getfixturevalue(name)
+        g0 = request.getfixturevalue(f"{name}_g0")
+        p, u, length = _cusp_ray(model, j, apex, climb, right)
+        got = trace_geodesic(model, p, u, length)
+        want = _walk_passages(model, p, u, length)
+        deep = [model.cusp_horocycle(i, c.width / 50.0)
+                for i, c in enumerate(model.cusps)]
+
+        def base_events(tr):
+            return [e for e in densify._ray_events(g0, tr.steps, deep,
+                                                   0.5, 0.5)
+                    if e.kind == "base"]
+
+        ev_got, ev_want = base_events(got), base_events(want)
+        assert any(st.count > 1 for st in got.steps)
+        assert len(ev_got) == len(ev_want) > 0
+        for e, f in zip(ev_got, ev_want):
+            assert got.steps[e.step].count == 1
+            assert e.s == pytest.approx(f.s, abs=1e-9)
+            assert dist(e.point, f.point) < 1e-9
 
     @pytest.mark.parametrize("name,j", [("torus", 0), ("sphere", 1)])
     def test_until_ends_the_walk_at_its_step(self, name, j, request):
