@@ -90,6 +90,9 @@ class _Setting:
     psi: float       # entry angle a deep crossing must clear to stop
     s_deep: float    # length of the deep horocycles
     m_a: float       # cap on a class-A extension past the clearance
+    m_ba: float      # the same cap for a BA reroute's dive side
+    v_lo: float      # bracket on a BB reroute's two extensions
+    v_hi: float
     # Per cusp, the deep horocycle bounding the reroute region, in polygon
     # coordinates.  Each catalog cusp owns exactly one ideal polygon
     # vertex, so its deep horoball meets the polygon in one piece there.
@@ -102,12 +105,16 @@ def _setting(params: DensityParams, K: SurfaceConstants, X: SurfaceModel,
     """The run's setting, derived once and shared by all its arcs."""
     eps, xi, theta0 = params.eps, params.xi, K.theta0
     s_deep = formulas.deep_horocycle_length(eps, xi, theta0)
+    m_a = formulas.class_a_extension_bound(
+        K.diam, K.cusp_reach, eps, xi, theta0)
+    v_lo, v_hi = formulas.bb_v_bracket(eps, xi, theta0, K.cusp_reach)
     return _Setting(X, gamma0, params, K,
                     r_eps=formulas.clearance(eps, theta0),
                     psi=formulas.deep_entry_angle(eps, xi, theta0),
-                    s_deep=s_deep,
-                    m_a=formulas.class_a_extension_bound(
-                        K.diam, K.cusp_reach, eps, xi, theta0),
+                    s_deep=s_deep, m_a=m_a,
+                    m_ba=m_a + formulas.ba_extra_extension(
+                        eps, xi, theta0, K.base_len),
+                    v_lo=v_lo, v_hi=v_hi,
                     deep=tuple(X.cusp_horocycle(j, s_deep)
                                for j in range(len(X.cusps))))
 
@@ -127,7 +134,6 @@ class CrossingRecord:
     kind: str
     s: float
     point: complex
-    tangent: complex
     angle: float
     good: bool
     index: int
@@ -199,20 +205,19 @@ def _ray_events(gamma0: ClosedGeodesicRep,
             tc = chord.line.param_of(z)
             if not chord.contains_param(tc):
                 continue
-            u = seg.line.tangent_at(sw)
-            ang = folded_angle(u, chord.line.tangent_at(tc))
+            ang = folded_angle(seg.line.tangent_at(sw),
+                               chord.line.tangent_at(tc))
             tau = (offset + (tc - chord.s0)) % gamma0.length
             events.append(CrossingRecord(
-                "base", walked + (sw - seg.s0), z, u, ang,
+                "base", walked + (sw - seg.s0), z, ang,
                 ang >= theta0 - ANGLE_TOL, index, tau, k))
         for j, h in enumerate(deep):
             for sp, z in line_horocycle_crossings(seg.line, h):
                 if not seg.contains_param(sp):
                     continue
-                u = seg.line.tangent_at(sp)
                 ang = angle_with_horocycle(seg.line, h, z)
                 events.append(CrossingRecord(
-                    "deep", walked + (sp - seg.s0), z, u, ang,
+                    "deep", walked + (sp - seg.s0), z, ang,
                     ang >= psi - ANGLE_TOL, j, math.nan, k))
         walked += seg.length
     events.sort(key=lambda e: e.s)
@@ -237,8 +242,7 @@ def _run_deep_events(st: TraceStep, deep: Sequence[Horocycle], psi: float,
             continue
         ang = angle_with_horocycle(ch.line, h, zc)
         out.append(CrossingRecord(
-            "deep", walked + (sp - ch.s0), c.chart_inv.apply(zc),
-            c.chart_inv.apply_tangent(zc, ch.line.tangent_at(sp)), ang,
+            "deep", walked + (sp - ch.s0), c.chart_inv.apply(zc), ang,
             ang >= psi - ANGLE_TOL, c.index, math.nan, k))
     return out
 
@@ -255,19 +259,17 @@ def _cut_trace(trace: Trace, event: CrossingRecord) -> Trace:
                  seg.line.tangent_at(sw), length)
 
 
-def _hunt(S: _Setting, point: complex, tangent: complex,
-          allowed: float | None, cap: float | None = None,
+def _hunt(S: _Setting, point: complex, tangent: complex, allowed: float,
           deep_stop: bool = True) -> ExtensionOutcome:
     """Walk one ray to its stopping crossing, by the run's thresholds S.
 
-    allowed caps the extension past the clearance prefix for base stops
-    (None skips the check); cap bounds the traced length.  With
-    deep_stop off, steep deep crossings are passed through and counted
-    with the shallow ones; this is how reroutes re-enter a cusp.
+    allowed caps the extension past the clearance prefix for base stops,
+    and the walk is traced one unit past that cap.  With deep_stop off,
+    steep deep crossings are passed through and counted with the shallow
+    ones; this is how reroutes re-enter a cusp.
     """
     r_eps = S.r_eps
-    if cap is None:
-        cap = r_eps + allowed + 1.0
+    cap = r_eps + allowed + 1.0
 
     # The ray is walked in one piece, and each step is scanned as the
     # walk takes it (trace_geodesic's until), at its arc-length offset
@@ -310,7 +312,7 @@ def _hunt(S: _Setting, point: complex, tangent: complex,
             f"(clearance {r_eps:.6g})")
 
     extension = max(0.0, stop.s - r_eps)
-    if cls == "A" and allowed is not None and extension > allowed + 1e-6:
+    if cls == "A" and extension > allowed + 1e-6:
         raise CaseBoundViolated(
             f"class-A extension {extension:.9g} exceeds its cap {allowed:.9g}")
 
@@ -539,7 +541,7 @@ def replace_arc(c: GeodesicSegment,
 def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
              bound: float) -> ProcessedArc:
     """Reroute the forward dive dive_out of c."""
-    model, params, K = S.model, S.params, S.K
+    model = S.model
     frame = _dive_frame(S, dive_out)
     H = frame.height
     from_norm = frame.to_norm_arc.inverse()
@@ -573,9 +575,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
         if zeta_len <= 0.0:
             raise ArrangementDegenerate("reroute inverted the arc's endpoints")
         zf, uf, _ = _to_surface(model, from_norm, zp, eta.tangent_at(s_p))
-        allowed = S.m_a + formulas.ba_extra_extension(
-            params.eps, params.xi, K.theta0, K.base_len)
-        d_out = _hunt(S, zf, uf, allowed, deep_stop=False)
+        d_out = _hunt(S, zf, uf, S.m_ba, deep_stop=False)
         mid = trace_geodesic(model, zf_q, -uf_q, zeta_len)
         detail = {"candidate": cand, "tail_case": t_out.case_id,
                   "dive_case": d_out.case_id,
@@ -584,7 +584,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
                        d_out.total, d_out, max(dp, dq), bound, detail)
     # both candidate tails dive as well
     assert first_tail is not None
-    if dist(tail_points[0], tail_points[1]) > 0.5 * params.eps:
+    if dist(tail_points[0], tail_points[1]) > 0.5 * S.params.eps:
         raise CaseBoundViolated(
             "candidate tail endpoints farther apart than eps/2")
     return _bb_assemble(S, c, dive_out, frame, first_tail, bound)
@@ -652,18 +652,18 @@ def _bb_assemble(S, c, dive_out, frame, first_tail, bound) -> ProcessedArc:
         raise CaseBoundViolated(
             "replacement endpoints leave the bridging segment")
 
-    v_lo, v_hi = formulas.bb_v_bracket(
-        params.eps, params.xi, K.theta0, K.cusp_reach)
+    # the hunts' class-A cap holds each extension to v_hi in total (v_hi
+    # exceeds the clearance, as log(1/s_deep) does); v_lo is checked here
     to_arc = to_std.inverse()
     z1, u1, _ = _to_surface(model, to_arc, c_top, side.tangent_at(s_top))
-    out_top = _hunt(S, z1, u1, None, cap=v_hi + 1.0, deep_stop=False)
+    out_top = _hunt(S, z1, u1, S.v_hi - S.r_eps, deep_stop=False)
     z2, u2, _ = _to_surface(model, to_arc, c_bot, -side.tangent_at(s_bot))
-    out_bot = _hunt(S, z2, u2, None, cap=v_hi + 1.0, deep_stop=False)
+    out_bot = _hunt(S, z2, u2, S.v_hi - S.r_eps, deep_stop=False)
     for out in (out_top, out_bot):
-        if not v_lo - 1e-6 <= out.total <= v_hi + 1e-6:
+        if out.total < S.v_lo - 1e-6:
             raise CaseBoundViolated(
-                f"reroute extension {out.total:.9g} outside "
-                f"[{v_lo:.9g}, {v_hi:.9g}]")
+                f"reroute extension {out.total:.9g} under its bracket "
+                f"{S.v_lo:.9g}")
     mid = trace_geodesic(model, z2, -u2, gap_len)
 
     detail = {"u": u, "half_width": hw, "v_dive": out_top.total,

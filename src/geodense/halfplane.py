@@ -319,52 +319,6 @@ def crossing_angle(l1: GeodesicLine, l2: GeodesicLine, z: complex) -> float:
     return folded_angle(u, v)
 
 
-def dist_lines(l1: GeodesicLine, l2: GeodesicLine):
-    """Distance between two complete geodesics with the perpendicular feet.
-
-    Returns (d, s1, s2) where s1, s2 are the foot parameters on each line.
-    Crossing or asymptotic lines give (0.0, None, None).
-    """
-    if lines_cross(l1, l2):
-        return 0.0, None, None
-    p, q = l1.endpoint_back, l1.endpoint_fwd
-    u, v = l2.endpoint_back, l2.endpoint_fwd
-    ends = [p, q, u, v]
-    for i in range(2):
-        for j in range(2, 4):
-            e1, e2 = ends[i], ends[j]
-            if e1 == e2 or (not math.isinf(e1) and not math.isinf(e2)
-                            and abs(e1 - e2) <= TOL_ALG):
-                return 0.0, None, None
-    # send l1 to the imaginary axis (p -> 0, q -> infinity, det > 0)
-    if math.isinf(q):
-        T = Isometry(1.0, -p, 0.0, 1.0)
-    elif math.isinf(p):
-        T = Isometry(0.0, -1.0, 1.0, -q)
-    elif p > q:
-        T = Isometry(1.0, -p, 1.0, -q)
-    else:
-        T = Isometry(-1.0, p, 1.0, -q)
-    tu = T.apply_boundary(u)
-    tv = T.apply_boundary(v)
-    # image of l2 is the circle over the diameter [tu, tv]
-    c = 0.5 * (tu + tv)
-    r = 0.5 * abs(tu - tv)
-    if abs(c) <= r + TOL_ALG:
-        return 0.0, None, None
-    # distance from the imaginary axis to circle(c, r): sinh d = rho/r
-    # with rho^2 = c^2 - r^2; feet at i rho and ((c^2-r^2)/c, r rho/|c|)
-    rho2 = c * c - r * r
-    rho = math.sqrt(rho2)
-    d = math.asinh(rho / r)
-    foot1 = complex(0.0, rho)
-    foot2 = complex(rho2 / c, r * rho / abs(c))
-    inv = T.inverse()
-    z1 = inv.apply(foot1)
-    z2 = inv.apply(foot2)
-    return d, l1.param_of(z1), l2.param_of(z2)
-
-
 # ---------------------------------------------------------------------------
 # segments
 

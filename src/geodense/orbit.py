@@ -119,11 +119,6 @@ class _Passages:
     that height, its window.  The window prunes the cusp at infinity
     only: a passage high in a cusp at a finite vertex lies low in the
     polygon.
-
-    A passage with an infinite parameter has no midpoint; its row gets
-    the midpoint at infinity and an infinite half-length, so its height
-    bound is 0, it sits in every window and ``_bounded`` always keeps
-    it.
     """
 
     def __init__(self, segments: list[GeodesicSegment]):
@@ -132,12 +127,11 @@ class _Passages:
         for seg in self.segments:
             line = seg.line
             if math.isinf(seg.s0) or math.isinf(seg.s1):
-                m, h, slack = complex(math.inf, 1.0), math.inf, 0.0
-            else:
-                m = line.point_at(0.5 * (seg.s0 + seg.s1))
-                h = 0.5 * (seg.s1 - seg.s0)
-                slack = 0.0 if line.is_vertical else \
-                    1e-14 * line.radius * math.exp(min(h, 700.0)) / m.imag
+                raise ValueError(f"passage {seg} has an infinite parameter")
+            m = line.point_at(0.5 * (seg.s0 + seg.s1))
+            h = 0.5 * (seg.s1 - seg.s0)
+            slack = 0.0 if line.is_vertical else \
+                1e-14 * line.radius * math.exp(min(h, 700.0)) / m.imag
             if line.is_vertical:
                 c, r = line.foot, 1.0      # r unused, kept finite
             else:
@@ -154,7 +148,6 @@ class _Passages:
         self.cosh_reach2 = np.cosh(0.5 * self.reach)
         self.sinh_reach2 = np.sinh(0.5 * self.reach)
         self.vertical = cols[6].astype(bool)
-        self.unbounded = np.isinf(self.reach)
 
     def _window(self, log_top: float, cut: float) -> int:
         """The number of rows whose height bound is at most e^cut times
@@ -176,11 +169,11 @@ class _Passages:
         particular order.
 
         The lower bound is the larger of d(w, midpoint) - half-length -
-        slack and the distance to the carrying line (-inf for a passage
-        with an infinite parameter); it exceeds the pair's computed
-        ``dist_to_point`` by at most DIST_TOL.  Both bounds are compared
-        in sinh form, so no transcendental function runs per pair but
-        for the pairs kept, whose bounds are returned in distance units.
+        slack and the distance to the carrying line; it exceeds the pair's
+        computed ``dist_to_point`` by at most DIST_TOL.  Both bounds are
+        compared in sinh form, so no transcendental function runs per pair
+        but for the pairs kept, whose bounds are returned in distance
+        units.
 
         The default cut is an upper bound, d(w, midpoint) + slack at the
         nearest midpoint in the height window of cut 0 (at the lowest
@@ -225,14 +218,10 @@ class _Passages:
         sinh_line = np.abs(y * y - ((r - d) - e) * ((r + d) + e)) \
             / (2.0 * r * y)
         sinh_line = np.where(self.vertical[i], d / y, sinh_line)
-        keep = (sinh_line <= math.sinh(cut)) | self.unbounded[i]
+        keep = sinh_line <= math.sinh(cut)
         t, i, sinh_line = t[keep], i[keep], sinh_line[keep]
-        # an unbounded row's midpoint term would be inf - inf
-        bounded = ~self.unbounded[i]
-        mid = np.subtract(2.0 * np.arcsinh(np.sqrt(q2[t, i])), self.reach[i],
-                          out=np.full(len(i), -np.inf), where=bounded)
-        bound = np.where(bounded, np.maximum(mid, np.arcsinh(sinh_line)),
-                         -np.inf)
+        bound = np.maximum(2.0 * np.arcsinh(np.sqrt(q2[t, i])) - self.reach[i],
+                           np.arcsinh(sinh_line))
         return t, self.order[i], bound
 
 
@@ -269,7 +258,8 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     minimum only certifies a lower bound, which is reported by raising
     RadiusTooSmall.  A point farther than the radius from the polygon
     has no tile in its ball and raises ValueError: the curve may pass
-    through it.
+    through it.  A passage with an infinite parameter raises ValueError
+    as well.
 
     The minimum over tiles and passages of ``dist_to_point`` is taken
     over the pairs ``_Passages._bounded`` keeps at its default cut, best

@@ -28,7 +28,6 @@ from .halfplane import (
     Isometry,
     angle_with_horocycle,
     dist,
-    dist_lines,
     folded_angle,
     line_horocycle_crossings,
     lines_cross,
@@ -114,6 +113,19 @@ def _line_to_ideal(z: complex, u: float) -> GeodesicLine:
 # ---------------------------------------------------------------------------
 # disjointness of supported crossings
 
+def _gap(g1: GeodesicLine, g2: GeodesicLine) -> float:
+    """Distance between two disjoint geodesics with finite ends.
+
+    The map z -> (z - a)/(z - b) sends g1 to the axis (0, inf) and g2's
+    ends to p, q of one sign, and tanh(d/2)^2 = min(p, q)/max(p, q); p/q
+    is the cross ratio of the four ends.
+    """
+    a, b, u, v = (g1.endpoint_back, g1.endpoint_fwd,
+                  g2.endpoint_back, g2.endpoint_fwd)
+    x = (u - a) * (v - b) / ((u - b) * (v - a))
+    return 2.0 * math.atanh(math.sqrt(min(x, 1.0 / x)))
+
+
 def oracle_disjoint(cfg: OracleConfig) -> OracleReport:
     """Crossing lines at the ends of a long enough segment never meet.
 
@@ -143,8 +155,7 @@ def oracle_disjoint(cfg: OracleConfig) -> OracleReport:
                                "angles": (a1, a2), "tilts": (t1, t2)})
             tight = 0.0
         else:
-            d, _, _ = dist_lines(g1, g2)
-            tight = min(tight, d)
+            tight = min(tight, _gap(g1, g2))
     return OracleReport("disjoint", cfg.samples, violations, tight, cfg.seed)
 
 

@@ -360,20 +360,23 @@ class TestGuards:
         for c in arcs:
             p, u = c.end, c.line.tangent_at(c.s1)
             out = densify._hunt(S, p, u, S.m_a)
-            if out.cls == "A" and out.extension > 1e-3:
+            if out.cls == "A" and 1e-3 < out.extension < 2.0:
                 break
         else:
             pytest.fail("no sampled arc extends past the clearance")
-        with pytest.raises(CaseBoundViolated, match="exceeds its cap 0"):
-            densify._hunt(S, p, u, 0.0, cap=out.total + 1.0)
+        # the walk runs one unit past the halved cap, so it still reaches
+        # the stop, an extension under 2 past the clearance
+        with pytest.raises(CaseBoundViolated, match="exceeds its cap"):
+            densify._hunt(S, p, u, 0.5 * out.extension)
 
     def test_walk_past_its_cap(self, request):
         model, K, g0, params, [c, *_] = _hunt_cases(request, "torus")
         S = densify._setting(params, K, model, g0)
-        # no crossing before the clearance stops a hunt
+        # no crossing before the clearance stops a hunt, and this walk
+        # ends halfway to it
         with pytest.raises(SafetyCapExceeded, match="no admissible stop"):
-            densify._hunt(S, c.end, c.line.tangent_at(c.s1), S.m_a,
-                          cap=0.5 * S.r_eps)
+            densify._hunt(S, c.end, c.line.tangent_at(c.s1),
+                          -0.5 * S.r_eps - 1.0)
 
     def test_length_over_its_bound(self, request):
         model, K, g0, params, [c, *_] = _hunt_cases(request, "torus")
@@ -382,6 +385,33 @@ class TestGuards:
         pa.validate()
         with pytest.raises(CaseBoundViolated, match="per-arc bound"):
             dataclasses.replace(pa, bound=0.5 * pa.length).validate()
+
+    @pytest.mark.parametrize("end, match", [("lo", "under its bracket"),
+                                            ("hi", "exceeds its cap")],
+                             ids=["lo", "hi"])
+    def test_bb_extension_outside_its_bracket(self, sphere, sphere_dec,
+                                              sphere_g0, monkeypatch,
+                                              end, match):
+        # the sphere BB witness of test_symmetric_bb_gap_matches_depth,
+        # with the bracket moved past its two extensions on one side
+        params = DensityParams(0.5, 0.5)
+        K = sphere_dec.constants
+        c = GeodesicSegment.between(complex(0.5, 0.5), complex(0.5, 0.9))
+        outs = classify_and_extend(c, params, K, sphere, gamma0=sphere_g0)
+        pa = replace_arc(c, outs, params, K, sphere, gamma0=sphere_g0)
+        assert pa.case == "BB"
+        v = (pa.detail["v_dive"], pa.detail["v_tail"])
+        lo, hi = formulas.bb_v_bracket(params.eps, params.xi, K.theta0,
+                                       K.cusp_reach)
+        assert lo < min(v) <= max(v) < hi
+        moved = (max(v) + 0.05, hi) if end == "lo" else (lo, min(v) - 0.05)
+        monkeypatch.setattr(formulas, "bb_v_bracket", lambda *a: moved)
+        densify._setting.cache_clear()
+        try:
+            with pytest.raises(CaseBoundViolated, match=match):
+                replace_arc(c, outs, params, K, sphere, gamma0=sphere_g0)
+        finally:
+            densify._setting.cache_clear()
 
 
 class TestCenteredMeet:

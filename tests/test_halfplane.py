@@ -19,7 +19,6 @@ from geodense.halfplane import (
     crossing_angle,
     cycle_axes,
     dist,
-    dist_lines,
     folded_angle,
     horoball_gap,
     intersect_lines,
@@ -377,49 +376,6 @@ class TestCrossings:
                                               -line.endpoint_fwd)
                   for line in pair)
         assert lines_cross(m1, m2) == lines_cross(l1, l2)
-
-
-class TestDistLines:
-    def test_axis_to_circle(self):
-        axis = GeodesicLine.vertical(0.0)
-        c, r = 3.0, 1.0
-        other = GeodesicLine.circle(c, r)
-        d, s1, s2 = dist_lines(axis, other)
-        assert d == pytest.approx(math.asinh(math.sqrt(c * c - r * r) / r),
-                                  abs=TOL_GEO)
-        f1 = axis.point_at(s1)
-        f2 = other.point_at(s2)
-        assert dist(f1, f2) == pytest.approx(d, abs=TOL_LOOSE)
-
-    @given(matrices)
-    def test_invariance(self, m):
-        g = direct(m)
-        axis = GeodesicLine.vertical(0.0)
-        other = GeodesicLine.circle(3.0, 1.0)
-        # huge image endpoints lose float digits in c^2 - r^2; keep the
-        # images in a numerically sane range
-        for e in (0.0, INF, 2.0, 4.0):
-            assume(abs(g.apply_boundary(e)) < 1e4)
-        d0 = dist_lines(axis, other)[0]
-        d1 = dist_lines(g.apply_line(axis), g.apply_line(other))[0]
-        assert d1 == pytest.approx(d0, rel=1e-8, abs=TOL_LOOSE)
-
-    def test_crossing_lines(self):
-        a = GeodesicLine.from_endpoints(-1.0, 1.0)
-        b = GeodesicLine.vertical(0.0)
-        assert dist_lines(a, b) == (0.0, None, None)
-
-    def test_feet_realize_perpendicular(self):
-        l1 = GeodesicLine.from_endpoints(-2.0, -1.0)
-        l2 = GeodesicLine.from_endpoints(1.0, 5.0)
-        d, s1, s2 = dist_lines(l1, l2)
-        f1, f2 = l1.point_at(s1), l2.point_at(s2)
-        perp = GeodesicLine.from_points(f1, f2)
-        assert crossing_angle(l1, perp, f1) == pytest.approx(math.pi / 2,
-                                                             abs=1e-6)
-        assert crossing_angle(l2, perp, f2) == pytest.approx(math.pi / 2,
-                                                             abs=1e-6)
-        assert dist(f1, f2) == pytest.approx(d, abs=TOL_LOOSE)
 
 
 class TestSegments:

@@ -456,18 +456,14 @@ class TestHeightWindow:
             assert _certify(torus, z, curve, 0.2) \
                 == _expected(torus, z, curve, 0.2)
 
-    @pytest.mark.parametrize("cut", [None, 0.01])
-    def test_infinite_passage_always_kept(self, torus, torus_curve,
-                                          excursion, cut):
+    def test_infinite_passage_refused(self, torus, torus_curve):
+        # a polygon side running into a cusp has no midpoint to bound from
         ray = torus.sides[0].segment
         assert math.isinf(ray.s0)
-        curve = [ray] + torus_curve + excursion + [ray]
-        table = _Passages(curve)
-        for z in _top_points(torus) + [torus.base_point]:
-            ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
-            pairs = set(_pairs(table, ws, cut))
-            for t in range(len(ws)):
-                assert {(t, 0), (t, len(curve) - 1)} <= pairs
+        with pytest.raises(ValueError, match="infinite parameter"):
+            _Passages(torus_curve + [ray])
+        with pytest.raises(ValueError, match="infinite parameter"):
+            dist_to_closed_geodesic(torus, torus.base_point, [ray], 0.2)
 
     def test_tie_takes_the_first_passage(self):
         """Two passages share a midpoint on a line of radius 1e8; the

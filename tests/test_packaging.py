@@ -133,7 +133,8 @@ def test_run_thresholds_derived_once():
                  if isinstance(n, ast.FunctionDef) and n.name == "_setting"]
     everywhere, inside = _called(tree), _called(setting)
     for name in ("clearance", "deep_entry_angle", "deep_horocycle_length",
-                 "class_a_extension_bound"):
+                 "class_a_extension_bound", "ba_extra_extension",
+                 "bb_v_bracket"):
         assert everywhere.count(name) == inside.count(name) == 1, name
 
 
@@ -248,3 +249,40 @@ def test_no_unused_parameters():
                   ast.parse(path.read_text(), str(path)), path.stem)
               if not read]
     assert unused == []
+
+
+# Dataclass fields nothing reads as an attribute, each kept on purpose.
+_WRITE_ONLY_KEPT = {
+    "densify.CrossingRecord.tau": "ROADMAP item 1 joins arcs by it",
+}
+
+
+def _fields():
+    """module.Class.field of every field of every dataclass in the
+    package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) \
+                            and isinstance(item.target, ast.Name):
+                        yield f"{path.stem}.{node.name}.{item.target.id}"
+
+
+def test_no_write_only_fields():
+    """Every dataclass field is read as an attribute somewhere in the
+    package, the benchmark or the tests, or kept on purpose in
+    _WRITE_ONLY_KEPT.  Fields count by attribute name only."""
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) \
+            + sorted(BENCH.glob("*.py")) \
+            + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {f for f in _fields() if f.rsplit(".", 1)[1] not in read}
+    assert sorted(unread - set(_WRITE_ONLY_KEPT)) == []
+    assert sorted(set(_WRITE_ONLY_KEPT) - unread) == []

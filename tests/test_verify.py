@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geodense.formulas import (
     clearance,
@@ -12,10 +12,11 @@ from geodense.formulas import (
     quad_half_width,
     transversal_limit_angle,
 )
-from geodense.halfplane import GeodesicLine, dist, lines_cross
+from geodense.halfplane import GeodesicLine, Isometry, dist, lines_cross
 from geodense.verify import (
     OracleConfig,
     OracleReport,
+    _gap,
     _line_through,
     _measured_limit_ray_cos,
     _quad_side_circle,
@@ -28,6 +29,47 @@ from geodense.verify import (
 )
 
 SEED = 20260823
+
+# random orientation-preserving isometries
+matrices = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+).filter(lambda m: m[0] * m[3] - m[1] * m[2] > 1e-3)
+
+
+class TestGap:
+    """The distance between disjoint lines that the disjointness
+    oracle reports as its margin."""
+
+    @pytest.mark.parametrize("c, r", [(3.0, 1.0), (1.5, 1.0), (10.0, 0.1),
+                                      (2.0, 1.9)])
+    def test_closed_form(self, c, r):
+        # z -> (z - 1)/(z + 1) takes the axis (0, inf) and the circle of
+        # center c and radius r to a circle pair with finite ends
+        to_disk = Isometry(1.0, -1.0, 1.0, 1.0).normalized()
+        axis, other = (to_disk.apply_line(line) for line in (
+            GeodesicLine.vertical(0.0), GeodesicLine.circle(c, r)))
+        assert not lines_cross(axis, other)
+        assert _gap(axis, other) == pytest.approx(
+            math.asinh(math.sqrt(c * c - r * r) / r), rel=1e-12)
+        assert _gap(other, axis) == pytest.approx(_gap(axis, other),
+                                                  rel=1e-15)
+
+    @settings(max_examples=200)
+    @given(matrices)
+    def test_invariance(self, m):
+        g = Isometry(*m).normalized()
+        pair = (GeodesicLine.from_endpoints(-1.0, 1.0),
+                GeodesicLine.from_endpoints(2.0, 4.0))
+        # huge image ends lose float digits in the cross ratio; keep the
+        # images finite and in a numerically sane range
+        for e in (-1.0, 1.0, 2.0, 4.0):
+            assume(abs(g.apply_boundary(e)) < 1e4)
+        # the cross ratio of the four ends is 9/5
+        want = 2.0 * math.atanh(math.sqrt(5.0 / 9.0))
+        assert _gap(*pair) == pytest.approx(want, rel=1e-15)
+        assert _gap(*(g.apply_line(line) for line in pair)) \
+            == pytest.approx(want, rel=1e-8)
 
 
 class TestDisjointOracle:
