@@ -119,6 +119,13 @@ class GeodesicLine:
         c = 0.5 * ((z1.real + z2.real)
                    + (z2.imag - z1.imag) * (z2.imag + z1.imag) / dx)
         r = abs(z1 - c)
+        # floats place a huge circle only to about ulp(r), a sinh distance
+        # of ulp(r)/y at height y; the vertical line through the weighted
+        # foot misses both points by |dx|/(y1 + y2), so take it when closer
+        y1, y2 = z1.imag, z2.imag
+        if abs(dx) * min(y1, y2) <= math.ulp(r) * (y1 + y2):
+            return GeodesicLine.vertical((z1.real * y2 + z2.real * y1)
+                                         / (y1 + y2), up=(y2 > y1))
         # forward tangent at z1 along pos_to_neg is i(z1-c)/r
         t = 1j * (z1 - c) / r
         dot = t.real * dx + t.imag * (z2.imag - z1.imag)

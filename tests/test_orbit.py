@@ -456,14 +456,16 @@ class TestHeightWindow:
             assert _certify(torus, z, curve, 0.2) \
                 == _expected(torus, z, curve, 0.2)
 
-    def test_infinite_passage_refused(self, torus, torus_curve):
+    @pytest.mark.parametrize("at", ["head", "tail"])
+    def test_infinite_passage_refused(self, torus, torus_curve, at):
         # a polygon side running into a cusp has no midpoint to bound from
         ray = torus.sides[0].segment
         assert math.isinf(ray.s0)
+        curve = [ray] + torus_curve if at == "head" else torus_curve + [ray]
         with pytest.raises(ValueError, match="infinite parameter"):
-            _Passages(torus_curve + [ray])
+            _Passages(curve)
         with pytest.raises(ValueError, match="infinite parameter"):
-            dist_to_closed_geodesic(torus, torus.base_point, [ray], 0.2)
+            dist_to_closed_geodesic(torus, torus.base_point, curve, 0.2)
 
     def test_tie_takes_the_first_passage(self):
         """Two passages share a midpoint on a line of radius 1e8; the
