@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import formulas
@@ -145,30 +144,23 @@ class CrossingRecord:
 class ExtensionOutcome:
     """How one direction of an arc extension terminated.
 
-    extension is the length walked beyond the mandatory clearance
-    prefix; total includes the prefix.  Class A stopped on a steep
-    base-geodesic crossing (cases 1 to 4), class B on a steep deep
-    horocycle crossing (case 5).  trace is the walk as taken: it ends
-    with the step that holds the stop, and a processed arc cuts its
-    class-A legs there (_cut_trace).
+    stop is the stopping crossing, at arc length stop.s from the start
+    of the walk, the mandatory clearance prefix included.  A base stop
+    is class A (cases 1 to 4), a deep stop class B (case 5).  trace is
+    the walk as taken: it ends with the step that holds the stop, and a
+    processed arc cuts its class-A legs there (_cut_trace).
     """
 
     case_id: int
-    cls: str
-    extension: float
-    total: float
     stop: CrossingRecord
-    bad_angles: tuple[float, ...]
-    shallow_dips: int
     trace: Trace
 
 
-def _ray_events(gamma0: ClosedGeodesicRep,
-                steps: list[TraceStep], deep: Sequence[Horocycle],
-                theta0: float, psi: float, walked: float = 0.0,
+def _ray_events(S: _Setting, steps: list[TraceStep], walked: float = 0.0,
                 step0: int = 0,
                 last: CrossingRecord | None = None) -> list[CrossingRecord]:
-    """All base and deep crossings along traced steps, by arc length.
+    """All base and deep crossings along traced steps, by arc length,
+    with the run's base geodesic, deep horocycles and angle thresholds.
 
     walked and step0 place the steps inside a longer ray: the arc length
     and the number of steps before them.  Each record's s and step then
@@ -188,11 +180,12 @@ def _ray_events(gamma0: ClosedGeodesicRep,
     cusp chart; base records therefore lie in plain steps only.  Each
     record is in the frame of its step's segment.
     """
+    gamma0 = S.gamma0
     events: list[CrossingRecord] = []
     for k, st in enumerate(steps, step0):
         seg = st.segment
         if st.count > 1:
-            events.extend(_run_deep_events(st, deep, psi, walked, k))
+            events.extend(_run_deep_events(S, st, walked, k))
             walked += seg.length
             continue
         for index, chord, offset in gamma0.chords:
@@ -210,15 +203,15 @@ def _ray_events(gamma0: ClosedGeodesicRep,
             tau = (offset + (tc - chord.s0)) % gamma0.length
             events.append(CrossingRecord(
                 "base", walked + (sw - seg.s0), z, ang,
-                ang >= theta0 - ANGLE_TOL, index, tau, k))
-        for j, h in enumerate(deep):
+                ang >= S.K.theta0 - ANGLE_TOL, index, tau, k))
+        for j, h in enumerate(S.deep):
             for sp, z in line_horocycle_crossings(seg.line, h):
                 if not seg.contains_param(sp):
                     continue
                 ang = angle_with_horocycle(seg.line, h, z)
                 events.append(CrossingRecord(
                     "deep", walked + (sp - seg.s0), z, ang,
-                    ang >= psi - ANGLE_TOL, j, math.nan, k))
+                    ang >= S.psi - ANGLE_TOL, j, math.nan, k))
         walked += seg.length
     events.sort(key=lambda e: e.s)
     out: list[CrossingRecord] = []
@@ -231,11 +224,11 @@ def _ray_events(gamma0: ClosedGeodesicRep,
     return out
 
 
-def _run_deep_events(st: TraceStep, deep: Sequence[Horocycle], psi: float,
-                     walked: float, k: int) -> list[CrossingRecord]:
+def _run_deep_events(S: _Setting, st: TraceStep, walked: float,
+                     k: int) -> list[CrossingRecord]:
     """Crossings of a run with its cusp's deep horocycle."""
     c, ch = st.run.cusp, st.run.chart
-    h = c.chart.apply_horocycle(deep[c.index])
+    h = c.chart.apply_horocycle(S.deep[c.index])
     out = []
     for sp, zc in line_horocycle_crossings(ch.line, h):
         if not ch.contains_param(sp):
@@ -243,7 +236,7 @@ def _run_deep_events(st: TraceStep, deep: Sequence[Horocycle], psi: float,
         ang = angle_with_horocycle(ch.line, h, zc)
         out.append(CrossingRecord(
             "deep", walked + (sp - ch.s0), c.chart_inv.apply(zc), ang,
-            ang >= psi - ANGLE_TOL, c.index, math.nan, k))
+            ang >= S.psi - ANGLE_TOL, c.index, math.nan, k))
     return out
 
 
@@ -265,8 +258,9 @@ def _hunt(S: _Setting, point: complex, tangent: complex, allowed: float,
 
     allowed caps the extension past the clearance prefix for base stops,
     and the walk is traced one unit past that cap.  With deep_stop off,
-    steep deep crossings are passed through and counted with the shallow
-    ones; this is how reroutes re-enter a cusp.
+    steep deep crossings are passed through like shallow ones; this is
+    how reroutes re-enter a cusp.  The sub-case follows from the stop,
+    the kinds of crossing passed on the way and the extension.
     """
     r_eps = S.r_eps
     cap = r_eps + allowed + 1.0
@@ -278,29 +272,20 @@ def _hunt(S: _Setting, point: complex, tangent: complex, allowed: float,
     steps = 0
     stop = None
     last = None
-    cls = ""
-    bads: list[float] = []
-    shallow = 0
+    passed: set[str] = set()   # kinds of crossing passed before the stop
 
     def scan(st: TraceStep) -> bool:
-        nonlocal walked, steps, last, stop, cls, shallow
-        events = _ray_events(S.gamma0, [st], S.deep, S.K.theta0, S.psi,
-                             walked, steps, last)
+        nonlocal walked, steps, last, stop
+        events = _ray_events(S, [st], walked, steps, last)
         walked += st.segment.length
         steps += 1
         for e in events:
             if e.s < r_eps - ANGLE_TOL:
                 continue
-            if e.kind == "base":
-                if e.good:
-                    stop, cls = e, "A"
-                    return True
-                bads.append(e.angle)
-            else:
-                if e.good and deep_stop:
-                    stop, cls = e, "B"
-                    return True
-                shallow += 1
+            if e.good and (e.kind == "base" or deep_stop):
+                stop = e
+                return True
+            passed.add(e.kind)
         if events:
             last = events[-1]
         return False
@@ -311,25 +296,22 @@ def _hunt(S: _Setting, point: complex, tangent: complex, allowed: float,
             f"no admissible stop within extension cap {cap:.6g} "
             f"(clearance {r_eps:.6g})")
 
-    extension = max(0.0, stop.s - r_eps)
-    if cls == "A" and extension > allowed + 1e-6:
+    extension = stop.s - r_eps
+    if stop.kind == "base" and extension > allowed + 1e-6:
         raise CaseBoundViolated(
             f"class-A extension {extension:.9g} exceeds its cap {allowed:.9g}")
 
-    if cls == "B":
+    if stop.kind == "deep":
         case_id = 5
-    elif shallow:
+    elif "deep" in passed:
         case_id = 4
     elif extension <= 1e-6:
         case_id = 1
-    elif bads:
+    elif "base" in passed:
         case_id = 2
     else:
         case_id = 3
-    return ExtensionOutcome(
-        case_id=case_id, cls=cls, extension=extension,
-        total=stop.s, stop=stop, bad_angles=tuple(bads),
-        shallow_dips=shallow, trace=ray)
+    return ExtensionOutcome(case_id, stop, ray)
 
 
 def classify_and_extend(c: GeodesicSegment, params: DensityParams,
@@ -417,7 +399,7 @@ class _DiveFrame:
     """Coordinates normalized around one deep dive.
 
     In the normalized chart the dived cusp sits at infinity with its
-    deep horocycle at the stated height and parabolic z -> z + 1, and
+    deep horocycle at height 1 / s_deep and parabolic z -> z + 1, and
     the carrying line of the dive leaves 0 toward the side sigma.
     to_norm_arc takes the frame of the original arc there, and dev takes
     the polygon frame of the dive's stop step to the frame of the arc.
@@ -425,7 +407,6 @@ class _DiveFrame:
 
     to_norm_arc: Isometry
     dev: Isometry
-    height: float
     sigma: float
 
 
@@ -463,7 +444,7 @@ def _dive_frame(S: _Setting, outcome: ExtensionOutcome) -> _DiveFrame:
                 "normalized dive enters shallower than the deep threshold")
         sigma = math.copysign(1.0, x_far)
     dev = _walk_dev(S.model, outcome)
-    return _DiveFrame(to_norm_step @ dev.inverse(), dev, height, sigma)
+    return _DiveFrame(to_norm_step @ dev.inverse(), dev, sigma)
 
 
 def _centered_meet(line: GeodesicLine, radius: float) -> complex:
@@ -529,11 +510,11 @@ def replace_arc(c: GeodesicSegment,
     S = _setting(params, K, X, gamma0)
     bound = formulas.replaced_arc_length_bound(
         c.length, params.eps, params.xi, K.arc_overhead)
-    if back.cls == "A" and fwd.cls == "A":
-        return _finish(S, c, "A", back, back.total, segment_trace(c),
-                       c.length, fwd.total, fwd, 0.0, bound,
+    if back.stop.kind == fwd.stop.kind == "base":
+        return _finish(S, c, "A", back, back.stop.s, segment_trace(c),
+                       c.length, fwd.stop.s, fwd, 0.0, bound,
                        {"cases": (back.case_id, fwd.case_id)})
-    if fwd.cls == "B":
+    if fwd.stop.kind == "deep":
         return _reroute(S, c, fwd, bound)
     return _reroute(S, c.reversed(), back, bound)
 
@@ -543,7 +524,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
     """Reroute the forward dive dive_out of c."""
     model = S.model
     frame = _dive_frame(S, dive_out)
-    H = frame.height
+    H = 1.0 / S.s_deep
     from_norm = frame.to_norm_arc.inverse()
     p_n = frame.to_norm_arc.apply(c.end)
     q_n = frame.to_norm_arc.apply(c.start)
@@ -567,7 +548,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
         t_out = _hunt(S, zf_q, uf_q, S.m_a)
         if cand == 1:
             first_tail = (t_out, g)
-        if t_out.cls != "A":
+        if t_out.stop.kind != "base":
             continue
         # case BA: the tail comes out; walk the dive side through the cusp
         s_p = eta.param_of(zp)
@@ -580,8 +561,8 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
         detail = {"candidate": cand, "tail_case": t_out.case_id,
                   "dive_case": d_out.case_id,
                   "displacement_dive": dp, "displacement_tail": dq}
-        return _finish(S, c, "BA", t_out, t_out.total, mid, zeta_len,
-                       d_out.total, d_out, max(dp, dq), bound, detail)
+        return _finish(S, c, "BA", t_out, t_out.stop.s, mid, zeta_len,
+                       d_out.stop.s, d_out, max(dp, dq), bound, detail)
     # both candidate tails dive as well
     assert first_tail is not None
     if dist(tail_points[0], tail_points[1]) > 0.5 * S.params.eps:
@@ -660,16 +641,16 @@ def _bb_assemble(S, c, dive_out, frame, first_tail, bound) -> ProcessedArc:
     z2, u2, _ = _to_surface(model, to_arc, c_bot, -side.tangent_at(s_bot))
     out_bot = _hunt(S, z2, u2, S.v_hi - S.r_eps, deep_stop=False)
     for out in (out_top, out_bot):
-        if out.total < S.v_lo - 1e-6:
+        if out.stop.s < S.v_lo - 1e-6:
             raise CaseBoundViolated(
-                f"reroute extension {out.total:.9g} under its bracket "
+                f"reroute extension {out.stop.s:.9g} under its bracket "
                 f"{S.v_lo:.9g}")
     mid = trace_geodesic(model, z2, -u2, gap_len)
 
-    detail = {"u": u, "half_width": hw, "v_dive": out_top.total,
-              "v_tail": out_bot.total, "side_length": gap_len,
+    detail = {"u": u, "half_width": hw, "v_dive": out_top.stop.s,
+              "v_tail": out_bot.stop.s, "side_length": gap_len,
               "displacement_dive": dp, "displacement_tail": dq,
               "tail_case": t_out.case_id}
-    return _finish(S, c, "BB", out_bot, out_bot.total + (s_q0 - s_bot),
-                   mid, s_p0 - s_q0, (s_top - s_p0) + out_top.total, out_top,
+    return _finish(S, c, "BB", out_bot, out_bot.stop.s + (s_q0 - s_bot),
+                   mid, s_p0 - s_q0, (s_top - s_p0) + out_top.stop.s, out_top,
                    max(dp, dq), bound, detail)

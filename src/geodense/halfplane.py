@@ -277,12 +277,11 @@ def _sq_gap(r: float, a: float, b: float) -> float:
     Factored as (r - d)(r + d), with d = a - b split exactly into its
     rounded value and rounding error (two-sum), so that a near-vertical
     circle (r and |a - b| both huge and close) keeps its small difference.
+    The steps are plain arithmetic, so NumPy arrays work elementwise.
     """
     d = a - b
     bb = a - d
     e = (a - (d + bb)) + (bb - b)
-    if d < 0.0:
-        d, e = -d, -e
     return ((r - d) - e) * ((r + d) + e)
 
 
@@ -594,17 +593,14 @@ class Isometry:
         return shift @ Isometry(ch, sh, -sh, ch)
 
     def normalized(self) -> "Isometry":
-        """Scale so det = 1 and fix the projective sign; det <= 0 does
-        not preserve the half-plane and is refused."""
+        """Scale so det = 1; det <= 0 does not preserve the half-plane
+        and is refused.  The global sign is left as it comes: a matrix
+        and its negative act alike."""
         dt = self.a * self.d - self.b * self.c
         if not dt > 0:
             raise ValueError(f"determinant {dt:+.3g} is not positive")
         s = 1.0 / math.sqrt(dt)
-        a, b, c, d = self.a * s, self.b * s, self.c * s, self.d * s
-        if a < -TOL_ALG or (abs(a) <= TOL_ALG and b < 0) \
-                or (abs(a) <= TOL_ALG and abs(b) <= TOL_ALG and c < 0):
-            a, b, c, d = -a, -b, -c, -d
-        return Isometry(a, b, c, d)
+        return Isometry(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product)."""

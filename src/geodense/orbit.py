@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from .errors import RadiusTooSmall
-from .halfplane import GeodesicSegment, Isometry
+from .halfplane import GeodesicSegment, Isometry, _sq_gap
 from .surface import SurfaceModel
 from .words import join_reduced
 
@@ -206,18 +206,12 @@ class _Passages:
         cap = math.sinh(0.5 * cut) * self.cosh_reach2[:j] \
             + math.cosh(0.5 * cut) * self.sinh_reach2[:j]
         t, i = np.divmod(np.flatnonzero(q2 <= cap * cap), j)
-        # sinh of the distance to the line through (|d| - r)(|d| + r)
-        # with d = wx - c split exactly, as halfplane._sq_gap does
+        # sinh of the distance to the line, r^2 - (x - c)^2 formed
+        # without cancellation
         x, c, r = wx[t, 0], self.c[i], self.r[i]
         y = wy[t, 0]
-        d = x - c
-        bb = x - d
-        e = (x - (d + bb)) + (bb - c)
-        e = np.where(d < 0.0, -e, e)
-        d = np.abs(d)
-        sinh_line = np.abs(y * y - ((r - d) - e) * ((r + d) + e)) \
-            / (2.0 * r * y)
-        sinh_line = np.where(self.vertical[i], d / y, sinh_line)
+        sinh_line = np.where(self.vertical[i], np.abs(x - c) / y,
+                             np.abs(y * y - _sq_gap(r, x, c)) / (2.0 * r * y))
         keep = sinh_line <= math.sinh(cut)
         t, i, sinh_line = t[keep], i[keep], sinh_line[keep]
         bound = np.maximum(2.0 * np.arcsinh(np.sqrt(q2[t, i])) - self.reach[i],

@@ -14,7 +14,11 @@ from geodense.densify import (
     classify_and_extend,
     replace_arc,
 )
-from geodense.errors import CaseBoundViolated, SafetyCapExceeded
+from geodense.errors import (
+    ArrangementDegenerate,
+    CaseBoundViolated,
+    SafetyCapExceeded,
+)
 from geodense.halfplane import (
     INF,
     GeodesicLine,
@@ -88,12 +92,12 @@ class TestClassifyAndExtend:
         c = _arc(0.0 + 2.5j, 1j, 0.5, torus)
         back, fwd = classify_and_extend(c, params, torus_dec.constants, torus,
                                         gamma0=torus_g0)
-        assert fwd.cls == "B" and fwd.case_id == 5
-        assert fwd.stop.kind == "deep" and fwd.stop.index == 0
+        assert fwd.stop.kind == "deep" and fwd.case_id == 5
+        assert fwd.stop.index == 0
         # perpendicular entry into the cusp
         assert fwd.stop.angle == pytest.approx(math.pi / 2, abs=1e-6)
         r_eps = formulas.clearance(params.eps, torus_dec.constants.theta0)
-        assert fwd.total >= r_eps - 1e-9
+        assert fwd.stop.s >= r_eps - 1e-9
         # backward walks out of the arc's start, forward out of its end
         assert back.trace.start_point == c.start
         assert fwd.trace.start_point == c.end
@@ -114,10 +118,9 @@ class TestClassifyAndExtend:
         c = _arc(far, -far_dir, 0.3, sphere)
         assert c.length == pytest.approx(0.3, abs=1e-9)
         _, fwd = classify_and_extend(c, params, K, sphere, gamma0=sphere_g0)
-        assert fwd.cls == "A"
-        assert fwd.case_id == 1
-        assert fwd.extension <= 1e-6
         assert fwd.stop.kind == "base"
+        assert fwd.case_id == 1
+        assert fwd.stop.s - r_eps <= 1e-6
         assert dist(fwd.stop.point, z_star) < 1e-6
         assert fwd.stop.angle == pytest.approx(1.2, abs=1e-6)
 
@@ -128,16 +131,16 @@ class TestClassifyAndExtend:
         back, fwd = classify_and_extend(c, params, sphere_dec.constants,
                                         sphere, gamma0=sphere_g0)
         for out, anchor in ((back, c.start), (fwd, c.end)):
-            assert out.cls == "A"
+            assert out.stop.kind == "base"
             # the walk as taken ends with the step holding the stop
             assert abs(out.trace.start_point - anchor) < 1e-9
             assert len(out.trace.steps) == out.stop.step + 1
-            assert out.trace.length > out.total
+            assert out.trace.length > out.stop.s
             # cut at its stop, it ends there
             cut = densify._cut_trace(out.trace, out.stop)
             assert cut.steps[:-1] == out.trace.steps[:-1]
             assert cut.end_point == out.stop.point
-            assert cut.length == pytest.approx(out.total, abs=1e-9)
+            assert cut.length == pytest.approx(out.stop.s, abs=1e-9)
 
     def test_arc_outside_truncation_rejected(self, torus, torus_dec,
                                              torus_g0):
@@ -186,23 +189,23 @@ class TestExtensionCaps:
         m_a = formulas.class_a_extension_bound(K.diam, K.cusp_reach, eps, xi,
                                                K.theta0)
         psi = formulas.deep_entry_angle(eps, xi, K.theta0)
+        r_eps = formulas.clearance(eps, K.theta0)
         rng = np.random.default_rng(np.random.PCG64(SEED))
         y_hi = 2.5 if which == "torus" else 1.2
         x_hi = 3.0 if which == "torus" else 1.0
         arcs = _sample_arcs(model, rng, 30, xi, 0.35, y_hi, x_hi)
-        seen = {"A": 0, "B": 0}
+        seen = {"base": 0, "deep": 0}
         for c in arcs:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
-                seen[out.cls] += 1
-                if out.cls == "A":
-                    assert out.extension <= m_a + 1e-6
-                    assert out.stop.kind == "base"
+                seen[out.stop.kind] += 1
+                if out.stop.kind == "base":
+                    assert out.stop.s - r_eps <= m_a + 1e-6
                     assert out.stop.angle >= K.theta0 - 1e-9
                     assert 1 <= out.case_id <= 4
                 else:
-                    assert out.stop.kind == "deep"
+                    assert out.case_id == 5
                     assert out.stop.angle >= psi - 1e-9
-        assert seen["A"] > 0
+        assert seen["base"] > 0
 
 
 def _hunt_cases(request, which):
@@ -229,15 +232,15 @@ class TestIncrementalHunt:
         # at the start of its first
         model, K, g0, params, arcs = _hunt_cases(request, "sphere")
         S = densify._setting(params, K, model, g0)
-        deep, r_eps, psi = S.deep, S.r_eps, S.psi
         joints = seen_twice = 0
         for c in arcs:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
-                if not out.bad_angles and not out.shallow_dips:
+                # the sub-cases that passed a crossing on the way
+                if out.case_id not in (2, 4):
                     continue
-                events = densify._ray_events(g0, out.trace.steps, deep,
-                                             K.theta0, psi)
-                e = next(e for e in events if e.s >= r_eps and not e.good)
+                events = densify._ray_events(S, out.trace.steps)
+                e = next(e for e in events
+                         if e.s >= S.r_eps and not e.good)
 
                 def is_e(g, e=e):
                     return g.kind == e.kind and abs(g.s - e.s) < densify._DEDUP
@@ -245,10 +248,10 @@ class TestIncrementalHunt:
                 tr = out.trace
                 w1 = trace_geodesic(model, tr.start_point, tr.start_dir, e.s)
                 w2 = trace_geodesic(model, w1.end_point, w1.end_dir,
-                                    out.total - e.s)
-                ev1 = densify._ray_events(g0, w1.steps, deep, K.theta0, psi)
-                ev2 = densify._ray_events(g0, w2.steps, deep, K.theta0, psi,
-                                          w1.length, len(w1.steps), ev1[-1])
+                                    out.stop.s - e.s)
+                ev1 = densify._ray_events(S, w1.steps)
+                ev2 = densify._ray_events(S, w2.steps, w1.length,
+                                          len(w1.steps), ev1[-1])
                 got = ev1 + ev2
                 assert sum(map(is_e, got)) == 1
                 assert [(g.kind, g.index) for g in got] \
@@ -256,8 +259,7 @@ class TestIncrementalHunt:
                 assert all(abs(g.s - w.s) < densify._DEDUP
                            for g, w in zip(got, events))
                 # the walk on from the joint does see the crossing again
-                again = densify._ray_events(g0, w2.steps, deep, K.theta0,
-                                            psi, w1.length)
+                again = densify._ray_events(S, w2.steps, w1.length)
                 seen_twice += any(map(is_e, again))
                 joints += 1
         assert joints >= 2 and seen_twice >= 1
@@ -294,24 +296,30 @@ class TestIncrementalHunt:
     def test_hunt_matches_one_full_scan(self, which, request):
         model, K, g0, params, arcs = _hunt_cases(request, which)
         S = densify._setting(params, K, model, g0)
-        deep, r_eps, psi = S.deep, S.r_eps, S.psi
         for c in arcs:
             for out in classify_and_extend(c, params, K, model, gamma0=g0):
-                events = densify._ray_events(g0, out.trace.steps, deep,
-                                             K.theta0, psi)
+                events = densify._ray_events(S, out.trace.steps)
                 events = [e for e in events
-                          if e.s >= r_eps - densify.ANGLE_TOL]
+                          if e.s >= S.r_eps - densify.ANGLE_TOL]
                 k = next(i for i, e in enumerate(events) if e.good)
                 stop = events[k]
                 assert (stop.kind, stop.index, stop.step, stop.s,
                         stop.point) == (out.stop.kind, out.stop.index,
                                         out.stop.step, out.stop.s,
                                         out.stop.point)
-                before = events[:k]
-                assert sum(e.kind == "base" for e in before) \
-                    == len(out.bad_angles)
-                assert sum(e.kind == "deep" for e in before) \
-                    == out.shallow_dips
+                # the sub-case, from the crossings the full scan passed
+                passed = {e.kind for e in events[:k]}
+                if stop.kind == "deep":
+                    want = 5
+                elif "deep" in passed:
+                    want = 4
+                elif stop.s - S.r_eps <= 1e-6:
+                    want = 1
+                elif "base" in passed:
+                    want = 2
+                else:
+                    want = 3
+                assert out.case_id == want
 
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_class_a_walks_cut_at_their_stops(self, which, request):
@@ -334,18 +342,17 @@ class TestIncrementalHunt:
                 for out in classify_and_extend(c, prm, K, model, gamma0=g0):
                     steps = out.trace.steps
                     runs += sum(st.count > 1 for st in steps)
-                    events = densify._ray_events(g0, steps, S.deep,
-                                                 K.theta0, S.psi)
+                    events = densify._ray_events(S, steps)
                     assert all(steps[e.step].count == 1
                                for e in events if e.kind == "base")
-                    if out.cls != "A":
+                    if out.stop.kind != "base":
                         continue
                     cut = densify._cut_trace(out.trace, out.stop)
                     assert cut.steps[:-1] == steps[:out.stop.step]
                     assert (cut.steps[-1].count, cut.steps[-1].side) \
                         == (1, None)
                     assert cut.end_point == out.stop.point
-                    assert cut.length == pytest.approx(out.total, abs=1e-9)
+                    assert cut.length == pytest.approx(out.stop.s, abs=1e-9)
                     cuts += 1
         assert cuts >= len(arcs)
         assert runs > 0
@@ -360,14 +367,15 @@ class TestGuards:
         for c in arcs:
             p, u = c.end, c.line.tangent_at(c.s1)
             out = densify._hunt(S, p, u, S.m_a)
-            if out.cls == "A" and 1e-3 < out.extension < 2.0:
+            extension = out.stop.s - S.r_eps
+            if out.stop.kind == "base" and 1e-3 < extension < 2.0:
                 break
         else:
             pytest.fail("no sampled arc extends past the clearance")
         # the walk runs one unit past the halved cap, so it still reaches
         # the stop, an extension under 2 past the clearance
         with pytest.raises(CaseBoundViolated, match="exceeds its cap"):
-            densify._hunt(S, p, u, 0.5 * out.extension)
+            densify._hunt(S, p, u, 0.5 * extension)
 
     def test_walk_past_its_cap(self, request):
         model, K, g0, params, [c, *_] = _hunt_cases(request, "torus")
@@ -378,13 +386,26 @@ class TestGuards:
             densify._hunt(S, c.end, c.line.tangent_at(c.s1),
                           -0.5 * S.r_eps - 1.0)
 
-    def test_length_over_its_bound(self, request):
+    @pytest.mark.parametrize("change, error, match", [
+        (lambda pa: {"zeta_span": pa.zeta_span[::-1]},
+         CaseBoundViolated, "does not sit inside"),
+        (lambda pa: {"end_fwd": dataclasses.replace(pa.end_fwd, kind="deep")},
+         CaseBoundViolated, "steep base crossing"),
+        (lambda pa: {"clearance": pa.zeta_span[0] + 1.0},
+         CaseBoundViolated, "under the clearance"),
+        (lambda pa: {"bound": 0.5 * pa.length},
+         CaseBoundViolated, "per-arc bound"),
+        (lambda pa: {"length": pa.length + 1e-3},
+         ArrangementDegenerate, "drifted"),
+    ], ids=["span", "kind", "clearance", "bound", "drift"])
+    def test_processed_arc_guard(self, request, change, error, match):
+        # each guard of ProcessedArc.validate, tripped by one field
         model, K, g0, params, [c, *_] = _hunt_cases(request, "torus")
         outs = classify_and_extend(c, params, K, model, gamma0=g0)
         pa = replace_arc(c, outs, params, K, model, gamma0=g0)
         pa.validate()
-        with pytest.raises(CaseBoundViolated, match="per-arc bound"):
-            dataclasses.replace(pa, bound=0.5 * pa.length).validate()
+        with pytest.raises(error, match=match):
+            dataclasses.replace(pa, **change(pa)).validate()
 
     @pytest.mark.parametrize("end, match", [("lo", "under its bracket"),
                                             ("hi", "exceeds its cap")],
@@ -504,7 +525,7 @@ class TestReplaceArc:
         for c in _sample_arcs(sphere, rng, 20, params.xi, 0.35, 1.2, 1.0):
             back, fwd = classify_and_extend(c, params, K, sphere,
                                             gamma0=sphere_g0)
-            if back.cls == "A" and fwd.cls == "A":
+            if back.stop.kind == "base" and fwd.stop.kind == "base":
                 picked = (c, back, fwd)
                 break
         assert picked is not None
@@ -512,10 +533,10 @@ class TestReplaceArc:
         pa = replace_arc(c, (back, fwd), params, K, sphere, gamma0=sphere_g0)
         assert pa.case == "A"
         assert pa.displacement == 0.0
-        assert pa.length == pytest.approx(back.total + c.length + fwd.total,
+        assert pa.length == pytest.approx(back.stop.s + c.length + fwd.stop.s,
                                           abs=1e-9)
-        assert pa.ext_back == pytest.approx(back.total, abs=1e-9)
-        assert pa.ext_fwd == pytest.approx(fwd.total, abs=1e-9)
+        assert pa.ext_back == pytest.approx(back.stop.s, abs=1e-9)
+        assert pa.ext_fwd == pytest.approx(fwd.stop.s, abs=1e-9)
         assert pa.zeta_span[1] - pa.zeta_span[0] \
             == pytest.approx(c.length, abs=1e-9)
         assert pa.end_back is back.stop and pa.end_fwd is fwd.stop
@@ -538,7 +559,7 @@ class TestReplaceArc:
                          complex(math.cos(phi), math.sin(phi)), 0.4, torus)
                 back, fwd = classify_and_extend(c, params, K, torus,
                                                 gamma0=torus_g0)
-                if back.cls == "A" and fwd.cls == "B":
+                if back.stop.kind == "base" and fwd.stop.kind == "deep":
                     picked = (c, (back, fwd))
                     break
             if picked is not None:
@@ -558,7 +579,7 @@ class TestReplaceArc:
         # same processed arc
         c2 = c.reversed()
         outs2 = classify_and_extend(c2, params, K, torus, gamma0=torus_g0)
-        assert outs2[0].cls == "B" and outs2[1].cls == "A"
+        assert outs2[0].stop.kind == "deep" and outs2[1].stop.kind == "base"
         pa2 = replace_arc(c2, outs2, params, K, torus, gamma0=torus_g0)
         assert pa2.original == c
         _assert_same_arc(pa2, pa)
@@ -573,7 +594,7 @@ class TestReplaceArc:
         c = GeodesicSegment.between(complex(0.5, 0.5), complex(0.5, 0.9))
         back, fwd = classify_and_extend(c, params, K, sphere,
                                         gamma0=sphere_g0)
-        assert back.cls == "B" and fwd.cls == "B"
+        assert back.stop.kind == "deep" and fwd.stop.kind == "deep"
         pa = replace_arc(c, (back, fwd), params, K, sphere, gamma0=sphere_g0)
         assert pa.case == "BB"
 
@@ -602,7 +623,7 @@ class TestReplaceArc:
         c2 = c.reversed()
         back2, _ = classify_and_extend(c2, params, K, sphere,
                                        gamma0=sphere_g0)
-        assert back2.cls == "B"
+        assert back2.stop.kind == "deep"
         S = densify._setting(params, K, sphere, sphere_g0)
         pa2 = densify._reroute(S, c2.reversed(), back2, pa.bound)
         _assert_same_arc(pa2, pa)
@@ -632,7 +653,7 @@ class TestReplaceArc:
         for c, outs in _sampled_dives(torus, K, torus_g0, params):
             c2 = c.reversed()
             outs2 = classify_and_extend(c2, params, K, torus, gamma0=torus_g0)
-            assert [o.cls for o in outs2] == ["B", "A"]
+            assert [o.stop.kind for o in outs2] == ["deep", "base"]
             pa2 = replace_arc(c2, outs2, params, K, torus, gamma0=torus_g0)
             assert pa2.original == c
             _assert_same_arc(
@@ -660,7 +681,7 @@ def _sampled_dives(model, K, g0, params):
             continue
         c = seg.subsegment(seg.s0, seg.s0 + 0.3)
         outs = classify_and_extend(c, params, K, model, gamma0=g0)
-        if outs[0].cls == "A" and outs[1].cls == "A":
+        if outs[0].stop.kind == "base" and outs[1].stop.kind == "base":
             continue
         dives.append((c, outs))
     return dives

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -99,6 +100,18 @@ def shared_rule_first(l1, l2):
     if b < a:
         a, b = b, a
     return (a < c < b) != (a < d < b)
+
+
+@st.composite
+def gap_triples(draw):
+    """(r, a, b) for _sq_gap: b anywhere, or |a - b| within a millionth
+    of r, where r^2 - (a - b)^2 cancels."""
+    r = draw(st.floats(1e-3, 1e8))
+    a = draw(st.floats(-1e8, 1e8))
+    if draw(st.booleans()):
+        return r, a, draw(st.floats(-1e8, 1e8))
+    f = draw(st.floats(-1e-6, 1e-6))
+    return r, a, a + draw(st.sampled_from([r, -r])) * (1.0 + f)
 
 
 _ends = st.one_of(st.floats(-10, 10), st.floats(-1e8, 1e8),
@@ -248,6 +261,17 @@ class TestLines:
         got = GeodesicLine.from_points(z1, z2).center
         assert abs(Fraction(got) - want) \
             <= Fraction(1e-15) * (abs(X1) + abs(X2) + abs(q))
+
+    @given(gap_triples())
+    def test_sq_gap_symmetric(self, rab):
+        """r^2 - (a - b)^2 does not depend on the order of a and b, bit
+        for bit, and NumPy arrays give the bits of floats."""
+        r, a, b = rab
+        got = halfplane._sq_gap(r, a, b)
+        assert got.hex() == halfplane._sq_gap(r, b, a).hex()
+        [arr] = halfplane._sq_gap(np.array([r]), np.array([a]),
+                                  np.array([b])).tolist()
+        assert arr.hex() == got.hex()
 
 
 class TestCrossings:

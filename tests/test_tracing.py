@@ -1,5 +1,6 @@
 """Walker tests: polygon passages, development, closed traces."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -394,6 +395,18 @@ _RAYS = [(name, j, apex, climb)
          if (name, j, apex) != ("sphere", 2, 1e6)]
 
 
+def _fiftieth_width_setting(name, request):
+    """A run setting of a catalog surface with its deep horocycles moved
+    to chart height 50, each of length a fiftieth of its cusp's width."""
+    model = request.getfixturevalue(name)
+    K = request.getfixturevalue(f"{name}_dec").constants
+    g0 = request.getfixturevalue(f"{name}_g0")
+    S = densify._setting(densify.DensityParams(0.5, 0.5), K, model, g0)
+    return dataclasses.replace(S, deep=tuple(
+        model.cusp_horocycle(i, c.width / 50.0)
+        for i, c in enumerate(model.cusps)))
+
+
 class TestCuspRuns:
     """A run crosses the walls of a cusp in one step; expanded, it must
     be the walk one passage at a time."""
@@ -430,15 +443,12 @@ class TestCuspRuns:
         p, u, length = _cusp_ray(model, j, 1e2, True, False)
         got = trace_geodesic(model, p, u, length)
         want = _walk_passages(model, p, u, length)
-        g0 = request.getfixturevalue(f"{name}_g0")
         # a horocycle at half the chart height of the apex, crossed on
         # the way up and on the way down
-        deep = [model.cusp_horocycle(i, c.width / 50.0)
-                for i, c in enumerate(model.cusps)]
+        S = _fiftieth_width_setting(name, request)
 
         def deep_events(tr):
-            return [e for e in densify._ray_events(g0, tr.steps, deep,
-                                                   0.5, 0.5)
+            return [e for e in densify._ray_events(S, tr.steps)
                     if e.kind == "deep"]
 
         ev_got, ev_want = deep_events(got), deep_events(want)
@@ -458,16 +468,13 @@ class TestCuspRuns:
         # runs stay above the unit horocycle, which the base geodesic
         # never reaches, so a cut at a base crossing cuts a plain step
         model = request.getfixturevalue(name)
-        g0 = request.getfixturevalue(f"{name}_g0")
         p, u, length = _cusp_ray(model, j, apex, climb, right)
         got = trace_geodesic(model, p, u, length)
         want = _walk_passages(model, p, u, length)
-        deep = [model.cusp_horocycle(i, c.width / 50.0)
-                for i, c in enumerate(model.cusps)]
+        S = _fiftieth_width_setting(name, request)
 
         def base_events(tr):
-            return [e for e in densify._ray_events(g0, tr.steps, deep,
-                                                   0.5, 0.5)
+            return [e for e in densify._ray_events(S, tr.steps)
                     if e.kind == "base"]
 
         ev_got, ev_want = base_events(got), base_events(want)
