@@ -35,7 +35,7 @@ from .halfplane import (
     segments_cross,
 )
 from .surface import SurfaceModel, chart_top
-from .tracing import ClosedGeodesicRep, base_geodesic
+from .tracing import ClosedGeodesicRep, base_geodesic, tile_elements
 
 # crossings closer than this to a polygon side, to each other, or to
 # tangency cannot be classified reliably
@@ -85,14 +85,22 @@ class Face:
     cusp: int | None
     area: float
     ears: list[Ear]
-    angle_floor: float        # smallest angle of any ear
-    side_cap: float           # longest side of any ear
     diam: float | None        # ordinary faces: conservative diameter
     depth: float | None       # punctured faces: reach below 1-horocycle
 
     @property
     def n_corners(self) -> int:
         return len(self.corners)
+
+    @property
+    def angle_floor(self) -> float:
+        """Smallest angle of any ear."""
+        return min(min(e.angles) for e in self.ears)
+
+    @property
+    def side_cap(self) -> float:
+        """Longest side of any ear."""
+        return max(max(e.side_lengths) for e in self.ears)
 
     def boundary_edges(self) -> list[GeodesicSegment]:
         """Developed boundary arcs, one period for punctured faces."""
@@ -181,10 +189,11 @@ class _Complex:
     it backwards and is based at slot s+1.
     """
 
-    def __init__(self, base, crossings):
+    def __init__(self, model, base, crossings):
         self.length = base.length
         self.crossings = crossings
-        self.devs = base.devs
+        # the deck element of each step; the last is the whole period's
+        self.devs = tile_elements(model, base.trace.steps)
         segs = base.trace.segments()
         cum = base.cum
 
@@ -293,8 +302,9 @@ class _Complex:
 # ---------------------------------------------------------------------------
 # developed faces
 
-def _face_walk(cx: _Complex, orbit, hol):
+def _face_walk(cx: _Complex, orbit):
     """Develop a face boundary; corners, sector angles, closure element."""
+    period = cx.devs[-1]
     corners = []
     angles = []
     g = Isometry.identity()
@@ -314,9 +324,9 @@ def _face_walk(cx: _Complex, orbit, hol):
         wrap = cx.wrap_power(d)
         step = cx.devs[cx.slot_pass[v]] @ cx.devs[cx.slot_pass[w]].inverse()
         if wrap == 1:
-            step = hol @ step
+            step = period @ step
         elif wrap == -1:
-            step = hol.inverse() @ step
+            step = period.inverse() @ step
         g = g @ step
     # developed corner gaps must reproduce the arc lengths on the curve
     for k, d in enumerate(orbit):
@@ -478,10 +488,10 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
             f"closed geodesic of {word!r} has no self-crossings; "
             "a simple geodesic never fills the surface")
 
-    cx = _Complex(base, crossings)
+    cx = _Complex(model, base, crossings)
     faces = []
     for orbit in cx.face_orbits():
-        corners, angles, closure = _face_walk(cx, orbit, base.holonomy)
+        corners, angles, closure = _face_walk(cx, orbit)
         m = len(corners)
         if closure.is_identity(1e-6):
             if m < 3:
@@ -492,8 +502,6 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
                 raise ArrangementDegenerate("ordinary face with zero area")
             ears = _build_ears(corners)
             face = Face(corners, angles, False, closure, None, area, ears,
-                        min(min(e.angles) for e in ears),
-                        max(max(e.side_lengths) for e in ears),
                         _ordinary_diam(corners), None)
         elif closure.is_parabolic(1e-6):
             area = m * math.pi - sum(angles)
@@ -502,8 +510,6 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
             cusp, depth = _punctured_face_data(model, corners, closure)
             ears = _build_ears(corners, closure)
             face = Face(corners, angles, True, closure, cusp, area, ears,
-                        min(min(e.angles) for e in ears),
-                        max(max(e.side_lengths) for e in ears),
                         None, depth)
         else:
             raise NotFilling(

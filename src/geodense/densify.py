@@ -52,7 +52,6 @@ from .tracing import (
     base_geodesic,  # not used here; callers import it from densify
     concat_traces,
     reverse_trace,
-    segment_trace,
     tile_elements,
     trace_geodesic,
 )
@@ -247,9 +246,7 @@ def _cut_trace(trace: Trace, event: CrossingRecord) -> Trace:
     sw = seg.line.param_of(event.point)
     steps = trace.steps[:event.step] + [
         TraceStep(seg.subsegment(seg.s0, sw), None)]
-    length = sum(s.segment.length for s in steps)
-    return Trace(trace.start_point, trace.start_dir, steps, event.point,
-                 seg.line.tangent_at(sw), length)
+    return Trace(steps, sum(s.segment.length for s in steps))
 
 
 def _hunt(S: _Setting, point: complex, tangent: complex, allowed: float,
@@ -511,7 +508,8 @@ def replace_arc(c: GeodesicSegment,
     bound = formulas.replaced_arc_length_bound(
         c.length, params.eps, params.xi, K.arc_overhead)
     if back.stop.kind == fwd.stop.kind == "base":
-        return _finish(S, c, "A", back, back.stop.s, segment_trace(c),
+        return _finish(S, c, "A", back, back.stop.s,
+                       Trace([TraceStep(c, None)], c.length),
                        c.length, fwd.stop.s, fwd, 0.0, bound,
                        {"cases": (back.case_id, fwd.case_id)})
     if fwd.stop.kind == "deep":

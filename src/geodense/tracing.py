@@ -140,13 +140,12 @@ class TraceStep:
 
 @dataclass
 class Trace:
-    """A traced geodesic of finite length."""
+    """A traced geodesic of finite length: its steps, in walking order,
+    and the length they walk.  It starts where its first step's segment
+    starts and ends where its last step's segment ends; when that step
+    crosses a side, the geodesic goes on from across it."""
 
-    start_point: complex
-    start_dir: complex
     steps: list[TraceStep]
-    end_point: complex
-    end_dir: complex
     length: float
 
     @property
@@ -274,7 +273,6 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
     if not model.inside(p, tol=1e-6):
         raise TraceError(f"trace start {p} is not in the polygon")
     u = u / abs(u)
-    p0, u0 = p, u
     steps: list[TraceStep] = []
     walked = 0.0
     stalled = 0
@@ -300,9 +298,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
                 steps.append(TraceStep(seg, None))
                 if until is not None:
                     until(steps[-1])
-                return Trace(p0, u0, steps, seg.end,
-                             line.tangent_at(s_here + remaining),
-                             length)
+                return Trace(steps, length)
             s_exit, side_idx, pt = exit_
             step = TraceStep(GeodesicSegment(line, s_here, s_exit), side_idx)
             if s_exit - s_here < 1e-9:
@@ -323,15 +319,8 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
             raise TraceError(
                 f"trace left the polygon at step {len(steps)}: {p}")
         if until is not None and until(step):
-            return Trace(p0, u0, steps, p, u, walked)
+            return Trace(steps, walked)
     raise TraceError(f"trace exceeded {TRACE_STEPS} steps")
-
-
-def segment_trace(seg: GeodesicSegment) -> Trace:
-    """A one-step trace of a segment lying inside the polygon."""
-    return Trace(seg.start, seg.line.tangent_at(seg.s0),
-                 [TraceStep(seg, None)], seg.end,
-                 seg.line.tangent_at(seg.s1), seg.length)
 
 
 def reverse_trace(model: SurfaceModel, tr: Trace) -> Trace:
@@ -355,8 +344,7 @@ def reverse_trace(model: SurfaceModel, tr: Trace) -> Trace:
             steps.append(_reversed_tail(model, st))
             seg = st.passage(0)
         steps.append(TraceStep(seg.reversed(), side))
-    return Trace(tr.end_point, -tr.end_dir, steps, tr.start_point,
-                 -tr.start_dir, tr.length)
+    return Trace(steps, tr.length)
 
 
 def _reversed_tail(model: SurfaceModel, st: TraceStep) -> TraceStep:
@@ -382,23 +370,22 @@ def concat_traces(legs: list[Trace]) -> Trace:
 
     This is how a processed arc is put together from its pieces: the two
     extensions and the arc, or its replacement, between them.  Joints
-    carry no side jump, so consecutive legs must meet in the same
-    polygon representative.  Joining independently anchored pieces keeps
-    the arc accurate; rewalking it end to end does not, because nearby
-    geodesics separate exponentially.
+    carry no side jump: each leg's first step must start where the last
+    step of the leg before it ends, in the same polygon representative.
+    Joining independently anchored pieces keeps the arc accurate;
+    rewalking it end to end does not, because nearby geodesics separate
+    exponentially.
     """
     if not legs:
         raise ValueError("nothing to join")
     steps: list[TraceStep] = []
     for k, leg in enumerate(legs):
         if k > 0:
-            gap = dist(legs[k - 1].end_point, leg.start_point)
+            gap = dist(steps[-1].segment.end, leg.steps[0].segment.start)
             if gap > TOL_LOOSE:
                 raise TraceError(f"trace joint {k} off by {gap:.3g}")
         steps.extend(leg.steps)
-    return Trace(legs[0].start_point, legs[0].start_dir, steps,
-                 legs[-1].end_point, legs[-1].end_dir,
-                 sum(leg.length for leg in legs))
+    return Trace(steps, sum(leg.length for leg in legs))
 
 
 def tile_elements(model: SurfaceModel,
@@ -454,28 +441,23 @@ def close_walk(model: SurfaceModel, steps: list[TraceStep]) -> Trace:
         if entry == st.side or ends[1] < ends[0] - TOL_GEO:
             raise TraceError(f"chord {k} turns back")
         chords.append(TraceStep(GeodesicSegment(line, *ends), st.side))
-    seg = chords[0].segment
-    u = seg.line.tangent_at(seg.s0)
-    return Trace(seg.start, u, chords, seg.start, u, length)
+    return Trace(chords, length)
 
 
 @dataclass(eq=False)
 class ClosedGeodesicRep:
     """A closed geodesic carried as its word and its period, closed by
-    close_walk.  The length and the holonomy, the deck element along the
-    lift of the first passage, are read off the period."""
+    close_walk.  The length and the chords are read off the period, and
+    the deck elements along it are its steps' tile_elements, the last of
+    them the element of the whole period along the lift of its first
+    passage."""
 
     word: str
     trace: Trace
-    model: SurfaceModel
 
     @property
     def length(self) -> float:
         return self.trace.length
-
-    @property
-    def holonomy(self) -> Isometry:
-        return self.devs[-1]
 
     @cached_property
     def cum(self) -> list[float]:
@@ -486,11 +468,6 @@ class ClosedGeodesicRep:
     def chords(self) -> list[tuple[int, GeodesicSegment, float]]:
         """(index, passage, arc length from the period start) each."""
         return list(zip(itertools.count(), self.trace.segments(), self.cum))
-
-    @cached_property
-    def devs(self) -> list[Isometry]:
-        """tile_elements of the period's steps; devs[-1] is the holonomy."""
-        return tile_elements(self.model, self.trace.steps)
 
 
 def base_geodesic(model: SurfaceModel,
@@ -520,6 +497,6 @@ def base_geodesic(model: SurfaceModel,
                                     for i in shot.sides))
         if len(got) != len(want) or got not in want + want:
             raise TraceError(f"its shot crosses the sides of {got!r}")
-        return ClosedGeodesicRep(word, close_walk(model, shot.steps), model)
+        return ClosedGeodesicRep(word, close_walk(model, shot.steps))
     except (TraceError, NotHyperbolic, ArrangementDegenerate) as exc:
         raise type(exc)(f"closed geodesic of {word!r}: {exc}") from exc

@@ -164,7 +164,6 @@ class TestComplexStructure:
         fresh = base_geodesic(model)
         assert base.word == fresh.word == model.spec.base_word
         assert base.trace.steps == fresh.trace.steps
-        assert base.holonomy == fresh.holonomy
         assert base.length == fresh.length
 
 
@@ -242,8 +241,6 @@ class TestEars:
     def test_ordinary_ears_count(self, torus_dec):
         for f in torus_dec.faces:
             assert len(f.ears) == f.n_corners
-            assert f.angle_floor == min(min(e.angles) for e in f.ears)
-            assert f.side_cap == max(max(e.side_lengths) for e in f.ears)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from geodense.halfplane import (
     Isometry,
     dist,
 )
-from geodense.tracing import trace_geodesic
+from geodense.tracing import tile_elements, trace_geodesic
 
 SEED = 20260823
 
@@ -54,7 +54,6 @@ class TestBaseGeodesicRep:
         assert torus_g0.word == "aabAb"
         assert torus_g0.length == pytest.approx(2.0 * math.acosh(9.0),
                                                 abs=1e-9)
-        assert torus_g0.holonomy is not None
         assert torus_g0.cum[-1] == pytest.approx(torus_g0.length, abs=1e-9)
 
     def test_sphere_rep(self, sphere_g0):
@@ -62,9 +61,13 @@ class TestBaseGeodesicRep:
                                                  abs=1e-9)
         assert len(sphere_g0.chords) == len(sphere_g0.trace.steps)
 
-    def test_devs_end_at_holonomy(self, torus_g0):
-        assert torus_g0.devs[0].is_identity(tol=1e-12)
-        assert torus_g0.devs[-1].approx_equal(torus_g0.holonomy, tol=1e-9)
+    def test_devs_end_at_holonomy(self, torus, torus_g0):
+        # the deck elements along the period run from the identity to the
+        # period's own element, a translation by the length
+        devs = tile_elements(torus, torus_g0.trace.steps)
+        assert devs[0].is_identity(tol=1e-12)
+        assert abs(devs[-1].trace()) == pytest.approx(
+            2.0 * math.cosh(torus_g0.length / 2.0), rel=1e-12)
 
     def test_decomposition_base_extends_alike(self, torus, torus_dec):
         # the base geodesic a decomposition carries extends arcs exactly
@@ -77,6 +80,20 @@ class TestBaseGeodesicRep:
                                    gamma0=torus_dec.base) \
             == classify_and_extend(c, params, K, torus,
                                    gamma0=base_geodesic(torus))
+
+
+def _start(tr):
+    """Where a walk starts, and its direction there."""
+    seg = tr.steps[0].segment
+    return seg.start, seg.line.tangent_at(seg.s0)
+
+
+def _end(tr):
+    """Where a walk ends, and its direction there, when its last step
+    crosses no side: a walk that ran its length out, or one cut at a
+    stop."""
+    seg = tr.steps[-1].segment
+    return seg.end, seg.line.tangent_at(seg.s1)
 
 
 def _arc(line_start, direction, length, model):
@@ -99,8 +116,8 @@ class TestClassifyAndExtend:
         r_eps = formulas.clearance(params.eps, torus_dec.constants.theta0)
         assert fwd.stop.s >= r_eps - 1e-9
         # backward walks out of the arc's start, forward out of its end
-        assert back.trace.start_point == c.start
-        assert fwd.trace.start_point == c.end
+        assert abs(_start(back.trace)[0] - c.start) < 1e-9
+        assert abs(_start(fwd.trace)[0] - c.end) < 1e-9
 
     def test_zero_additional_extension(self, sphere, sphere_dec, sphere_g0):
         params = DensityParams(1.0, 1.0)
@@ -114,7 +131,7 @@ class TestClassifyAndExtend:
         rot = complex(math.cos(1.2), math.sin(1.2))
         u = v * rot
         back_walk = trace_geodesic(sphere, z_star, -u, r_eps + 0.3)
-        far, far_dir = back_walk.end_point, back_walk.end_dir
+        far, far_dir = _end(back_walk)
         c = _arc(far, -far_dir, 0.3, sphere)
         assert c.length == pytest.approx(0.3, abs=1e-9)
         _, fwd = classify_and_extend(c, params, K, sphere, gamma0=sphere_g0)
@@ -133,13 +150,13 @@ class TestClassifyAndExtend:
         for out, anchor in ((back, c.start), (fwd, c.end)):
             assert out.stop.kind == "base"
             # the walk as taken ends with the step holding the stop
-            assert abs(out.trace.start_point - anchor) < 1e-9
+            assert abs(_start(out.trace)[0] - anchor) < 1e-9
             assert len(out.trace.steps) == out.stop.step + 1
             assert out.trace.length > out.stop.s
             # cut at its stop, it ends there
             cut = densify._cut_trace(out.trace, out.stop)
             assert cut.steps[:-1] == out.trace.steps[:-1]
-            assert cut.end_point == out.stop.point
+            assert dist(_end(cut)[0], out.stop.point) < 1e-9
             assert cut.length == pytest.approx(out.stop.s, abs=1e-9)
 
     def test_arc_outside_truncation_rejected(self, torus, torus_dec,
@@ -246,9 +263,8 @@ class TestIncrementalHunt:
                     return g.kind == e.kind and abs(g.s - e.s) < densify._DEDUP
 
                 tr = out.trace
-                w1 = trace_geodesic(model, tr.start_point, tr.start_dir, e.s)
-                w2 = trace_geodesic(model, w1.end_point, w1.end_dir,
-                                    out.stop.s - e.s)
+                w1 = trace_geodesic(model, *_start(tr), e.s)
+                w2 = trace_geodesic(model, *_end(w1), out.stop.s - e.s)
                 ev1 = densify._ray_events(S, w1.steps)
                 ev2 = densify._ray_events(S, w2.steps, w1.length,
                                           len(w1.steps), ev1[-1])
@@ -321,6 +337,43 @@ class TestIncrementalHunt:
                     want = 3
                 assert out.case_id == want
 
+    def test_deep_crossing_passed_outranks_no_extension(
+            self, torus, torus_dec, torus_g0):
+        # sub-case 4 (a deep crossing passed) is decided before sub-case 1
+        # (no extension).  A real run never meets both, since the base
+        # geodesic stays below every unit horocycle, so the setting is
+        # doctored: its clearance ends 5e-7 short of a steep base crossing,
+        # and its one deep horocycle meets the ray 2.5e-7 before that
+        # crossing at 0.05, far below psi
+        S = densify._setting(DensityParams(0.5, 0.5), torus_dec.constants,
+                             torus, torus_g0)
+        p, u = torus.base_point, complex(math.cos(0.4), math.sin(0.4))
+        ray = trace_geodesic(torus, p, u, 6.0)
+        stop = next(e for e in densify._ray_events(S, ray.steps)
+                    if e.kind == "base" and e.good and e.s > 0.5)
+        seg = ray.steps[stop.step].segment
+        sw = seg.line.param_of(stop.point) - 2.5e-7
+        assert sw - seg.s0 > 1e-6
+        # the horocycle through z whose tangent there is the ray's turned
+        # by 0.05: its Euclidean circle has its center r along a unit
+        # normal n from z, at height r
+        z = seg.line.point_at(sw)
+        t = seg.line.tangent_at(sw) * complex(math.cos(0.05), math.sin(0.05))
+        n = 1j * t if (1j * t).imag <= 0.0 else -1j * t
+        r = z.imag / (1.0 - n.imag)
+        h = Horocycle(z.real + r * n.real, 2.0 * r)
+        doctored = dataclasses.replace(S, r_eps=stop.s - 5e-7, deep=(h,))
+        out = densify._hunt(doctored, p, u, S.m_a)
+        assert out.stop.kind == "base"
+        assert out.stop.s == pytest.approx(stop.s, abs=1e-12)
+        assert out.stop.s - doctored.r_eps <= 1e-6
+        [passed] = [e for e in densify._ray_events(doctored, out.trace.steps)
+                    if doctored.r_eps <= e.s < out.stop.s]
+        assert passed.kind == "deep" and not passed.good
+        assert passed.angle == pytest.approx(0.05, abs=1e-9)
+        assert dist(passed.point, z) < 1e-9
+        assert out.case_id == 4
+
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_class_a_walks_cut_at_their_stops(self, which, request):
         # a class-A stop is a base crossing, and base crossings lie in
@@ -351,7 +404,7 @@ class TestIncrementalHunt:
                     assert cut.steps[:-1] == steps[:out.stop.step]
                     assert (cut.steps[-1].count, cut.steps[-1].side) \
                         == (1, None)
-                    assert cut.end_point == out.stop.point
+                    assert dist(_end(cut)[0], out.stop.point) < 1e-9
                     assert cut.length == pytest.approx(out.stop.s, abs=1e-9)
                     cuts += 1
         assert cuts >= len(arcs)
@@ -513,7 +566,7 @@ def _trace_point(trace, s):
         if s <= acc + seg.length + 1e-12:
             return seg.point_at(seg.s0 + (s - acc))
         acc += seg.length
-    return trace.end_point
+    return _end(trace)[0]
 
 
 class TestReplaceArc:

@@ -143,9 +143,17 @@ def test_base_geodesic_is_its_trace():
     elements of any walk are developed from its steps, one way."""
     tracing = importlib.import_module("geodense.tracing")
     fields = [f.name for f in dataclasses.fields(tracing.ClosedGeodesicRep)]
-    assert fields == ["word", "trace", "model"]
+    assert fields == ["word", "trace"]
     params = inspect.signature(tracing.tile_elements).parameters
     assert list(params) == ["model", "steps"]
+
+
+def test_trace_is_its_steps_and_length():
+    """A walk stores its steps and the length they walk; where it starts
+    and ends is read off its first and last steps."""
+    tracing = importlib.import_module("geodense.tracing")
+    fields = [f.name for f in dataclasses.fields(tracing.Trace)]
+    assert fields == ["steps", "length"]
 
 
 def test_every_error_is_raised():
@@ -252,10 +260,9 @@ def test_no_unused_parameters():
 
 
 # Dataclass fields the package and the benchmark never read as an
-# attribute, each kept on purpose.
+# attribute but to copy them into a new instance, each kept on purpose.
 _WRITE_ONLY_KEPT = {
     "decomp.Decomposition.faces": "decomposition output checked by tests",
-    "decomp.Face.ears": "decomposition output checked by tests",
     "decomp.SurfaceConstants.per_arc_cap": "ROADMAP item 1 decides it",
     "densify.CrossingRecord.tau": "ROADMAP item 1 joins arcs by it",
     "densify.ProcessedArc.original": "ROADMAP item 1 joins arcs by it",
@@ -277,19 +284,46 @@ def _fields():
                         yield f"{path.stem}.{node.name}.{item.target.id}"
 
 
+def _copied_reads(tree, classes):
+    """The attribute loads of an AST passed, bare or negated, as
+    arguments of a call to one of classes, each to the name of the class
+    called."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in classes:
+            continue
+        for arg in node.args + [k.value for k in node.keywords]:
+            while isinstance(arg, ast.UnaryOp):
+                arg = arg.operand
+            if isinstance(arg, ast.Attribute):
+                out[arg] = name
+    return out
+
+
 def test_no_write_only_fields():
     """Every dataclass field is read as an attribute somewhere in the
     package or the benchmark, or kept on purpose in _WRITE_ONLY_KEPT: a
-    field only tests read is listed there with its reason.  Fields count
-    by attribute name only."""
-    read = set()
+    field only tests read is listed there with its reason.  A read passed
+    as an argument of its own class's constructor only copies the field
+    into the next instance, and does not count.  Fields count by
+    attribute name only."""
+    fields = [f.split(".") for f in _fields()]
+    classes = {cls for _, cls, _ in fields}
+    reads = set()   # (attribute name, class it is copied into or None)
     for path in sorted((ROOT / "src").rglob("*.py")) \
             + sorted(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        copied = _copied_reads(tree, classes)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) \
                     and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    unread = {f for f in _fields() if f.rsplit(".", 1)[1] not in read}
+                reads.add((node.attr, copied.get(node)))
+    unread = {".".join(f) for f in fields
+              if not any(attr == f[2] and into != f[1]
+                         for attr, into in reads)}
     assert sorted(unread - set(_WRITE_ONLY_KEPT)) == []
     assert sorted(set(_WRITE_ONLY_KEPT) - unread) == []
 

@@ -20,10 +20,12 @@ from geodense.halfplane import (
     same_line,
 )
 from geodense import densify, tracing
+from geodense.tolerances import TOL_LOOSE
 from geodense.tracing import (
     Trace,
     TraceStep,
     base_geodesic,
+    concat_traces,
     reverse_trace,
     tile_elements,
     trace_geodesic,
@@ -79,20 +81,27 @@ class TestHorocycleCrossings:
             assert abs(ln.point_at(s) - z) < 1e-9
 
 
+def _end(tr):
+    """Where a walk that ran its length out ends, and its direction
+    there: the end of its last step's segment."""
+    seg = tr.steps[-1].segment
+    return seg.end, seg.line.tangent_at(seg.s1)
+
+
 class TestStraightIntoCusp:
     def test_vertical_never_exits(self, sphere):
         p = sphere.base_point
         tr = trace_geodesic(sphere, p, 1j, 3.0)
         assert len(tr.steps) == 1
         assert tr.steps[0].side is None
-        assert tr.end_point == pytest.approx(
-            complex(p.real, p.imag * math.e ** 3))
-        assert tr.end_dir == pytest.approx(1j)
+        end, end_dir = _end(tr)
+        assert end == pytest.approx(complex(p.real, p.imag * math.e ** 3))
+        assert end_dir == pytest.approx(1j)
 
     def test_zero_length(self, sphere):
         tr = trace_geodesic(sphere, sphere.base_point, 1.0, 0.0)
         assert tr.length == 0.0
-        assert tr.end_point == pytest.approx(sphere.base_point)
+        assert _end(tr)[0] == pytest.approx(sphere.base_point)
 
 
 class TestPassages:
@@ -144,6 +153,46 @@ class TestPassages:
             trace_geodesic(sphere, complex(-3.0, 0.5), 1j, 1.0)
 
 
+class TestConcatTraces:
+    """Walks join where the last step of one ends and the first step of
+    the next starts."""
+
+    def _legs(self, model, off=0.0):
+        # three walks, each from where the one before ends, the third
+        # moved off that point by about off
+        u = complex(math.cos(0.4), math.sin(0.4))
+        legs = [trace_geodesic(model, model.base_point, u, 2.5)]
+        legs.append(trace_geodesic(model, *_end(legs[0]), 2.0))
+        z, v = _end(legs[1])
+        legs.append(trace_geodesic(model, z + 1j * z.imag * off, v, 0.7))
+        return legs
+
+    def test_abutting_legs_join(self, torus):
+        legs = self._legs(torus)
+        assert all(len(leg.steps) > 1 for leg in legs[:2])
+        tr = concat_traces(legs)
+        assert tr.steps == legs[0].steps + legs[1].steps + legs[2].steps
+        assert tr.length == legs[0].length + legs[1].length + legs[2].length
+        assert tr.sides == legs[0].sides + legs[1].sides + legs[2].sides
+
+    def test_joint_within_tolerance(self, torus):
+        legs = self._legs(torus, 0.5 * TOL_LOOSE)
+        assert len(concat_traces(legs).steps) \
+            == sum(len(leg.steps) for leg in legs)
+
+    def test_joint_off_raises(self, torus):
+        legs = self._legs(torus, 3.0 * TOL_LOOSE)
+        gap = dist(legs[1].steps[-1].segment.end,
+                   legs[2].steps[0].segment.start)
+        assert 2.0 * TOL_LOOSE < gap < 4.0 * TOL_LOOSE
+        with pytest.raises(TraceError, match="trace joint 2 off by"):
+            concat_traces(legs)
+
+    def test_nothing_to_join(self):
+        with pytest.raises(ValueError, match="nothing to join"):
+            concat_traces([])
+
+
 def _assert_closed(model, g, length):
     """A closed period: one chord per side crossing, each ending where
     its side's pairing puts the next chord's start, lengths adding up to
@@ -157,7 +206,7 @@ def _assert_closed(model, g, length):
         nxt = steps[(k + 1) % len(steps)].segment.start
         assert abs(model.sides[st.side].pairing.apply(st.segment.end)
                    - nxt) < 1e-12
-    assert abs(g.holonomy.trace()) \
+    assert abs(tile_elements(model, steps)[-1].trace()) \
         == pytest.approx(2.0 * math.cosh(length / 2.0), rel=1e-12)
 
 
@@ -321,7 +370,6 @@ def _walk_passages(model, p, u, length):
     """The oracle: the walk one polygon passage at a time, each found by
     _first_exit, with no cusp runs."""
     u = u / abs(u)
-    p0, u0 = p, u
     steps = []
     walked = 0.0
     while True:
@@ -332,8 +380,7 @@ def _walk_passages(model, p, u, length):
         if exit_ is None or exit_[0] - s_here >= remaining:
             seg = GeodesicSegment(line, s_here, s_here + remaining)
             steps.append(TraceStep(seg, None))
-            return Trace(p0, u0, steps, seg.end,
-                         line.tangent_at(s_here + remaining), length)
+            return Trace(steps, length)
         s_exit, side, pt = exit_
         steps.append(TraceStep(GeodesicSegment(line, s_here, s_exit), side))
         walked += s_exit - s_here
@@ -356,8 +403,8 @@ def _assert_same_walk(got, want, tol=1e-9):
     for x, y in zip(a, b):
         assert _hd(x.start, y.start) < tol and _hd(x.end, y.end) < tol
         assert abs(x.length - y.length) < tol
-    assert _hd(got.end_point, want.end_point) < tol
-    assert abs(got.end_dir - want.end_dir) < tol
+    (z, u), (w, v) = _end(got), _end(want)
+    assert _hd(z, w) < tol and abs(u - v) < tol
     assert got.length == pytest.approx(want.length, abs=tol)
 
 
@@ -503,9 +550,12 @@ class TestCuspRuns:
             got = trace_geodesic(model, p, u, length, until=until)
             assert got.steps == seen == full.steps[:k + 1]
             if k + 1 < len(full.steps):
-                # it ends where the walk goes on, with the length walked
-                assert _hd(got.end_point, full.steps[k + 1].segment.start) \
-                    < 1e-9
+                # it ends where the walk goes on across its last side,
+                # with the length walked
+                tiles = tile_elements(model, full.steps[:k + 2])
+                on = (tiles[k + 1].inverse() @ tiles[k]).apply(
+                    got.steps[-1].segment.end)
+                assert _hd(on, full.steps[k + 1].segment.start) < 1e-9
                 assert got.length == sum(st.segment.length
                                          for st in got.steps)
 
