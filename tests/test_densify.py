@@ -239,9 +239,76 @@ def _hunt_cases(request, which):
     return model, dec.constants, g0, params, arcs
 
 
+def _recorded_hunts(monkeypatch, run):
+    """(arguments, keyword arguments, outcome) of each hunt run() makes."""
+    hunt = densify._hunt
+    hunts = []
+
+    def recorded(*args, **kwargs):
+        out = hunt(*args, **kwargs)
+        hunts.append((args, kwargs, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(densify, "_hunt", recorded)
+        run()
+    return hunts
+
+
+def _scan_each_step(S, steps):
+    """The records along a walk, each step scanned in turn with the
+    record kept before it."""
+    events, walked, last = [], 0.0, None
+    for k, st in enumerate(steps):
+        new = densify._ray_events(S, [st], walked, k, last)
+        events += new
+        last = new[-1] if new else last
+        walked += st.segment.length
+    return events
+
+
+def _reference_hunt(S, point, tangent, allowed, deep_stop=True, scan=None):
+    """A hunt's stop, sub-case and walk, read off a scan of its whole ray
+    walked to the hunt's cap, the clearance prefix included.  scan takes
+    the setting and the steps to their records; by default it is one
+    call of _ray_events on all of them."""
+    ray = trace_geodesic(S.model, point, tangent, S.r_eps + allowed + 1.0)
+    events = (scan or densify._ray_events)(S, ray.steps)
+    events = [e for e in events if e.s >= S.r_eps - densify.ANGLE_TOL]
+    k = next(i for i, e in enumerate(events)
+             if e.good and (e.kind == "base" or deep_stop))
+    stop = events[k]
+    passed = {e.kind for e in events[:k]}
+    if stop.kind == "deep":
+        case = 5
+    elif "deep" in passed:
+        case = 4
+    elif stop.s - S.r_eps <= 1e-6:
+        case = 1
+    elif "base" in passed:
+        case = 2
+    else:
+        case = 3
+    return stop, case, ray.steps[:stop.step + 1]
+
+
+def _assert_same_hunt(out, want):
+    """A hunt's outcome equals a reference hunt's, bit for bit."""
+    stop, case, steps = want
+    assert (stop.kind, stop.index, stop.step, stop.s, stop.point,
+            stop.angle, stop.good) == (
+        out.stop.kind, out.stop.index, out.stop.step, out.stop.s,
+        out.stop.point, out.stop.angle, out.stop.good)
+    assert out.case_id == case
+    assert out.trace.steps == steps
+    assert out.trace.length == sum(st.segment.length for st in steps)
+
+
 class TestIncrementalHunt:
     """The hunt walks its ray in one piece, scans it one step at a time,
-    and stops walking at the stopping step."""
+    and stops walking at the stopping step.  Steps that end more than
+    densify._CLEAR_MARGIN inside the clearance are walked but not
+    scanned."""
 
     def test_crossing_on_a_step_joint_counts_once(self, request):
         # a walk ending exactly on a non-stopping crossing sees it at the
@@ -309,33 +376,138 @@ class TestIncrementalHunt:
         assert all(n == [k + 1] for n, k in hunts)
 
     @pytest.mark.parametrize("which", ["torus", "sphere"])
-    def test_hunt_matches_one_full_scan(self, which, request):
+    def test_hunt_matches_one_full_scan(self, which, request, monkeypatch):
+        # every hunt, the reroute hunts that pass through a cusp included,
+        # walks the steps, stops at the crossing and takes the sub-case
+        # that one scan of its whole ray gives
+        model, K, g0, params, arcs = _hunt_cases(request, which)
+
+        def run():
+            for c in arcs:
+                classify_and_extend(c, params, K, model, gamma0=g0)
+            if which == "torus":
+                for c, outs in _sampled_dives(model, K, g0, params):
+                    replace_arc(c, outs, params, K, model, gamma0=g0)
+
+        hunts = _recorded_hunts(monkeypatch, run)
+        for args, kwargs, out in hunts:
+            _assert_same_hunt(out, _reference_hunt(*args, **kwargs))
+        if which == "torus":
+            # each of the 25 dives reroutes through at least one such hunt
+            assert sum(kw == {"deep_stop": False}
+                       for _, kw, _ in hunts) >= 25
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_steps_inside_the_clearance_are_not_scanned(self, which,
+                                                        request,
+                                                        monkeypatch):
         model, K, g0, params, arcs = _hunt_cases(request, which)
         S = densify._setting(params, K, model, g0)
+        scan = densify._ray_events
+        ends = []   # where each scanned step ends along its ray
+
+        def recorded(S, steps, walked=0.0, *rest):
+            ends.extend(walked + st.segment.length for st in steps)
+            return scan(S, steps, walked, *rest)
+
+        monkeypatch.setattr(densify, "_ray_events", recorded)
+        walked = sum(len(out.trace.steps) for c in arcs for out in
+                     classify_and_extend(c, params, K, model, gamma0=g0))
+        # no scanned step lies wholly inside the clearance, less the
+        # margin, and those steps are a third of the walk or more
+        skip_to = S.r_eps - densify.ANGLE_TOL - densify._CLEAR_MARGIN
+        assert min(ends) >= skip_to
+        assert walked - len(ends) >= walked / 3
+
+    @pytest.mark.parametrize("alpha", [0.15, 0.6])
+    @pytest.mark.parametrize("f", [-0.5, 0.5, 1.5])
+    def test_scan_starting_at_a_joint_crossing(self, alpha, f, request,
+                                               monkeypatch):
+        # The ray crosses the base geodesic where that leaves the
+        # polygon through a side, at the end of a base chord, so its
+        # first two steps both see the crossing.  The clearance is
+        # doctored to end f margins past that joint: at f 1.5 the hunt
+        # skips the first step and scans the second without the first
+        # sighting; at f 0.5 it scans both; at f -0.5 the crossing lies
+        # past the clearance.  It crosses at alpha, under and over the
+        # steep threshold.  A scan of every step decides the outcome
+        model, K, g0, params, _ = _hunt_cases(request, "sphere")
+        S = densify._setting(params, K, model, g0)
+        assert 0.15 < K.theta0 < 0.6
+        chord = g0.chords[0][1]
+        z = chord.end
+        line = GeodesicLine.from_point_direction(
+            z, chord.line.tangent_at(chord.s1)
+            * complex(math.cos(alpha), math.sin(alpha)))
+        s0 = line.param_of(z) - 0.05
+        p, u = line.point_at(s0), line.tangent_at(s0)
+        first = trace_geodesic(model, p, u, 1.0).steps[:2]
+        joint = first[0].segment.length
+        sightings = [densify._ray_events(S, first[:1]),
+                     densify._ray_events(S, first[1:], joint, 1)]
+        for ev in sightings:
+            assert abs(ev[0].s - joint) < 1e-12 and ev[0].kind == "base"
+            assert ev[0].good == (alpha > K.theta0)
+
+        M = densify._CLEAR_MARGIN
+        doctored = dataclasses.replace(
+            S, r_eps=joint + f * M + densify.ANGLE_TOL)
+        scan = densify._ray_events
+        scanned = []
+
+        def recorded(S, steps, walked=0.0, step0=0, last=None):
+            scanned.append((step0, last))
+            return scan(S, steps, walked, step0, last)
+
+        with monkeypatch.context() as m:
+            m.setattr(densify, "_ray_events", recorded)
+            out = densify._hunt(doctored, p, u, S.m_a)
+        assert scanned[0] == ((1, None) if f > 1.0 else (0, None))
+        _assert_same_hunt(out, _reference_hunt(doctored, p, u, S.m_a,
+                                               scan=_scan_each_step))
+        if f < 0.0:
+            assert out.case_id == (3 if alpha > K.theta0 else 2)
+
+    def test_chords_tested_once_per_scanned_plain_step(self, request,
+                                                       monkeypatch):
+        # perfbench counts the scanned steps as densify's lines_cross
+        # calls over the number of base chords
+        model, K, g0, params, arcs = _hunt_cases(request, "sphere")
+        cross, scan, hunt = (densify.lines_cross, densify._ray_events,
+                             densify._hunt)
+        calls = [0]
+        scanned = []   # (count, lines_cross calls) of each scanned step
+        hunts = []     # (lines_cross calls, scanned steps, walked steps)
+
+        def counted(*args):
+            calls[0] += 1
+            return cross(*args)
+
+        def recorded(S, steps, *rest):
+            before = calls[0]
+            out = scan(S, steps, *rest)
+            [st] = steps
+            scanned.append((st.count, calls[0] - before))
+            return out
+
+        def hunted(*args, **kwargs):
+            before, k = calls[0], len(scanned)
+            out = hunt(*args, **kwargs)
+            hunts.append((calls[0] - before, scanned[k:],
+                          len(out.trace.steps)))
+            return out
+
+        monkeypatch.setattr(densify, "lines_cross", counted)
+        monkeypatch.setattr(densify, "_ray_events", recorded)
+        monkeypatch.setattr(densify, "_hunt", hunted)
         for c in arcs:
-            for out in classify_and_extend(c, params, K, model, gamma0=g0):
-                events = densify._ray_events(S, out.trace.steps)
-                events = [e for e in events
-                          if e.s >= S.r_eps - densify.ANGLE_TOL]
-                k = next(i for i, e in enumerate(events) if e.good)
-                stop = events[k]
-                assert (stop.kind, stop.index, stop.step, stop.s,
-                        stop.point) == (out.stop.kind, out.stop.index,
-                                        out.stop.step, out.stop.s,
-                                        out.stop.point)
-                # the sub-case, from the crossings the full scan passed
-                passed = {e.kind for e in events[:k]}
-                if stop.kind == "deep":
-                    want = 5
-                elif "deep" in passed:
-                    want = 4
-                elif stop.s - S.r_eps <= 1e-6:
-                    want = 1
-                elif "base" in passed:
-                    want = 2
-                else:
-                    want = 3
-                assert out.case_id == want
+            classify_and_extend(c, params, K, model, gamma0=g0)
+        n = len(g0.chords)
+        for total, steps, walked in hunts:
+            assert all(k == (n if count == 1 else 0) for count, k in steps)
+            assert total == n * sum(count == 1 for count, _ in steps)
+        assert sum(walked - len(steps) for _, steps, walked in hunts) > 0
+        assert any(count > 1 for _, steps, _ in hunts for count, _ in steps)
 
     def test_deep_crossing_passed_outranks_no_extension(
             self, torus, torus_dec, torus_g0):

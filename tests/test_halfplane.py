@@ -395,13 +395,26 @@ class TestCrossings:
 
     @settings(max_examples=400)
     @given(line_pairs())
+    @example((GeodesicLine.from_endpoints(-1.9842605452534154,
+                                          0.1331661099287862),
+              GeodesicLine.from_endpoints(0.13316610992929503,
+                                          -1.2538642971181502)))
     def test_reflection_keeps_the_verdict(self, pair):
         # x -> -x maps the boundary to itself keeping which ends are
-        # shared, so it keeps whether two lines cross
+        # shared, so it keeps whether two lines cross.  The mirror is
+        # built from the center and radius, so its ends are exactly the
+        # negated ends; rebuilt from endpoint_back / endpoint_fwd (center
+        # plus or minus radius) an end can move by an ulp, which flips
+        # the verdict of the example pair
         l1, l2 = pair
-        m1, m2 = (GeodesicLine.from_endpoints(-line.endpoint_back,
-                                              -line.endpoint_fwd)
+        m1, m2 = (GeodesicLine.vertical(-line.foot, line.up)
+                  if line.is_vertical
+                  else GeodesicLine.circle(-line.center, line.radius,
+                                           not line.pos_to_neg)
                   for line in pair)
+        for line, m in ((l1, m1), (l2, m2)):
+            a, b = line.ends
+            assert m.ends == ((-a, INF) if line.is_vertical else (-b, -a))
         assert lines_cross(m1, m2) == lines_cross(l1, l2)
 
 
