@@ -192,7 +192,8 @@ class _Complex:
     def __init__(self, model, base, crossings):
         self.length = base.length
         self.crossings = crossings
-        # the deck element of each step; the last is the whole period's
+        # the deck element of each step, the last the whole period's, read
+        # by passage: no period with a run passes _check_cusp_clearance
         self.devs = tile_elements(model, base.trace.steps)
         segs = base.trace.segments()
         cum = base.cum

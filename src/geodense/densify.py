@@ -544,8 +544,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
     p_n = frame.to_norm_arc.apply(c.end)
     q_n = frame.to_norm_arc.apply(c.start)
 
-    first_tail: tuple[ExtensionOutcome, Isometry] | None = None
-    tail_points: list[complex] = []
+    tails: list[tuple[ExtensionOutcome, Isometry, complex]] = []
     for cand in (1, 2):
         side_sign = frame.sigma if cand == 1 else -frame.sigma
         far = side_sign * (1.0 + H * H)
@@ -557,12 +556,10 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
             raise CaseBoundViolated(
                 f"reroute endpoint displaced by {max(dp, dq):.9g}, over the "
                 f"deep-length bound {2.0 * S.s_deep:.9g}")
-        tail_points.append(zq)
         s_q = eta.param_of(zq)
         zf_q, uf_q, g = _to_surface(model, from_norm, zq, -eta.tangent_at(s_q))
         t_out = _hunt(S, zf_q, uf_q, S.m_a)
-        if cand == 1:
-            first_tail = (t_out, g)
+        tails.append((t_out, g, zq))
         if t_out.stop.kind != "base":
             continue
         # case BA: the tail comes out; walk the dive side through the cusp
@@ -579,16 +576,15 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
         return _finish(S, c, "BA", t_out, t_out.stop.s, mid, zeta_len,
                        d_out.stop.s, d_out, max(dp, dq), bound, detail)
     # both candidate tails dive as well
-    assert first_tail is not None
-    if dist(tail_points[0], tail_points[1]) > 0.5 * S.params.eps:
+    if dist(tails[0][2], tails[1][2]) > 0.5 * S.params.eps:
         raise CaseBoundViolated(
             "candidate tail endpoints farther apart than eps/2")
-    return _bb_assemble(S, c, dive_out, frame, first_tail, bound)
+    return _bb_assemble(S, c, dive_out, frame, tails[0], bound)
 
 
 def _bb_assemble(S, c, dive_out, frame, first_tail, bound) -> ProcessedArc:
     model, params, K, psi = S.model, S.params, S.K, S.psi
-    t_out, g_tail = first_tail
+    t_out, g_tail, _ = first_tail
     h_dive = frame.dev.apply_horocycle(S.deep[dive_out.stop.index])
     h_tail = (g_tail.inverse() @ _walk_dev(model, t_out)).apply_horocycle(
         S.deep[t_out.stop.index])

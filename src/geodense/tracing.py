@@ -26,7 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ArrangementDegenerate, NotHyperbolic, TraceError
+from .errors import NotHyperbolic, TraceError
 from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
@@ -69,11 +69,11 @@ def _strip_walls(cusp: Cusp, side: int) -> tuple[float, float]:
     return (lo, hi) if side == cusp.walls[1] else (hi, lo)
 
 
-def _wall_x(cusp: Cusp, side: int, i: int) -> float:
-    """Chart x of crossing i (from 1) of a run through side, in the
-    frame of its first passage."""
-    return _strip_walls(cusp, side)[1] \
-        - cusp.jump(side) * (i - 1) * cusp.width
+def _wall_crossing(line: GeodesicLine, cusp: Cusp, side: int, i: int):
+    """Where a chart line crosses the wall of crossing i (from 1) of a
+    run through side, in the frame of its first passage, if it does."""
+    return intersect_lines(line, GeodesicLine.vertical(
+        _strip_walls(cusp, side)[1] - cusp.jump(side) * (i - 1) * cusp.width))
 
 
 def _shifted(line: GeodesicLine, t: float) -> GeodesicLine:
@@ -102,16 +102,10 @@ class TraceStep:
     def wall(self, i: int) -> complex:
         """Chart point of a run's wall crossing i, from 1 to count, in
         the chart frame of its first passage."""
-        z = intersect_lines(self.run.chart.line, GeodesicLine.vertical(
-            _wall_x(self.run.cusp, self.side, i)))
+        z = _wall_crossing(self.run.chart.line, self.run.cusp, self.side, i)
         if z is None:
             raise TraceError(f"run misses its wall crossing {i}")
         return z
-
-    def _developed(self, z: complex) -> float:
-        """Developed parameter of a chart point of a run."""
-        ch = self.run.chart
-        return self.segment.s0 + (ch.line.param_of(z) - ch.s0)
 
     def in_frame(self, j: int, a: complex, b: complex) -> GeodesicSegment:
         """A run's arc between chart points a and b, both given in the
@@ -127,15 +121,13 @@ class TraceStep:
         if self.count == 1:
             return self.segment
         b = self.wall(j + 1)
-        if j == 0:
-            return self.segment.subsegment(self.segment.s0,
-                                           self._developed(b))
+        if j == 0:   # developed from the start of the chart arc
+            ch, s0 = self.run.chart, self.segment.s0
+            return self.segment.subsegment(
+                s0, s0 + (ch.line.param_of(b) - ch.s0))
         x_in, x_out = _strip_walls(self.run.cusp, self.side)
         return self.in_frame(j, complex(x_in, self.wall(j).imag),
                              complex(x_out, b.imag))
-
-    def passages(self) -> list[GeodesicSegment]:
-        return [self.passage(j) for j in range(self.count)]
 
 
 @dataclass
@@ -154,7 +146,7 @@ class Trace:
                 for _ in range(s.count)]
 
     def segments(self) -> list[GeodesicSegment]:
-        return [p for s in self.steps for p in s.passages()]
+        return [s.passage(j) for s in self.steps for j in range(s.count)]
 
 
 def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
@@ -241,7 +233,7 @@ def _cusp_run(c: Cusp, line: GeodesicLine, p: complex, u: complex,
     if n < 3:   # a run of one crossing is the plain step
         return None
     side = c.walls[1] if right else c.walls[0]
-    z = intersect_lines(cl, GeodesicLine.vertical(_wall_x(c, side, n - 1)))
+    z = _wall_crossing(cl, c, side, n - 1)
     if z is None:
         return None
     ch = GeodesicSegment(cl, sc, cl.param_of(z))
@@ -388,6 +380,14 @@ def concat_traces(legs: list[Trace]) -> Trace:
     return Trace(steps, sum(leg.length for leg in legs))
 
 
+def _step_map(model: SurfaceModel, st: TraceStep) -> Isometry:
+    """A side step's deck map: its inverse pairing, or a run's shift."""
+    if st.count == 1:
+        return model.sides[st.side].inverse_pairing
+    cusp = model.wall_cusps[st.side]
+    return cusp.shift(-cusp.jump(st.side) * st.count)
+
+
 def tile_elements(model: SurfaceModel,
                   steps: list[TraceStep]) -> list[Isometry]:
     """Deck elements of the tiles a walk visits, one per step.
@@ -395,52 +395,55 @@ def tile_elements(model: SurfaceModel,
     Entry k maps polygon coordinates of step k back to the frame of the
     walk's start, so the developed picture of the walk is out[k](segment
     of step k); out[0] is the identity and out[-1] the deck element of
-    the whole walk.  A run crosses its wall count times in one Cusp.shift
-    product, so its entry is the frame of its first passage.  A step
-    without a side (the end of a walk, or a joint between abutting walks)
-    adds no jump.
+    the whole walk.  A run's entry is the frame of its first passage.  A
+    step without a side (the end of a walk, or a joint between abutting
+    walks) adds no jump.
     """
     e = Isometry.identity()
     out = [e]
     for st in steps:
         if st.side is not None:
-            if st.count == 1:
-                e = e @ model.sides[st.side].inverse_pairing
-            else:
-                cusp = model.wall_cusps[st.side]
-                e = e @ cusp.shift(-cusp.jump(st.side) * st.count)
+            e = e @ _step_map(model, st)
         out.append(e)
     return out
 
 
 def close_walk(model: SurfaceModel, steps: list[TraceStep]) -> Trace:
     """A walk that returns to its start, closed exactly: one chord per
-    side step, on the axes cycle_axes finds for the inverse pairings
-    that tile_elements composes, seeded with the walk's lines.  Chord k
-    runs from the partner of side k - 1 to side k.  A chord missing its
-    sides or turning back raises TraceError, and a run (many wall
-    crossings in one step) ArrangementDegenerate naming its cusp."""
+    side step, on the axes cycle_axes finds for the step maps that
+    tile_elements composes, seeded with the walk's lines.  Chord k runs
+    from the partner of side k - 1 to side k, or for a run to its
+    count-th wall crossing, above the unit horocycle in the cusp chart.
+    A chord missing either end or turning back raises TraceError."""
     steps = [st for st in steps if st.side is not None]
-    run = next((st.run for st in steps if st.count > 1), None)
-    if run is not None:
-        raise ArrangementDegenerate(f"a run in cusp {run.cusp.index}")
-    xi, eta, length = cycle_axes(
-        [model.sides[st.side].inverse_pairing for st in steps],
-        [st.segment.line for st in steps])
+    xi, eta, length = cycle_axes([_step_map(model, st) for st in steps],
+                                 [st.segment.line for st in steps])
     chords = []
     for k, st in enumerate(steps):
         line = GeodesicLine.from_endpoints(eta[k], xi[k])
         entry = model.sides[steps[k - 1].side].partner
-        ends = []
-        for side in (model.sides[entry], model.sides[st.side]):
+        ends, run = [], None
+        for i in (entry, st.side) if st.count == 1 else (entry,):
+            side = model.sides[i]
             z = intersect_lines(line, side.line)
             if z is None or not side.segment.contains_param(
                     side.line.param_of(z)):
-                raise TraceError(f"chord {k} misses side {side.index}")
+                raise TraceError(f"chord {k} misses side {i}")
             ends.append(line.param_of(z))
+        if st.count > 1:
+            c = model.wall_cusps[st.side]
+            cl = c.chart.apply_line(line)
+            z = _wall_crossing(cl, c, st.side, st.count)
+            if z is None or z.imag < c.width:
+                raise TraceError(f"chord {k} misses wall crossing "
+                                 f"{st.count} of its run in cusp {c.index}")
+            s0 = cl.param_of(c.chart.apply(line.point_at(ends[0])))
+            run = CuspRun(c, GeodesicSegment(cl, s0, cl.param_of(z)))
+            ends.append(ends[0] + run.chart.length)
         if entry == st.side or ends[1] < ends[0] - TOL_GEO:
             raise TraceError(f"chord {k} turns back")
-        chords.append(TraceStep(GeodesicSegment(line, *ends), st.side))
+        chords.append(TraceStep(GeodesicSegment(line, *ends), st.side,
+                                st.count, run))
     return Trace(chords, length)
 
 
@@ -498,5 +501,5 @@ def base_geodesic(model: SurfaceModel,
         if len(got) != len(want) or got not in want + want:
             raise TraceError(f"its shot crosses the sides of {got!r}")
         return ClosedGeodesicRep(word, close_walk(model, shot.steps))
-    except (TraceError, NotHyperbolic, ArrangementDegenerate) as exc:
+    except (TraceError, NotHyperbolic) as exc:
         raise type(exc)(f"closed geodesic of {word!r}: {exc}") from exc

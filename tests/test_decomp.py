@@ -193,11 +193,13 @@ class TestRejections:
             decompose(torus, "abab")
 
     def test_cusp_climbing_word_rejected(self, sphere):
-        # "aab" runs above the unit horocycle of the cusp at infinity
-        with pytest.raises(ArrangementDegenerate) as err:
-            decompose(sphere, "aab")
-        assert "climbs to height 2.44949" in str(err.value)
-        assert "cusp 0" in str(err.value)
+        # each word runs above the unit horocycle of the cusp at infinity;
+        # the period of aaaaab closes with a run of 3 crossings of side 5
+        for word, top in (("aab", "2.44949"), ("aaaaab", "5.47723")):
+            with pytest.raises(ArrangementDegenerate) as err:
+                decompose(sphere, word)
+            assert f"climbs to height {top}" in str(err.value)
+            assert "cusp 0" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

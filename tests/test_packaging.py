@@ -47,6 +47,32 @@ def test_every_import_is_declared():
     assert not stray, "undeclared dependencies: " + "; ".join(stray)
 
 
+# Names a package module imports but never reads, each kept on purpose.
+_UNREAD_IMPORTS_KEPT = {
+    "densify.base_geodesic": "perfbench imports it from densify",
+}
+
+
+def test_no_unused_imports():
+    """Every name a package module imports is read in that module, or
+    kept on purpose in _UNREAD_IMPORTS_KEPT."""
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.add(f"{path.stem}.{name}")
+    assert sorted(unread - set(_UNREAD_IMPORTS_KEPT)) == []
+    assert sorted(set(_UNREAD_IMPORTS_KEPT) - unread) == []
+
+
 def _bench_references(path: Path):
     """(line, dotted path) of every geodense name a perfbench module
     uses: its from-imports, attributes of the geodense names it binds,

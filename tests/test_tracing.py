@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from geodense.errors import ArrangementDegenerate, NotHyperbolic, TraceError
+from geodense.errors import NotHyperbolic, TraceError
 from geodense.halfplane import (
     INF,
     GeodesicLine,
@@ -194,18 +194,21 @@ class TestConcatTraces:
 
 
 def _assert_closed(model, g, length):
-    """A closed period: one chord per side crossing, each ending where
-    its side's pairing puts the next chord's start, lengths adding up to
-    the closed geodesic's, and a holonomy of that translation length."""
+    """A closed period: one chord per side step, lengths adding up to the
+    closed geodesic's, each passage ending where its side's pairing puts
+    the next passage's start, all around the period, and a holonomy of
+    that translation length."""
     steps = g.trace.steps
-    assert all(st.side is not None and st.count == 1 for st in steps)
+    assert all(st.side is not None for st in steps)
     assert g.length == pytest.approx(length, rel=1e-12)
     assert sum(st.segment.length for st in steps) \
         == pytest.approx(length, rel=1e-12)
-    for k, st in enumerate(steps):
-        nxt = steps[(k + 1) % len(steps)].segment.start
-        assert abs(model.sides[st.side].pairing.apply(st.segment.end)
-                   - nxt) < 1e-12
+    segs, sides = g.trace.segments(), g.trace.sides
+    assert len(segs) == len(sides)
+    for j, seg in enumerate(segs):
+        nxt = segs[(j + 1) % len(segs)].start
+        assert abs(model.sides[sides[j]].pairing.apply(seg.end) - nxt) \
+            < 1e-12
     assert abs(tile_elements(model, steps)[-1].trace()) \
         == pytest.approx(2.0 * math.cosh(length / 2.0), rel=1e-12)
 
@@ -292,6 +295,20 @@ class TestCycleAxes:
         assert hyperbolic > 9000
         assert worst <= 1e-12
 
+    @staticmethod
+    def _assert_reshot(model, g):
+        """A fresh walk from chord 0's start crosses the period's sides
+        along its passages."""
+        first = g.trace.steps[0].segment
+        # a little past the length, so that the walk takes the last side
+        fresh = trace_geodesic(model, first.start,
+                               first.line.tangent_at(first.s0),
+                               g.length + 1e-6)
+        n = len(g.trace.sides)
+        assert fresh.sides == g.trace.sides
+        for x, y in zip(fresh.segments()[:n], g.trace.segments()):
+            assert _hd(x.start, y.start) < 1e-9 and _hd(x.end, y.end) < 1e-9
+
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_catalog_period(self, which, request):
         """The catalog word's period: exact chords, and a fresh walk from
@@ -299,25 +316,27 @@ class TestCycleAxes:
         model = request.getfixturevalue(which)
         g = request.getfixturevalue(f"{which}_g0")
         _assert_closed(model, g, _exact_length(model, model.spec.base_word))
-        first = g.trace.steps[0].segment
-        # a little past the length, so that the walk takes the last side
-        fresh = trace_geodesic(model, first.start,
-                               first.line.tangent_at(first.s0),
-                               g.length + 1e-6)
-        n = len(g.trace.steps)
-        assert fresh.sides == g.trace.sides
-        for x, y in zip(fresh.segments()[:n], g.trace.segments()):
-            assert _hd(x.start, y.start) < 1e-9 and _hd(x.end, y.end) < 1e-9
+        self._assert_reshot(model, g)
+
+    @pytest.mark.parametrize("word,count", [("bbbba", 2), ("BaBBBBBB", 4)])
+    def test_run_period(self, sphere, word, count):
+        """A period holding a cusp run: exact chords, the run one of
+        them, and a fresh walk from chord 0's start crosses the same
+        sides along their passages."""
+        g = base_geodesic(sphere, word)
+        _assert_closed(sphere, g, _exact_length(sphere, word))
+        assert [st.count for st in g.trace.steps if st.count > 1] == [count]
+        self._assert_reshot(sphere, g)
 
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_never_wrong(self, which, n, request):
         """Random words: the period is exact, or an error names the word.
         A shot of a long word drifts off its geodesic and fails the side
-        check; a period holding a cusp run is refused."""
+        check.  Every sphere word drawn closes, some through a cusp run."""
         model = request.getfixturevalue(which)
         rng = random.Random(n)
-        closed = 0
+        closed = runs = 0
         for _ in range(12):
             w = _random_word(rng, n)
             want = _exact_length(model, w)
@@ -326,14 +345,28 @@ class TestCycleAxes:
             except (TraceError, NotHyperbolic) as exc:
                 assert repr(w) in str(exc)
                 continue
-            except ArrangementDegenerate as exc:
-                assert repr(w) in str(exc) and "run in cusp" in str(exc)
-                continue
             closed += 1
+            runs += any(st.count > 1 for st in g.trace.steps)
+            assert g.length == pytest.approx(want, rel=1e-12)
             assert sum(st.segment.length for st in g.trace.steps) \
                 == pytest.approx(want, rel=1e-12)
         if n == 8:
             assert closed >= 6
+        if which == "sphere":
+            assert closed == 12 and runs >= 1
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_passages_chain(self, sphere, n):
+        """40 random sphere words: each period closes, its passages
+        chaining across their sides all around it, runs included."""
+        rng = random.Random(100 + n)
+        runs = 0
+        for _ in range(40):
+            w = _random_word(rng, n)
+            g = base_geodesic(sphere, w)
+            _assert_closed(sphere, g, _exact_length(sphere, w))
+            runs += any(st.count > 1 for st in g.trace.steps)
+        assert runs >= 5
 
     def test_shot_of_another_word_refused(self, torus, monkeypatch):
         """A shot whose sides spell another word closes up exactly, onto
@@ -359,11 +392,27 @@ class TestCycleAxes:
         with pytest.raises(TraceError, match=match):
             tracing.close_walk(sphere, [TraceStep(seg, s) for s in sides])
 
-    def test_cusp_run_refused(self, sphere):
-        """aaaaab climbs high in cusp 0: its period holds a run."""
-        with pytest.raises(ArrangementDegenerate,
-                           match="'aaaaab': a run in cusp 0"):
-            base_geodesic(sphere, "aaaaab")
+    def test_cusp_run_closes(self, sphere):
+        """aaaaab climbs high in cusp 0: its period holds a run of three
+        crossings of side 5, closed by one Cusp.shift, and a fresh walk
+        reproduces its passages."""
+        g = base_geodesic(sphere, "aaaaab")
+        _assert_closed(sphere, g, 2.0 * math.acosh(11.0))
+        assert [(st.side, st.count) for st in g.trace.steps] \
+            == [(2, 1), (5, 1), (5, 3), (5, 1)]
+        assert g.trace.steps[2].run.cusp.index == 0
+        self._assert_reshot(sphere, g)
+
+    # a crossing below the unit horocycle of cusp 0, at height 2, and none
+    @pytest.mark.parametrize("z", [complex(8.3, 1.382), None])
+    def test_run_chord_off_its_wall_refused(self, sphere, monkeypatch, z):
+        """A run's chord must meet its last wall crossing above the unit
+        horocycle."""
+        steps = base_geodesic(sphere, "aaaaab").trace.steps
+        monkeypatch.setattr(tracing, "_wall_crossing", lambda *a: z)
+        with pytest.raises(TraceError, match="chord 2 misses wall crossing "
+                                             "3 of its run in cusp 0"):
+            tracing.close_walk(sphere, steps)
 
 
 def _walk_passages(model, p, u, length):
