@@ -32,18 +32,14 @@ def clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # distances between points
 
-def cosh_dist(z1: complex, z2: complex) -> float:
-    dx = z1.real - z2.real
-    dy = z1.imag - z2.imag
-    return 1.0 + (dx * dx + dy * dy) / (2.0 * z1.imag * z2.imag)
-
-
 def dist(z1: complex, z2: complex) -> float:
-    """Hyperbolic distance between two points of the upper half-plane."""
-    c = cosh_dist(z1, z2)
-    if c <= 1.0:
-        return 0.0
-    return math.acosh(c)
+    """Hyperbolic distance between two points of the upper half-plane.
+
+    As 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) it resolves points closer
+    than 1e-8, where acosh of a cosh rounded to 1 gives 0.
+    """
+    return 2.0 * math.asinh(abs(z1 - z2)
+                            / (2.0 * math.sqrt(z1.imag * z2.imag)))
 
 
 def angle_between(u: complex, v: complex) -> float:

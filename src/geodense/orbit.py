@@ -19,8 +19,8 @@ from .surface import SurfaceModel
 from .words import join_reduced
 
 # How far GeodesicSegment.dist_to_point may sit from the true distance,
-# besides the slack of _Passages: acosh(1 + x) rounds distances under
-# about 2e-8 to 0.
+# besides the slack of _Passages.  halfplane.dist itself is good to a
+# few ulps, so this bound is loose.
 DIST_TOL = 1e-7
 
 

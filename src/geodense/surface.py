@@ -145,6 +145,13 @@ class SurfaceModel:
             self.gens[ch] = g
             self.gens[ch.upper()] = g.inverse()
         self.sides = self._build_sides()
+        # each side with its line's ends lo < hi, and whether the open
+        # boundary interval (lo, hi) lies outside the polygon: a ray
+        # leaves across a side only from its inner arc to its outer arc
+        self.side_ends = tuple(
+            (s, *s.line.ends,
+             s.line.up if s.line.is_vertical else not s.line.pos_to_neg)
+            for s in self.sides)
         self.cusps = self._build_cusps()
         self.wall_cusps = {s: c for c in self.cusps for s in c.walls}
         self._validate()

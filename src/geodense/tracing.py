@@ -1,9 +1,11 @@
 """Geodesic tracing through the fundamental polygon.
 
 The walker keeps only local state: a point of the polygon, a unit
-direction, and the length walked so far.  Each step finds the first
-forward crossing with a polygon side and jumps back inside with that
-side's pairing.  Working locally keeps every step well conditioned; the
+direction, and the length walked so far.  Each step finds where the ray
+first leaves the polygon, across a side line it crosses from inside to
+outside, and jumps back inside with that side's pairing; a side line it
+crosses inward, the one it came in through among them, is never its
+exit.  Working locally keeps every step well conditioned; the
 global deck transformation is recovered from the crossing record when
 needed, never from developed coordinates.
 
@@ -150,8 +152,15 @@ class Trace:
 
 
 def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
-    """First crossing of the forward ray with a polygon side, as
+    """First outward crossing of the forward ray with a polygon side, as
     (param, side index, point), or None when the ray stays inside.
+
+    The polygon is the intersection of the half-planes left of its
+    sides, so the ray leaves it only across a side line it crosses from
+    inside to outside: its back end on the side's inner boundary arc,
+    its forward end on the outer one (model.side_ends).  Other sides are
+    not tested, and a side line crossed inward is not reported even
+    when the ray starts a tolerance outside it.
 
     A crossing at the ray start itself counts only when the ray heads
     strictly out through that side; this is how passages exactly through
@@ -161,7 +170,10 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     """
     best = None
     probe = None
-    for side in model.sides:
+    back, fwd = line.endpoint_back, line.endpoint_fwd
+    for side, lo, hi, outer in model.side_ends:
+        if (lo < fwd < hi) != outer or (lo < back < hi) == outer:
+            continue
         if not lines_cross(line, side.line) or same_line(line, side.line):
             continue
         pt = intersect_lines(line, side.line)

@@ -16,7 +16,6 @@ from geodense.halfplane import (
     Horocycle,
     Isometry,
     angle_with_horocycle,
-    cosh_dist,
     crossing_angle,
     cycle_axes,
     dist,
@@ -151,6 +150,11 @@ class TestDist:
 
     def test_offset_example(self):
         assert dist(2 + 1j, 1j) == pytest.approx(math.acosh(3.0), abs=TOL_GEO)
+
+    def test_resolves_small_distances(self):
+        # an acosh of the cosh rounds to 0 below about 1.5e-8
+        assert dist(0.3 + 1j, 0.3 + 1.00000001j) == \
+            pytest.approx(math.log(1.00000001), rel=1e-12)
 
     @given(points)
     def test_self_distance(self, z):
@@ -621,7 +625,8 @@ class TestIsometry:
         g = direct(m)
         z = 0.7 + 2.2j
         w = g.apply(z)
-        assert math.acosh(max(1.0, cosh_dist(z, w))) == \
+        cosh = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
+        assert math.acosh(max(1.0, cosh)) == \
             pytest.approx(dist(z, w), abs=TOL_GEO)
 
     def test_apply_segment(self):

@@ -232,7 +232,7 @@ class TestDistToClosedGeodesic:
         would be false: the curve passes through the point."""
         curve = torus_dec.base.trace.segments()
         z = curve[0].point_at_fraction(0.625)
-        assert dist_to_closed_geodesic(torus, z, curve, 0.2) == 0.0
+        assert dist_to_closed_geodesic(torus, z, curve, 0.2) < 1e-12
         image = torus.sides[0].pairing.apply(z)
         d = dist_to_domain(torus, image)
         assert d > 1.0 and ball(torus, image, 0.2) == []

@@ -126,9 +126,11 @@ def test_perfbench_names_resolve():
     benchmark fails here."""
     refs = [(path, line, dotted) for path in sorted(BENCH.glob("*.py"))
             for line, dotted in _bench_references(path)]
-    # tracer.instrument patches lines_cross where tracing imported it
-    assert (BENCH / "tracer.py", "geodense.tracing.lines_cross") \
-        in {(path, dotted) for path, _, dotted in refs}
+    # tracer.instrument patches lines_cross and intersect_lines where
+    # tracing imported them
+    patched = {(path, dotted) for path, _, dotted in refs}
+    for name in ("lines_cross", "intersect_lines"):
+        assert (BENCH / "tracer.py", f"geodense.tracing.{name}") in patched
     missing = [f"{path.relative_to(ROOT)}:{line} uses {dotted}"
                for path, line, dotted in refs if not _resolves(dotted)]
     assert not missing, "names perfbench needs are gone: " + "; ".join(missing)

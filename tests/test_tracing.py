@@ -20,7 +20,7 @@ from geodense.halfplane import (
     same_line,
 )
 from geodense import densify, tracing
-from geodense.tolerances import TOL_LOOSE
+from geodense.tolerances import TOL_GEO, TOL_LOOSE
 from geodense.tracing import (
     Trace,
     TraceStep,
@@ -151,6 +151,163 @@ class TestPassages:
     def test_start_outside_rejected(self, sphere):
         with pytest.raises(TraceError):
             trace_geodesic(sphere, complex(-3.0, 0.5), 1j, 1.0)
+
+
+def _reference_first_exit(model, line, s0):
+    """The exit search that tests every side: any forward crossing of a
+    side line, inward or outward, past the behind window."""
+    best = None
+    probe = None
+    for side in model.sides:
+        if not tracing.lines_cross(line, side.line) \
+                or same_line(line, side.line):
+            continue
+        pt = tracing.intersect_lines(line, side.line)
+        if pt is None:
+            raise TraceError(f"side {side.index} has no intersection")
+        s = line.param_of(pt)
+        if s <= s0 - tracing._BEHIND:
+            continue
+        t = side.line.param_of(pt)
+        if t < side.s_lo - TOL_GEO or t > side.s_hi + TOL_GEO:
+            continue
+        if s <= s0 + tracing._AHEAD:
+            if probe is None:
+                probe = line.point_at(s0 + 1e-6)
+            f_here = side.line.signed_sinh_dist(line.point_at(s0))
+            f_next = side.line.signed_sinh_dist(probe)
+            if f_next >= f_here - 1e-13:
+                continue
+            s = s0
+            pt = line.point_at(s0)
+        if best is None or s < best[0]:
+            best = (s, side.index, pt)
+    return best
+
+
+def _crossed_outward(model, line, hit):
+    """Does the ray cross the side of hit = (param, side, point) from
+    the polygon's side of its line to the other?  Read off the tangents:
+    the polygon lies left of each side."""
+    s, i, pt = hit
+    side = model.sides[i].line
+    inward = 1j * side.tangent_at(side.param_of(pt))
+    u = line.tangent_at(s)
+    return u.real * inward.real + u.imag * inward.imag < 0.0
+
+
+_BOX = {"torus": (3.0, 0.3, 5.0), "sphere": (1.0, 0.05, 3.0)}
+
+
+def _exit_starts(model, name, rng, n):
+    """Seeded (point, direction) starts of five kinds, n of each:
+    interior; on a side; 1e-12 to 1e-7 y outside a side, half of them
+    heading in shallowly; on a side 1e-9 to 1e-3 rad off its tangent;
+    and at the finite vertices."""
+    x_hi, y_lo, y_hi = _BOX[name]
+
+    def turn():
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        return complex(math.cos(a), math.sin(a))
+
+    def on_side():
+        side = rng.choice(model.sides)
+        t = rng.uniform(max(side.s_lo, -3.0), min(side.s_hi, 3.0))
+        return side.line.point_at(t), side.line.tangent_at(t)
+
+    def shallow(t, lo, hi):
+        a = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        return rng.choice((t, -t)) * complex(math.cos(a),
+                                             rng.choice((1, -1)) * math.sin(a))
+
+    starts = []
+    while len(starts) < n:
+        z = complex(rng.uniform(-x_hi, x_hi),
+                    math.exp(rng.uniform(math.log(y_lo), math.log(y_hi))))
+        if model.inside(z, tol=0.0):
+            starts.append((z, turn()))
+    for _ in range(n):
+        z, _ = on_side()
+        starts.append((z, turn()))
+    for k in range(n):
+        z, t = on_side()
+        d = math.exp(rng.uniform(math.log(1e-12), math.log(1e-7)))
+        u = turn() if k % 2 else shallow(t, 1e-6, 1e-2)
+        starts.append((z - 1j * t * d * z.imag, u))
+    for _ in range(n):
+        z, t = on_side()
+        starts.append((z, shallow(t, 1e-9, 1e-3)))
+    vertices = [v for v in model.spec.vertices if isinstance(v, complex)]
+    for k in range(n):
+        starts.append((vertices[k % len(vertices)], turn()))
+    return starts
+
+
+class TestExitRule:
+    """A step leaves the convex polygon only across a side line it
+    crosses outward, so _first_exit tests only those sides."""
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_matches_reference_on_outward_exits(self, name, request):
+        """Where the every-side search finds no exit or an outward one,
+        _first_exit returns the same; where it reports an inward
+        crossing, _first_exit returns an outward one or none."""
+        model = request.getfixturevalue(name)
+        rng = random.Random(23)
+        same = inward = 0
+        for p, u in _exit_starts(model, name, rng, 300):
+            line = GeodesicLine.from_point_direction(p, u)
+            s0 = line.param_of(p)
+            want = _reference_first_exit(model, line, s0)
+            got = tracing._first_exit(model, line, s0)
+            if want is None or _crossed_outward(model, line, want):
+                assert got == want, (p, u)
+                same += 1
+            else:
+                assert got is None or _crossed_outward(model, line, got), \
+                    (p, u)
+                inward += 1
+        assert same > 1200 and inward > 100
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_entry_side_never_tested(self, name, request, monkeypatch):
+        """No step tests the side it came in through, nor every side."""
+        model = request.getfixturevalue(name)
+        calls = []
+
+        def lines_cross(l1, l2, _orig=tracing.lines_cross):
+            calls.append((l1, l2))
+            return _orig(l1, l2)
+
+        monkeypatch.setattr(tracing, "lines_cross", lines_cross)
+        rng = random.Random(5)
+        plain = 0
+        # two interior starts and two on a side
+        for p, u in _exit_starts(model, name, rng, 2)[:4]:
+            tr = trace_geodesic(model, p, u, 6.0)
+            for prev, st in zip(tr.steps, tr.steps[1:]):
+                if st.count > 1:
+                    continue
+                entry = model.sides[model.sides[prev.side].partner].line
+                tested = [l2 for l1, l2 in calls if l1 is st.segment.line]
+                assert not any(l2 is entry for l2 in tested)
+                assert len(tested) < len(model.sides)
+                plain += 1
+        assert plain > 10
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_no_detour_from_just_outside(self, torus, j):
+        """A start 1e-8 y outside side j, heading in at 1e-4 rad, walks
+        on into the polygon: it does not take side j, then its partner."""
+        side = torus.sides[j]
+        t_mid = 0.5 * (side.s_lo + side.s_hi)
+        z, t = side.line.point_at(t_mid), side.line.tangent_at(t_mid)
+        p = z - 1j * t * 1e-8 * z.imag
+        for u in (t * complex(math.cos(1e-4), math.sin(1e-4)),
+                  -t * complex(math.cos(1e-4), -math.sin(1e-4))):
+            tr = trace_geodesic(torus, p, u, 1.0)
+            assert tr.steps[0].side != j
+            assert tr.sides[:2] != [j, side.partner]
 
 
 class TestConcatTraces:
