@@ -122,7 +122,7 @@ def _setting(params: DensityParams, K: SurfaceConstants, X: SurfaceModel,
 # ---------------------------------------------------------------------------
 # extension walker
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CrossingRecord:
     """One crossing met while extending an arc.
 
@@ -141,7 +141,7 @@ class CrossingRecord:
     step: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtensionOutcome:
     """How one direction of an arc extension terminated.
 

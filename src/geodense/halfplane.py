@@ -11,6 +11,12 @@ Parameter conventions:
     point(s) = c + r e^{i phi} with phi = 2 atan(e^s)
 so the parameter of a point splits as log|z - e_back| - log|z - e_fwd| up to
 the cases at infinity.
+
+The value classes (GeodesicLine, GeodesicSegment, Horocycle, Isometry)
+are slotted dataclasses, cheap to build in a trace step's inner loop.
+They are immutable by convention: nothing outside a class's own body
+assigns to its fields, which tests/test_packaging.py checks.  They
+compare by value and do not hash.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ def folded_angle(u: complex, v: complex) -> float:
 # ---------------------------------------------------------------------------
 # geodesic lines
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GeodesicLine:
     """Oriented complete geodesic.
 
@@ -257,14 +263,22 @@ def lines_cross(l1: GeodesicLine, l2: GeodesicLine) -> bool:
     Decided on the extended real line: the lines cross when exactly one
     endpoint of l2 lies strictly between the endpoints of l1.  Shared
     endpoints (``_same_end``) count as non-crossing; that rule is only
-    run on lines that pass the cheap interleave test.
+    run on lines that pass the cheap interleave test.  The lower ends a
+    and c are finite, so pairs of finite ends are compared inline, and
+    ``_same_end`` is called only when an upper end is INF.
     """
     a, b = l1.ends
     c, d = l2.ends
     if (a < c < b) == (a < d < b):
         return False
-    return not (_same_end(a, c) or _same_end(a, d) or _same_end(b, c)
-                or _same_end(b, d))
+    t = _SHARED_TAN
+    if abs(a - c) <= t * abs(1.0 + a * c):
+        return False
+    if b == INF or d == INF:
+        return not (_same_end(a, d) or _same_end(b, c) or _same_end(b, d))
+    return not (abs(a - d) <= t * abs(1.0 + a * d)
+                or abs(b - c) <= t * abs(1.0 + b * c)
+                or abs(b - d) <= t * abs(1.0 + b * d))
 
 
 def _sq_gap(r: float, a: float, b: float) -> float:
@@ -324,7 +338,7 @@ def crossing_angle(l1: GeodesicLine, l2: GeodesicLine, z: complex) -> float:
 # ---------------------------------------------------------------------------
 # segments
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GeodesicSegment:
     """Directed compact arc of a geodesic: parameters s0 <= s <= s1."""
 
@@ -395,7 +409,7 @@ def segments_cross(g1: GeodesicSegment, g2: GeodesicSegment):
 # ---------------------------------------------------------------------------
 # horocycles
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Horocycle:
     """Horocycle based at a boundary point.
 
@@ -545,7 +559,7 @@ def horocycle_perpendicular(h1: Horocycle, h2: Horocycle) -> GeodesicSegment:
 # ---------------------------------------------------------------------------
 # isometries
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Isometry:
     """Orientation-preserving isometry of the upper half-plane,
     z -> (az+b)/(cz+d) with ad-bc = 1.

@@ -80,7 +80,7 @@ def chart_top(chart: Isometry, line: GeodesicLine, a, b) -> float:
     return top
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Side:
     """One polygon side with its pairing."""
 
@@ -101,7 +101,7 @@ class Side:
         return self.pairing.inverse()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cusp:
     """One cusp with its chart to infinity."""
 

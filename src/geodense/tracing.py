@@ -50,7 +50,7 @@ _BEHIND = 1e-5
 TRACE_STEPS = 400000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CuspRun:
     """Where a run lives: its cusp, and its developed arc in the cusp
     chart, starting in the strip as the run's first passage does.
@@ -132,7 +132,7 @@ class TraceStep:
                              complex(x_out, b.imag))
 
 
-@dataclass
+@dataclass(slots=True)
 class Trace:
     """A traced geodesic of finite length: its steps, in walking order,
     and the length they walk.  It starts where its first step's segment

@@ -144,6 +144,12 @@ def line_pairs(draw):
         assume(False)
 
 
+def _by_ends(a, b, c, d):
+    """The lines from a to b and from c to d, as a line_pairs draw."""
+    return (GeodesicLine.from_endpoints(a, b),
+            GeodesicLine.from_endpoints(c, d))
+
+
 class TestDist:
     def test_vertical_example(self):
         assert dist(1j, 4j) == pytest.approx(math.log(4.0), abs=TOL_GEO)
@@ -367,6 +373,18 @@ class TestCrossings:
 
     @settings(max_examples=400)
     @given(line_pairs())
+    # Interleaved lines sharing one pair of ends, a tenth of the shared
+    # tolerance apart, so that a verdict dropping that pair says they
+    # cross.  Finite pairs, both lines circles: (a, c), (a, d), (b, c)
+    # and (b, d) of the lower and upper ends a < b and c < d.
+    @example(_by_ends(0.0, 2.0, 1e-13, 5.0))
+    @example(_by_ends(0.0, 2.0, -3.0, 1e-13))
+    @example(_by_ends(0.0, 2.0, 2.0 - 1e-13, 5.0))
+    @example(_by_ends(0.0, 2.0, 1.0, 2.0 + 1e-13))
+    # Ends shared at INF: l1 vertical, l2 vertical, both vertical.
+    @example(_by_ends(0.0, INF, -1.0, 1e13))
+    @example(_by_ends(-1e13, 2.0, 1.0, INF))
+    @example(_by_ends(0.0, INF, 1.0, INF))
     def test_interleave_first_keeps_the_shared_rule(self, pair):
         l1, l2 = pair
         for m1 in (l1, l1.reversed()):

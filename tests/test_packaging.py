@@ -363,3 +363,103 @@ def test_extension_outcome_is_its_stop_walk_and_case():
     densify = importlib.import_module("geodense.densify")
     fields = [f.name for f in dataclasses.fields(densify.ExtensionOutcome)]
     assert fields == ["case_id", "stop", "trace"]
+
+
+# The walk's value classes: slotted dataclasses, treated as immutable.
+_VALUE_CLASSES = {
+    "halfplane": ("GeodesicLine", "GeodesicSegment", "Horocycle",
+                  "Isometry"),
+    "densify": ("CrossingRecord", "ExtensionOutcome"),
+    "tracing": ("TraceStep", "Trace", "CuspRun"),
+}
+
+
+def _value_classes():
+    for module, names in _VALUE_CLASSES.items():
+        mod = importlib.import_module(f"geodense.{module}")
+        yield from (getattr(mod, name) for name in names)
+
+
+def test_value_classes_are_slotted():
+    """Each value class stores its fields in slots and nothing else: no
+    instance dict, and about a fifth of a frozen dataclass's
+    construction cost."""
+    for cls in _value_classes():
+        assert dataclasses.is_dataclass(cls), cls.__name__
+        assert "__slots__" in vars(cls), cls.__name__
+        assert set(cls.__slots__) \
+            == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def _stores(node, owner=None, receiver=None, method=False):
+    """(line, attribute, class body it sits in, set on that class's
+    method receiver) of every attribute store or delete under an AST
+    node, setattr calls with a constant name included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _stores(child, child.name, None, True)
+            continue
+        if isinstance(child, ast.FunctionDef):
+            params = child.args.posonlyargs + child.args.args
+            static = "staticmethod" in {getattr(d, "id", None)
+                                        for d in child.decorator_list}
+            own = params[0].arg if params and not static else None
+            yield from _stores(child, owner, own if method else receiver)
+            continue
+        target = None
+        if isinstance(child, ast.Attribute) \
+                and isinstance(child.ctx, (ast.Store, ast.Del)):
+            target, attr = child.value, child.attr
+        elif isinstance(child, ast.Call) and getattr(
+                child.func, "id", getattr(child.func, "attr", None)) in (
+                "setattr", "delattr", "__setattr__", "__delattr__") \
+                and len(child.args) >= 2 \
+                and isinstance(child.args[1], ast.Constant):
+            target, attr = child.args[0], child.args[1].value
+        if target is not None:
+            yield (child.lineno, attr, owner,
+                   isinstance(target, ast.Name) and target.id == receiver)
+        yield from _stores(child, owner, receiver)
+
+
+def _refused_stores(tree) -> list[str]:
+    """Stores to a field of a value class outside that class's body.  A
+    store on the receiver of another class's method sets that class's
+    own attribute, and passes."""
+    owners = {}
+    for cls in _value_classes():
+        for f in dataclasses.fields(cls):
+            owners.setdefault(f.name, set()).add(cls.__name__)
+    values = set().union(*owners.values())
+    return [f"line {line} sets .{attr}"
+            for line, attr, owner, on_receiver in _stores(tree)
+            if attr in owners and owner not in owners[attr]
+            and not (on_receiver and owner not in values)]
+
+
+def test_value_classes_are_never_assigned():
+    """No statement in the package or the benchmark assigns to a field
+    of a value class, but in that class's own body: the guarantee that
+    frozen gave, kept at no cost when a walk runs."""
+    refused = [f"{path.relative_to(ROOT)} {where}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               + sorted(BENCH.glob("*.py"))
+               for where in _refused_stores(
+                   ast.parse(path.read_text(), str(path)))]
+    assert refused == []
+    # the check sees a planted store, and lets another class set its own
+    planted = ast.parse(
+        "def f(seg, run):\n"
+        "    seg.s0 = 0.0\n"
+        "    setattr(run, 'chart', None)\n"
+        "    del seg.line\n"
+        "class Walk:\n"
+        "    def m(self, rec):\n"
+        "        self.length = 1.0\n"
+        "        rec.step += 1\n"
+        "class GeodesicSegment:\n"
+        "    def f(self, other):\n"
+        "        other.s1 = self.s0\n")
+    assert _refused_stores(planted) == [
+        "line 2 sets .s0", "line 3 sets .chart", "line 4 sets .line",
+        "line 8 sets .step"]

@@ -112,6 +112,17 @@ class TestTorusGeometry:
 
 
 @pytest.mark.parametrize("name", ["sphere", "torus"])
+def test_sides_and_cusps_hash_by_identity(name, request):
+    """A model owns one of each side and cusp, so they compare and hash
+    by identity; their slotted line and isometry fields do not hash."""
+    model = request.getfixturevalue(name)
+    assert len(set(model.sides) | set(model.cusps)) \
+        == len(model.sides) + len(model.cusps)
+    side = model.sides[0]
+    assert dataclasses.replace(side) != side
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus"])
 class TestInside:
     """inside returns at the first side a point is outside of."""
 
