@@ -99,124 +99,211 @@ def ball(model: SurfaceModel, center: complex,
     return out
 
 
+# A passage longer than _PIECE is split into equal pieces, one row each.
+# A point gathers the rows of the bands of ln y, _BAND wide, that lie
+# within reach, and in each band the x-slice that does.  Timed with
+# _bounded on perfbench's torus-certify curves at seeds 1 and 3 (10^4
+# passages, 2-core x86_64): pieces of 0.05 make 86k and 156k rows, built
+# in 0.06 and 0.10 s.  Pieces of 0.025 bound 10 % faster but double the
+# rows and the build (0.21 s at seed 3); pieces of 0.1 in bands of 0.05
+# halve them and bound 5-8 % slower.  Bands from 0.01 to 0.1 wide move
+# the time by 11 % at most.
+_PIECE = 0.05
+_BAND = 0.02
+# The cut of the gather that finds the nearest midpoint, from which the
+# default cut is taken.  When that cut comes out no larger, the same
+# gather serves the bounds: for 99 % of torus-certify's points.
+_NEAR_CUT = 0.01
+
+
 class _Passages:
-    """A curve's passages as columns, one row per passage: the midpoint,
-    the half-length and the carrying line (center or foot, radius,
-    vertical flag).
+    """A curve's passages as columns of pieces, one row per piece: the
+    midpoint, the half-length, the carrying line (center or foot,
+    radius, vertical flag) and the passage it belongs to.  A passage no
+    longer than _PIECE is one row; a longer one is split into equal
+    pieces, and a point's distance to it is bounded below by the
+    smallest of its pieces' bounds.
 
     Each row also holds a slack for ``point_at``: on a line of radius r
     it rounds a point at height y along the line by up to about
     2e-15 r / y, at the midpoint and at the end ``dist_to_point`` may
-    clamp to.  The slack is five times that at the passage's lowest
-    height, which is at least my e^-h.
+    clamp to.  The slack is five times that at the piece's lowest
+    height, which is at least my e^-h.  A row's reach is its
+    half-length plus its slack.
 
-    The rows are sorted by the log of a lower bound on the passage's
-    height, ln my - h - slack: a point h along the passage from its
-    midpoint lies at most a factor e^h lower.  Two points at heights
-    y < y' lie at least ln(y'/y) apart, so a passage whose bound lies
-    higher than e^cut times the highest query point is more than cut
-    from every query point.  ``_bounded`` bounds only the rows below
-    that height, its window.  The window prunes the cusp at infinity
-    only: a passage high in a cusp at a finite vertex lies low in the
-    polygon.
+    The rows are indexed by position: sorted by band of ln my, _BAND
+    wide, then by mx.  Two points at heights y < y' lie at least
+    ln(y'/y) apart, and a midpoint m within d of w has
+    |mx - wx| <= 2 sqrt(wy my) sinh(d / 2).  So ``_gather`` finds every
+    row whose midpoint may lie within cut + reach of a point by
+    bisection on the bands near ln wy and on an x-slice in each, for a
+    cusp at a finite vertex as for the one at infinity.  The few rows
+    whose slack makes their reach exceed _PIECE / 2 by more than 1e-9,
+    on lines of radius about 1e8, are kept apart and gathered for every
+    point, so that they do not widen every gather.
     """
 
     def __init__(self, segments: list[GeodesicSegment]):
         self.segments = list(segments)
-        rows = []
+        cols = []
         for seg in self.segments:
             line = seg.line
             if math.isinf(seg.s0) or math.isinf(seg.s1):
                 raise ValueError(f"passage {seg} has an infinite parameter")
-            m = line.point_at(0.5 * (seg.s0 + seg.s1))
-            h = 0.5 * (seg.s1 - seg.s0)
-            slack = 0.0 if line.is_vertical else \
-                1e-14 * line.radius * math.exp(min(h, 700.0)) / m.imag
             if line.is_vertical:
-                c, r = line.foot, 1.0      # r unused, kept finite
+                # radius unused, kept finite
+                cols.append((seg.s0, seg.s1, line.foot, 1.0, True, line.up))
             else:
-                c, r = line.center, line.radius
-            rows.append((m.real, m.imag, h + slack, slack, c, r,
-                         line.is_vertical))
-        cols = np.array(rows, dtype=float).reshape(-1, 7).T
-        low = np.log(cols[1]) - cols[2]
-        self.order = np.argsort(low, kind="stable")
-        self.low = low[self.order].tolist()
-        cols = cols[:, self.order]
-        self.mx, self.my, self.reach, self.slack, self.c, self.r = cols[:6]
+                cols.append((seg.s0, seg.s1, line.center, line.radius, False,
+                             line.pos_to_neg))
+        s0, s1, c, r, vertical, flag = \
+            np.array(cols, dtype=float).reshape(-1, 6).T
+        vertical, flag = vertical.astype(bool), flag.astype(bool)
+        k = np.maximum(1.0, np.ceil((s1 - s0) / _PIECE))
+        count = k.astype(np.intp)
+        n = np.arange(len(k)).repeat(count)
+        j = np.arange(len(n)) - (np.cumsum(k) - k).repeat(count)
+        k, s0, s1, c, r = k[n], s0[n], s1[n], c[n], r[n]
+        vertical, flag = vertical[n], flag[n]
+        # a passage of one piece keeps its midpoint parameter 0.5 (s0 + s1)
+        # bit for bit
+        s = ((2.0 * (k - j) - 1.0) * s0 + (2.0 * j + 1.0) * s1) / (2.0 * k)
+        h = (s1 - s0) / (2.0 * k)
+        # GeodesicLine.point_at over the rows, to an ulp or so: np.exp
+        # may round otherwise than math.exp, which the slack covers
+        t = np.exp(-np.abs(s))
+        y = 2.0 * r * t / (1.0 + t * t)
+        x = np.where((s <= 0.0) == flag, c + r - y * t, c - r + y * t)
+        x = np.where(vertical, c, x)
+        y = np.where(vertical, np.exp(np.where(flag, s, -s)), y)
+        slack = np.where(vertical, 0.0,
+                         1e-14 * r * np.exp(np.minimum(h, 700.0)) / y)
+        reach = h + slack
+        band = np.floor(np.log(y) / _BAND)
+        # a piece of a passage of k * _PIECE has a half-length of
+        # _PIECE / 2 to within rounding; 1e-9 more lets it stay indexed
+        near = reach <= 0.5 * _PIECE + 1e-9
+        rows = np.flatnonzero(near)
+        rows = rows[np.lexsort((x[rows], band[rows]))]
+        band = band[rows].astype(np.intp)
+        rows = np.concatenate((rows, np.flatnonzero(~near)))
+        self.passage = n[rows]
+        self.mx, self.my, self.reach, self.slack = \
+            x[rows], y[rows], reach[rows], slack[rows]
+        self.c, self.r, self.vertical = c[rows], r[rows], vertical[rows]
         self.my4 = 4.0 * self.my
-        self.cosh_reach2 = np.cosh(0.5 * self.reach)
-        self.sinh_reach2 = np.sinh(0.5 * self.reach)
-        self.vertical = cols[6].astype(bool)
+        indexed = len(band)
+        self.xs = self.mx[:indexed].tolist()
+        self.wide = list(range(indexed, len(rows)))
+        self.max_reach = float(self.reach[:indexed].max(initial=0.0))
+        # band band0 + b holds rows starts[b] to starts[b + 1] - 1, whose
+        # highest midpoint lies at height top[b]
+        self.band0 = int(band[0]) if indexed else 0
+        span = int(band[-1]) - self.band0 + 1 if indexed else 0
+        self.starts = np.searchsorted(
+            band, np.arange(self.band0, self.band0 + span + 1)).tolist()
+        top = np.zeros(span)
+        np.maximum.at(top, band - self.band0, self.my[:indexed])
+        self.top = top.tolist()
 
-    def _window(self, log_top: float, cut: float) -> int:
-        """The number of rows whose height bound is at most e^cut times
-        e^log_top; the rows after them are more than cut from every point
-        no higher than e^log_top.  The 1e-9 covers the rounding of the
-        logs, so the bounds of ``_bounded`` rule out every row left
-        out."""
-        return bisect.bisect_right(self.low, log_top + cut + 1e-9)
+    def _every(self, m: int):
+        """(point index, row index) arrays of every row for m points."""
+        n = len(self.mx)
+        return np.arange(m).repeat(n), np.tile(np.arange(n), m)
 
-    def _q2(self, wx, wy, lo: int, hi: int):
-        """sinh(d(w, midpoint) / 2)^2 for rows lo to hi."""
-        dx = wx - self.mx[lo:hi]
-        dy = wy - self.my[lo:hi]
-        return (dx * dx + dy * dy) / (wy * self.my4[lo:hi])
+    def _gather(self, ws: list[complex], cut: float):
+        """(point index, row index) arrays of the rows whose midpoint may
+        lie within cut + reach of a point: in each band that may lie
+        within cut plus the largest indexed reach of ln wy, the x-slice
+        of that half-width, and every wide row.  The 1e-9 cover the
+        rounding of the logs and of the midpoint bound, and the 1e-15 |wx|
+        that of wx -+ half, so each row left out has a midpoint bound
+        above cut."""
+        reach = cut + self.max_reach + 1e-9
+        sinh2 = 2.0 * math.sinh(0.5 * reach) * (1.0 + 1e-9)
+        xs, starts, top = self.xs, self.starts, self.top
+        t, rows = [], []
+        for k, w in enumerate(ws):
+            log_y = math.log(w.imag)
+            lo = math.floor((log_y - reach) / _BAND) - self.band0
+            hi = math.floor((log_y + reach) / _BAND) - self.band0
+            for b in range(max(lo, 0), min(hi + 1, len(top))):
+                half = math.sqrt(w.imag * top[b]) * sinh2 \
+                    + 1e-15 * abs(w.real)
+                a = bisect.bisect_left(xs, w.real - half, starts[b],
+                                       starts[b + 1])
+                e = bisect.bisect_right(xs, w.real + half, a, starts[b + 1])
+                rows += range(a, e)
+                t += [k] * (e - a)
+            rows += self.wide
+            t += [k] * len(self.wide)
+        return np.array(t, dtype=np.intp), np.array(rows, dtype=np.intp)
+
+    def _q2(self, x, y, i):
+        """sinh(d(w, midpoint) / 2)^2 for the points (x, y) and rows i."""
+        dx = x - self.mx[i]
+        dy = y - self.my[i]
+        return (dx * dx + dy * dy) / (y * self.my4[i])
 
     def _bounded(self, ws: list[complex], cut: float | None = None):
         """(point index, passage index, lower bound) arrays of the pairs
-        whose lower bound on the distance is at most cut, in no
-        particular order.
+        whose lower bound on the distance is at most cut, one per pair,
+        in no particular order.
 
-        The lower bound is the larger of d(w, midpoint) - half-length -
-        slack and the distance to the carrying line; it exceeds the pair's
-        computed ``dist_to_point`` by at most DIST_TOL.  Both bounds are
-        compared in sinh form, so no transcendental function runs per pair
-        but for the pairs kept, whose bounds are returned in distance
-        units.
+        A piece's lower bound is the larger of d(w, midpoint) -
+        half-length - slack and the distance to the carrying line; the
+        pair's is the smallest over its pieces, and exceeds its computed
+        ``dist_to_point`` by at most DIST_TOL.  Both bounds are compared
+        with the cut in sinh form; only the rows kept have their bounds
+        formed in distance units.
 
         The default cut is an upper bound, d(w, midpoint) + slack at the
-        nearest midpoint in the height window of cut 0 (at the lowest
-        row when that window is empty), with a 1e-9 relative slack and
-        twice DIST_TOL added.  It exceeds that pair's computed distance,
-        so every pair left out has a computed distance above the
-        smallest.  Only the rows in the height window of cut are
-        bounded: a row above it has its midpoint farther than cut +
-        half-length + slack from every point, so the midpoint bound
-        would rule it out.
+        nearest midpoint gathered at cut _NEAR_CUT (over every row when
+        that gathers none), with a 1e-9 relative slack and twice
+        DIST_TOL added.  It exceeds that pair's computed distance, so
+        every pair left out has a computed distance above the smallest.
+        Only the rows ``_gather`` returns are bounded; the midpoint bound
+        rules out every other one.
         """
         if not ws or not self.segments:
             none = np.zeros(0, dtype=np.intp)
             return none, none, np.zeros(0)
-        wx = np.array([w.real for w in ws])[:, None]
-        wy = np.array([w.imag for w in ws])[:, None]
-        log_top = math.log(max(w.imag for w in ws))
-        j, q2 = 0, np.zeros((len(ws), 0))
+        t, i = self._gather(ws, _NEAR_CUT if cut is None else cut)
+        wx = np.array([w.real for w in ws])
+        wy = np.array([w.imag for w in ws])
+        if cut is None and not len(i):
+            t, i = self._every(len(ws))
+        x, y = wx[t], wy[t]
+        q2 = self._q2(x, y, i)
         if cut is None:
-            j = max(1, self._window(log_top, 0.0))
-            q2 = self._q2(wx, wy, 0, j)
-            t, k = divmod(int(q2.argmin()), j)
-            upper = 2.0 * math.asinh(math.sqrt(q2[t, k])) + self.slack[k]
+            k = int(q2.argmin())
+            upper = 2.0 * math.asinh(math.sqrt(q2[k])) + self.slack[i[k]]
             cut = upper * (1.0 + 1e-9) + 2.0 * DIST_TOL
-        wider = self._window(log_top, cut)
-        if wider > j:
-            q2 = np.hstack((q2, self._q2(wx, wy, j, wider)))
-            j = wider
+            if cut > _NEAR_CUT:
+                t, i = self._gather(ws, cut)
+                x, y = wx[t], wy[t]
+                q2 = self._q2(x, y, i)
         # d(w, m) - reach <= cut  <=>  q2 <= sinh((cut + reach) / 2)^2
-        cap = math.sinh(0.5 * cut) * self.cosh_reach2[:j] \
-            + math.cosh(0.5 * cut) * self.sinh_reach2[:j]
-        t, i = np.divmod(np.flatnonzero(q2 <= cap * cap), j)
+        cap = np.sinh(0.5 * (cut + self.reach[i]))
         # sinh of the distance to the line, r^2 - (x - c)^2 formed
         # without cancellation
-        x, c, r = wx[t, 0], self.c[i], self.r[i]
-        y = wy[t, 0]
+        c, r = self.c[i], self.r[i]
         sinh_line = np.where(self.vertical[i], np.abs(x - c) / y,
                              np.abs(y * y - _sq_gap(r, x, c)) / (2.0 * r * y))
-        keep = sinh_line <= math.sinh(cut)
-        t, i, sinh_line = t[keep], i[keep], sinh_line[keep]
-        bound = np.maximum(2.0 * np.arcsinh(np.sqrt(q2[t, i])) - self.reach[i],
-                           np.arcsinh(sinh_line))
-        return t, self.order[i], bound
+        keep = np.flatnonzero((q2 <= cap * cap)
+                              & (sinh_line <= math.sinh(cut)))
+        i = i[keep]
+        bound = np.maximum(2.0 * np.arcsinh(np.sqrt(q2[keep])) - self.reach[i],
+                           np.arcsinh(sinh_line[keep]))
+        # the smallest piece bound of each (point, passage) pair
+        n = len(self.segments)
+        least = {}
+        for pair, b in zip((t[keep] * n + self.passage[i]).tolist(),
+                           bound.tolist()):
+            if b < least.get(pair, math.inf):
+                least[pair] = b
+        t, p = np.divmod(np.array(list(least), dtype=np.intp), n)
+        return t, p, np.array(list(least.values()))
 
 
 _memo: _Passages | None = None
@@ -264,14 +351,14 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     computed distance above the best: the result is the minimum over
     all pairs bit for bit, in the 0 returned early and in the
     RadiusTooSmall message alike.  Which of two equal bounds is walked
-    first does not change that minimum.  The table behind the bounds is
-    built once per curve and kept for the next call with the same
-    passages.
+    first does not change that minimum.  The table behind the bounds,
+    the passages' pieces indexed by position, is built once per curve
+    and kept for the next call with the same passages.
 
     Neither shortcut behind the two steps changes the result: ``ball``'s
     half-plane bound drops only tiles its exact test drops, and the
-    height window of ``_bounded`` leaves out only passages its midpoint
-    bound rules out.
+    gather of ``_bounded`` leaves out only pieces its midpoint bound
+    rules out.
     """
     ws = [g.inverse().apply(z) for _, g in ball(model, z, radius)]
     if not ws:

@@ -1,11 +1,13 @@
 """Tile enumeration and certified distance tests."""
 
+import bisect
 import cmath
 import dataclasses
 import itertools
 import math
 import random
 import re
+import statistics
 from collections import deque
 
 import numpy as np
@@ -25,6 +27,7 @@ from geodense.halfplane import (
 )
 from geodense.orbit import (
     DIST_TOL,
+    _NEAR_CUT,
     _STOP_MARGIN,
     _Passages,
     ball,
@@ -246,25 +249,26 @@ def torus_curve(torus, torus_dec):
     return _processed_curve(torus, torus_dec)
 
 
-def _processed_curve(torus, dec):
-    """The passages of processed thick arcs at eps 0.2, xi 0.5: 2000 or
-    more, the scale of a certificate's curve."""
-    params = DensityParams(0.2, 0.5)
+def _processed_curve(model, dec, eps=0.2, xi=0.5, x_hi=3.0, y_hi=2.5):
+    """The passages of processed thick arcs, started in the box |x| <=
+    x_hi, 0.35 <= y <= y_hi: 2000 or more, the scale of a certificate's
+    curve."""
+    params = DensityParams(eps, xi)
     rng = random.Random(5)
     curve = []
     while len(curve) < 2000:
-        z = complex(rng.uniform(-3.0, 3.0),
-                    math.exp(rng.uniform(math.log(0.35), math.log(2.5))))
-        if not torus.inside(z, tol=0.0) \
-                or torus.min_level(z) < params.xi * math.exp(0.5):
+        z = complex(rng.uniform(-x_hi, x_hi),
+                    math.exp(rng.uniform(math.log(0.35), math.log(y_hi))))
+        if not model.inside(z, tol=0.0) \
+                or model.min_level(z) < params.xi * math.exp(0.5):
             continue
         u = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        seg = trace_geodesic(torus, z, u, 0.45).steps[0].segment
+        seg = trace_geodesic(model, z, u, 0.45).steps[0].segment
         if seg.length < 0.1:
             continue
-        outs = classify_and_extend(seg, params, dec.constants, torus,
+        outs = classify_and_extend(seg, params, dec.constants, model,
                                    gamma0=dec.base)
-        pa = replace_arc(seg, outs, params, dec.constants, torus,
+        pa = replace_arc(seg, outs, params, dec.constants, model,
                          gamma0=dec.base)
         curve += pa.trace.segments()
     return curve
@@ -403,9 +407,9 @@ def excursion(torus):
 
 
 def _all_rows(segments):
-    """A table whose height window holds every row."""
+    """A table whose gather returns every row."""
     table = _Passages(segments)
-    table._window = lambda log_top, cut: len(segments)
+    table._gather = lambda ws, cut: table._every(len(ws))
     return table
 
 
@@ -421,24 +425,28 @@ def _nearest(segments, ws, pairs):
 
 
 def _top_points(torus, xi=0.5):
-    """Points at the top of the truncation, where the window is widest."""
+    """Points at the top of the truncation, next to the excursion."""
     y = torus.cusps[0].width / xi
     return [complex(x, y) for x in (-2.9, -1.3, 0.4, 2.5)]
 
 
 class TestHeightWindow:
     def test_curve_reaches_above_the_window(self, torus, excursion):
+        """A point at the top of the truncation gathers, at cut 1, fewer
+        rows than the excursion holds passages: the rows high in the
+        cusp are left out."""
         assert max(s.start.imag for s in excursion) > 1e3
         table = _Passages(excursion)
-        log_top = math.log(_top_points(torus)[0].imag)
-        assert 0 < table._window(log_top, 1.0) < len(excursion)
+        _, rows = table._gather(_top_points(torus)[:1], 1.0)
+        assert 0 < len(rows) < len(excursion)
 
     @pytest.mark.parametrize("cut", [None, 0.05, 0.3, 1.0])
     def test_same_pairs_as_every_row(self, torus, torus_curve, excursion,
                                      cut):
         """The pairs of a table that bounds every row at an explicit cut.
-        The default cut is found over the window of cut 0 only, so it may
-        be larger and keep more pairs, but never a nearer one."""
+        The default cut is found over the rows gathered at _NEAR_CUT
+        only, so it may be larger and keep more pairs, but never a
+        nearer one."""
         curve = torus_curve + excursion
         table, every = _Passages(curve), _all_rows(curve)
         for z in _top_points(torus) + _truncated_points(torus, 4, seed=14):
@@ -469,9 +477,9 @@ class TestHeightWindow:
 
     def test_tie_takes_the_first_passage(self):
         """Two passages share a midpoint on a line of radius 1e8; the
-        longer one has the larger slack and the lower height bound.  A
-        cut of 1e-5 keeps both and a third passage 3e-6 away; the
-        default cut keeps both at least."""
+        longer one reaches lower, where its pieces have the larger slack
+        and are kept apart as wide rows.  A cut of 1e-5 keeps both and a
+        third passage 3e-6 away; the default cut keeps both at least."""
         line = GeodesicLine.circle(0.0, 1e8)
         short, long_ = GeodesicSegment(line, 15.0, 17.0), \
             GeodesicSegment(line, 11.0, 21.0)
@@ -480,8 +488,9 @@ class TestHeightWindow:
         side = GeodesicSegment(GeodesicLine.vertical(x),
                                math.log(m.imag) - 1.0, math.log(m.imag) + 1.0)
         table = _Passages([short, long_, side])
-        assert _Passages([long_]).slack[0] \
-            > 10.0 * _Passages([short]).slack[0] > 0.0
+        assert _Passages([long_]).slack.max() \
+            > 10.0 * _Passages([short]).slack.max() > 0.0
+        assert len(table.wide) > 0
         assert {(0, 0), (0, 1)} <= set(_pairs(table, [m]))
         assert _pairs(table, [m], 1e-5) == [(0, 0), (0, 1), (0, 2)]
 
@@ -492,15 +501,15 @@ class TestHeightWindow:
             assert _pairs(_Passages(torus_curve), [], cut) == []
 
     def test_every_row_above_the_window(self, torus, excursion):
-        """The window of cut 0 holds no row: the default cut is found at
-        the lowest one, and the answer is still the plain scan's
-        RadiusTooSmall."""
+        """No row lies near the point: the gather at _NEAR_CUT is empty,
+        the default cut is found over every row, and the answer is still
+        the plain scan's RadiusTooSmall."""
         high = [s for s in excursion if min(s.start.imag, s.end.imag) > 100.0]
         assert len(high) > 100
         z = torus.base_point
         ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
         table, every = _Passages(high), _all_rows(high)
-        assert table._window(math.log(max(w.imag for w in ws)), 0.0) == 0
+        assert len(table._gather(ws, _NEAR_CUT)[1]) == 0
         got, want = _pairs(table, ws), _pairs(every, ws)
         assert set(got) >= set(want) != set()
         assert _nearest(high, ws, got) == _nearest(high, ws, want)
@@ -509,6 +518,104 @@ class TestHeightWindow:
         assert isinstance(want, str)
         with pytest.raises(RadiusTooSmall, match=re.escape(want)):
             dist_to_closed_geodesic(torus, z, high, 0.2)
+
+
+def _pair_bounds(table, ws, cut):
+    """{(point, passage): lower bound} of the pairs _bounded keeps."""
+    t, i, bound = table._bounded(ws, cut)
+    return dict(zip(zip(t.tolist(), i.tolist()), bound.tolist()))
+
+
+def _huge_passage(x, log_y, a, b):
+    """A passage on a circle of radius 1e8 through x + i 10^log_y, from
+    a to b along it: its pieces have slacks of about 1e-6 or more."""
+    y, r = 10.0 ** log_y, 1e8
+    line = GeodesicLine.circle(x + math.sqrt((r - y) * (r + y)), r)
+    s = line.param_of(complex(x, y))
+    return GeodesicSegment(line, s + min(a, b), s + max(a, b))
+
+
+class TestPieceIndex:
+    """_bounded bounds only the pieces _gather finds near each point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.floats(-3.0, 3.0), st.floats(-1.5, 0.5),
+                     st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+           st.lists(st.tuples(st.one_of(st.just(-1), st.integers(0, 10**6)),
+                              st.floats(0.0, 1.0), st.floats(-0.3, 0.3),
+                              st.floats(-0.3, 0.3)),
+                    min_size=1, max_size=3),
+           st.floats(0.0, 1.0))
+    # a long passage on the huge line: every piece is a wide row
+    @example((0.5, -1.0, -1.5, 1.5), [(-1, 0.5, 0.0, 1e-3)], 0.01)
+    def test_same_pairs_and_bounds_as_every_row(self, torus_curve,
+                                                excursion, huge, near, cut):
+        """At an explicit cut, the pairs and bounds of a pass that
+        bounds every row, exactly.  One to three points lie within about
+        0.4 of a passage: of the processed curve, of an excursion to
+        chart height 1.5e3, or of a passage on a line of radius 1e8."""
+        curve = torus_curve + excursion + [_huge_passage(*huge)]
+        ws = []
+        for k, f, u, v in near:
+            z = curve[k % len(curve)].point_at_fraction(f)
+            ws.append(z + z.imag * complex(u, v))
+        table = _Passages(curve)
+        got = _pair_bounds(table, ws, cut)
+        table._gather = lambda ws, cut: table._every(len(ws))
+        assert got == _pair_bounds(table, ws, cut)
+
+    def test_gathers_a_tenth_of_the_height_window(self, torus, torus_curve,
+                                                  monkeypatch):
+        """The rows _bounded evaluates per point, counted over its
+        gathers: a median of 40 at the default cut, under a tenth of the
+        (point, passage) pairs of the height window that an index by
+        height alone bounds, the passages whose lowest point lies below
+        the highest image of the point."""
+        table = _Passages(torus_curve)
+        low = sorted(math.log(s.point_at(0.5 * (s.s0 + s.s1)).imag)
+                     - 0.5 * s.length for s in torus_curve)
+        q2, rows = table._q2, []
+        monkeypatch.setattr(table, "_q2", lambda x, y, i: (
+            rows.append(len(i)), q2(x, y, i))[1])
+        evaluated, window = [], []
+        for z in _truncated_points(torus, 25, seed=11):
+            ws = [g.inverse().apply(z) for _, g in ball(torus, z, 0.2)]
+            rows.clear()
+            table._bounded(ws)
+            evaluated.append(sum(rows))
+            top = math.log(max(w.imag for w in ws))
+            window.append(len(ws) * bisect.bisect_right(low, top))
+        assert statistics.median(evaluated) == 40
+        assert statistics.median(evaluated) < statistics.median(window) / 10
+
+
+@pytest.fixture(scope="module")
+def sphere_curve(sphere, sphere_dec):
+    return _processed_curve(sphere, sphere_dec, eps=0.05, xi=0.2, x_hi=1.0,
+                            y_hi=1.2)
+
+
+class TestSphere:
+    @pytest.mark.parametrize("radius", [0.2, 0.001])
+    def test_equals_plain_scan_near_the_finite_vertices(
+            self, sphere, sphere_curve, radius):
+        """Points of the eps 0.05, xi 0.2 truncation near the cusp
+        vertices 0 and 1, up to chart height 9.5 in their cusps, where
+        the passages are small in polygon coordinates: the value or the
+        RadiusTooSmall message of a scan of every pair."""
+        kinds = set()
+        for cusp in sphere.cusps[1:]:
+            assert cusp.vertex in (0.0, 1.0)
+            for y in (1.5, 4.0, 9.5):
+                for f in (0.1, 0.5, 0.9):
+                    z = cusp.chart_inv.apply(
+                        complex(cusp.strip_lo + f * cusp.width, y))
+                    assert sphere.inside(z, tol=0.0) \
+                        and sphere.in_truncation(z, 0.2, tol=0.0)
+                    want = _expected(sphere, z, sphere_curve, radius)
+                    assert _certify(sphere, z, sphere_curve, radius) == want
+                    kinds.add(type(want))
+        assert kinds == ({float} if radius == 0.2 else {float, str})
 
 
 class TestBestFirst:
