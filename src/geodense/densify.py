@@ -215,7 +215,8 @@ def _ray_events(S: _Setting, steps: list[TraceStep], walked: float = 0.0,
                     "deep", walked + (sp - seg.s0), z, ang,
                     ang >= S.psi - ANGLE_TOL, j, math.nan, k))
         walked += seg.length
-    events.sort(key=lambda e: e.s)
+    if len(events) > 1:
+        events.sort(key=lambda e: e.s)
     out: list[CrossingRecord] = []
     for e in events:
         prev = out[-1] if out else last
@@ -331,11 +332,14 @@ def _hunt(S: _Setting, point: complex, tangent: complex, allowed: float,
 def classify_and_extend(c: GeodesicSegment, params: DensityParams,
                         K: SurfaceConstants, X: SurfaceModel,
                         *, gamma0: ClosedGeodesicRep,
-                        ) -> tuple[ExtensionOutcome, ExtensionOutcome]:
+                        ) -> tuple[ExtensionOutcome | None, ExtensionOutcome]:
     """Extend an arc on both sides to its stopping crossings.
 
     Returns the (backward, forward) outcomes, backward walking out of
-    the arc's start and forward out of its end.  The arc is given in
+    the arc's start and forward out of its end.  The forward ray is
+    hunted first.  When it stops on a deep horocycle, the backward ray
+    is not hunted and its outcome is None: replace_arc reroutes a
+    forward dive from the forward outcome alone.  The arc is given in
     polygon coordinates and must lie in the truncated part.  The
     thresholds are the run's setting, derived once (_setting).
     """
@@ -345,6 +349,8 @@ def classify_and_extend(c: GeodesicSegment, params: DensityParams,
                 f"arc endpoint {z} is below the length-{params.xi} horocycles")
     S = _setting(params, K, X, gamma0)
     fwd = _hunt(S, c.end, c.line.tangent_at(c.s1), S.m_a)
+    if fwd.stop.kind == "deep":
+        return None, fwd
     back = _hunt(S, c.start, -c.line.tangent_at(c.s0), S.m_a)
     return back, fwd
 
@@ -508,7 +514,7 @@ def _finish(S: _Setting, c: GeodesicSegment, case: str,
 
 
 def replace_arc(c: GeodesicSegment,
-                outcomes: tuple[ExtensionOutcome, ExtensionOutcome],
+                outcomes: tuple[ExtensionOutcome | None, ExtensionOutcome],
                 params: DensityParams, K: SurfaceConstants, X: SurfaceModel,
                 *, gamma0: ClosedGeodesicRep) -> ProcessedArc:
     """Turn an extended arc into its processed form.
@@ -516,21 +522,24 @@ def replace_arc(c: GeodesicSegment,
     Arcs whose both extensions stopped on the base geodesic keep their
     position; a deep dive on either side replaces the arc by a nearby
     geodesic whose continuations come back out of the cusp.  A dive is
-    rerouted forward: when only the start dives, the processed arc runs
-    along c.reversed(), whose forward hunt is the backward outcome.  The
-    thresholds are the run's setting (_setting), the length bound the arc's.
+    rerouted forward, so a forward dive is tested first and rerouted
+    from the forward outcome alone; the backward outcome is not read
+    then and may be None, as classify_and_extend leaves it.  When only
+    the start dives, the processed arc runs along c.reversed(), whose
+    forward hunt is the backward outcome.  The thresholds are the run's
+    setting (_setting), the length bound the arc's.
     """
     back, fwd = outcomes
     S = _setting(params, K, X, gamma0)
     bound = formulas.replaced_arc_length_bound(
         c.length, params.eps, params.xi, K.arc_overhead)
-    if back.stop.kind == fwd.stop.kind == "base":
+    if fwd.stop.kind == "deep":
+        return _reroute(S, c, fwd, bound)
+    if back.stop.kind == "base":
         return _finish(S, c, "A", back, back.stop.s,
                        Trace([TraceStep(c, None)], c.length),
                        c.length, fwd.stop.s, fwd, 0.0, bound,
                        {"cases": (back.case_id, fwd.case_id)})
-    if fwd.stop.kind == "deep":
-        return _reroute(S, c, fwd, bound)
     return _reroute(S, c.reversed(), back, bound)
 
 

@@ -265,10 +265,17 @@ def lines_cross(l1: GeodesicLine, l2: GeodesicLine) -> bool:
     endpoints (``_same_end``) count as non-crossing; that rule is only
     run on lines that pass the cheap interleave test.  The lower ends a
     and c are finite, so pairs of finite ends are compared inline, and
-    ``_same_end`` is called only when an upper end is INF.
+    ``_same_end`` is called only when an upper end is INF.  The ends
+    are read off the fields, as ``GeodesicLine.ends`` gives them.
     """
-    a, b = l1.ends
-    c, d = l2.ends
+    if l1.is_vertical:
+        a, b = l1.foot, INF
+    else:
+        a, b = l1.center - l1.radius, l1.center + l1.radius
+    if l2.is_vertical:
+        c, d = l2.foot, INF
+    else:
+        c, d = l2.center - l2.radius, l2.center + l2.radius
     if (a < c < b) == (a < d < b):
         return False
     t = _SHARED_TAN

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .catalog import CATALOG, SurfaceSpec, surface_names
 from .errors import InvalidSurface, RelatorFails, TraceError
@@ -101,6 +102,45 @@ class Side:
         return self.pairing.inverse()
 
 
+class SideRow(NamedTuple):
+    """One side in plain floats, as membership and each trace step read
+    it (SurfaceModel.side_table).
+
+    lo < hi are the ends of the side's line, and outer says whether the
+    open boundary interval (lo, hi) lies outside the polygon: a ray
+    leaves across a side only from its inner arc to its outer arc.  k is
+    the line's foot when it is vertical, else its center, r its radius
+    and fwd its orientation: up, or pos_to_neg.  s_lo and s_hi are the
+    side's parameter window, and a, b, c, d its pairing's coefficients.
+    """
+
+    index: int
+    line: GeodesicLine
+    lo: float
+    hi: float
+    outer: bool
+    vertical: bool
+    k: float
+    r: float
+    fwd: bool
+    s_lo: float
+    s_hi: float
+    a: float
+    b: float
+    c: float
+    d: float
+
+
+def _side_row(s: Side) -> SideRow:
+    ln, g = s.line, s.pairing
+    if ln.is_vertical:
+        k, fwd, outer = ln.foot, ln.up, ln.up
+    else:
+        k, fwd, outer = ln.center, ln.pos_to_neg, not ln.pos_to_neg
+    return SideRow(s.index, ln, *ln.ends, outer, ln.is_vertical, k,
+                   ln.radius, fwd, s.s_lo, s.s_hi, g.a, g.b, g.c, g.d)
+
+
 @dataclass(frozen=True, eq=False)
 class Cusp:
     """One cusp with its chart to infinity."""
@@ -145,13 +185,7 @@ class SurfaceModel:
             self.gens[ch] = g
             self.gens[ch.upper()] = g.inverse()
         self.sides = self._build_sides()
-        # each side with its line's ends lo < hi, and whether the open
-        # boundary interval (lo, hi) lies outside the polygon: a ray
-        # leaves across a side only from its inner arc to its outer arc
-        self.side_ends = tuple(
-            (s, *s.line.ends,
-             s.line.up if s.line.is_vertical else not s.line.pos_to_neg)
-            for s in self.sides)
+        self.side_table = tuple(_side_row(s) for s in self.sides)
         self.cusps = self._build_cusps()
         self.wall_cusps = {s: c for c in self.cusps for s in c.walls}
         self._validate()
@@ -222,9 +256,27 @@ class SurfaceModel:
         return [s.line.signed_sinh_dist(z) for s in self.sides]
 
     def inside(self, z: complex, tol: float = TOL_GEO) -> bool:
-        # "not >=" so that a NaN distance counts as outside
-        for s in self.sides:
-            if not s.line.signed_sinh_dist(z) >= -tol:
+        """Is z in the closed polygon, each side line's signed_sinh_dist
+        at least -tol?  The distances are that method's arithmetic on
+        the side table."""
+        x, y = z.real, z.imag
+        for row in self.side_table:
+            k = row.k
+            if row.vertical:
+                v = (k - x) / y
+                if not row.fwd:
+                    v = -v
+            else:
+                # r^2 - (x - k)^2 as halfplane._sq_gap forms it
+                r = row.r
+                d = x - k
+                bb = x - d
+                e = (x - (d + bb)) + (bb - k)
+                v = (y * y - ((r - d) - e) * ((r + d) + e)) / (2.0 * r * y)
+                if row.fwd:
+                    v = -v
+            # "not >=" so that a NaN distance counts as outside
+            if not v >= -tol:
                 return False
         return True
 

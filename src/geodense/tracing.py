@@ -22,6 +22,7 @@ coordinates, as a walk without runs gives them.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections.abc import Callable
@@ -30,6 +31,7 @@ from functools import cached_property
 
 from .errors import NotHyperbolic, TraceError
 from .halfplane import (
+    INF,
     GeodesicLine,
     GeodesicSegment,
     Isometry,
@@ -39,7 +41,7 @@ from .halfplane import (
     lines_cross,
     same_line,
 )
-from .surface import Cusp, SurfaceModel
+from .surface import Cusp, SideRow, SurfaceModel
 from .tolerances import TOL_GEO, TOL_LOOSE
 from .words import cyclic_reduce, inverse_word
 
@@ -158,9 +160,11 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     The polygon is the intersection of the half-planes left of its
     sides, so the ray leaves it only across a side line it crosses from
     inside to outside: its back end on the side's inner boundary arc,
-    its forward end on the outer one (model.side_ends).  Other sides are
+    its forward end on the outer one (SideRow.outer).  Other sides are
     not tested, and a side line crossed inward is not reported even
-    when the ray starts a tolerance outside it.
+    when the ray starts a tolerance outside it.  The ends come from the
+    line's fields and the rows of model.side_table, and the crossing's
+    parameters on both lines are GeodesicLine.param_of's arithmetic.
 
     A crossing at the ray start itself counts only when the ray heads
     strictly out through that side; this is how passages exactly through
@@ -170,35 +174,92 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     """
     best = None
     probe = None
-    back, fwd = line.endpoint_back, line.endpoint_fwd
-    for side, lo, hi, outer in model.side_ends:
+    # the ray's ends; param_of measures from p and q, signed by fwd_on
+    vertical = line.is_vertical
+    if vertical:
+        fwd_on = line.up
+        p = q = line.foot
+        back, fwd = (p, INF) if fwd_on else (INF, p)
+    else:
+        fwd_on = line.pos_to_neg
+        p, q = line.center + line.radius, line.center - line.radius
+        back, fwd = (p, q) if fwd_on else (q, p)
+    for row in model.side_table:
+        lo, hi, outer = row.lo, row.hi, row.outer
         if (lo < fwd < hi) != outer or (lo < back < hi) == outer:
             continue
-        if not lines_cross(line, side.line) or same_line(line, side.line):
+        side = row.line
+        if not lines_cross(line, side) or same_line(line, side):
             continue
-        pt = intersect_lines(line, side.line)
+        pt = intersect_lines(line, side)
         if pt is None:
             raise TraceError(
-                f"side {side.index} crosses the traced line but has no "
-                f"intersection point: side {side.line}, line {line}")
-        s = line.param_of(pt)
+                f"side {row.index} crosses the traced line but has no "
+                f"intersection point: side {side}, line {line}")
+        s = math.log(abs(pt - p))
+        if not vertical:
+            s -= math.log(abs(pt - q))
+        if not fwd_on:
+            s = -s
         if s <= s0 - _BEHIND:
             continue
-        t = side.line.param_of(pt)
-        if t < side.s_lo - TOL_GEO or t > side.s_hi + TOL_GEO:
+        if row.vertical:
+            t = math.log(abs(pt - lo))
+        else:
+            t = math.log(abs(pt - hi)) - math.log(abs(pt - lo))
+        if not row.fwd:
+            t = -t
+        if t < row.s_lo - TOL_GEO or t > row.s_hi + TOL_GEO:
             continue
         if s <= s0 + _AHEAD:
             if probe is None:
                 probe = line.point_at(s0 + 1e-6)
-            f_here = side.line.signed_sinh_dist(line.point_at(s0))
-            f_next = side.line.signed_sinh_dist(probe)
+            f_here = side.signed_sinh_dist(line.point_at(s0))
+            f_next = side.signed_sinh_dist(probe)
             if f_next >= f_here - 1e-13:
                 continue
             s = s0
             pt = line.point_at(s0)
         if best is None or s < best[0]:
-            best = (s, side.index, pt)
+            best = (s, row.index, pt)
     return best
+
+
+def _ray(p: complex, u: complex) -> tuple[GeodesicLine, float]:
+    """The line through p along the unit direction u, and p's parameter
+    on it: GeodesicLine.from_point_direction and param_of, in plain
+    floats."""
+    x, y = p.real, p.imag
+    if abs(u.real) <= TOL_GEO * abs(u):
+        up = u.imag > 0
+        s = math.log(abs(p - x))
+        return GeodesicLine(True, x, up), s if up else -s
+    c = x + y * (u.imag / u.real)
+    r = abs(p - c)
+    t = 1j * (p - c) / r
+    fwd = t.real * u.real + t.imag * u.imag > 0
+    s = math.log(abs(p - (c + r))) - math.log(abs(p - (c - r)))
+    return GeodesicLine(False, 0.0, True, c, r, fwd), s if fwd else -s
+
+
+def _land(row: SideRow, pt: complex, line: GeodesicLine,
+          s: float) -> tuple[complex, complex]:
+    """Where a ray crossing a side at pt, parameter s of its line, goes
+    on, and its unit direction there: the side's pairing applied to the
+    point and to the ray's tangent, as Isometry.apply, apply_tangent and
+    GeodesicLine.tangent_at give them, in plain floats."""
+    if line.is_vertical:
+        t = 1j if line.up else -1j
+    else:
+        fwd = line.pos_to_neg
+        phi = 2.0 * math.atan(math.exp(s if fwd else -s))
+        t = 1j * cmath.exp(1j * phi)
+        if not fwd:
+            t = -t
+    den = row.c * pt + row.d
+    v = t / (den * den)
+    v = v / abs(v)
+    return (row.a * pt + row.b) / den, v / abs(v)
 
 
 def _cusp_run(c: Cusp, line: GeodesicLine, p: complex, u: complex,
@@ -284,8 +345,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
     # horocycle starts on a wall, since no other side climbs that high
     wall_of = None
     for _ in range(TRACE_STEPS):
-        line = GeodesicLine.from_point_direction(p, u)
-        s_here = line.param_of(p)
+        line, s_here = _ray(p, u)
         remaining = length - walked
         run = None if wall_of is None else \
             _cusp_run(wall_of, line, p, u, s_here, remaining)
@@ -313,10 +373,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
             else:
                 stalled = 0
             wall_of = model.wall_cusps.get(side_idx)
-            w = model.sides[side_idx].pairing
-            p = w.apply(pt)
-            u = w.apply_tangent(pt, line.tangent_at(s_exit))
-            u = u / abs(u)
+            p, u = _land(model.side_table[side_idx], pt, line, s_exit)
         steps.append(step)
         walked += step.segment.length
         if not model.inside(p, tol=1e-6):

@@ -115,7 +115,13 @@ class TestClassifyAndExtend:
         assert fwd.stop.angle == pytest.approx(math.pi / 2, abs=1e-6)
         r_eps = formulas.clearance(params.eps, torus_dec.constants.theta0)
         assert fwd.stop.s >= r_eps - 1e-9
-        # backward walks out of the arc's start, forward out of its end
+        # the forward ray dives, so the backward one is not hunted; the
+        # reversed arc's forward ray is that backward ray.  Backward walks
+        # out of the arc's start, forward out of its end
+        assert back is None
+        _, back = classify_and_extend(c.reversed(), params,
+                                      torus_dec.constants, torus,
+                                      gamma0=torus_g0)
         assert abs(_start(back.trace)[0] - c.start) < 1e-9
         assert abs(_start(fwd.trace)[0] - c.end) < 1e-9
 
@@ -784,7 +790,13 @@ class TestReplaceArc:
                          complex(math.cos(phi), math.sin(phi)), 0.4, torus)
                 back, fwd = classify_and_extend(c, params, K, torus,
                                                 gamma0=torus_g0)
-                if back.stop.kind == "base" and fwd.stop.kind == "deep":
+                if fwd.stop.kind != "deep":
+                    continue
+                # a forward dive leaves the backward ray unhunted; the
+                # reversed arc's forward ray is that ray
+                if classify_and_extend(c.reversed(), params, K, torus,
+                                       gamma0=torus_g0)[1].stop.kind \
+                        == "base":
                     picked = (c, (back, fwd))
                     break
             if picked is not None:
@@ -817,8 +829,11 @@ class TestReplaceArc:
         params = DensityParams(0.5, 0.5)
         K = sphere_dec.constants
         c = GeodesicSegment.between(complex(0.5, 0.5), complex(0.5, 0.9))
-        back, fwd = classify_and_extend(c, params, K, sphere,
-                                        gamma0=sphere_g0)
+        _, fwd = classify_and_extend(c, params, K, sphere, gamma0=sphere_g0)
+        # the backward ray, unhunted after a forward dive, is the reversed
+        # arc's forward ray
+        _, back = classify_and_extend(c.reversed(), params, K, sphere,
+                                      gamma0=sphere_g0)
         assert back.stop.kind == "deep" and fwd.stop.kind == "deep"
         pa = replace_arc(c, (back, fwd), params, K, sphere, gamma0=sphere_g0)
         assert pa.case == "BB"
@@ -846,10 +861,9 @@ class TestReplaceArc:
         # replace_arc calls it for a dive at the start only: as the
         # forward dive of the reversed arc, which is the reroute above
         c2 = c.reversed()
-        back2, _ = classify_and_extend(c2, params, K, sphere,
-                                       gamma0=sphere_g0)
-        assert back2.stop.kind == "deep"
         S = densify._setting(params, K, sphere, sphere_g0)
+        back2 = densify._hunt(S, c2.start, -c2.line.tangent_at(c2.s0), S.m_a)
+        assert back2.stop.kind == "deep"
         pa2 = densify._reroute(S, c2.reversed(), back2, pa.bound)
         _assert_same_arc(pa2, pa)
 
@@ -869,6 +883,35 @@ class TestReplaceArc:
         assert len(dives) == 25
         assert cases["BA"] + cases["BB"] == len(dives)
         assert cases["BA"] >= 1
+
+    def test_forward_dive_skips_the_backward_hunt(self, torus, torus_dec,
+                                                  torus_g0, monkeypatch):
+        # replace_arc reroutes a forward dive from the forward outcome
+        # alone, so classify_and_extend hunts the forward ray only, and
+        # the backward outcome, hunted explicitly, changes nothing
+        params = DensityParams(0.5, 0.5)
+        K = torus_dec.constants
+        S = densify._setting(params, K, torus, torus_g0)
+        dives = _sampled_dives(torus, K, torus_g0, params)
+        for c, _ in dives:
+            outs = []
+
+            def run(c=c, outs=outs):
+                outs.append(classify_and_extend(c, params, K, torus,
+                                                gamma0=torus_g0))
+
+            hunts = _recorded_hunts(monkeypatch, run)
+            [(back, fwd)] = outs
+            assert len(hunts) == 1
+            assert back is None and fwd.stop.kind == "deep"
+            hunted = densify._hunt(S, c.start, -c.line.tangent_at(c.s0),
+                                   S.m_a)
+            _assert_same_arc(
+                replace_arc(c, (None, fwd), params, K, torus,
+                            gamma0=torus_g0),
+                replace_arc(c, (hunted, fwd), params, K, torus,
+                            gamma0=torus_g0))
+        assert len(dives) == 25
 
     def test_reversed_dives_reroute_alike(self, torus, torus_dec, torus_g0):
         # each sampled arc dives at its end only, so its reverse dives at
@@ -906,18 +949,21 @@ def _sampled_dives(model, K, g0, params):
             continue
         c = seg.subsegment(seg.s0, seg.s0 + 0.3)
         outs = classify_and_extend(c, params, K, model, gamma0=g0)
-        if outs[0].stop.kind == "base" and outs[1].stop.kind == "base":
+        if outs[1].stop.kind == "base" and outs[0].stop.kind == "base":
             continue
         dives.append((c, outs))
     return dives
 
 
 def _assert_same_arc(got, want):
-    """Two processed arcs agree in every field, bit for bit."""
+    """Two processed arcs agree in every field and every step of their
+    walks, which fix the walks' passages, bit for bit."""
     for name in ("case", "original", "length", "zeta_span", "displacement",
-                 "bound", "end_back", "end_fwd", "detail"):
+                 "bound", "clearance", "end_back", "end_fwd", "detail"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.trace.sides == want.trace.sides
+    assert got.trace.length == want.trace.length
+    assert got.trace.steps == want.trace.steps
 
 
 def _witness(center, radius, pos_to_neg, s0):

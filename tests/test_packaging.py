@@ -208,10 +208,10 @@ _UNUSED_KEPT = {
     "halfplane.GeodesicLine.dist_to": "test oracle",
     "halfplane.Horocycle.on_horocycle": "test oracle",
     "halfplane.Horocycle.contains_in_ball": "test oracle",
-    "formulas.connection_bound": "held back for ROADMAP items 2-4",
-    "formulas.display_bound": "held back for ROADMAP items 2-4",
-    "formulas.normalized_length_constant": "held back for ROADMAP items 2-4",
-    "formulas.ortho_connection_bound": "held back for ROADMAP item 7",
+    "formulas.connection_bound": "held back for ROADMAP item 1",
+    "formulas.display_bound": "held back for ROADMAP items 4-5",
+    "formulas.normalized_length_constant": "held back for ROADMAP items 4-5",
+    "formulas.ortho_connection_bound": "held back for ROADMAP item 8",
 }
 
 

@@ -4,8 +4,10 @@ import dataclasses
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geodense.errors import NotHyperbolic, TraceError
 from geodense.halfplane import (
@@ -20,6 +22,8 @@ from geodense.halfplane import (
     same_line,
 )
 from geodense import densify, tracing
+from geodense.surface import Side, _side_row
+from test_halfplane import _by_ends, line_pairs
 from geodense.tolerances import TOL_GEO, TOL_LOOSE
 from geodense.tracing import (
     Trace,
@@ -153,12 +157,27 @@ class TestPassages:
             trace_geodesic(sphere, complex(-3.0, 0.5), 1j, 1.0)
 
 
-def _reference_first_exit(model, line, s0):
-    """The exit search that tests every side: any forward crossing of a
-    side line, inward or outward, past the behind window."""
+def _tested(line, side_line):
+    """Does the ray on line cross side_line outward, read off the ends:
+    its back end on the side's inner boundary arc, its forward end on
+    the outer one?"""
+    lo, hi = side_line.ends
+    outer = side_line.up if side_line.is_vertical \
+        else not side_line.pos_to_neg
+    return (lo < line.endpoint_fwd < hi) == outer \
+        and (lo < line.endpoint_back < hi) != outer
+
+
+def _reference_first_exit(sides, line, s0, outward_only=False):
+    """The exit search by the GeodesicLine methods.  It tests every side:
+    any forward crossing of a side line, inward or outward, past the
+    behind window; with outward_only, only the sides _tested passes, as
+    _first_exit does."""
     best = None
     probe = None
-    for side in model.sides:
+    for side in sides:
+        if outward_only and not _tested(line, side.line):
+            continue
         if not tracing.lines_cross(line, side.line) \
                 or same_line(line, side.line):
             continue
@@ -258,7 +277,7 @@ class TestExitRule:
         for p, u in _exit_starts(model, name, rng, 300):
             line = GeodesicLine.from_point_direction(p, u)
             s0 = line.param_of(p)
-            want = _reference_first_exit(model, line, s0)
+            want = _reference_first_exit(model.sides, line, s0)
             got = tracing._first_exit(model, line, s0)
             if want is None or _crossed_outward(model, line, want):
                 assert got == want, (p, u)
@@ -308,6 +327,130 @@ class TestExitRule:
             tr = trace_geodesic(torus, p, u, 1.0)
             assert tr.steps[0].side != j
             assert tr.sides[:2] != [j, side.partner]
+
+
+def _outcome(f, *args):
+    """What f returns, or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (TraceError, ValueError) as exc:
+        return type(exc)
+
+
+class TestPlainFloatStep:
+    """A trace step reads the side table and evaluates the halfplane
+    formulas on plain floats: the membership test, the exit search, the
+    ray's line and start parameter, and the landing.  Each equals what
+    the GeodesicLine and Isometry methods give, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_step_matches_the_methods(self, torus, sphere, data):
+        name = data.draw(st.sampled_from(["torus", "sphere"]))
+        model = torus if name == "torus" else sphere
+        # a start anywhere in the sampling box, in the polygon or not, on
+        # a side with an ideal vertex, or on a near-vertical line
+        kind = data.draw(st.sampled_from(["box", "ideal side", "steep"]))
+        a = data.draw(st.floats(0.0, 2.0 * math.pi))
+        u = complex(math.cos(a), math.sin(a))
+        if kind == "ideal side":
+            # out toward the side's ideal vertex
+            side = data.draw(st.sampled_from(
+                [s for s in model.sides
+                 if math.isinf(s.s_lo) or math.isinf(s.s_hi)]))
+            p = side.line.point_at(data.draw(st.floats(
+                max(side.s_lo, -20.0), min(side.s_hi, 20.0))))
+        else:
+            x_hi, y_lo, y_hi = _BOX[name]
+            p = complex(data.draw(st.floats(-x_hi, x_hi)), math.exp(
+                data.draw(st.floats(math.log(y_lo), math.log(y_hi)))))
+            if kind == "steep":
+                # 1e-8 to 1e-6 rad off vertical: radius about 1e7
+                tilt = 10.0 ** data.draw(st.floats(-8.0, -6.0))
+                u = complex(math.sin(tilt) * data.draw(st.sampled_from(
+                    [1.0, -1.0])), math.cos(tilt) * (1.0 if a < math.pi
+                                                       else -1.0))
+        for z in (p, p + complex(0.3, 0.1) * p.imag):
+            # the verdict flips exactly at the least method distance
+            least = min(s.line.signed_sinh_dist(z) for s in model.sides)
+            assert model.inside(z, -least)
+            assert not model.inside(z, math.nextafter(-least, -INF))
+            for tol in (0.0, 1e-6, TOL_GEO):
+                assert model.inside(z, tol) == (least >= -tol)
+        line = GeodesicLine.from_point_direction(p, u)
+        s0 = line.param_of(p)
+        assert tracing._ray(p, u) == (line, s0)
+        got = _outcome(tracing._first_exit, model, line, s0)
+        assert got == _outcome(_reference_first_exit, model.sides, line, s0,
+                               True)
+        if isinstance(got, tuple):
+            s, i, pt = got
+            w = model.sides[i].pairing
+            v = w.apply_tangent(pt, line.tangent_at(s))
+            assert tracing._land(model.side_table[i], pt, line, s) \
+                == (w.apply(pt), v / abs(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_pairs(), st.floats(-5.0, 5.0))
+    # the shared-end pairs of test_interleave_first_keeps_the_shared_rule
+    @example(_by_ends(0.0, 2.0, 1e-13, 5.0), 0.0)
+    @example(_by_ends(0.0, 2.0, -3.0, 1e-13), 0.0)
+    @example(_by_ends(0.0, 2.0, 2.0 - 1e-13, 5.0), 0.0)
+    @example(_by_ends(0.0, 2.0, 1.0, 2.0 + 1e-13), 0.0)
+    @example(_by_ends(0.0, INF, -1.0, 1e13), 0.0)
+    @example(_by_ends(-1e13, 2.0, 1.0, INF), 0.0)
+    @example(_by_ends(0.0, INF, 1.0, INF), 0.0)
+    def test_one_side_exit_matches_the_methods(self, pair, s0):
+        # the half-plane left of one complete side line, walked along
+        # the other line both ways
+        l1, l2 = pair
+        side = Side(0, l2, -INF, INF, "a", Isometry.identity(), 0)
+        model = SimpleNamespace(side_table=(_side_row(side),))
+        for line in (l1, l1.reversed()):
+            assert _outcome(tracing._first_exit, model, line, s0) \
+                == _outcome(_reference_first_exit, [side], line, s0, True)
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_tracing_counters_count_tested_and_crossed_sides(
+            self, name, request, monkeypatch):
+        # perfbench reads tracing's lines_cross calls as the sides a step
+        # tests, those whose line it crosses outward by the ends, and its
+        # intersect_lines calls from _first_exit as the sides it crosses
+        model = request.getfixturevalue(name)
+        cross, meet, first = (tracing.lines_cross, tracing.intersect_lines,
+                              tracing._first_exit)
+        calls = [0, 0]
+        exits = []   # (line, lines_cross calls, intersect_lines calls)
+
+        def counted_cross(*args):
+            calls[0] += 1
+            return cross(*args)
+
+        def counted_meet(*args):
+            calls[1] += 1
+            return meet(*args)
+
+        def recorded(model, line, s0):
+            before = list(calls)
+            out = first(model, line, s0)
+            exits.append((line, calls[0] - before[0], calls[1] - before[1]))
+            return out
+
+        monkeypatch.setattr(tracing, "lines_cross", counted_cross)
+        monkeypatch.setattr(tracing, "intersect_lines", counted_meet)
+        monkeypatch.setattr(tracing, "_first_exit", recorded)
+        rng = random.Random(7)
+        # interior starts and starts on a side
+        for p, u in _exit_starts(model, name, rng, 5)[:10]:
+            trace_geodesic(model, p, u, 6.0)
+        for line, n_cross, n_meet in exits:
+            tested = [s.line for s in model.sides if _tested(line, s.line)]
+            assert n_cross == len(tested)
+            assert n_meet == sum(cross(line, ln) and not same_line(line, ln)
+                                 for ln in tested)
+        assert len(exits) > 40
+        assert sum(n for _, n, _ in exits) < len(model.sides) * len(exits)
+        assert sum(m for _, _, m in exits) > len(exits) / 2
 
 
 class TestConcatTraces:
