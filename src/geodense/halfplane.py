@@ -588,11 +588,6 @@ class Isometry:
         return Isometry(1.0, t, 0.0, 1.0)
 
     @staticmethod
-    def from_matrix(m) -> "Isometry":
-        return Isometry(float(m[0][0]), float(m[0][1]),
-                        float(m[1][0]), float(m[1][1])).normalized()
-
-    @staticmethod
     def point_frame(z: complex, u: complex) -> "Isometry":
         """The unique direct isometry taking (i, up) to (z, direction of u).
 
@@ -689,54 +684,50 @@ class Isometry:
             return INF
         return (self.a - self.d) / (2.0 * self.c)
 
-    def approx_equal(self, other: "Isometry", tol: float = TOL_GEO) -> bool:
-        for s in (1.0, -1.0):
-            if abs(self.a - s * other.a) <= tol \
-                    and abs(self.b - s * other.b) <= tol \
-                    and abs(self.c - s * other.c) <= tol \
-                    and abs(self.d - s * other.d) <= tol:
-                return True
-        return False
-
 
 # ---------------------------------------------------------------------------
-# axes of cyclic products
+# integer matrices and their axes
 
-# a hyperbolic cycle of length L settles from any start in about 40 / L
-# passes (at most 22 over the catalog words of up to 8 letters)
-CYCLE_PASSES = 64
+# z -> (az + b) / (cz + d) as (a, b, c, d) in Python ints, ad - bc = 1
+IntMatrix = tuple[int, int, int, int]
 
 
-def cycle_axes(maps: list[Isometry],
-               seeds: list[GeodesicLine] | None = None):
-    """Ends and translation length L of the cyclic products maps[k] @ ...
-    @ maps[k - 1], as (xi, eta, L): xi[k] and eta[k] are the attracting
-    and repelling ends of position k's product.
+def mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """x after y (matrix product)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
-    Iterates xi_k = maps[k](xi_{k+1}) and eta_{k+1} = maps[k]^-1(eta_k)
-    around the cycle, from the seed lines' ends or from e - 2, until a
-    pass ends in a state seen before (rounding can leave the last bit
-    alternating).  A pass contracts their error by e^-L, so each end
-    keeps a few ulps, and L = 2 sum log|c_k xi_{k+1} + d_k| forms no
-    product.  An empty or parabolic cycle never settles: it raises
-    NotHyperbolic.
+
+def mat_inv(x: IntMatrix) -> IntMatrix:
+    """The inverse of a determinant-1 matrix, its adjugate."""
+    a, b, c, d = x
+    return d, -b, -c, a
+
+
+def to_isometry(m: IntMatrix) -> Isometry:
+    return Isometry(*map(float, m))
+
+
+def axis(m: IntMatrix) -> tuple[GeodesicLine, float]:
+    """The axis of an integer matrix, repelling end to attracting end,
+    and its length 2 acosh(|tr| / 2); |tr| <= 2 raises NotHyperbolic.
+
+    The ends (a - d -+ sign(tr) sqrt(tr^2 - 4)) / 2c are each one
+    rounded integer division, with the root scaled by 2^k, k = bits(D)
+    + 64, so each is the nearest float but at a near-tie (c = 0 forces
+    |tr| = 2).
     """
-    n = len(maps)
-    m = [(g.a, g.b, g.c, g.d) for g in maps]
-    eta = [ln.endpoint_back for ln in seeds] if seeds else [math.e - 2.0] * n
-    xi = [ln.endpoint_fwd for ln in seeds] if seeds else [math.e - 2.0] * n
-    seen = []
-    for _ in range(CYCLE_PASSES if n else 0):
-        seen.append(xi + eta)
-        for k in range(n - 1, -1, -1):
-            a, b, c, d = m[k]
-            xi[k] = (a * xi[(k + 1) % n] + b) / (c * xi[(k + 1) % n] + d)
-        for k in range(n):
-            a, b, c, d = m[k]
-            eta[(k + 1) % n] = (d * eta[k] - b) / (a - c * eta[k])
-        if xi + eta in seen:
-            return xi, eta, 2.0 * math.fsum(
-                math.log(abs(c * xi[(k + 1) % n] + d))
-                for k, (_, _, c, d) in enumerate(m))
-    raise NotHyperbolic(
-        f"a cycle of {n} maps does not settle in {CYCLE_PASSES} passes")
+    a, b, c, d = m
+    t = a + d
+    if abs(t) <= 2:
+        raise NotHyperbolic(f"trace {t} is not hyperbolic: |tr| <= 2")
+    k = (t * t - 4).bit_length() + 64
+    root = math.isqrt((t * t - 4) << 2 * k) * (1 if t > 0 else -1)
+    line = GeodesicLine.from_endpoints(
+        (((a - d) << k) - root) / (c << k + 1),
+        (((a - d) << k) + root) / (c << k + 1))
+    # t / 2 overflows a float near 2^1024; from 2^1000 on, acosh(t / 2)
+    # is log t to 2^-2000
+    t = abs(t)
+    return line, 2.0 * (math.acosh(t / 2) if t < 2 ** 1000 else math.log(t))

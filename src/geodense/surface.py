@@ -23,8 +23,12 @@ from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
     Horocycle,
+    IntMatrix,
     Isometry,
     angle_between,
+    mat_inv,
+    mat_mul,
+    to_isometry,
 )
 from .tolerances import TOL_ALG, TOL_GEO, TOL_LOOSE
 from .words import inverse_word
@@ -35,6 +39,16 @@ NORMALIZE_STEPS = 20000
 
 def _is_ideal(v) -> bool:
     return not isinstance(v, complex)
+
+
+def _unimodular(m, what: str) -> IntMatrix:
+    """A catalog matrix ((a, b), (c, d)) as ints (a, b, c, d), refused
+    unless integral with ad - bc = 1."""
+    (a, b), (c, d) = m
+    if not all(float(v).is_integer() for v in (a, b, c, d)) \
+            or a * d - b * c != 1:
+        raise InvalidSurface(f"{what} {m!r} is not integral and unimodular")
+    return int(a), int(b), int(c), int(d)
 
 
 def line_through_vertices(v_start, v_end) -> GeodesicLine:
@@ -90,12 +104,16 @@ class Side:
     s_lo: float                 # parameter window; may be -inf / +inf
     s_hi: float
     word: str
-    pairing: Isometry           # maps this side onto the partner side
+    matrix: IntMatrix           # the pairing, onto the partner side
     partner: int
 
     @cached_property
     def segment(self) -> GeodesicSegment:
         return GeodesicSegment(self.line, self.s_lo, self.s_hi)
+
+    @cached_property
+    def pairing(self) -> Isometry:
+        return to_isometry(self.matrix)
 
     @cached_property
     def inverse_pairing(self) -> Isometry:
@@ -148,22 +166,26 @@ class Cusp:
     index: int
     vertex: float
     vertex_index: int
-    chart: Isometry             # vertex -> infinity, cusp word -> z + width
-    width: float
+    matrix: IntMatrix           # the chart: vertex -> inf, word -> z + width
+    width: float                # an integer
     word: str
     strip_lo: float             # chart image of the polygon corner wedge:
                                 # vertical strip [strip_lo, strip_lo + width]
     walls: tuple[int, int]      # sides on x = strip_lo, x = strip_lo + width
 
     @cached_property
+    def chart(self) -> Isometry:
+        return to_isometry(self.matrix)
+
+    @cached_property
     def chart_inv(self) -> Isometry:
         return self.chart.inverse()
 
-    def shift(self, k: int) -> Isometry:
-        """The cusp parabolic moving the chart by k widths: the pairing
-        of wall walls[0] applied k times."""
-        return (self.chart_inv @ Isometry.translation(k * self.width)
-                @ self.chart)
+    def shift_matrix(self, k: int) -> IntMatrix:
+        """The cusp parabolic moving the chart by k widths, chart^-1 @
+        (1, k width; 0, 1) @ chart: wall walls[0]'s pairing k times."""
+        return mat_mul(mat_inv(self.matrix),
+                       mat_mul((1, k * int(self.width), 0, 1), self.matrix))
 
     def jump(self, side: int) -> int:
         """Widths the chart moves when a walk crosses a wall: +1 through
@@ -179,11 +201,10 @@ class SurfaceModel:
         self.spec = spec
         self.name = spec.name
         self.base_point = spec.base_point
-        self.gens: dict[str, Isometry] = {}
-        for i, ch in enumerate(spec.gen_names):
-            g = Isometry.from_matrix(spec.gen_matrices[i])
-            self.gens[ch] = g
-            self.gens[ch.upper()] = g.inverse()
+        self.gens: dict[str, IntMatrix] = {}
+        for ch, m in zip(spec.gen_names, spec.gen_matrices):
+            g = _unimodular(m, f"generator {ch}")
+            self.gens[ch], self.gens[ch.upper()] = g, mat_inv(g)
         self.sides = self._build_sides()
         self.side_table = tuple(_side_row(s) for s in self.sides)
         self.cusps = self._build_cusps()
@@ -192,14 +213,14 @@ class SurfaceModel:
 
     # -- words ---------------------------------------------------------------
 
-    def word_iso(self, word: str) -> Isometry:
-        """Isometry of a word; "xy" acts as x after y."""
-        g = Isometry.identity()
+    def word_matrix(self, word: str) -> IntMatrix:
+        """Integer matrix of a word; "xy" acts as x after y."""
+        m = (1, 0, 0, 1)
         for ch in word:
             if ch not in self.gens:
                 raise ValueError(f"unknown generator letter {ch!r}")
-            g = g @ self.gens[ch]
-        return g
+            m = mat_mul(m, self.gens[ch])
+        return m
 
     # -- construction --------------------------------------------------------
 
@@ -214,7 +235,7 @@ class SurfaceModel:
             s_lo = -INF if _is_ideal(v0) else line.param_of(v0)
             s_hi = INF if _is_ideal(v1) else line.param_of(v1)
             sides.append(Side(i, line, s_lo, s_hi, spec.side_words[i],
-                              self.word_iso(spec.side_words[i]),
+                              self.word_matrix(spec.side_words[i]),
                               spec.side_partners[i]))
         return tuple(sides)
 
@@ -226,14 +247,14 @@ class SurfaceModel:
             v = spec.vertices[cs.vertex_index]
             if not _is_ideal(v):
                 raise InvalidSurface(f"cusp {j} vertex is not ideal")
-            chart = Isometry.from_matrix(cs.chart)
+            chart = _unimodular(cs.chart, f"cusp {j} chart")
             # the two sides meeting the vertex map to the walls of a
             # vertical strip of the chart width
             before = self.sides[(cs.vertex_index - 1) % k]
             after = self.sides[cs.vertex_index]
             feet = []
             for side in (before, after):
-                img = chart.apply_line(side.line)
+                img = to_isometry(chart).apply_line(side.line)
                 if not img.is_vertical:
                     raise InvalidSurface(
                         f"cusp {j}: adjacent side {side.index} does not "
@@ -325,7 +346,7 @@ class SurfaceModel:
                 if zc.imag > c.width:        # deeper than the unit horocycle
                     k = math.floor((zc.real - c.strip_lo) / c.width)
                     if k != 0:
-                        step = c.shift(-k)
+                        step = to_isometry(c.shift_matrix(-k))
                         z = step.apply(z)
                         g = step @ g
                         moved = True
@@ -369,12 +390,6 @@ class SurfaceModel:
     def _validate(self) -> None:
         spec = self.spec
         k = len(spec.vertices)
-        for i, ch in enumerate(spec.gen_names):
-            m = spec.gen_matrices[i]
-            raw_det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            if abs(raw_det - 1.0) > TOL_GEO:
-                raise InvalidSurface(f"generator {ch} is not unimodular")
-
         for s in self.sides:
             p = self.sides[s.partner]
             if p.partner != s.index:
@@ -396,11 +411,9 @@ class SurfaceModel:
                     f"side {s.index} does not map onto side {s.partner}")
 
         for c in self.cusps:
-            g = self.word_iso(c.word)
-            if abs(abs(g.trace()) - 2.0) > TOL_GEO:
-                raise InvalidSurface(f"cusp word {c.word!r} is not parabolic")
-            conj = c.chart @ g @ c.chart.inverse()
-            if not conj.approx_equal(Isometry.translation(c.width), tol=TOL_LOOSE):
+            t = mat_mul(mat_mul(c.matrix, self.word_matrix(c.word)),
+                        mat_inv(c.matrix))
+            if t not in ((1, c.width, 0, 1), (-1, -c.width, 0, -1)):
                 raise InvalidSurface(
                     f"cusp word {c.word!r} is not the chart translation")
             if not self._match_vertex(c.chart.apply_boundary(c.vertex), INF):
@@ -423,8 +436,7 @@ class SurfaceModel:
                     raise InvalidSurface(
                         f"side {s.index} climbs into the cusp {c.index} wedge")
 
-        r = self.word_iso(spec.relator)
-        if not r.is_identity(tol=TOL_LOOSE):
+        if self.word_matrix(spec.relator) not in ((1, 0, 0, 1), (-1, 0, 0, -1)):
             raise RelatorFails(f"relator {spec.relator!r} is not the identity")
 
         want = 2.0 * math.pi * (2 * spec.genus - 2 + spec.n_cusps)

@@ -18,6 +18,9 @@ lands in the polygon with one power of the cusp parabolic.  A plain
 step is the case count 1.  ``Trace.sides`` and ``Trace.segments()``
 list runs crossing by crossing and passage by passage, in polygon
 coordinates, as a walk without runs gives them.
+
+A closed geodesic is walked on integer axes instead (close_exact): each
+chord's line is rounded once from an exact conjugate of its deck element.
 """
 
 from __future__ import annotations
@@ -34,16 +37,20 @@ from .halfplane import (
     INF,
     GeodesicLine,
     GeodesicSegment,
+    IntMatrix,
     Isometry,
-    cycle_axes,
+    axis,
     dist,
     intersect_lines,
     lines_cross,
+    mat_inv,
+    mat_mul,
     same_line,
+    to_isometry,
 )
 from .surface import Cusp, SideRow, SurfaceModel
 from .tolerances import TOL_GEO, TOL_LOOSE
-from .words import cyclic_reduce, inverse_word
+from .words import cyclic_reduce
 
 # minimal forward progress accepted when hunting the next side crossing
 _AHEAD = 1e-11
@@ -449,14 +456,6 @@ def concat_traces(legs: list[Trace]) -> Trace:
     return Trace(steps, sum(leg.length for leg in legs))
 
 
-def _step_map(model: SurfaceModel, st: TraceStep) -> Isometry:
-    """A side step's deck map: its inverse pairing, or a run's shift."""
-    if st.count == 1:
-        return model.sides[st.side].inverse_pairing
-    cusp = model.wall_cusps[st.side]
-    return cusp.shift(-cusp.jump(st.side) * st.count)
-
-
 def tile_elements(model: SurfaceModel,
                   steps: list[TraceStep]) -> list[Isometry]:
     """Deck elements of the tiles a walk visits, one per step.
@@ -472,54 +471,82 @@ def tile_elements(model: SurfaceModel,
     out = [e]
     for st in steps:
         if st.side is not None:
-            e = e @ _step_map(model, st)
+            e = e @ to_isometry(_step_map(model, st))
         out.append(e)
     return out
 
 
-def close_walk(model: SurfaceModel, steps: list[TraceStep]) -> Trace:
-    """A walk that returns to its start, closed exactly: one chord per
-    side step, on the axes cycle_axes finds for the step maps that
-    tile_elements composes, seeded with the walk's lines.  Chord k runs
-    from the partner of side k - 1 to side k, or for a run to its
-    count-th wall crossing, above the unit horocycle in the cusp chart.
-    A chord missing either end or turning back raises TraceError."""
-    steps = [st for st in steps if st.side is not None]
-    xi, eta, length = cycle_axes([_step_map(model, st) for st in steps],
-                                 [st.segment.line for st in steps])
-    chords = []
-    for k, st in enumerate(steps):
-        line = GeodesicLine.from_endpoints(eta[k], xi[k])
-        entry = model.sides[steps[k - 1].side].partner
-        ends, run = [], None
-        for i in (entry, st.side) if st.count == 1 else (entry,):
-            side = model.sides[i]
-            z = intersect_lines(line, side.line)
-            if z is None or not side.segment.contains_param(
-                    side.line.param_of(z)):
-                raise TraceError(f"chord {k} misses side {i}")
-            ends.append(line.param_of(z))
-        if st.count > 1:
-            c = model.wall_cusps[st.side]
-            cl = c.chart.apply_line(line)
-            z = _wall_crossing(cl, c, st.side, st.count)
-            if z is None or z.imag < c.width:
-                raise TraceError(f"chord {k} misses wall crossing "
-                                 f"{st.count} of its run in cusp {c.index}")
-            s0 = cl.param_of(c.chart.apply(line.point_at(ends[0])))
-            run = CuspRun(c, GeodesicSegment(cl, s0, cl.param_of(z)))
-            ends.append(ends[0] + run.chart.length)
-        if entry == st.side or ends[1] < ends[0] - TOL_GEO:
-            raise TraceError(f"chord {k} turns back")
-        chords.append(TraceStep(GeodesicSegment(line, *ends), st.side,
-                                st.count, run))
-    return Trace(chords, length)
+def _step_map(model: SurfaceModel, st: TraceStep) -> IntMatrix:
+    """A side step's deck map: its inverse pairing, or a run's shift."""
+    if st.count == 1:
+        return mat_inv(model.sides[st.side].matrix)
+    cusp = model.wall_cusps[st.side]
+    return cusp.shift_matrix(-cusp.jump(st.side) * st.count)
+
+
+def _cut(model: SurfaceModel, line: GeodesicLine, i: int, k: int) -> float:
+    """Parameter where chord k's line crosses side i, or TraceError."""
+    side = model.sides[i]
+    z = intersect_lines(line, side.line)
+    if z is None or not side.segment.contains_param(side.line.param_of(z)):
+        raise TraceError(f"chord {k} misses side {i}")
+    return line.param_of(z)
+
+
+def close_exact(model: SurfaceModel, m0: IntMatrix, z: complex) -> Trace:
+    """The period of the closed geodesic on the axis of m0, an integer
+    deck element, from the passage of z, a polygon point on that axis.
+
+    Chord k lies on the axis of m_k = S^-1 m_k-1 S, S the step map of
+    chord k - 1, and is the run _cusp_run takes from its entry side, or
+    is cut by its entry and exit side lines, so no error carries along.
+    The walk ends when its step maps multiply to +-m0 exactly, after
+    one lap or several for a proper power.  A chord missing its sides
+    or turning back, a walk past m0's length, or more than TRACE_STEPS
+    chords (one stuck at a vertex) raise TraceError.
+    """
+    line, length = axis(m0)
+    s = line.param_of(z)
+    back = _first_exit(model, line.reversed(), -s)
+    if back is None:
+        raise TraceError(f"the axis through {z} stays in the polygon")
+    # the length walked counts from z: no run passes z's return
+    entry, cusp, walked = back[1], None, -(back[0] + s)
+    m, prod, steps = m0, (1, 0, 0, 1), []
+    for k in range(TRACE_STEPS):
+        s = _cut(model, line, entry, k)
+        run = None if cusp is None else _cusp_run(
+            cusp, line, line.point_at(s), line.tangent_at(s), s,
+            length - walked)
+        if run is not None:
+            st = run[0]
+        else:
+            exit_ = _first_exit(model, line, s)
+            if exit_ is None:
+                raise TraceError(f"chord {k} stays in the polygon")
+            s1 = _cut(model, line, exit_[1], k)
+            if exit_[1] == entry or s1 < s - TOL_GEO:
+                raise TraceError(f"chord {k} turns back")
+            st = TraceStep(GeodesicSegment(line, s, s1), exit_[1])
+        steps.append(st)
+        walked += st.segment.length
+        step = _step_map(model, st)
+        prod = mat_mul(prod, step)
+        if prod in (m0, tuple(-v for v in m0)):
+            return Trace(steps, length)
+        if walked > length + TOL_LOOSE * max(1.0, length):
+            raise TraceError(f"walk passes length {length:.6g} unclosed")
+        m = mat_mul(mat_mul(mat_inv(step), m), step)
+        line = axis(m)[0]
+        entry = model.sides[st.side].partner
+        cusp = model.wall_cusps.get(st.side)
+    raise TraceError(f"walk does not close in {TRACE_STEPS} steps")
 
 
 @dataclass(eq=False)
 class ClosedGeodesicRep:
     """A closed geodesic carried as its word and its period, closed by
-    close_walk.  The length and the chords are read off the period, and
+    close_exact.  The length and the chords are read off the period, and
     the deck elements along it are its steps' tile_elements, the last of
     them the element of the whole period along the lift of its first
     passage."""
@@ -545,15 +572,14 @@ class ClosedGeodesicRep:
 def base_geodesic(model: SurfaceModel,
                   word: str | None = None) -> ClosedGeodesicRep:
     """The closed geodesic of a hyperbolic word (by default the catalog
-    filling word).  The cycle of its letters gives a lift and the length
-    to shoot along.  The shot's side words, joined, must be conjugate to
-    the word, an exact check; close_walk rebuilds each passage."""
+    filling word), closed by close_exact from the conjugate of its
+    matrix by the deck element, rounded to integers, that reduces a
+    point of its axis into the polygon."""
     if word is None:
         word = model.spec.base_word
-    want = cyclic_reduce(word)
     try:
-        xi, eta, length = cycle_axes([model.gens[ch] for ch in want])
-        line = GeodesicLine.from_endpoints(eta[0], xi[0])
+        w = model.word_matrix(cyclic_reduce(word))
+        line, length = axis(w)
         # prefer a start that reduces to the polygon interior; a geodesic
         # running along the boundary never has one, and then any reduced
         # point works since the walker resolves on-boundary starts
@@ -562,13 +588,11 @@ def base_geodesic(model: SurfaceModel,
             if min(model.side_signed_dists(z)) > 1e-7:
                 break
             z, g = model.normalize(line.point_at(k * 0.381966 * length))
-        start_line = g.apply_line(line)
-        s = start_line.param_of(z)
-        shot = trace_geodesic(model, z, start_line.tangent_at(s), length)
-        got = cyclic_reduce("".join(inverse_word(model.sides[i].word)
-                                    for i in shot.sides))
-        if len(got) != len(want) or got not in want + want:
-            raise TraceError(f"its shot crosses the sides of {got!r}")
-        return ClosedGeodesicRep(word, close_walk(model, shot.steps))
+        h = tuple(round(v) for v in (g.a, g.b, g.c, g.d))
+        if max(abs(v - r) for v, r in zip((g.a, g.b, g.c, g.d), h)) > 1e-6 \
+                or h[0] * h[3] - h[1] * h[2] != 1:
+            raise TraceError(f"deck element {g} is not an integer matrix")
+        return ClosedGeodesicRep(
+            word, close_exact(model, mat_mul(mat_mul(h, w), mat_inv(h)), z))
     except (TraceError, NotHyperbolic) as exc:
         raise type(exc)(f"closed geodesic of {word!r}: {exc}") from exc

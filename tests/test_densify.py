@@ -26,6 +26,7 @@ from geodense.halfplane import (
     Horocycle,
     Isometry,
     dist,
+    to_isometry,
 )
 from geodense.tracing import tile_elements, trace_geodesic
 
@@ -841,7 +842,7 @@ class TestReplaceArc:
         s_deep = formulas.deep_horocycle_length(params.eps, params.xi,
                                                 K.theta0)
         ball_top = Horocycle(INF, 2.0 / s_deep)
-        ball_bot = sphere.word_iso("b").apply_horocycle(ball_top)
+        ball_bot = to_isometry(sphere.word_matrix("b")).apply_horocycle(ball_top)
         assert ball_bot.base == pytest.approx(0.5, abs=1e-12)
         z_mid = complex(0.5, math.sqrt(ball_top.size * ball_bot.size))
         assert z_mid.imag == pytest.approx(0.5, abs=1e-12)

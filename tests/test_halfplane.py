@@ -1,4 +1,7 @@
+import decimal
+import functools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -16,14 +19,16 @@ from geodense.halfplane import (
     Horocycle,
     Isometry,
     angle_with_horocycle,
+    axis,
     crossing_angle,
-    cycle_axes,
     dist,
     folded_angle,
     horoball_gap,
     intersect_lines,
     line_horocycle_crossings,
     lines_cross,
+    mat_inv,
+    mat_mul,
     segments_cross,
 )
 from geodense.tolerances import TOL_ALG, TOL_GEO, TOL_LOOSE
@@ -545,6 +550,20 @@ class TestHorocycles:
             assert got == line_horocycle_crossings(line, h)
 
 
+def _nearest_ends(m):
+    """The floats nearest the repelling and attracting ends of a
+    hyperbolic integer matrix, (a - d -+ sign(tr) sqrt(D)) / 2c, from a
+    decimal square root carried well past the cancellation of a - d."""
+    a, b, c, d = m
+    t = a + d
+    disc = t * t - 4
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * len(str(disc)) + 60
+        root = decimal.Decimal(disc).sqrt().copy_sign(t)
+        return tuple(float((a - d + sign * root) / (2 * c))
+                     for sign in (-1, 1))
+
+
 class TestIsometry:
     @given(matrices, matrices, points)
     def test_compose(self, m1, m2, z):
@@ -562,8 +581,6 @@ class TestIsometry:
     def test_rejects_nonpositive_determinant(self):
         # a det -1 matrix would act as z -> 1/z, off the half-plane
         with pytest.raises(ValueError):
-            Isometry.from_matrix([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
             Isometry(0, 1, 1, 0).normalized()
 
     @given(matrices, points, st.floats(0, 2 * math.pi))
@@ -580,34 +597,36 @@ class TestIsometry:
         assert abs(t - v) < 1e-5
 
     def test_cycle_length(self):
-        # translation by lam along the axis from -1 to 1: t sends 0 to -1
-        # and infinity to 1
-        lam = 1.6
-        t = Isometry.from_matrix([[1.0, -1.0], [1.0, 1.0]])
-        g = t @ Isometry(math.exp(lam / 2), 0.0, 0.0, math.exp(-lam / 2)) \
-            @ t.inverse()
-        [xi], [eta], length = cycle_axes([g])
-        assert length == pytest.approx(lam, abs=1e-12)
-        assert eta == pytest.approx(-1.0, abs=1e-12)
-        assert xi == pytest.approx(1.0, abs=1e-12)
+        # (2, 1; 1, 1) fixes the roots (1 -+ sqrt 5) / 2 of z^2 - z - 1
+        # and moves points toward phi; its negative acts alike and its
+        # inverse runs the axis backwards
+        phi = (1 + math.sqrt(5)) / 2
+        line, length = axis((2, 1, 1, 1))
+        assert length == pytest.approx(2 * math.acosh(1.5), rel=1e-15)
+        assert line.endpoint_back == pytest.approx(1 - phi, rel=1e-15)
+        assert line.endpoint_fwd == pytest.approx(phi, rel=1e-15)
+        assert axis((-2, -1, -1, -1)) == (line, length)
+        back, back_length = axis(mat_inv((2, 1, 1, 1)))
+        assert back.ends == line.ends and back_length == length
+        assert back.endpoint_fwd == line.endpoint_back
 
     def test_axis_generic(self):
         # z -> (2z+1)/(z+1) is h1 after h2; its fixed points solve
         # z^2 - z - 1 = 0
-        h1 = Isometry(1.0, 1.0, 0.0, 1.0)
-        h2 = Isometry(1.0, 0.0, 1.0, 1.0)
-        xi, eta, length = cycle_axes([h1, h2])
+        h1, h2 = (1, 1, 0, 1), (1, 0, 1, 1)
+        ax, length = axis(mat_mul(h1, h2))
         phi = (1 + math.sqrt(5)) / 2
-        assert xi[0] == pytest.approx(phi, abs=1e-12)
-        assert eta[0] == pytest.approx(1 - phi, abs=1e-12)
-        # position 1 is the axis of h2 after h1, which h1 carries onto
-        # position 0
-        assert xi[1] == pytest.approx(phi - 1, abs=1e-12)
-        assert eta[1] == pytest.approx(-phi, abs=1e-12)
-        assert length == pytest.approx(2 * math.acosh(1.5), abs=1e-12)
+        assert ax.endpoint_fwd == pytest.approx(phi, abs=1e-12)
+        assert ax.endpoint_back == pytest.approx(1 - phi, abs=1e-12)
+        # h2 after h1 is the same cycle started one map later: its axis
+        # is the one h1 carries onto the first
+        ax1, length1 = axis(mat_mul(h2, h1))
+        assert ax1.endpoint_fwd == pytest.approx(phi - 1, abs=1e-12)
+        assert ax1.endpoint_back == pytest.approx(-phi, abs=1e-12)
+        assert length1 == length == pytest.approx(2 * math.acosh(1.5),
+                                                  abs=1e-12)
         # the product moves points along the axis by the length
-        ax = GeodesicLine.from_endpoints(eta[0], xi[0])
-        g = h1 @ h2
+        g = Isometry(2.0, 1.0, 1.0, 1.0)
         z = ax.point_at(0.0)
         w = g.apply(z)
         assert ax.contains(w, tol=1e-9)
@@ -615,20 +634,59 @@ class TestIsometry:
         assert ax.param_of(w) > 0
 
     def test_settles_through_a_rounding_cycle(self):
-        # the inverse pairings of the sphere's sides 1, 2, 5, 5 and 3:
-        # their product has trace 6, and its repelling ends end up
-        # alternating in the last bit instead of settling
-        maps = [Isometry(1.0, 0.0, -2.0, 1.0), Isometry(1.0, 0.0, 2.0, 1.0),
-                Isometry(1.0, 2.0, 0.0, 1.0), Isometry(1.0, 2.0, 0.0, 1.0),
-                Isometry(1.0, -2.0, 2.0, -3.0)]
-        _, _, length = cycle_axes(maps)
+        # the inverse pairings of the sphere's sides 1, 2, 5, 5 and 3: a
+        # float fixed-point iteration of their product's ends alternates
+        # in the last bit; rounded once from integers they are the
+        # floats nearest the roots, and the line is built from those
+        maps = [(1, 0, -2, 1), (1, 0, 2, 1), (1, 2, 0, 1), (1, 2, 0, 1),
+                (1, -2, 2, -3)]
+        m = functools.reduce(mat_mul, maps)
+        line, length = axis(m)
         assert length == pytest.approx(2 * math.acosh(3.0), rel=1e-12)
+        assert line == GeodesicLine.from_endpoints(*_nearest_ends(m))
+
+    def test_ends_correctly_rounded(self):
+        """Products of reduced words of up to 300 letters over the
+        torus generators (1, 1; 1, 2) and (1, -1; -1, 2): each end is the
+        float nearest its root, the line is built from those ends, and
+        the length holds to 1e-15 against a 50-digit 2 acosh(|tr| / 2)."""
+        rng = random.Random(7)
+        a, b = (1, 1, 1, 2), (1, -1, -1, 2)
+        gens = {"a": a, "b": b, "A": mat_inv(a), "B": mat_inv(b)}
+        bits = 0
+        for n in [2, 3, 5, 8, 13, 40, 120, 300] * 5:
+            word = rng.choice("abAB")
+            while len(word) < n:
+                word += rng.choice([ch for ch in "abAB"
+                                    if ch != word[-1].swapcase()])
+            m = functools.reduce(mat_mul, (gens[ch] for ch in word))
+            t = abs(m[0] + m[3])
+            if t <= 2:
+                continue
+            bits = max(bits, t.bit_length())
+            line, length = axis(m)
+            assert line == GeodesicLine.from_endpoints(*_nearest_ends(m))
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                want = 2 * ((t + decimal.Decimal(t * t - 4).sqrt()) / 2).ln()
+            assert length == pytest.approx(float(want), rel=1e-15)
+        assert bits > 200
+
+    def test_huge_trace_length(self):
+        # past 2^1000 the trace no longer fits a float: 2 log |tr|
+        m, k = (2, 1, 1, 1), 800
+        mk = functools.reduce(mat_mul, [m] * k)
+        assert abs(mk[0] + mk[3]).bit_length() > 1000
+        line, length = axis(mk)
+        assert length == pytest.approx(k * axis(m)[1], rel=1e-12)
+        assert line.ends == axis(m)[0].ends
 
     def test_cycle_without_axis_rejected(self):
-        with pytest.raises(NotHyperbolic, match="does not settle"):
-            cycle_axes([Isometry(1.0, 3.0, 0.0, 1.0)])
-        with pytest.raises(NotHyperbolic, match="0 maps"):
-            cycle_axes([])
+        for m, t in (((1, 3, 0, 1), 2), ((-1, 3, 0, -1), -2),
+                     ((1, 0, 0, 1), 2), ((0, -1, 1, 0), 0),
+                     ((1, 1, -1, 0), 1)):
+            with pytest.raises(NotHyperbolic, match=f"trace {t} "):
+                axis(m)
 
     def test_parabolic(self):
         g = Isometry(1.0, 3.0, 0.0, 1.0)
@@ -652,7 +710,7 @@ class TestIsometry:
                                                                 rel=1e-12)
 
     def test_apply_segment(self):
-        g = Isometry.from_matrix([[2.0, 1.0], [1.0, 1.0]])
+        g = Isometry(2.0, 1.0, 1.0, 1.0)
         seg = GeodesicSegment.between(0.2 + 1j, -1 + 0.5j)
         img = g.apply_segment(seg)
         assert img.length == pytest.approx(seg.length, abs=1e-9)

@@ -22,8 +22,9 @@ from geodense.halfplane import (
     GeodesicLine,
     GeodesicSegment,
     Isometry,
-    cycle_axes,
+    axis,
     dist,
+    to_isometry,
 )
 from geodense.orbit import (
     DIST_TOL,
@@ -78,13 +79,14 @@ class TestBall:
         assert len(set(words)) == len(words)
         for w, g in got:
             assert free_reduce(w) == w
-            assert sphere.word_iso(w).approx_equal(g, tol=1e-9)
+            m = sphere.word_matrix(w)
+            assert (g.a, g.b, g.c, g.d) in (m, tuple(-v for v in m))
 
     def test_completeness_against_brute_force(self, sphere):
         r = 2.0
         words = {w for w, _ in ball(sphere, sphere.base_point, r)}
         for w in all_reduced_words("abAB", 4):
-            g = sphere.word_iso(w)
+            g = to_isometry(sphere.word_matrix(w))
             d = dist_to_domain(sphere, g.inverse().apply(sphere.base_point))
             if d <= r - 1e-9:
                 assert w in words, w
@@ -203,9 +205,8 @@ def commutator(sphere):
 
 
 def _axis(model, word):
-    """The axis of a word's element, from the cycle of its letters."""
-    xi, eta, _ = cycle_axes([model.word_iso(ch) for ch in word])
-    return GeodesicLine.from_endpoints(eta[0], xi[0])
+    """The axis of a word's element, from its integer matrix."""
+    return axis(model.word_matrix(word))[0]
 
 
 class TestDistToClosedGeodesic:
@@ -219,7 +220,7 @@ class TestDistToClosedGeodesic:
         line = _axis(sphere, "ab")
         for z in (sphere.base_point, complex(-0.4, 0.8), complex(0.3, 1.7)):
             oracle = min(
-                sphere.word_iso(w).apply_line(line).dist_to(z)
+                to_isometry(sphere.word_matrix(w)).apply_line(line).dist_to(z)
                 for w in all_reduced_words("abAB", 5))
             got = dist_to_closed_geodesic(sphere, z, commutator, 2.5)
             assert got == pytest.approx(oracle, abs=1e-9)

@@ -13,8 +13,10 @@ from geodense.halfplane import (
     INF,
     GeodesicLine,
     Isometry,
-    cycle_axes,
+    axis,
     dist,
+    mat_inv,
+    to_isometry,
 )
 from geodense.surface import (
     SurfaceModel,
@@ -67,8 +69,7 @@ class TestSphereGeometry:
         assert sphere.polygon_area() == pytest.approx(2 * math.pi, abs=1e-9)
 
     def test_pairing_matrix(self, sphere):
-        want = Isometry.from_matrix(((-3.0, 2.0), (-2.0, 1.0)))
-        assert sphere.word_iso("aB").approx_equal(want, tol=1e-12)
+        assert sphere.word_matrix("aB") == (-3, 2, -2, 1)
 
     def test_side_windows(self, sphere):
         s4 = sphere.sides[4]
@@ -102,7 +103,7 @@ class TestTorusGeometry:
         assert c.width == 6.0
 
     def test_cusp_word_translates(self, torus):
-        g = torus.word_iso("BAba")
+        g = to_isometry(torus.word_matrix("BAba"))
         assert g.apply(0.25 + 1.5j) == pytest.approx(6.25 + 1.5j)
 
     def test_membership(self, torus):
@@ -150,28 +151,27 @@ class TestInside:
 
 
 class TestAxes:
-    """A word's axis and length, from the cycle of its letters."""
+    """A word's axis and length, from its integer matrix."""
 
     def test_torus_generator_axis(self, torus):
-        [xi], [eta], length = cycle_axes([torus.word_iso("a")])
+        line, length = axis(torus.word_matrix("a"))
         assert length == pytest.approx(2 * math.acosh(1.5), abs=1e-12)
         assert length == pytest.approx(1.9248473002384139, abs=1e-12)
         golden = (math.sqrt(5.0) - 1.0) / 2.0
-        assert xi == pytest.approx(golden)
-        assert eta == pytest.approx(-1.0 / golden)
+        assert line.endpoint_fwd == pytest.approx(golden)
+        assert line.endpoint_back == pytest.approx(-1.0 / golden)
 
     def test_sphere_commutator_axis(self, sphere):
-        xi, eta, length = cycle_axes([sphere.word_iso(ch) for ch in "ab"])
+        line, length = axis(sphere.word_matrix("ab"))
         assert length == pytest.approx(2 * math.acosh(3.0), abs=1e-12)
-        g = sphere.word_iso("ab")
-        line = GeodesicLine.from_endpoints(eta[0], xi[0])
+        g = to_isometry(sphere.word_matrix("ab"))
         p = line.point_at(0.3)
         assert dist(g.apply(p), line.point_at(0.3 + length)) < 1e-9
 
     def test_parabolic_rejected(self, sphere, torus):
         for model, word in ((sphere, "a"), (torus, "BAba"), (torus, "")):
-            with pytest.raises(NotHyperbolic):
-                cycle_axes([model.word_iso(ch) for ch in word])
+            with pytest.raises(NotHyperbolic, match="trace -?2 "):
+                axis(model.word_matrix(word))
 
 
 class TestLevels:
@@ -210,20 +210,22 @@ class TestNormalize:
 
     @pytest.mark.parametrize("word", ["a", "bA", "abB", "AbaB", "bbaBA"])
     def test_round_trip(self, sphere, word):
-        z0 = sphere.word_iso(word).apply(sphere.base_point)
+        z0 = to_isometry(sphere.word_matrix(word)).apply(sphere.base_point)
         z, g = sphere.normalize(z0)
         assert abs(z - sphere.base_point) < 1e-9
         assert abs(g.apply(z0) - z) < 1e-12
         # the base point is interior and the action free, so the
         # reduction undoes the word exactly
-        assert sphere.word_iso(word).inverse().approx_equal(g, tol=1e-9)
+        m = mat_inv(sphere.word_matrix(word))
+        assert (g.a, g.b, g.c, g.d) in (m, tuple(-v for v in m))
 
     @pytest.mark.parametrize("word", ["a", "Ab", "abAB", "baBAb"])
     def test_round_trip_torus(self, torus, word):
-        z0 = torus.word_iso(word).apply(torus.base_point)
+        z0 = to_isometry(torus.word_matrix(word)).apply(torus.base_point)
         z, g = torus.normalize(z0)
         assert abs(z - torus.base_point) < 1e-9
-        assert torus.word_iso(word).inverse().approx_equal(g, tol=1e-9)
+        m = mat_inv(torus.word_matrix(word))
+        assert (g.a, g.b, g.c, g.d) in (m, tuple(-v for v in m))
 
     def test_deep_cusp_shortcut(self, sphere):
         # far along the cusp at 0: the direct orbit point would need
@@ -239,7 +241,7 @@ class TestNormalize:
         assert abs(t.c) < 1e-9 and abs(t.a - t.d) < 1e-9
 
     def test_deep_point_stays_deep(self, torus):
-        z0 = torus.word_iso("abba").apply(complex(14.2, 40.0))
+        z0 = to_isometry(torus.word_matrix("abba")).apply(complex(14.2, 40.0))
         z, _ = torus.normalize(z0)
         assert torus.inside(z)
         assert torus.level(0, z) == pytest.approx(6.0 / 40.0)
@@ -308,6 +310,38 @@ class TestValidation:
         bad = (((2.0, 4.0), (0.0, 2.0)),) + spec.gen_matrices[1:]
         spec = dataclasses.replace(spec, gen_matrices=bad)
         with pytest.raises(InvalidSurface, match="unimodular"):
+            SurfaceModel(spec)
+
+    @pytest.mark.parametrize("where,match", [
+        ("gen", r"generator a \(\(1.0, 0.5\), \(0.0, 1.0\)\) is not integral"),
+        ("chart", r"cusp 0 chart \(\(1.0, 0.5\), \(0.0, 1.0\)\) is not "
+                  "integral"),
+        ("width", "wall separation 2 does not match width 2.5")])
+    def test_non_integral_data(self, where, match):
+        """The walks close on exact products of the catalog's integers:
+        a matrix entry that is not one is refused, and a cusp width that
+        is not one misses its chart's strip."""
+        spec = CATALOG["thrice-punctured-sphere"]
+        half = ((1.0, 0.5), (0.0, 1.0))
+        if where == "gen":
+            spec = dataclasses.replace(
+                spec, gen_matrices=(half,) + spec.gen_matrices[1:])
+        else:
+            c0 = dataclasses.replace(
+                spec.cusps[0], **{where: half if where == "chart" else 2.5})
+            spec = dataclasses.replace(spec, cusps=(c0,) + spec.cusps[1:])
+        with pytest.raises(InvalidSurface, match=match):
+            SurfaceModel(spec)
+
+    @pytest.mark.parametrize("word", ["aa", "b"])
+    def test_cusp_word_not_the_chart_translation(self, word):
+        """Cusp 0's chart must conjugate its word to z -> z + 2 exactly;
+        its square and the parabolic of cusp 1 do not."""
+        spec = CATALOG["thrice-punctured-sphere"]
+        c0 = dataclasses.replace(spec.cusps[0], word=word)
+        spec = dataclasses.replace(spec, cusps=(c0,) + spec.cusps[1:])
+        with pytest.raises(InvalidSurface, match=f"cusp word '{word}' is "
+                                                 "not the chart translation"):
             SurfaceModel(spec)
 
     def test_moved_vertex(self):

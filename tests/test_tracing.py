@@ -16,15 +16,17 @@ from geodense.halfplane import (
     GeodesicSegment,
     Horocycle,
     Isometry,
-    cycle_axes,
+    axis,
     dist,
     line_horocycle_crossings,
     same_line,
+    to_isometry,
 )
 from geodense import densify, tracing
 from geodense.surface import Side, _side_row
 from test_halfplane import _by_ends, line_pairs
 from geodense.tolerances import TOL_GEO, TOL_LOOSE
+from geodense.words import cyclic_reduce, inverse_word
 from geodense.tracing import (
     Trace,
     TraceStep,
@@ -404,7 +406,7 @@ class TestPlainFloatStep:
         # the half-plane left of one complete side line, walked along
         # the other line both ways
         l1, l2 = pair
-        side = Side(0, l2, -INF, INF, "a", Isometry.identity(), 0)
+        side = Side(0, l2, -INF, INF, "a", (1, 0, 0, 1), 0)
         model = SimpleNamespace(side_table=(_side_row(side),))
         for line in (l1, l1.reversed()):
             assert _outcome(tracing._first_exit, model, line, s0) \
@@ -571,26 +573,53 @@ def _random_word(rng, n):
             return w
 
 
+def _spells(model, g, word):
+    """Do the period's inverse side words, joined, spell the word up to
+    rotation?  Then its side pairings multiply to a conjugate of the
+    word's matrix, exactly."""
+    got = cyclic_reduce("".join(inverse_word(model.sides[i].word)
+                                for i in g.trace.sides))
+    want = cyclic_reduce(word)
+    return len(got) == len(want) and got in want + want
+
+
+@pytest.fixture(scope="module")
+def long_periods(torus, sphere):
+    """10 random words each of 96, 200 and 400 letters per surface, with
+    their closed geodesics."""
+    out = {}
+    for name, model in (("torus", torus), ("sphere", sphere)):
+        rng = random.Random(f"long {name}")
+        out[name] = [(w, base_geodesic(model, w))
+                     for n in (96, 200, 400)
+                     for w in (_random_word(rng, n) for _ in range(10))]
+    return out
+
+
 class TestCycleAxes:
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_letters_give_the_exact_length(self, which, request):
-        """Every cyclically reduced word of 2 to 8 letters: the cycle of
-        its letters gives 2 acosh(|tr| / 2) to 1e-12, or raises
-        NotHyperbolic when the word is parabolic."""
+        """Every cyclically reduced word of 2 to 8 letters: the axis of
+        its integer matrix has length 2 acosh(|tr| / 2), and the word's
+        isometry moves the axis along itself by that length; a parabolic
+        word raises NotHyperbolic."""
         model = request.getfixturevalue(which)
-        gens = {ch: model.word_iso(ch) for ch in "abAB"}
         worst, hyperbolic = 0.0, 0
         for n in range(2, 9):
             for letters in itertools.product("abAB", repeat=n):
                 if not _cyclically_reduced(letters):
                     continue
-                want = _exact_length(model, letters)
+                word = "".join(letters)
+                want = _exact_length(model, word)
                 if want is None:
-                    with pytest.raises(NotHyperbolic):
-                        cycle_axes([gens[ch] for ch in letters])
+                    with pytest.raises(NotHyperbolic, match="trace"):
+                        axis(model.word_matrix(word))
                     continue
-                _, _, got = cycle_axes([gens[ch] for ch in letters])
+                line, got = axis(model.word_matrix(word))
                 worst = max(worst, abs(got - want) / want)
+                z = line.point_at(0.0)
+                assert dist(to_isometry(model.word_matrix(word)).apply(z),
+                            line.point_at(got)) < 1e-8
                 hyperbolic += 1
         assert hyperbolic > 9000
         assert worst <= 1e-12
@@ -631,29 +660,35 @@ class TestCycleAxes:
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_never_wrong(self, which, n, request):
-        """Random words: the period is exact, or an error names the word.
-        A shot of a long word drifts off its geodesic and fails the side
-        check.  Every sphere word drawn closes, some through a cusp run."""
+        """Random words: every one drawn closes, its side words spelling
+        it and its chords adding up to its exact length.  Some sphere
+        words close through a cusp run."""
         model = request.getfixturevalue(which)
         rng = random.Random(n)
-        closed = runs = 0
+        runs = 0
         for _ in range(12):
             w = _random_word(rng, n)
             want = _exact_length(model, w)
-            try:
-                g = base_geodesic(model, w)
-            except (TraceError, NotHyperbolic) as exc:
-                assert repr(w) in str(exc)
-                continue
-            closed += 1
+            g = base_geodesic(model, w)
             runs += any(st.count > 1 for st in g.trace.steps)
+            assert _spells(model, g, w)
             assert g.length == pytest.approx(want, rel=1e-12)
             assert sum(st.segment.length for st in g.trace.steps) \
                 == pytest.approx(want, rel=1e-12)
-        if n == 8:
-            assert closed >= 6
         if which == "sphere":
-            assert closed == 12 and runs >= 1
+            assert runs >= 1
+
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_long_words_close(self, which, long_periods, request):
+        """Words of 96 to 400 letters close: their side words spell them,
+        and the length and the chords add up to 2 acosh(|tr| / 2)."""
+        model = request.getfixturevalue(which)
+        for w, g in long_periods[which]:
+            want = _exact_length(model, w)
+            assert _spells(model, g, w), w
+            assert g.length == pytest.approx(want, rel=1e-12)
+            assert sum(st.segment.length for st in g.trace.steps) \
+                == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_passages_chain(self, sphere, n):
@@ -668,33 +703,67 @@ class TestCycleAxes:
             runs += any(st.count > 1 for st in g.trace.steps)
         assert runs >= 5
 
-    def test_shot_of_another_word_refused(self, torus, monkeypatch):
-        """A shot whose sides spell another word closes up exactly, onto
-        the wrong geodesic: the side check refuses it."""
-        g = base_geodesic(torus)
-        first = g.trace.steps[0].segment
-        shot = trace_geodesic(torus, first.start,
-                              first.line.tangent_at(first.s0), g.length + 1e-6)
-        monkeypatch.setattr(tracing, "trace_geodesic", lambda *a: shot)
+    @staticmethod
+    def _wrong_sides():
+        """_first_exit reporting side 1 behind the start, then side 3
+        ahead of every chord."""
+        exits = itertools.chain([1], itertools.repeat(3))
+        return lambda *a: (0.0, next(exits), 0j)
+
+    def test_wrong_exit_refused(self, torus, monkeypatch):
+        """Sides the geodesic does not cross: chord 0 misses its side.
+        With the chord guards switched off too, every chord cut 1 long,
+        the exact product never comes back to the word's matrix, and the
+        walk is refused, naming the word, as soon as it passes the word's
+        length."""
+        monkeypatch.setattr(tracing, "_first_exit", self._wrong_sides())
         with pytest.raises(TraceError,
-                           match="'abbaBB': its shot crosses the sides of"):
+                           match="'abbaBB': chord 0 misses side"):
+            base_geodesic(torus, "abbaBB")
+        cuts = itertools.count()
+        monkeypatch.setattr(tracing, "_first_exit", self._wrong_sides())
+        monkeypatch.setattr(tracing, "_cut", lambda *a: float(next(cuts)))
+        length = _exact_length(torus, "abbaBB")
+        with pytest.raises(TraceError, match=f"'abbaBB': walk passes length "
+                                             f"{length:.6g} unclosed"):
+            base_geodesic(torus, "abbaBB")
+        assert next(cuts) // 2 <= length + 2
+
+    def test_stuck_walk_refused(self, torus, monkeypatch):
+        """Chords of length 0, as a walk stuck at a vertex would take,
+        never pass the length: the step cap refuses the walk."""
+        monkeypatch.setattr(tracing, "_first_exit", self._wrong_sides())
+        monkeypatch.setattr(tracing, "_cut", lambda *a: 0.0)
+        monkeypatch.setattr(tracing, "TRACE_STEPS", 10)
+        with pytest.raises(TraceError, match="'abbaBB': walk does not close "
+                                             "in 10 steps"):
             base_geodesic(torus, "abbaBB")
 
     @pytest.mark.parametrize("sides,match", [
-        # crossing a side and coming straight back
-        ((2, 5, 2, 1), "turns back"), ((2, 5, 0, 5), "turns back"),
-        # a detour through the partner sides 3 and 4, round the cusp at 1
-        ((2, 3, 4, 5), "misses side")])
-    def test_wrong_walk_refused(self, sphere, sides, match):
-        """Walks whose side words, joined, are conjugate to ab, the
-        period of sides 2 and 5, but which the geodesic does not take."""
-        seg = base_geodesic(sphere, "ab").trace.steps[0].segment
-        with pytest.raises(TraceError, match=match):
-            tracing.close_walk(sphere, [TraceStep(seg, s) for s in sides])
+        # chord 1 leaving by the side it came in through, and chord 0
+        # entering by the side it leaves by
+        ((None, 2, 1), "turns back"), ((2,), "turns back"),
+        # chord 1 making a detour through side 3, round the cusp at 1
+        ((None, 2, 3), "misses side")])
+    def test_wrong_walk_refused(self, sphere, monkeypatch, sides, match):
+        """Sides that the geodesic of ab, the period of sides 0 -> 2 and
+        1 -> 5, does not cross.  The script gives the side chord 0
+        enters by, then the sides chords 0, 1, ... leave by; None keeps
+        the side _first_exit finds."""
+        first_exit, script = tracing._first_exit, iter(sides)
+
+        def scripted(model, line, s0):
+            s, side, pt = first_exit(model, line, s0)
+            wrong = next(script, None)
+            return s, side if wrong is None else wrong, pt
+
+        monkeypatch.setattr(tracing, "_first_exit", scripted)
+        with pytest.raises(TraceError, match=rf"'ab': chord \d {match}"):
+            base_geodesic(sphere, "ab")
 
     def test_cusp_run_closes(self, sphere):
         """aaaaab climbs high in cusp 0: its period holds a run of three
-        crossings of side 5, closed by one Cusp.shift, and a fresh walk
+        crossings of side 5, closed by one cusp shift, and a fresh walk
         reproduces its passages."""
         g = base_geodesic(sphere, "aaaaab")
         _assert_closed(sphere, g, 2.0 * math.acosh(11.0))
@@ -702,17 +771,6 @@ class TestCycleAxes:
             == [(2, 1), (5, 1), (5, 3), (5, 1)]
         assert g.trace.steps[2].run.cusp.index == 0
         self._assert_reshot(sphere, g)
-
-    # a crossing below the unit horocycle of cusp 0, at height 2, and none
-    @pytest.mark.parametrize("z", [complex(8.3, 1.382), None])
-    def test_run_chord_off_its_wall_refused(self, sphere, monkeypatch, z):
-        """A run's chord must meet its last wall crossing above the unit
-        horocycle."""
-        steps = base_geodesic(sphere, "aaaaab").trace.steps
-        monkeypatch.setattr(tracing, "_wall_crossing", lambda *a: z)
-        with pytest.raises(TraceError, match="chord 2 misses wall crossing "
-                                             "3 of its run in cusp 0"):
-            tracing.close_walk(sphere, steps)
 
 
 def _walk_passages(model, p, u, length):
@@ -918,8 +976,12 @@ class TestCuspRuns:
         for s in tr.sides:
             per_passage.append(
                 per_passage[-1] @ sphere.sides[s].inverse_pairing)
+        def signs(g):
+            return {(g.a, g.b, g.c, g.d), (-g.a, -g.b, -g.c, -g.d)}
+
         k = 0
         for st, e in zip(tr.steps, per_step):
-            assert e.approx_equal(per_passage[k], tol=1e-9)
+            assert (e.a, e.b, e.c, e.d) in signs(per_passage[k])
             k += st.count
-        assert per_step[-1].approx_equal(per_passage[-1], tol=1e-9)
+        e = per_step[-1]
+        assert (e.a, e.b, e.c, e.d) in signs(per_passage[-1])
