@@ -25,14 +25,17 @@ from .formulas import arc_budget, per_arc_budget
 from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
-    Isometry,
+    IntMatrix,
     angle_between,
     dist,
     folded_angle,
     intersect_lines,
     lines_cross,
+    mat_inv,
+    mat_mul,
     same_line,
     segments_cross,
+    to_isometry,
 )
 from .surface import SurfaceModel, chart_top
 from .tracing import ClosedGeodesicRep, base_geodesic, tile_elements
@@ -73,15 +76,16 @@ class Face:
     """One complementary face of the cut surface, developed.
 
     Corners are listed along the boundary in one chart of the
-    half-plane.  For an ordinary face they close into a compact
-    polygon; for a once-punctured face they give one period of an
-    infinite chain invariant under the parabolic closure element.
+    half-plane.  For an ordinary face they close into a compact polygon
+    and the integer closure element is +-I; for a once-punctured face
+    they give one period of an infinite chain invariant under it, a
+    parabolic.
     """
 
     corners: list[complex]
     angles: list[float]
     punctured: bool
-    closure: Isometry
+    closure: IntMatrix
     cusp: int | None
     area: float
     ears: list[Ear]
@@ -110,7 +114,7 @@ class Face:
             if k + 1 < len(self.corners):
                 b = self.corners[k + 1]
             elif self.punctured:
-                b = self.closure.apply(self.corners[0])
+                b = to_isometry(self.closure).apply(self.corners[0])
             else:
                 b = self.corners[0]
             out.append(GeodesicSegment.between(a, b))
@@ -225,7 +229,7 @@ class _Complex:
             g = segs[k]
             pt = g.point_at(g.s0 + (t - cum[k]))
             self.slot_pass.append(k)
-            zdev = self.devs[k].apply(pt)
+            zdev = to_isometry(self.devs[k]).apply(pt)
             if not axis.contains(zdev, tol=1e-6):
                 raise ArrangementDegenerate(
                     "developed trace drifted off its line")
@@ -304,13 +308,13 @@ class _Complex:
 # developed faces
 
 def _face_walk(cx: _Complex, orbit):
-    """Develop a face boundary; corners, sector angles, closure element."""
+    """Develop a face boundary; corners, sector angles, integer closure."""
     period = cx.devs[-1]
     corners = []
     angles = []
-    g = Isometry.identity()
+    g = (1, 0, 0, 1)
     for k, d in enumerate(orbit):
-        corners.append(g.apply(cx.dev_point[cx.base_slot(d)]))
+        corners.append(to_isometry(g).apply(cx.dev_point[cx.base_slot(d)]))
         prev = orbit[k - 1]
         gap = (cmath.phase(cx.dart_dir(d))
                - cmath.phase(cx.dart_dir(prev ^ 1))) % (2.0 * math.pi)
@@ -323,17 +327,18 @@ def _face_walk(cx: _Complex, orbit):
         if cx.slot_cross[v] != cx.slot_cross[w] or v == w:
             raise ArrangementDegenerate("face walk switches strands wrongly")
         wrap = cx.wrap_power(d)
-        step = cx.devs[cx.slot_pass[v]] @ cx.devs[cx.slot_pass[w]].inverse()
+        step = mat_mul(cx.devs[cx.slot_pass[v]],
+                       mat_inv(cx.devs[cx.slot_pass[w]]))
         if wrap == 1:
-            step = period @ step
+            step = mat_mul(period, step)
         elif wrap == -1:
-            step = period.inverse() @ step
-        g = g @ step
+            step = mat_mul(mat_inv(period), step)
+        g = mat_mul(g, step)
     # developed corner gaps must reproduce the arc lengths on the curve
     for k, d in enumerate(orbit):
         nxt = corners[(k + 1) % len(orbit)]
         if k + 1 == len(orbit):
-            nxt = g.apply(corners[0])
+            nxt = to_isometry(g).apply(corners[0])
         if abs(dist(corners[k], nxt) - cx.arc_len(d)) > 1e-6:
             raise ArrangementDegenerate(
                 "developed face edge does not match its arc length")
@@ -396,46 +401,43 @@ def _build_ears(corners, closure=None):
     return ears
 
 
-def _locate_cusp(model: SurfaceModel, closure: Isometry):
+def _locate_cusp(model: SurfaceModel, closure: IntMatrix):
     """Cusp wrapped by a parabolic face closure, with the chart move.
 
-    Returns (cusp index, iso) where iso maps the face's developed chart
-    onto the cusp chart (cusp at infinity, one period = cusp width).
+    Returns (cusp index, m, t): the probe's integer reduction m maps the
+    face's developed chart onto the cusp chart (cusp at infinity) once
+    m closure m^-1 has c = 0, the translation z -> z + t there.
     """
-    x = closure.fixed_point_parabolic()
-    if math.isinf(x):
+    a, _, c, d = closure
+    if c == 0:
         # horoballs at infinity deepen upwards
-        probe = complex(0.0, 2.0 * max(c.width for c in model.cusps))
+        probe = complex(0.0, 2.0 * max(cu.width for cu in model.cusps))
         deepen = math.e
     else:
         # horoballs at a finite point are disks tangent there, so the
-        # probe deepens downwards along the vertical to x
-        probe = complex(x, 1.0 / max(abs(closure.c), 1e-12))
+        # probe deepens downwards along the vertical to the fixed point
+        probe = complex((a - d) / (2 * c), 1.0 / abs(c))
         deepen = 1.0 / math.e
     for _ in range(60):
         z, red = model.normalize(probe)
         levels = model.levels(z)
         j = min(range(len(levels)), key=lambda i: levels[i])
-        cand = model.cusps[j].chart @ red
-        conj = cand @ closure @ cand.inverse()
-        # accept once the probe is deep enough that the reduction also
-        # conjugates the closure to a horizontal translation
-        if levels[j] < 0.3 and abs(conj.c) <= 1e-6 \
-                and abs(conj.a - conj.d) <= 1e-6:
-            return j, cand
+        m = mat_mul(model.cusps[j].matrix, red)
+        ca, cb, cc, _ = mat_mul(mat_mul(m, closure), mat_inv(m))
+        if cc == 0:
+            return j, m, ca * cb    # ca = cd = +-1
         probe = complex(probe.real, probe.imag * deepen)
     raise NotFilling("parabolic face closure reaches no cusp")
 
 
 def _punctured_face_data(model, corners, closure):
-    j, to_chart = _locate_cusp(model, closure)
+    j, m, t = _locate_cusp(model, closure)
     width = model.cusps[j].width
-    chain = [to_chart.apply(z) for z in corners]
-    wrap = to_chart.apply(closure.apply(corners[0])) - chain[0]
-    if abs(wrap.imag) > 1e-6 or abs(abs(wrap.real) - width) > 1e-6:
+    if abs(t) != width:
         raise NotFilling(
-            f"face closure translates by {wrap:.6g} in the cusp chart; "
+            f"face closure translates by {t} in the cusp chart; "
             f"the face winds cusp {j} more than once")
+    chain = [to_isometry(m).apply(z) for z in corners]
     y_min = min(z.imag for z in chain)
     if not 0.0 < y_min < width - 1e-9:
         raise ArrangementDegenerate(
@@ -494,7 +496,7 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
     for orbit in cx.face_orbits():
         corners, angles, closure = _face_walk(cx, orbit)
         m = len(corners)
-        if closure.is_identity(1e-6):
+        if closure in ((1, 0, 0, 1), (-1, 0, 0, -1)):
             if m < 3:
                 raise ArrangementDegenerate(
                     f"ordinary face with {m} corners")
@@ -504,18 +506,18 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
             ears = _build_ears(corners)
             face = Face(corners, angles, False, closure, None, area, ears,
                         _ordinary_diam(corners), None)
-        elif closure.is_parabolic(1e-6):
+        elif abs(closure[0] + closure[3]) == 2:
             area = m * math.pi - sum(angles)
             if area <= 1e-9:
                 raise ArrangementDegenerate("punctured face with zero area")
             cusp, depth = _punctured_face_data(model, corners, closure)
-            ears = _build_ears(corners, closure)
+            ears = _build_ears(corners, to_isometry(closure))
             face = Face(corners, angles, True, closure, cusp, area, ears,
                         None, depth)
         else:
             raise NotFilling(
                 f"a face of {word!r} closes with a non-parabolic element "
-                f"(trace {closure.trace():.6g}); the complement piece is "
+                f"(trace {closure[0] + closure[3]}); the complement piece is "
                 "not a disk or once-punctured disk")
         faces.append(face)
 

@@ -34,6 +34,7 @@ from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
     Horocycle,
+    IntMatrix,
     Isometry,
     angle_with_horocycle,
     dist,
@@ -42,6 +43,9 @@ from .halfplane import (
     intersect_lines,
     line_horocycle_crossings,
     lines_cross,
+    mat_inv,
+    mat_mul,
+    to_isometry,
 )
 from .decomp import SurfaceConstants
 from .surface import SurfaceModel
@@ -421,16 +425,17 @@ class _DiveFrame:
     In the normalized chart the dived cusp sits at infinity with its
     deep horocycle at height 1 / s_deep and parabolic z -> z + 1, and
     the carrying line of the dive leaves 0 toward the side sigma.
-    to_norm_arc takes the frame of the original arc there, and dev takes
-    the polygon frame of the dive's stop step to the frame of the arc.
+    to_norm_arc takes the frame of the original arc there, and dev, an
+    integer deck element, takes the polygon frame of the dive's stop
+    step to the frame of the arc.
     """
 
     to_norm_arc: Isometry
-    dev: Isometry
+    dev: IntMatrix
     sigma: float
 
 
-def _walk_dev(model: SurfaceModel, outcome: ExtensionOutcome) -> Isometry:
+def _walk_dev(model: SurfaceModel, outcome: ExtensionOutcome) -> IntMatrix:
     """Deck element taking the stop step's polygon frame to the frame
     the walk started in."""
     return tile_elements(model, outcome.trace.steps[:outcome.stop.step])[-1]
@@ -464,7 +469,7 @@ def _dive_frame(S: _Setting, outcome: ExtensionOutcome) -> _DiveFrame:
                 "normalized dive enters shallower than the deep threshold")
         sigma = math.copysign(1.0, x_far)
     dev = _walk_dev(S.model, outcome)
-    return _DiveFrame(to_norm_step @ dev.inverse(), dev, sigma)
+    return _DiveFrame(to_norm_step @ to_isometry(mat_inv(dev)), dev, sigma)
 
 
 def _centered_meet(line: GeodesicLine, radius: float) -> complex:
@@ -482,13 +487,13 @@ def _centered_meet(line: GeodesicLine, radius: float) -> complex:
 
 
 def _to_surface(model: SurfaceModel, back_iso: Isometry, z: complex,
-                u: complex) -> tuple[complex, complex, Isometry]:
+                u: complex) -> tuple[complex, complex, IntMatrix]:
     """Carry a point and direction from a working frame onto the
     polygon; returns the normalizing deck element as well."""
     z_raw = back_iso.apply(z)
     u_raw = back_iso.apply_tangent(z, u)
     z_f, g = model.normalize(z_raw)
-    return z_f, g.apply_tangent(z_raw, u_raw), g
+    return z_f, to_isometry(g).apply_tangent(z_raw, u_raw), g
 
 
 def _finish(S: _Setting, c: GeodesicSegment, case: str,
@@ -553,7 +558,7 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
     p_n = frame.to_norm_arc.apply(c.end)
     q_n = frame.to_norm_arc.apply(c.start)
 
-    tails: list[tuple[ExtensionOutcome, Isometry, complex]] = []
+    tails: list[tuple[ExtensionOutcome, IntMatrix, complex]] = []
     for cand in (1, 2):
         side_sign = frame.sigma if cand == 1 else -frame.sigma
         far = side_sign * (1.0 + H * H)
@@ -594,9 +599,10 @@ def _reroute(S: _Setting, c: GeodesicSegment, dive_out: ExtensionOutcome,
 def _bb_assemble(S, c, dive_out, frame, first_tail, bound) -> ProcessedArc:
     model, params, K, psi = S.model, S.params, S.K, S.psi
     t_out, g_tail, _ = first_tail
-    h_dive = frame.dev.apply_horocycle(S.deep[dive_out.stop.index])
-    h_tail = (g_tail.inverse() @ _walk_dev(model, t_out)).apply_horocycle(
-        S.deep[t_out.stop.index])
+    h_dive = to_isometry(frame.dev).apply_horocycle(
+        S.deep[dive_out.stop.index])
+    h_tail = to_isometry(mat_mul(mat_inv(g_tail), _walk_dev(model, t_out))) \
+        .apply_horocycle(S.deep[t_out.stop.index])
     try:
         perp = horocycle_perpendicular(h_tail, h_dive)
     except (HorocyclesIntersect, ValueError) as exc:

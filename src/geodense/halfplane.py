@@ -666,24 +666,6 @@ class Isometry:
             else complex(h.base, h.size)          # a point on the horocycle
         return Horocycle.through(base, self.apply(probe))
 
-    # -- classification -----------------------------------------------------
-
-    def trace(self) -> float:
-        return self.a + self.d
-
-    def is_identity(self, tol: float = TOL_GEO) -> bool:
-        return abs(self.b) <= tol and abs(self.c) <= tol \
-            and abs(self.a - self.d) <= tol and abs(abs(self.a) - 1.0) <= tol
-
-    def is_parabolic(self, tol: float = TOL_GEO) -> bool:
-        return not self.is_identity(tol) \
-            and abs(abs(self.trace()) - 2.0) <= tol
-
-    def fixed_point_parabolic(self) -> float:
-        if abs(self.c) <= TOL_ALG:
-            return INF
-        return (self.a - self.d) / (2.0 * self.c)
-
 
 # ---------------------------------------------------------------------------
 # integer matrices and their axes

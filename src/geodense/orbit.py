@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from .errors import RadiusTooSmall
-from .halfplane import GeodesicSegment, Isometry, _sq_gap
+from .halfplane import GeodesicSegment, Isometry, _sq_gap, mat_mul, to_isometry
 from .surface import SurfaceModel
 from .words import join_reduced
 
@@ -56,7 +56,8 @@ def ball(model: SurfaceModel, center: complex,
     """All deck elements whose tile meets the disk around center.
 
     Returned as (word, isometry) pairs in breadth-first order starting
-    with the identity.  A tile g is kept when
+    with the identity, each element multiplied as an integer matrix
+    along its word and converted once.  A tile g is kept when
     ``dist_to_domain(model, g.inverse().apply(center))`` is at most
     radius + 1e-9.  Deep centers make the tile count explode along the
     cusp, which trips the budget MAX_TILES.
@@ -76,9 +77,10 @@ def ball(model: SurfaceModel, center: complex,
               + _HALF_PLANE_SLACK)
     seen = {""}
     out = []
-    queue = deque([("", Isometry.identity(), center)])
+    queue = deque([("", (1, 0, 0, 1), center)])
     while queue:
-        word, g, w = queue.popleft()
+        word, m, w = queue.popleft()
+        g = to_isometry(m)
         if dist_to_domain(model, g.inverse().apply(center)) > reach:
             continue
         out.append((word, g))
@@ -95,7 +97,7 @@ def ball(model: SurfaceModel, center: complex,
             v = side.pairing.apply(w)
             if partner.line.signed_sinh_dist(v) < floor:
                 continue
-            queue.append((nw, g @ side.inverse_pairing, v))
+            queue.append((nw, mat_mul(m, partner.matrix), v))
     return out
 
 

@@ -115,10 +115,6 @@ class Side:
     def pairing(self) -> Isometry:
         return to_isometry(self.matrix)
 
-    @cached_property
-    def inverse_pairing(self) -> Isometry:
-        return self.pairing.inverse()
-
 
 class SideRow(NamedTuple):
     """One side in plain floats, as membership and each trace step read
@@ -330,25 +326,26 @@ class SurfaceModel:
 
     # -- reduction -----------------------------------------------------------
 
-    def normalize(self, z: complex):
+    def normalize(self, z: complex) -> tuple[complex, IntMatrix]:
         """Reduce a point of the half-plane into the polygon.
 
-        Returns (point, iso) with iso the applied deck element
-        (point = iso(z)).
+        Returns (point, m) with m the applied deck element as an integer
+        matrix, the product of the side pairings and cusp shifts taken
+        (point = m(z)).  The point itself is moved step by step.
         """
-        g = Isometry.identity()
+        m = (1, 0, 0, 1)
         for _ in range(NORMALIZE_STEPS):
             if self.inside(z):
-                return z, g
+                return z, m
             moved = False
             for c in self.cusps:
                 zc = c.chart.apply(z)
                 if zc.imag > c.width:        # deeper than the unit horocycle
                     k = math.floor((zc.real - c.strip_lo) / c.width)
                     if k != 0:
-                        step = to_isometry(c.shift_matrix(-k))
-                        z = step.apply(z)
-                        g = step @ g
+                        shift = c.shift_matrix(-k)
+                        z = to_isometry(shift).apply(z)
+                        m = mat_mul(shift, m)
                         moved = True
                         break
             if moved:
@@ -356,10 +353,10 @@ class SurfaceModel:
             dists = self.side_signed_dists(z)
             i = min(range(len(dists)), key=lambda t: dists[t])
             if dists[i] >= -TOL_GEO:
-                return z, g
+                return z, m
             side = self.sides[i]
             z = side.pairing.apply(z)
-            g = side.pairing @ g
+            m = mat_mul(side.matrix, m)
         raise TraceError(f"point reduction did not terminate for {z}")
 
     # -- validation ----------------------------------------------------------

@@ -38,7 +38,6 @@ from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
     IntMatrix,
-    Isometry,
     axis,
     dist,
     intersect_lines,
@@ -46,7 +45,6 @@ from .halfplane import (
     mat_inv,
     mat_mul,
     same_line,
-    to_isometry,
 )
 from .surface import Cusp, SideRow, SurfaceModel
 from .tolerances import TOL_GEO, TOL_LOOSE
@@ -457,8 +455,9 @@ def concat_traces(legs: list[Trace]) -> Trace:
 
 
 def tile_elements(model: SurfaceModel,
-                  steps: list[TraceStep]) -> list[Isometry]:
-    """Deck elements of the tiles a walk visits, one per step.
+                  steps: list[TraceStep]) -> list[IntMatrix]:
+    """Deck elements of the tiles a walk visits, one per step, as
+    integer matrices.
 
     Entry k maps polygon coordinates of step k back to the frame of the
     walk's start, so the developed picture of the walk is out[k](segment
@@ -467,11 +466,11 @@ def tile_elements(model: SurfaceModel,
     step without a side (the end of a walk, or a joint between abutting
     walks) adds no jump.
     """
-    e = Isometry.identity()
+    e = (1, 0, 0, 1)
     out = [e]
     for st in steps:
         if st.side is not None:
-            e = e @ to_isometry(_step_map(model, st))
+            e = mat_mul(e, _step_map(model, st))
         out.append(e)
     return out
 
@@ -573,8 +572,8 @@ def base_geodesic(model: SurfaceModel,
                   word: str | None = None) -> ClosedGeodesicRep:
     """The closed geodesic of a hyperbolic word (by default the catalog
     filling word), closed by close_exact from the conjugate of its
-    matrix by the deck element, rounded to integers, that reduces a
-    point of its axis into the polygon."""
+    matrix by the deck element that reduces a point of its axis into
+    the polygon."""
     if word is None:
         word = model.spec.base_word
     try:
@@ -588,11 +587,7 @@ def base_geodesic(model: SurfaceModel,
             if min(model.side_signed_dists(z)) > 1e-7:
                 break
             z, g = model.normalize(line.point_at(k * 0.381966 * length))
-        h = tuple(round(v) for v in (g.a, g.b, g.c, g.d))
-        if max(abs(v - r) for v, r in zip((g.a, g.b, g.c, g.d), h)) > 1e-6 \
-                or h[0] * h[3] - h[1] * h[2] != 1:
-            raise TraceError(f"deck element {g} is not an integer matrix")
         return ClosedGeodesicRep(
-            word, close_exact(model, mat_mul(mat_mul(h, w), mat_inv(h)), z))
+            word, close_exact(model, mat_mul(mat_mul(g, w), mat_inv(g)), z))
     except (TraceError, NotHyperbolic) as exc:
         raise type(exc)(f"closed geodesic of {word!r}: {exc}") from exc

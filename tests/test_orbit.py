@@ -133,7 +133,7 @@ def _plain_ball(model, center, radius, max_tiles=20000):
             nw = free_reduce(word + model.sides[side.partner].word)
             if nw not in seen:
                 seen.add(nw)
-                queue.append((nw, g @ side.inverse_pairing))
+                queue.append((nw, g @ side.pairing.inverse()))
     return out
 
 

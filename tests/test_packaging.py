@@ -176,6 +176,43 @@ def test_base_geodesic_is_its_trace():
     assert list(params) == ["model", "steps"]
 
 
+# The functions that accumulate a deck element, by module.
+_DECK_ACCUMULATORS = {
+    "tracing": ["tile_elements"],
+    "surface": ["SurfaceModel.normalize"],
+    "orbit": ["ball"],
+    "decomp": ["_face_walk", "_locate_cusp"],
+}
+
+
+def _function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    node = tree
+    for part in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == part)
+    return node
+
+
+def test_deck_elements_are_integer():
+    """Deck elements accumulate as integer matrices, one way: each
+    accumulator multiplies with mat_mul, never with an Isometry product
+    (@ or compose)."""
+    for module, names in _DECK_ACCUMULATORS.items():
+        path = PACKAGE / f"{module}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        for name in names:
+            nodes = list(ast.walk(_function(tree, name)))
+            assert not any(isinstance(n, ast.BinOp)
+                           and isinstance(n.op, ast.MatMult)
+                           for n in nodes), name
+            assert not any(isinstance(n, ast.Attribute)
+                           and n.attr == "compose" for n in nodes), name
+            assert any(isinstance(n, ast.Call)
+                       and isinstance(n.func, ast.Name)
+                       and n.func.id == "mat_mul" for n in nodes), name
+
+
 def test_trace_is_its_steps_and_length():
     """A walk stores its steps and the length they walk; where it starts
     and ends is read off its first and last steps."""

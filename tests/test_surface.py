@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geodense.catalog import CATALOG, surface_names
 from geodense.errors import InvalidSurface, NotHyperbolic, RelatorFails
@@ -16,6 +17,7 @@ from geodense.halfplane import (
     axis,
     dist,
     mat_inv,
+    mat_mul,
     to_isometry,
 )
 from geodense.surface import (
@@ -202,22 +204,27 @@ class TestLevels:
         assert torus.level(0, z) == pytest.approx(0.8)
 
 
+# (y_lo, y_hi, x_hi) of the arc sampler in tests/test_densify.py
+_BOX = {"once-punctured-torus": (0.35, 2.5, 3.0),
+        "thrice-punctured-sphere": (0.35, 1.2, 1.0)}
+
+
 class TestNormalize:
     def test_interior_fixed(self, sphere):
         z, g = sphere.normalize(sphere.base_point)
         assert z == sphere.base_point
-        assert g.is_identity()
+        assert g == (1, 0, 0, 1)
 
     @pytest.mark.parametrize("word", ["a", "bA", "abB", "AbaB", "bbaBA"])
     def test_round_trip(self, sphere, word):
         z0 = to_isometry(sphere.word_matrix(word)).apply(sphere.base_point)
         z, g = sphere.normalize(z0)
         assert abs(z - sphere.base_point) < 1e-9
-        assert abs(g.apply(z0) - z) < 1e-12
+        assert abs(to_isometry(g).apply(z0) - z) < 1e-12
         # the base point is interior and the action free, so the
         # reduction undoes the word exactly
         m = mat_inv(sphere.word_matrix(word))
-        assert (g.a, g.b, g.c, g.d) in (m, tuple(-v for v in m))
+        assert g in (m, tuple(-v for v in m))
 
     @pytest.mark.parametrize("word", ["a", "Ab", "abAB", "baBAb"])
     def test_round_trip_torus(self, torus, word):
@@ -225,20 +232,54 @@ class TestNormalize:
         z, g = torus.normalize(z0)
         assert abs(z - torus.base_point) < 1e-9
         m = mat_inv(torus.word_matrix(word))
-        assert (g.a, g.b, g.c, g.d) in (m, tuple(-v for v in m))
+        assert g in (m, tuple(-v for v in m))
 
     def test_deep_cusp_shortcut(self, sphere):
         # far along the cusp at 0: the direct orbit point would need
         # hundreds of greedy steps, the parabolic shortcut a handful
-        chart = sphere.cusps[1].chart
-        z0 = chart.inverse().apply(complex(1000.7, 30.0))
+        cusp = sphere.cusps[1]
+        z0 = cusp.chart_inv.apply(complex(1000.7, 30.0))
         z, g = sphere.normalize(z0)
         assert sphere.inside(z)
-        assert abs(g.apply(z0) - z) < 1e-9
+        assert abs(to_isometry(g).apply(z0) - z) < 1e-9
         assert sphere.level(1, z) == pytest.approx(2.0 / 30.0)
         # only cusp parabolics were applied: a translation in the chart
-        t = chart @ g @ chart.inverse()
-        assert abs(t.c) < 1e-9 and abs(t.a - t.d) < 1e-9
+        # by whole widths, the one that brought the point into the strip
+        w = int(cusp.width)
+        k = round((cusp.chart.apply(z).real - 1000.7) / w)
+        assert k != 0
+        t = mat_mul(mat_mul(cusp.matrix, g), mat_inv(cusp.matrix))
+        assert t in ((1, k * w, 0, 1), (-1, -k * w, 0, -1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_element_is_exact_in_the_box(self, torus, sphere, on_torus,
+                                         fx, fy):
+        # points of the arc sampler's box, on and off the polygon
+        model = torus if on_torus else sphere
+        y_lo, y_hi, x_hi = _BOX[model.name]
+        z0 = complex(x_hi * (2.0 * fx - 1.0),
+                     y_lo * (y_hi / y_lo) ** fy)
+        self._check_reduction(model, z0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.floats(-50.0, 50.0), st.floats(0.0, 3.0))
+    def test_element_is_exact_deep_in_a_cusp(self, torus, sphere, j, x, e):
+        # chart heights from 1 to 1e3, far along the cusp: the torus's
+        # cusp, or one of the sphere's three
+        model = torus if j == 3 else sphere
+        cusp = model.cusps[0 if j == 3 else j]
+        z0 = cusp.chart_inv.apply(complex(x, 10.0 ** e))
+        self._check_reduction(model, z0)
+
+    @staticmethod
+    def _check_reduction(model, z0):
+        z, g = model.normalize(z0)
+        assert model.inside(z)
+        assert len(g) == 4 and all(type(v) is int for v in g)
+        a, b, c, d = g
+        assert a * d - b * c == 1
+        assert abs(to_isometry(g).apply(z0) - z) <= 1e-9 * max(1.0, abs(z0))
 
     def test_deep_point_stays_deep(self, torus):
         z0 = to_isometry(torus.word_matrix("abba")).apply(complex(14.2, 40.0))
