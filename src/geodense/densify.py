@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import formulas
 from .errors import (
@@ -101,6 +101,13 @@ class _Setting:
     # coordinates.  Each catalog cusp owns exactly one ideal polygon
     # vertex, so its deep horoball meets the polygon in one piece there.
     deep: tuple[Horocycle, ...]
+    # The same horocycles in their cusps' charts, where runs cross them.
+    deep_chart: tuple[Horocycle, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "deep_chart", tuple(
+            c.chart.apply_horocycle(h)
+            for c, h in zip(self.model.cusps, self.deep)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -235,7 +242,7 @@ def _run_deep_events(S: _Setting, st: TraceStep, walked: float,
                      k: int) -> list[CrossingRecord]:
     """Crossings of a run with its cusp's deep horocycle."""
     c, ch = st.run.cusp, st.run.chart
-    h = c.chart.apply_horocycle(S.deep[c.index])
+    h = S.deep_chart[c.index]
     out = []
     for sp, zc in line_horocycle_crossings(ch.line, h):
         if not ch.contains_param(sp):

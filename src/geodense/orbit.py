@@ -16,6 +16,7 @@ import numpy as np
 from .errors import RadiusTooSmall
 from .halfplane import GeodesicSegment, Isometry, _sq_gap, mat_mul, to_isometry
 from .surface import SurfaceModel
+from .tolerances import TOL_GEO
 from .words import join_reduced
 
 # How far GeodesicSegment.dist_to_point may sit from the true distance,
@@ -27,14 +28,34 @@ DIST_TOL = 1e-7
 def dist_to_domain(model: SurfaceModel, z: complex) -> float:
     """Distance from z to the closed fundamental polygon.
 
-    Zero inside; outside, the nearest boundary point lies on one of the
-    side segments because the polygon is convex.
+    Zero inside, by the test of ``inside``; outside, the nearest
+    boundary point lies on one of the side segments because the polygon
+    is convex.  A segment lies no nearer than its line, so a side whose
+    line lies more than 2 DIST_TOL beyond the nearest segment so far is
+    not measured: its dist_to_point, within DIST_TOL of the true
+    distance, comes out above that one, and the result is the minimum
+    over every side bit for bit.  The sides whose line z lies beyond
+    are measured first, since the nearest segment lies on one of them,
+    and most others are then not measured at all.
+
+    The margin is absolute: a line's sinh distance rounds by a few
+    1e-16, which near a finite vertex, where two segments' distances
+    tie and one line lies nearly as far, exceeds 1e-12 of distances
+    below about 1e-4.
     """
-    if model.inside(z):
+    dists = model.side_signed_dists(z)
+    for v in dists:
+        # "not >=" so that a NaN distance counts as outside, as inside does
+        if not v >= -TOL_GEO:
+            break
+    else:
         return 0.0
     best = math.inf
-    for side in model.sides:
-        best = min(best, side.segment.dist_to_point(z))
+    for beyond in (True, False):
+        for side, v in zip(model.sides, dists):
+            if (v < 0.0) == beyond \
+                    and not math.asinh(abs(v)) > best + 2.0 * DIST_TOL:
+                best = min(best, side.segment.dist_to_point(z))
     return best
 
 
@@ -42,10 +63,12 @@ def dist_to_domain(model: SurfaceModel, z: complex) -> float:
 # three errors: dist_to_point's own, at most DIST_TOL; the drift of the
 # point the search carries from the point the exact test computes, at
 # most 6.3e-12 times 1 + |sinh| on either surface over 300 centers up to
-# height 3,000 and balls of up to 3,000 tiles; and the rounding of
-# signed_sinh_dist, a few ulps for the polygon's unit-size sides.
-# Widening the sinh s to s (1 + d) + d moves its asinh up by about d at
-# least, and 2 DIST_TOL leaves room over the three.
+# height 3,000 and balls of up to 3,000 tiles; and the rounding of one
+# signed_sinh_dist, a few ulps for the polygon's unit-size sides.  The
+# bound reads the carried point's own side distances, with no map in
+# between, so no other rounding enters.  Widening the sinh s to
+# s (1 + d) + d moves its asinh up by about d at least, and 2 DIST_TOL
+# leaves room over the three.
 _HALF_PLANE_SLACK = 2.0 * DIST_TOL
 # a ball of more tiles than this raises RadiusTooSmall
 MAX_TILES = 20000
@@ -59,45 +82,53 @@ def ball(model: SurfaceModel, center: complex,
     with the identity, each element multiplied as an integer matrix
     along its word and converted once.  A tile g is kept when
     ``dist_to_domain(model, g.inverse().apply(center))`` is at most
-    radius + 1e-9.  Deep centers make the tile count explode along the
-    cusp, which trips the budget MAX_TILES.
+    radius + 1e-9; the identity's inverse maps center to center + 0.0
+    bit for bit (a real part -0.0 comes out 0.0), which its tile tests.
+    Deep centers make the tile count explode along the cusp, which trips
+    the budget MAX_TILES.
 
-    Most candidates are rejected before their element is built.  The
-    search carries each tile's point w = g^-1(center), so a candidate
-    across a side has the point ``side.pairing.apply(w)``, which lies
-    beyond the partner side's line when w lies in the polygon.  The
-    polygon lies on the inner side of that line, so a point more than
-    radius beyond it is more than radius from the polygon.  Widened by
+    Most candidates are rejected before their word is joined.  The
+    search carries each kept tile's point w = g^-1(center), and the
+    candidate across side i has the point ``side.pairing.apply(w)``.
+    The pairing maps the polygon's side of line i onto the far side of
+    its partner's line, isometrically, so that point lies as far beyond
+    the partner's line as w lies inside line i: the sinh of that
+    distance is w's signed distance d_i.  The polygon lies on the inner
+    side of the partner's line, so a candidate with d_i above
+    sinh(radius) lies more than radius from the polygon.  Widened by
     _HALF_PLANE_SLACK, the bound rejects only candidates the exact test
-    rejects too, so the list is the one the exact test alone gives, in
-    the same order.
+    rejects too.  Such a candidate's word is never kept, so leaving it
+    unseen changes no kept word's discoverer: the list is the one the
+    exact test alone gives, in the same order.  The word may still be
+    queued along another path, whose exact test drops it.
     """
     reach = radius + 1e-9
-    floor = -(math.sinh(reach) * (1.0 + _HALF_PLANE_SLACK)
-              + _HALF_PLANE_SLACK)
+    ceiling = math.sinh(reach) * (1.0 + _HALF_PLANE_SLACK) \
+        + _HALF_PLANE_SLACK
     seen = {""}
     out = []
     queue = deque([("", (1, 0, 0, 1), center)])
     while queue:
         word, m, w = queue.popleft()
         g = to_isometry(m)
-        if dist_to_domain(model, g.inverse().apply(center)) > reach:
+        if dist_to_domain(model, g.inverse().apply(center) if word
+                          else center + 0.0) > reach:
             continue
         out.append((word, g))
         if len(out) > MAX_TILES:
             raise RadiusTooSmall(
                 f"radius {radius:.3g} ball around {center:.6g} exceeds "
                 f"{MAX_TILES} tiles")
-        for side in model.sides:
+        for side, d in zip(model.sides, model.side_signed_dists(w)):
+            if d > ceiling:
+                continue
             partner = model.sides[side.partner]
             nw = join_reduced(word, partner.word)
             if nw in seen:
                 continue
             seen.add(nw)
-            v = side.pairing.apply(w)
-            if partner.line.signed_sinh_dist(v) < floor:
-                continue
-            queue.append((nw, mat_mul(m, partner.matrix), v))
+            queue.append((nw, mat_mul(m, partner.matrix),
+                          side.pairing.apply(w)))
     return out
 
 
@@ -248,16 +279,17 @@ class _Passages:
         return (dx * dx + dy * dy) / (y * self.my4[i])
 
     def _bounded(self, ws: list[complex], cut: float | None = None):
-        """(point index, passage index, lower bound) arrays of the pairs
-        whose lower bound on the distance is at most cut, one per pair,
-        in no particular order.
+        """(lower bound, point index, passage index) of each pair whose
+        lower bound on the distance is at most cut, one per pair, in no
+        particular order.
 
         A piece's lower bound is the larger of d(w, midpoint) -
         half-length - slack and the distance to the carrying line; the
         pair's is the smallest over its pieces, and exceeds its computed
         ``dist_to_point`` by at most DIST_TOL.  Both bounds are compared
-        with the cut in sinh form; only the rows kept have their bounds
-        formed in distance units.
+        with the cut in sinh form, the carrying line's only for the rows
+        whose midpoint bound passes; only the rows kept have their
+        bounds formed in distance units.
 
         The default cut is an upper bound, d(w, midpoint) + slack at the
         nearest midpoint gathered at cut _NEAR_CUT (over every row when
@@ -268,32 +300,30 @@ class _Passages:
         rules out every other one.
         """
         if not ws or not self.segments:
-            none = np.zeros(0, dtype=np.intp)
-            return none, none, np.zeros(0)
+            return []
         t, i = self._gather(ws, _NEAR_CUT if cut is None else cut)
         wx = np.array([w.real for w in ws])
         wy = np.array([w.imag for w in ws])
         if cut is None and not len(i):
             t, i = self._every(len(ws))
-        x, y = wx[t], wy[t]
-        q2 = self._q2(x, y, i)
+        q2 = self._q2(wx[t], wy[t], i)
         if cut is None:
             k = int(q2.argmin())
             upper = 2.0 * math.asinh(math.sqrt(q2[k])) + self.slack[i[k]]
             cut = upper * (1.0 + 1e-9) + 2.0 * DIST_TOL
             if cut > _NEAR_CUT:
                 t, i = self._gather(ws, cut)
-                x, y = wx[t], wy[t]
-                q2 = self._q2(x, y, i)
+                q2 = self._q2(wx[t], wy[t], i)
         # d(w, m) - reach <= cut  <=>  q2 <= sinh((cut + reach) / 2)^2
         cap = np.sinh(0.5 * (cut + self.reach[i]))
+        near = np.flatnonzero(q2 <= cap * cap)
+        t, i, q2 = t[near], i[near], q2[near]
         # sinh of the distance to the line, r^2 - (x - c)^2 formed
         # without cancellation
-        c, r = self.c[i], self.r[i]
+        x, y, c, r = wx[t], wy[t], self.c[i], self.r[i]
         sinh_line = np.where(self.vertical[i], np.abs(x - c) / y,
                              np.abs(y * y - _sq_gap(r, x, c)) / (2.0 * r * y))
-        keep = np.flatnonzero((q2 <= cap * cap)
-                              & (sinh_line <= math.sinh(cut)))
+        keep = np.flatnonzero(sinh_line <= math.sinh(cut))
         i = i[keep]
         bound = np.maximum(2.0 * np.arcsinh(np.sqrt(q2[keep])) - self.reach[i],
                            np.arcsinh(sinh_line[keep]))
@@ -304,8 +334,7 @@ class _Passages:
                            bound.tolist()):
             if b < least.get(pair, math.inf):
                 least[pair] = b
-        t, p = np.divmod(np.array(list(least), dtype=np.intp), n)
-        return t, p, np.array(list(least.values()))
+        return [(b, *divmod(pair, n)) for pair, b in least.items()]
 
 
 _memo: _Passages | None = None
@@ -362,16 +391,15 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     gather of ``_bounded`` leaves out only pieces its midpoint bound
     rules out.
     """
-    ws = [g.inverse().apply(z) for _, g in ball(model, z, radius)]
-    if not ws:
+    tiles = ball(model, z, radius)
+    if not tiles:
         raise ValueError(
             f"{z:.6g} lies {dist_to_domain(model, z):.6g} from the polygon, "
             f"farther than the radius {radius:.6g}")
+    # the first tile is the identity, whose inverse maps z to z + 0.0
+    ws = [z + 0.0] + [g.inverse().apply(z) for _, g in tiles[1:]]
     best = math.inf
-    t, i, bound = _passages(segments)._bounded(ws)
-    order = np.argsort(bound, kind="stable")
-    for b, k, p in zip(bound[order].tolist(), t[order].tolist(),
-                       i[order].tolist()):
+    for b, k, p in sorted(_passages(segments)._bounded(ws)):
         if b > best + _STOP_MARGIN:
             break
         best = min(best, segments[p].dist_to_point(ws[k]))

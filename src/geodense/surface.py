@@ -203,6 +203,10 @@ class SurfaceModel:
             self.gens[ch], self.gens[ch.upper()] = g, mat_inv(g)
         self.sides = self._build_sides()
         self.side_table = tuple(_side_row(s) for s in self.sides)
+        # the table's line fields as plain tuples, which unpack faster
+        # than a row's fields read by name
+        self._side_lines = tuple((row.vertical, row.k, row.r, row.fwd)
+                                 for row in self.side_table)
         self.cusps = self._build_cusps()
         self.wall_cusps = {s: c for c in self.cusps for s in c.walls}
         self._validate()
@@ -270,28 +274,30 @@ class SurfaceModel:
     # -- membership and levels ----------------------------------------------
 
     def side_signed_dists(self, z: complex) -> list[float]:
-        return [s.line.signed_sinh_dist(z) for s in self.sides]
-
-    def inside(self, z: complex, tol: float = TOL_GEO) -> bool:
-        """Is z in the closed polygon, each side line's signed_sinh_dist
-        at least -tol?  The distances are that method's arithmetic on
-        the side table."""
+        """Each side line's signed_sinh_dist at z, bit for bit: that
+        method's arithmetic on the plain floats of the side table."""
         x, y = z.real, z.imag
-        for row in self.side_table:
-            k = row.k
-            if row.vertical:
+        out = []
+        for vertical, k, r, fwd in self._side_lines:
+            if vertical:
                 v = (k - x) / y
-                if not row.fwd:
+                if not fwd:
                     v = -v
             else:
                 # r^2 - (x - k)^2 as halfplane._sq_gap forms it
-                r = row.r
                 d = x - k
                 bb = x - d
                 e = (x - (d + bb)) + (bb - k)
                 v = (y * y - ((r - d) - e) * ((r + d) + e)) / (2.0 * r * y)
-                if row.fwd:
+                if fwd:
                     v = -v
+            out.append(v)
+        return out
+
+    def inside(self, z: complex, tol: float = TOL_GEO) -> bool:
+        """Is z in the closed polygon, each side line's signed_sinh_dist
+        at least -tol?"""
+        for v in self.side_signed_dists(z):
             # "not >=" so that a NaN distance counts as outside
             if not v >= -tol:
                 return False

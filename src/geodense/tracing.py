@@ -584,7 +584,7 @@ def base_geodesic(model: SurfaceModel,
         # point works since the walker resolves on-boundary starts
         z, g = model.normalize(line.point_at(0.0))
         for k in range(1, 25):
-            if min(model.side_signed_dists(z)) > 1e-7:
+            if all(v > 1e-7 for v in model.side_signed_dists(z)):
                 break
             z, g = model.normalize(line.point_at(k * 0.381966 * length))
         return ClosedGeodesicRep(

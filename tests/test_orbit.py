@@ -10,9 +10,8 @@ import re
 import statistics
 from collections import deque
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geodense import orbit
 from geodense.catalog import CATALOG
@@ -28,6 +27,7 @@ from geodense.halfplane import (
 )
 from geodense.orbit import (
     DIST_TOL,
+    _HALF_PLANE_SLACK,
     _NEAR_CUT,
     _STOP_MARGIN,
     _Passages,
@@ -35,6 +35,7 @@ from geodense.orbit import (
     dist_to_closed_geodesic,
     dist_to_domain,
 )
+from geodense.surface import load_surface
 from geodense.tracing import base_geodesic, trace_geodesic
 from geodense.words import free_reduce, join_reduced
 
@@ -60,6 +61,123 @@ class TestDistToDomain:
         z = complex(-1.5, 0.3)
         assert dist_to_domain(sphere, z) \
             == pytest.approx(dist(z, complex(-1.0, 1.0)))
+
+
+_MODELS = {name: load_surface(name) for name in CATALOG}
+
+
+@st.composite
+def _near_a_side(draw):
+    """A catalog model and a point off one of its side lines by 1e-12 to
+    0.3 times its height, anywhere along the line within parameter 8 of
+    the side's window."""
+    model = _MODELS[draw(st.sampled_from(sorted(_MODELS)))]
+    side = draw(st.sampled_from(model.sides))
+    lo, hi = max(side.s_lo, -8.0), min(side.s_hi, 8.0)
+    z = side.line.point_at(draw(st.floats(lo - 8.0, hi + 8.0)))
+    off = 10.0 ** draw(st.floats(-12.0, -0.5)) * z.imag
+    return model, z + off * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+
+
+@st.composite
+def _up_a_cusp(draw):
+    """A catalog model and a point up to chart height 3,000 in one of its
+    cusps, over the cusp's strip and half a width to either side."""
+    model = _MODELS[draw(st.sampled_from(sorted(_MODELS)))]
+    c = draw(st.sampled_from(model.cusps))
+    x = c.strip_lo + draw(st.floats(-0.5, 1.5)) * c.width
+    y = math.exp(draw(st.floats(0.0, math.log(3000.0))))
+    return model, c.chart_inv.apply(complex(x, y))
+
+
+class TestSideDistances:
+    """ball and dist_to_domain read a point's six side distances."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_near_a_side(), _up_a_cusp()))
+    def test_pairing_carries_the_distance_across(self, model_w):
+        """Side i's pairing maps the polygon's side of line i onto the far
+        side of its partner's line: the partner's signed distance of the
+        mapped point is -d_i(w), to within the room _HALF_PLANE_SLACK
+        leaves over DIST_TOL for the bound's other errors."""
+        model, w = model_w
+        room = _HALF_PLANE_SLACK - DIST_TOL
+        for side, d in zip(model.sides, model.side_signed_dists(w)):
+            partner = model.sides[side.partner]
+            e = partner.line.signed_sinh_dist(side.pairing.apply(w))
+            assert abs(-d - e) <= room * (1.0 + abs(d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_a_side())
+    def test_dist_to_domain_is_the_plain_minimum(self, model_w):
+        """Outside the polygon, the minimum of every side segment's
+        dist_to_point, bit for bit, though most segments go unmeasured."""
+        model, z = model_w
+        assume(not model.inside(z))
+        assert dist_to_domain(model, z).hex() \
+            == min(s.segment.dist_to_point(z) for s in model.sides).hex()
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_near_ties_at_the_finite_vertices(self, name, request):
+        """Points 1e-12 to 0.1 times a finite vertex's height from it,
+        along the outward normal of one of the two sides there turned by
+        1e-14 to 1e-4: the two segments' distances nearly tie and that
+        side's line lies nearly as far.  There the line's distance comes
+        out above the nearest segment's by more than 1e-12 of it, on 1
+        to 2 % of the torus's points at i: a margin relative to the
+        distance alone would skip the nearest segment."""
+        model = request.getfixturevalue(name)
+        rng = random.Random(20261020)
+        k = len(model.sides)
+        for i, v in enumerate(model.spec.vertices):
+            if not isinstance(v, complex):
+                continue
+            for side in (model.sides[(i - 1) % k], model.sides[i]):
+                normal = -1j * side.line.tangent_at(side.line.param_of(v))
+                for _ in range(400):
+                    turn = rng.choice((-1.0, 1.0)) \
+                        * 10.0 ** rng.uniform(-14.0, -4.0)
+                    z = v + 10.0 ** rng.uniform(-12.0, -1.0) * v.imag \
+                        * normal * cmath.exp(1j * turn)
+                    if model.inside(z):
+                        continue
+                    assert dist_to_domain(model, z).hex() == min(
+                        s.segment.dist_to_point(z) for s in model.sides).hex()
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_bound_spares_the_exact_test(self, name, request, monkeypatch):
+        """The bound drops nearly every candidate the exact test would:
+        over the centers of TestBallBound, fewer than two exact tests per
+        tile kept.  On the torus no candidate is tested in vain up to
+        radius 1.  On the sphere a word the bound drops along one path
+        may be queued along another and fail the exact test there, up
+        to 1.6 tests per tile."""
+        model = request.getfixturevalue(name)
+        exact = dist_to_domain
+        calls = []
+        monkeypatch.setattr(orbit, "dist_to_domain", lambda model, z: (
+            calls.append(z), exact(model, z))[1])
+        for radius in (0.01, 0.2, 1.0, 2.5):
+            calls.clear()
+            kept = sum(len(ball(model, z, radius))
+                       for z in _ball_centers(model))
+            assert len(calls) < 2 * kept
+            if name == "torus" and radius <= 1.0:
+                assert len(calls) == kept
+
+    @given(st.floats(-3.5, 3.5), st.floats(1e-3, 3e3))
+    @example(-0.0, 1.0)
+    @example(0.0, 2.5)
+    def test_identity_tile_is_the_center(self, x, y):
+        """ball and dist_to_closed_geodesic test and measure the identity
+        tile at center + 0.0: the identity's inverse, as ball converts
+        it, maps every point there bit for bit, a real part -0.0 to 0.0
+        and any other point to itself."""
+        z = complex(x, y)
+        w = to_isometry((1, 0, 0, 1)).inverse().apply(z)
+        assert (w.real.hex(), w.imag.hex()) \
+            == ((z + 0.0).real.hex(), (z + 0.0).imag.hex()) \
+            == ((x + 0.0).hex(), y.hex())
 
 
 class TestBall:
@@ -384,9 +502,9 @@ class TestBoundedScan:
             sign = -sign
         w = complex(x + sign * 10.0 ** log_off * y, y)
         d = seg.dist_to_point(w)
-        t, i, bound = _Passages([seg])._bounded([w], cut=d + DIST_TOL)
-        assert (t.tolist(), i.tolist()) == ([0], [0])
-        assert bound[0] <= d + DIST_TOL
+        [(bound, t, i)] = _Passages([seg])._bounded([w], cut=d + DIST_TOL)
+        assert (t, i) == (0, 0)
+        assert bound <= d + DIST_TOL
 
 
 def _excursion(torus, apex=1.5e3):
@@ -416,8 +534,7 @@ def _all_rows(segments):
 
 def _pairs(table, ws, cut=None):
     """The (point, passage) pairs _bounded keeps, sorted."""
-    t, i, _ = table._bounded(ws, cut)
-    return sorted(zip(t.tolist(), i.tolist()))
+    return sorted((t, i) for _, t, i in table._bounded(ws, cut))
 
 
 def _nearest(segments, ws, pairs):
@@ -523,8 +640,7 @@ class TestHeightWindow:
 
 def _pair_bounds(table, ws, cut):
     """{(point, passage): lower bound} of the pairs _bounded keeps."""
-    t, i, bound = table._bounded(ws, cut)
-    return dict(zip(zip(t.tolist(), i.tolist()), bound.tolist()))
+    return {(t, i): bound for bound, t, i in table._bounded(ws, cut)}
 
 
 def _huge_passage(x, log_y, a, b):
@@ -700,8 +816,8 @@ class TestBestFirst:
 
         monkeypatch.setattr(GeodesicSegment, "dist_to_point", short)
         curve = [near_seg, far_seg]
-        _, i, bound = _Passages(curve)._bounded([z])
-        b_near, b_far = bound[np.argsort(i)]
+        (b_near, _, _), (b_far, _, _) = sorted(
+            _Passages(curve)._bounded([z]), key=lambda pair: pair[2])
         assert b_near < b_far
         assert short(far_seg, z) < short(near_seg, z) < b_far
         assert dist_to_closed_geodesic(torus, z, curve, 0.01) \

@@ -151,6 +151,29 @@ class TestInside:
                 assert model.inside(z, tol) == all(
                     d >= -tol for d in model.side_signed_dists(z))
 
+    def test_side_distances_are_the_lines(self, name, request):
+        """side_signed_dists reads the side table with signed_sinh_dist's
+        arithmetic: bit for bit, on the points above and on points off
+        each side by 1e-12 to 1e-5 of their height, along the whole line
+        and high in each cusp."""
+        model = request.getfixturevalue(name)
+        rng = random.Random(20261020)
+        points = [complex(rng.uniform(-3.5, 3.5),
+                          math.exp(rng.uniform(-3.0, 2.0)))
+                  for _ in range(300)]
+        for s in model.sides:
+            for _ in range(30):
+                z = s.line.point_at(rng.uniform(-12.0, 12.0))
+                off = 10.0 ** rng.uniform(-12.0, -5.0) * z.imag
+                points.append(z + off * cmath.exp(1j * rng.uniform(0, 7)))
+        for c in model.cusps:
+            points += [c.chart_inv.apply(complex(
+                c.strip_lo + rng.uniform(-0.5, 1.5) * c.width,
+                math.exp(rng.uniform(0.0, 8.0)))) for _ in range(30)]
+        for z in points:
+            assert [d.hex() for d in model.side_signed_dists(z)] \
+                == [s.line.signed_sinh_dist(z).hex() for s in model.sides]
+
 
 class TestAxes:
     """A word's axis and length, from its integer matrix."""
