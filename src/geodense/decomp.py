@@ -108,17 +108,8 @@ class Face:
 
     def boundary_edges(self) -> list[GeodesicSegment]:
         """Developed boundary arcs, one period for punctured faces."""
-        out = []
-        for k in range(len(self.corners)):
-            a = self.corners[k]
-            if k + 1 < len(self.corners):
-                b = self.corners[k + 1]
-            elif self.punctured:
-                b = to_isometry(self.closure).apply(self.corners[0])
-            else:
-                b = self.corners[0]
-            out.append(GeodesicSegment.between(a, b))
-        return out
+        chain = boundary_chain(self.corners, self.closure, 0, 2)
+        return chain_edges(chain, len(self.corners))
 
 
 @dataclass(frozen=True)
@@ -335,14 +326,42 @@ def _face_walk(cx: _Complex, orbit):
             step = mat_mul(mat_inv(period), step)
         g = mat_mul(g, step)
     # developed corner gaps must reproduce the arc lengths on the curve
+    chain = boundary_chain(corners, g, 0, 2)
     for k, d in enumerate(orbit):
-        nxt = corners[(k + 1) % len(orbit)]
-        if k + 1 == len(orbit):
-            nxt = to_isometry(g).apply(corners[0])
-        if abs(dist(corners[k], nxt) - cx.arc_len(d)) > 1e-6:
+        if abs(dist(chain[k], chain[k + 1]) - cx.arc_len(d)) > 1e-6:
             raise ArrangementDegenerate(
                 "developed face edge does not match its arc length")
     return corners, angles, g
+
+
+def boundary_chain(corners, closure: IntMatrix, lo: int,
+                   hi: int) -> list[complex]:
+    """Corners of periods lo .. hi - 1 of a face boundary.
+
+    Period k is the corners moved by the k-th power of the integer
+    closure.  A period whose power is +-I, period 0 and every period of
+    an ordinary face, is the corners themselves: their image under a
+    float identity would turn a -0.0 real part into 0.0.
+    """
+    step = closure if lo >= 0 else mat_inv(closure)
+    g = (1, 0, 0, 1)
+    for _ in range(abs(lo)):
+        g = mat_mul(g, step)
+    chain = []
+    for _ in range(hi - lo):
+        if g in ((1, 0, 0, 1), (-1, 0, 0, -1)):
+            chain.extend(corners)
+        else:
+            chain.extend(map(to_isometry(g).apply, corners))
+        g = mat_mul(g, closure)
+    return chain
+
+
+def chain_edges(chain, n):
+    """The first n arcs between consecutive chain corners, each once: the
+    periods of an ordinary face's chain coincide."""
+    return [GeodesicSegment.between(a, b)
+            for a, b in dict.fromkeys(zip(chain, chain[1:n + 1]))]
 
 
 def _corner_angle(at: complex, to1: complex, to2: complex) -> float:
@@ -362,36 +381,20 @@ def _triangle(a: complex, b: complex, c: complex) -> Ear:
     return Ear((a, b, c), angles, sides)
 
 
-def _build_ears(corners, closure=None):
-    """Ear triangles over consecutive corner triples.
+def _build_ears(corners, closure: IntMatrix):
+    """Ear triangles over consecutive corner triples of period 0.
 
-    With a closure element the corner list is one period of an infinite
-    chain and the triples run across the period boundary; otherwise the
-    list is cyclic.  Each ear's bridging chord must stay inside the
-    face, which is checked against a window of boundary edges.
+    The triples run across the period boundary of the chain.  Each
+    ear's bridging chord must stay inside the face, which is checked
+    against the boundary edges of periods -1 .. 2; the bridge of a
+    triangle face is its third side, so it crosses none.
     """
     m = len(corners)
-    if closure is not None:
-        chain = [closure.inverse().apply(z) for z in corners] \
-            + list(corners) \
-            + [closure.apply(z) for z in corners] \
-            + [(closure @ closure).apply(z) for z in corners]
-        edges = [GeodesicSegment.between(chain[k], chain[k + 1])
-                 for k in range(len(chain) - 1)]
-        triples = [(chain[m + i], chain[m + i + 1], chain[m + i + 2])
-                   for i in range(m)]
-    else:
-        chain = list(corners)
-        edges = [GeodesicSegment.between(chain[k], chain[(k + 1) % m])
-                 for k in range(m)]
-        triples = [(chain[i], chain[(i + 1) % m], chain[(i + 2) % m])
-                   for i in range(m)]
+    chain = boundary_chain(corners, closure, -1, 3)
+    edges = chain_edges(chain, len(chain) - 1)
     ears = []
-    for (a, b, c) in triples:
-        if m == 3 and closure is None:
-            # the bridge of a triangle face is its third side
-            ears.append(_triangle(a, b, c))
-            continue
+    for i in range(m, 2 * m):
+        a, b, c = chain[i], chain[i + 1], chain[i + 2]
         chord = GeodesicSegment.between(a, c)
         for e in edges:
             if segments_cross(chord, e) is not None:
@@ -445,15 +448,15 @@ def _punctured_face_data(model, corners, closure):
     return j, math.log(width / y_min)
 
 
-def _ordinary_diam(corners):
+def _ordinary_diam(corners, closure: IntMatrix):
     """Conservative face size: largest corner-to-corner distance plus
     the largest distance from a corner to a non-adjacent side."""
     m = len(corners)
     across = max(dist(corners[i], corners[j])
                  for i in range(m) for j in range(i + 1, m))
     to_side = 0.0
-    for k in range(m):
-        e = GeodesicSegment.between(corners[k], corners[(k + 1) % m])
+    edges = chain_edges(boundary_chain(corners, closure, 0, 2), m)
+    for k, e in enumerate(edges):
         for i in range(m):
             if i in (k, (k + 1) % m):
                 continue
@@ -503,15 +506,15 @@ def decompose(model: SurfaceModel, word: str | None = None) -> Decomposition:
             area = (m - 2) * math.pi - sum(angles)
             if area <= 1e-9:
                 raise ArrangementDegenerate("ordinary face with zero area")
-            ears = _build_ears(corners)
+            ears = _build_ears(corners, closure)
             face = Face(corners, angles, False, closure, None, area, ears,
-                        _ordinary_diam(corners), None)
+                        _ordinary_diam(corners, closure), None)
         elif abs(closure[0] + closure[3]) == 2:
             area = m * math.pi - sum(angles)
             if area <= 1e-9:
                 raise ArrangementDegenerate("punctured face with zero area")
             cusp, depth = _punctured_face_data(model, corners, closure)
-            ears = _build_ears(corners, to_isometry(closure))
+            ears = _build_ears(corners, closure)
             face = Face(corners, angles, True, closure, cusp, area, ears,
                         None, depth)
         else:

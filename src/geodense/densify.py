@@ -205,6 +205,10 @@ def _ray_events(S: _Setting, steps: list[TraceStep], walked: float = 0.0,
             if not lines_cross(seg.line, chord.line):
                 continue
             z = intersect_lines(seg.line, chord.line)
+            if z is None:
+                # the lines meet at height <= 1e-12 if at all, where no
+                # base chord runs: it stays below every unit horocycle
+                continue
             sw = seg.line.param_of(z)
             if not seg.contains_param(sw):
                 continue

@@ -580,10 +580,6 @@ class Isometry:
     d: float
 
     @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
     def translation(t: float) -> "Isometry":
         return Isometry(1.0, t, 0.0, 1.0)
 
@@ -651,14 +647,6 @@ class Isometry:
         e1 = self.apply_boundary(line.endpoint_back)
         e2 = self.apply_boundary(line.endpoint_fwd)
         return GeodesicLine.from_endpoints(e1, e2)
-
-    def apply_segment(self, seg: GeodesicSegment) -> GeodesicSegment:
-        line = self.apply_line(seg.line)
-        a = line.param_of(self.apply(seg.start))
-        b = line.param_of(self.apply(seg.end))
-        if b < a:
-            raise ValueError("orientation lost while mapping a segment")
-        return GeodesicSegment(line, a, b)
 
     def apply_horocycle(self, h: Horocycle) -> Horocycle:
         base = self.apply_boundary(h.base)

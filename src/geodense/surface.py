@@ -339,6 +339,10 @@ class SurfaceModel:
         matrix, the product of the side pairings and cusp shifts taken
         (point = m(z)).  The point itself is moved step by step.
         """
+        if not (z.imag > 0.0 and math.isfinite(z.real)
+                and math.isfinite(z.imag)):
+            raise TraceError(f"cannot reduce {z}: not a point of the "
+                             "half-plane")
         m = (1, 0, 0, 1)
         for _ in range(NORMALIZE_STEPS):
             if self.inside(z):

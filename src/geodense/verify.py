@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import Face
+from .decomp import Face, boundary_chain, chain_edges
 from .formulas import (
     clearance,
     disjointness_threshold,
@@ -25,14 +25,12 @@ from .halfplane import (
     GeodesicLine,
     GeodesicSegment,
     Horocycle,
-    Isometry,
     angle_with_horocycle,
     dist,
     folded_angle,
     line_horocycle_crossings,
     lines_cross,
     segments_cross,
-    to_isometry,
 )
 
 HALF_PI = math.pi / 2
@@ -524,22 +522,15 @@ def face_chords(face: Face, rng: np.random.Generator, count: int):
 
     Returns a list of (length, angle_a, angle_b) with the folded acute
     angles between the chord and the boundary edge at its endpoints.
-    For punctured faces, chords are sampled across neighboring periods
-    of the boundary chain and discarded when they leave the face.
+    Chords are sampled across periods -1 .. 1 of the boundary chain
+    (the one period of an ordinary face) and discarded when they cross
+    an edge of periods -2 .. 2, leaving the face.
     """
-    edges = face.boundary_edges()
-    if face.punctured:
-        p = to_isometry(face.closure)
-        two = p @ p
-        window = [s.apply_segment(e)
-                  for s in (p.inverse(), Isometry.identity(), p)
-                  for e in edges]
-        guard = window + [s.apply_segment(e)
-                          for s in (two.inverse(), two)
-                          for e in edges]
-    else:
-        window = edges
-        guard = edges
+    m = face.n_corners
+    window = chain_edges(boundary_chain(face.corners, face.closure, -1, 3),
+                         3 * m)
+    guard = chain_edges(boundary_chain(face.corners, face.closure, -2, 4),
+                        5 * m)
     out = []
     attempts = 0
     while len(out) < count and attempts < 50 * count:
@@ -569,23 +560,27 @@ def face_chords(face: Face, rng: np.random.Generator, count: int):
     return out
 
 
+# slack of the face chord check: on the angle floor, and on the side cap
+_CHORD_TOL_ANGLE = 1e-9
+_CHORD_TOL_LEN = 1e-6
+
+
 def check_face_chord_bounds(face: Face, rng: np.random.Generator,
-                            count: int, tol_angle: float = 1e-9,
-                            tol_len: float = 1e-6):
+                            count: int):
     """Every face chord meets an edge at angle >= the face's angle
     floor, and chords meeting both edges below the floor stay shorter
     than the face's side cap.  Returns (n_checked, n_short)."""
     samples = face_chords(face, rng, count)
     n_short = 0
     for (length, ang_a, ang_b) in samples:
-        if not max(ang_a, ang_b) >= face.angle_floor - tol_angle:
+        if not max(ang_a, ang_b) >= face.angle_floor - _CHORD_TOL_ANGLE:
             raise AssertionError(
                 f"chord of length {length:.6g} meets its edges at "
                 f"{ang_a:.6g} and {ang_b:.6g}, both below the floor "
                 f"{face.angle_floor:.6g}")
         if min(ang_a, ang_b) <= face.angle_floor:
             n_short += 1
-            if not length <= face.side_cap + tol_len:
+            if not length <= face.side_cap + _CHORD_TOL_LEN:
                 raise AssertionError(
                     f"chord of length {length:.6g} with a sub-floor "
                     f"endpoint angle exceeds the side cap "

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from geodense.decomp import _build_ears, _locate_cusp, _triangle, decompose
+from geodense.decomp import (
+    _build_ears,
+    _locate_cusp,
+    _triangle,
+    boundary_chain,
+    decompose,
+)
 from geodense.errors import (
     ArrangementDegenerate,
     EarConstructionFails,
@@ -11,7 +17,7 @@ from geodense.errors import (
     NotHyperbolic,
 )
 from geodense.formulas import arc_budget, per_arc_budget
-from geodense.halfplane import Isometry, dist, mat_inv, mat_mul
+from geodense.halfplane import dist, mat_inv, mat_mul, to_isometry
 from geodense.tracing import base_geodesic
 from geodense.verify import check_face_chord_bounds
 
@@ -166,6 +172,36 @@ class TestComplexStructure:
         assert any(not f.punctured for f in cut.faces) \
             == (which == "torus_dec")
 
+    @each_cut
+    def test_boundary_chain_periods(self, which, request):
+        # period k of the chain is the corners moved by the k-th integer
+        # power of the closure; period 0, and every period of an ordinary
+        # face, is the corners themselves
+        cut = request.getfixturevalue(which)
+        for f in cut.faces:
+            m = f.n_corners
+            chain = boundary_chain(f.corners, f.closure, -2, 3)
+            periods = [chain[k * m:(k + 1) * m] for k in range(5)]
+            assert periods[2] == f.corners
+            if not f.punctured:
+                assert all(p == f.corners for p in periods)
+                continue
+            move = to_isometry(f.closure)
+            for p, q in zip(periods, periods[1:]):
+                assert all(abs(move.apply(z) - w) < 1e-9 * max(1.0, abs(w))
+                           for z, w in zip(p, q))
+            assert boundary_chain(f.corners, f.closure, 1, 2) == periods[3]
+            assert abs(f.boundary_edges()[-1].end - periods[3][0]) < 1e-9
+
+    def test_boundary_chain_keeps_the_corners_bits(self):
+        # the float identity would turn the -0.0 real part into 0.0
+        corners = [complex(-0.0, 1.0), complex(2.0, 1.0)]
+        for closure in ((1, 0, 0, 1), (-1, 0, 0, -1), (1, 8, 0, 1)):
+            [z, w] = boundary_chain(corners, closure, 0, 1)
+            assert math.copysign(1.0, z.real) == -1.0 and w == corners[1]
+        [z, _] = boundary_chain(corners, (-1, 0, 0, -1), 1, 2)
+        assert math.copysign(1.0, z.real) == -1.0
+
     def test_determinism(self, sphere):
         d1 = decompose(sphere)
         d2 = decompose(sphere)
@@ -245,7 +281,7 @@ class TestEars:
         # four corners at equal height under a period-8 translation:
         # every ear is a horizontal translate of the others
         corners = [complex(x, 1.0) for x in (-3.0, -1.0, 1.0, 3.0)]
-        ears = _build_ears(corners, Isometry.translation(8.0))
+        ears = _build_ears(corners, (1, 8, 0, 1))
         assert len(ears) == 4
         for e in ears[1:]:
             for x, y in zip(e.angles, ears[0].angles):
@@ -262,7 +298,7 @@ class TestEars:
                    ((0.0, 0.0), (1.0, -2.0), (2.0, 0.0), (1.2, -0.5),
                     (0.8, 1.0))]
         with pytest.raises(EarConstructionFails, match="leaves the face"):
-            _build_ears(corners)
+            _build_ears(corners, (1, 0, 0, 1))
 
     def test_ordinary_ears_count(self, torus_dec):
         for f in torus_dec.faces:

@@ -556,6 +556,26 @@ class TestIncrementalHunt:
         assert dist(passed.point, z) < 1e-9
         assert out.case_id == 4
 
+    def test_chord_without_an_intersection_point_is_skipped(
+            self, torus, torus_dec, torus_g0, monkeypatch):
+        # lines_cross can accept a base chord whose crossing with the
+        # step's line intersect_lines puts at height <= 1e-12, where no
+        # base chord runs: the scan skips the chord, as decomp does
+        S = densify._setting(DensityParams(0.5, 0.5), torus_dec.constants,
+                             torus, torus_g0)
+        u = complex(math.cos(0.4), math.sin(0.4))
+        ray = trace_geodesic(torus, torus.base_point, u, 6.0)
+        events = densify._ray_events(S, ray.steps)
+        index = next(e.index for e in events if e.kind == "base")
+        [line] = [ch.line for i, ch, _ in torus_g0.chords if i == index]
+        meet = densify.intersect_lines
+        monkeypatch.setattr(
+            densify, "intersect_lines",
+            lambda l1, l2: None if l2 is line else meet(l1, l2))
+        got = densify._ray_events(S, ray.steps)
+        assert [e for e in events
+                if (e.kind, e.index) != ("base", index)] == got
+
     @pytest.mark.parametrize("which", ["torus", "sphere"])
     def test_class_a_walks_cut_at_their_stops(self, which, request):
         # a class-A stop is a base crossing, and base crossings lie in

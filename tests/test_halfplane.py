@@ -712,14 +712,6 @@ class TestIsometry:
         assert math.sinh(dist(z, w) / 2.0) ** 2 == pytest.approx(want,
                                                                 rel=1e-12)
 
-    def test_apply_segment(self):
-        g = Isometry(2.0, 1.0, 1.0, 1.0)
-        seg = GeodesicSegment.between(0.2 + 1j, -1 + 0.5j)
-        img = g.apply_segment(seg)
-        assert img.length == pytest.approx(seg.length, abs=1e-9)
-        assert abs(img.start - g.apply(seg.start)) < 1e-9
-        assert abs(img.end - g.apply(seg.end)) < 1e-9
-
 
 class TestHorocyclePerpendicular:
     def test_vertical_case(self):

@@ -237,7 +237,7 @@ def _plain_ball(model, center, radius, max_tiles=20000):
     """Breadth-first search that gives every candidate the exact test."""
     seen = {""}
     out = []
-    queue = deque([("", Isometry.identity())])
+    queue = deque([("", Isometry(1.0, 0.0, 0.0, 1.0))])
     while queue:
         word, g = queue.popleft()
         if dist_to_domain(model, g.inverse().apply(center)) > radius + 1e-9:

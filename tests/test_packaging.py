@@ -181,7 +181,13 @@ _DECK_ACCUMULATORS = {
     "tracing": ["tile_elements"],
     "surface": ["SurfaceModel.normalize"],
     "orbit": ["ball"],
-    "decomp": ["_face_walk", "_locate_cusp"],
+    "decomp": ["_face_walk", "_locate_cusp", "boundary_chain"],
+}
+
+# The functions that read a face's boundary chain, by module.
+_CHAIN_READERS = {
+    "decomp": ["_build_ears", "Face.boundary_edges"],
+    "verify": ["face_chords"],
 }
 
 
@@ -194,23 +200,33 @@ def _function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
     return node
 
 
-def test_deck_elements_are_integer():
-    """Deck elements accumulate as integer matrices, one way: each
-    accumulator multiplies with mat_mul, never with an Isometry product
-    (@ or compose)."""
-    for module, names in _DECK_ACCUMULATORS.items():
+def _nodes(functions):
+    """(name, every AST node) of each function named, by module."""
+    for module, names in functions.items():
         path = PACKAGE / f"{module}.py"
         tree = ast.parse(path.read_text(), str(path))
         for name in names:
-            nodes = list(ast.walk(_function(tree, name)))
-            assert not any(isinstance(n, ast.BinOp)
-                           and isinstance(n.op, ast.MatMult)
-                           for n in nodes), name
-            assert not any(isinstance(n, ast.Attribute)
-                           and n.attr == "compose" for n in nodes), name
-            assert any(isinstance(n, ast.Call)
-                       and isinstance(n.func, ast.Name)
-                       and n.func.id == "mat_mul" for n in nodes), name
+            yield name, list(ast.walk(_function(tree, name)))
+
+
+def test_deck_elements_are_integer():
+    """Deck elements accumulate as integer matrices, one way: each
+    accumulator multiplies with mat_mul, never with an Isometry product
+    (@ or compose).  The readers of a face's boundary chain take its
+    periods from boundary_chain and form no product or inverse at all."""
+    for name, nodes in _nodes(_DECK_ACCUMULATORS | _CHAIN_READERS):
+        assert not any(isinstance(n, ast.BinOp)
+                       and isinstance(n.op, ast.MatMult)
+                       for n in nodes), name
+        assert not any(isinstance(n, ast.Attribute)
+                       and n.attr == "compose" for n in nodes), name
+    for name, nodes in _nodes(_CHAIN_READERS):
+        assert not any(isinstance(n, ast.Attribute)
+                       and n.attr == "inverse" for n in nodes), name
+    for name, nodes in _nodes(_DECK_ACCUMULATORS):
+        assert any(isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Name)
+                   and n.func.id == "mat_mul" for n in nodes), name
 
 
 def test_trace_is_its_steps_and_length():
@@ -242,6 +258,7 @@ def test_every_error_is_raised():
 _UNUSED_KEPT = {
     "formulas.quad_entry_angle": "test oracle",
     "halfplane.crossing_angle": "test oracle",
+    "decomp.Face.boundary_edges": "test oracle",
     "halfplane.GeodesicLine.dist_to": "test oracle",
     "halfplane.Horocycle.on_horocycle": "test oracle",
     "halfplane.Horocycle.contains_in_ball": "test oracle",

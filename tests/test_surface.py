@@ -4,12 +4,18 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodense.catalog import CATALOG, surface_names
-from geodense.errors import InvalidSurface, NotHyperbolic, RelatorFails
+from geodense.errors import (
+    InvalidSurface,
+    NotHyperbolic,
+    RelatorFails,
+    TraceError,
+)
 from geodense.halfplane import (
     INF,
     GeodesicLine,
@@ -273,6 +279,16 @@ class TestNormalize:
         assert k != 0
         t = mat_mul(mat_mul(cusp.matrix, g), mat_inv(cusp.matrix))
         assert t in ((1, k * w, 0, 1), (-1, -k * w, 0, -1))
+
+    @pytest.mark.parametrize("z0", [complex(math.nan, 1.0),
+                                    complex(0.3, math.inf),
+                                    complex(0.3, -0.5), complex(0.3, 0.0)],
+                             ids=["nan", "inf", "below", "on_the_axis"])
+    def test_refuses_a_point_off_the_half_plane(self, torus, z0):
+        # refused before any pairing is applied, naming the point given
+        with pytest.raises(TraceError,
+                           match=re.escape(f"cannot reduce {z0}:")):
+            torus.normalize(z0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.booleans(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

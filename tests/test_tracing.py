@@ -151,10 +151,11 @@ class TestPassages:
         base = tr.steps[0].segment
         prev_end = base.end
         for k, st in enumerate(tr.steps[1:], 1):
-            dev = to_isometry(tiles[k]).apply_segment(st.segment)
-            assert same_line(dev.line, base.line, tol=1e-6)
-            assert abs(dev.start - prev_end) < 1e-6
-            prev_end = dev.end
+            move = to_isometry(tiles[k])
+            assert same_line(move.apply_line(st.segment.line), base.line,
+                             tol=1e-6)
+            assert abs(move.apply(st.segment.start) - prev_end) < 1e-6
+            prev_end = move.apply(st.segment.end)
 
     def test_start_outside_rejected(self, sphere):
         with pytest.raises(TraceError):
