@@ -679,21 +679,32 @@ def to_isometry(m: IntMatrix) -> Isometry:
     return Isometry(*map(float, m))
 
 
-def axis(m: IntMatrix) -> tuple[GeodesicLine, float]:
+def axis_root(t: int) -> tuple[int, int]:
+    """(k, isqrt((t^2 - 4) 4^k)), k = bits(t^2 - 4) + 64: the scaled root
+    axis takes the ends of a matrix of trace t from.  |t| <= 2 raises
+    NotHyperbolic."""
+    if abs(t) <= 2:
+        raise NotHyperbolic(f"trace {t} is not hyperbolic: |tr| <= 2")
+    k = (t * t - 4).bit_length() + 64
+    return k, math.isqrt((t * t - 4) << 2 * k)
+
+
+def axis(m: IntMatrix,
+         root: tuple[int, int] | None = None) -> tuple[GeodesicLine, float]:
     """The axis of an integer matrix, repelling end to attracting end,
     and its length 2 acosh(|tr| / 2); |tr| <= 2 raises NotHyperbolic.
 
     The ends (a - d -+ sign(tr) sqrt(tr^2 - 4)) / 2c are each one
     rounded integer division, with the root scaled by 2^k, k = bits(D)
     + 64, so each is the nearest float but at a near-tie (c = 0 forces
-    |tr| = 2).
+    |tr| = 2).  A caller that takes the axes of many conjugates, which
+    share the trace, passes axis_root of it once as root.
     """
     a, b, c, d = m
     t = a + d
-    if abs(t) <= 2:
-        raise NotHyperbolic(f"trace {t} is not hyperbolic: |tr| <= 2")
-    k = (t * t - 4).bit_length() + 64
-    root = math.isqrt((t * t - 4) << 2 * k) * (1 if t > 0 else -1)
+    k, root = axis_root(t) if root is None else root
+    if t < 0:
+        root = -root
     line = GeodesicLine.from_endpoints(
         (((a - d) << k) - root) / (c << k + 1),
         (((a - d) << k) + root) / (c << k + 1))

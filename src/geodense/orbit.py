@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,9 @@ def ball(model: SurfaceModel, center: complex,
     radius + 1e-9; the identity's inverse maps center to center + 0.0
     bit for bit (a real part -0.0 comes out 0.0), which its tile tests.
     Deep centers make the tile count explode along the cusp, which trips
-    the budget MAX_TILES.
+    the budget MAX_TILES.  ``dist_to_closed_geodesic`` asks for the
+    reach its point's own tile bounds, mostly a few thousandths, so that
+    for nearly every point the identity is the only tile kept.
 
     Most candidates are rejected before their word is joined.  The
     search carries each kept tile's point w = g^-1(center), and the
@@ -144,9 +147,25 @@ def ball(model: SurfaceModel, center: complex,
 _PIECE = 0.05
 _BAND = 0.02
 # The cut of the gather that finds the nearest midpoint, from which the
-# default cut is taken.  When that cut comes out no larger, the same
-# gather serves the bounds: for 99 % of torus-certify's points.
+# default cut is taken; dist_to_closed_geodesic gathers a point's own
+# tile at it first.  When that cut comes out no larger, the same gather
+# serves the bounds: for 295 of torus-certify's 300 points at seed 1.
 _NEAR_CUT = 0.01
+# the columns of _Passages.fields
+_MX, _MY, _MY4, _REACH, _C, _R, _SLACK = range(7)
+
+
+class _Gathered(NamedTuple):
+    """Gathered (point, row) pairs: the point's coordinates per pair (two
+    plain floats for a single point, whose t is None), the point and row
+    indices, the rows' fields and _Passages._q2 of each pair."""
+
+    x: Any
+    y: Any
+    t: Any
+    i: np.ndarray
+    f: np.ndarray
+    q2: np.ndarray
 
 
 class _Passages:
@@ -174,6 +193,11 @@ class _Passages:
     whose slack makes their reach exceed _PIECE / 2 by more than 1e-9,
     on lines of radius about 1e8, are kept apart and gathered for every
     point, so that they do not widen every gather.
+
+    The row fields the bounds read, midpoint, reach, carrying line and
+    slack, are the columns of one array, ``fields``, so that a gather
+    takes them all at once.  The vertical flag is read only when the
+    table has a vertical row.
     """
 
     def __init__(self, segments: list[GeodesicSegment]):
@@ -221,14 +245,15 @@ class _Passages:
         band = band[rows].astype(np.intp)
         rows = np.concatenate((rows, np.flatnonzero(~near)))
         self.passage = n[rows]
-        self.mx, self.my, self.reach, self.slack = \
-            x[rows], y[rows], reach[rows], slack[rows]
-        self.c, self.r, self.vertical = c[rows], r[rows], vertical[rows]
-        self.my4 = 4.0 * self.my
+        self.fields = np.stack((x, y, 4.0 * y, reach, c, r, slack),
+                               axis=1)[rows]
+        self.slack = self.fields[:, _SLACK]
+        self.vertical = vertical[rows]
+        self.any_vertical = bool(self.vertical.any())
         indexed = len(band)
-        self.xs = self.mx[:indexed].tolist()
+        self.xs = self.fields[:indexed, _MX].tolist()
         self.wide = list(range(indexed, len(rows)))
-        self.max_reach = float(self.reach[:indexed].max(initial=0.0))
+        self.max_reach = float(self.fields[:indexed, _REACH].max(initial=0.0))
         # band band0 + b holds rows starts[b] to starts[b + 1] - 1, whose
         # highest midpoint lies at height top[b]
         self.band0 = int(band[0]) if indexed else 0
@@ -236,12 +261,12 @@ class _Passages:
         self.starts = np.searchsorted(
             band, np.arange(self.band0, self.band0 + span + 1)).tolist()
         top = np.zeros(span)
-        np.maximum.at(top, band - self.band0, self.my[:indexed])
+        np.maximum.at(top, band - self.band0, self.fields[:indexed, _MY])
         self.top = top.tolist()
 
     def _every(self, m: int):
         """(point index, row index) arrays of every row for m points."""
-        n = len(self.mx)
+        n = len(self.fields)
         return np.arange(m).repeat(n), np.tile(np.arange(n), m)
 
     def _gather(self, ws: list[complex], cut: float):
@@ -255,8 +280,9 @@ class _Passages:
         reach = cut + self.max_reach + 1e-9
         sinh2 = 2.0 * math.sinh(0.5 * reach) * (1.0 + 1e-9)
         xs, starts, top = self.xs, self.starts, self.top
-        t, rows = [], []
-        for k, w in enumerate(ws):
+        counts, rows = [], []
+        for w in ws:
+            start = len(rows)
             log_y = math.log(w.imag)
             lo = math.floor((log_y - reach) / _BAND) - self.band0
             hi = math.floor((log_y + reach) / _BAND) - self.band0
@@ -267,16 +293,37 @@ class _Passages:
                                        starts[b + 1])
                 e = bisect.bisect_right(xs, w.real + half, a, starts[b + 1])
                 rows += range(a, e)
-                t += [k] * (e - a)
             rows += self.wide
-            t += [k] * len(self.wide)
-        return np.array(t, dtype=np.intp), np.array(rows, dtype=np.intp)
+            counts.append(len(rows) - start)
+        return np.arange(len(ws)).repeat(counts), \
+            np.array(rows, dtype=np.intp)
 
-    def _q2(self, x, y, i):
-        """sinh(d(w, midpoint) / 2)^2 for the points (x, y) and rows i."""
-        dx = x - self.mx[i]
-        dy = y - self.my[i]
-        return (dx * dx + dy * dy) / (y * self.my4[i])
+    def _q2(self, x, y, f):
+        """sinh(d(w, midpoint) / 2)^2 for the points (x, y) and the rows
+        of fields f."""
+        dx = x - f[:, _MX]
+        dy = y - f[:, _MY]
+        return (dx * dx + dy * dy) / (y * f[:, _MY4])
+
+    def _rows(self, ws: list[complex], t, i) -> _Gathered:
+        """The pairs (t, i) of the points ws, their rows' fields indexed
+        once."""
+        if len(ws) == 1:
+            x, y, t = ws[0].real, ws[0].imag, None
+        else:
+            x = np.array([w.real for w in ws])[t]
+            y = np.array([w.imag for w in ws])[t]
+        f = self.fields.take(i, axis=0)
+        return _Gathered(x, y, t, i, f, self._q2(x, y, f))
+
+    @staticmethod
+    def _default_cut(rows: _Gathered) -> float:
+        """d(w, midpoint) + slack at the nearest midpoint of the rows,
+        with a 1e-9 relative slack and twice DIST_TOL added."""
+        k = int(rows.q2.argmin())
+        upper = 2.0 * math.asinh(math.sqrt(rows.q2[k])) \
+            + float(rows.f[k, _SLACK])
+        return upper * (1.0 + 1e-9) + 2.0 * DIST_TOL
 
     def _bounded(self, ws: list[complex], cut: float | None = None):
         """(lower bound, point index, passage index) of each pair whose
@@ -286,52 +333,49 @@ class _Passages:
         A piece's lower bound is the larger of d(w, midpoint) -
         half-length - slack and the distance to the carrying line; the
         pair's is the smallest over its pieces, and exceeds its computed
-        ``dist_to_point`` by at most DIST_TOL.  Both bounds are compared
-        with the cut in sinh form, the carrying line's only for the rows
-        whose midpoint bound passes; only the rows kept have their
-        bounds formed in distance units.
+        ``dist_to_point`` by at most DIST_TOL.  Every gathered piece has
+        its bound formed, and one mask keeps those at most the cut: over
+        some 80 rows a NumPy call costs more than the elements it runs.
 
-        The default cut is an upper bound, d(w, midpoint) + slack at the
-        nearest midpoint gathered at cut _NEAR_CUT (over every row when
-        that gathers none), with a 1e-9 relative slack and twice
-        DIST_TOL added.  It exceeds that pair's computed distance, so
-        every pair left out has a computed distance above the smallest.
-        Only the rows ``_gather`` returns are bounded; the midpoint bound
-        rules out every other one.
+        The default cut, ``_default_cut`` of the rows gathered at cut
+        _NEAR_CUT (of every row when that gathers none), is an upper
+        bound on the nearest midpoint's distance.  It exceeds that pair's
+        computed distance, so every pair left out has a computed distance
+        above the smallest.  When it comes out no larger than _NEAR_CUT,
+        the same gather serves the bounds.  Only the rows ``_gather``
+        returns are bounded; the midpoint bound rules out every other one.
         """
         if not ws or not self.segments:
             return []
-        t, i = self._gather(ws, _NEAR_CUT if cut is None else cut)
-        wx = np.array([w.real for w in ws])
-        wy = np.array([w.imag for w in ws])
-        if cut is None and not len(i):
-            t, i = self._every(len(ws))
-        q2 = self._q2(wx[t], wy[t], i)
         if cut is None:
-            k = int(q2.argmin())
-            upper = 2.0 * math.asinh(math.sqrt(q2[k])) + self.slack[i[k]]
-            cut = upper * (1.0 + 1e-9) + 2.0 * DIST_TOL
-            if cut > _NEAR_CUT:
-                t, i = self._gather(ws, cut)
-                q2 = self._q2(wx[t], wy[t], i)
-        # d(w, m) - reach <= cut  <=>  q2 <= sinh((cut + reach) / 2)^2
-        cap = np.sinh(0.5 * (cut + self.reach[i]))
-        near = np.flatnonzero(q2 <= cap * cap)
-        t, i, q2 = t[near], i[near], q2[near]
+            rows = self._rows(ws, *self._gather(ws, _NEAR_CUT))
+            if not len(rows.i):
+                rows = self._rows(ws, *self._every(len(ws)))
+            cut = self._default_cut(rows)
+            if cut <= _NEAR_CUT:
+                return self._bound(rows, cut)
+        return self._bound(self._rows(ws, *self._gather(ws, cut)), cut)
+
+    def _bound(self, rows: _Gathered, cut: float):
+        """_bounded's pairs from rows gathered at cut or wider."""
+        x, y, t, i, f, q2 = rows
+        c, r = f[:, _C], f[:, _R]
         # sinh of the distance to the line, r^2 - (x - c)^2 formed
         # without cancellation
-        x, y, c, r = wx[t], wy[t], self.c[i], self.r[i]
-        sinh_line = np.where(self.vertical[i], np.abs(x - c) / y,
-                             np.abs(y * y - _sq_gap(r, x, c)) / (2.0 * r * y))
-        keep = np.flatnonzero(sinh_line <= math.sinh(cut))
-        i = i[keep]
-        bound = np.maximum(2.0 * np.arcsinh(np.sqrt(q2[keep])) - self.reach[i],
-                           np.arcsinh(sinh_line[keep]))
+        sinh_line = np.abs(y * y - _sq_gap(r, x, c)) / (2.0 * r * y)
+        if self.any_vertical:
+            sinh_line = np.where(self.vertical[i], np.abs(x - c) / y,
+                                 sinh_line)
+        bound = np.maximum(2.0 * np.arcsinh(np.sqrt(q2)) - f[:, _REACH],
+                           np.arcsinh(sinh_line))
+        keep = np.flatnonzero(bound <= cut)
         # the smallest piece bound of each (point, passage) pair
         n = len(self.segments)
+        pairs = self.passage[i[keep]]
+        if t is not None:
+            pairs = t[keep] * n + pairs
         least = {}
-        for pair, b in zip((t[keep] * n + self.passage[i]).tolist(),
-                           bound.tolist()):
+        for pair, b in zip(pairs.tolist(), bound[keep].tolist()):
             if b < least.get(pair, math.inf):
                 least[pair] = b
         return [(b, *divmod(pair, n)) for pair, b in least.items()]
@@ -373,33 +417,67 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     through it.  A passage with an infinite parameter raises ValueError
     as well.
 
+    A point of the polygon is bounded from its own tile first.  Its rows
+    gathered at _NEAR_CUT give a cut, as ``_Passages._bounded``'s default
+    one: an upper bound on the nearest midpoint's distance with a 1e-9
+    relative slack and 2 DIST_TOL added, so that nearest pair computes
+    at most cut - DIST_TOL.  The ball then reaches only min(radius, cut
+    + DIST_TOL).  A tile it leaves out has a computed dist_to_domain
+    above cut + DIST_TOL + 1e-9, so its point lies more than cut + 1e-9
+    from the polygon, and every lift there, a passage of the polygon,
+    computes above cut - DIST_TOL: above that nearest pair, whose
+    computed distance is at least the minimum.  So the smaller ball has
+    the full ball's minimum.  It holds z's tile alone for nearly every
+    point; then, when the cut is at most _NEAR_CUT, the pairs are
+    bounded from the rows already gathered.  A point outside the
+    polygon, or one whose own gather is empty, takes the ball of the
+    full radius and the default cut over all its tiles.  A point so deep
+    in a cusp that the full ball would exceed MAX_TILES is certified
+    when the smaller one does not.
+
     The minimum over tiles and passages of ``dist_to_point`` is taken
-    over the pairs ``_Passages._bounded`` keeps at its default cut, best
-    first: in increasing lower bound, up to the first bound above the
-    best so far by more than _STOP_MARGIN.  Up to DIST_TOL, each pair's
-    lower bound is below its computed distance, and some pair's
-    computed distance is below the cut, so every pair left out has a
-    computed distance above the best: the result is the minimum over
-    all pairs bit for bit, in the 0 returned early and in the
+    over the pairs ``_Passages._bounded`` keeps at that cut, best first:
+    in increasing lower bound, up to the first bound above the best so
+    far by more than _STOP_MARGIN.  Up to DIST_TOL, each pair's lower
+    bound is below its computed distance, and some pair's computed
+    distance is below the cut, so every pair left out has a computed
+    distance above the best: the result is the minimum over all pairs
+    of the full ball bit for bit, in the 0 returned early and in the
     RadiusTooSmall message alike.  Which of two equal bounds is walked
     first does not change that minimum.  The table behind the bounds,
     the passages' pieces indexed by position, is built once per curve
     and kept for the next call with the same passages.
 
-    Neither shortcut behind the two steps changes the result: ``ball``'s
+    Neither shortcut inside the two steps changes the result: ``ball``'s
     half-plane bound drops only tiles its exact test drops, and the
     gather of ``_bounded`` leaves out only pieces its midpoint bound
     rules out.
     """
-    tiles = ball(model, z, radius)
+    # the first tile is the identity, whose inverse maps z to z + 0.0
+    ws = [z + 0.0]
+    table = own = cut = None
+    if model.inside(z):   # dist_to_domain's test for 0
+        table = _passages(segments)
+        own = table._rows(ws, *table._gather(ws, _NEAR_CUT))
+        if len(own.i):
+            cut = table._default_cut(own)
+    tiles = ball(model, z, radius if cut is None
+                 else min(radius, cut + DIST_TOL))
     if not tiles:
         raise ValueError(
             f"{z:.6g} lies {dist_to_domain(model, z):.6g} from the polygon, "
             f"farther than the radius {radius:.6g}")
-    # the first tile is the identity, whose inverse maps z to z + 0.0
-    ws = [z + 0.0] + [g.inverse().apply(z) for _, g in tiles[1:]]
+    if table is None:
+        table = _passages(segments)
+    ws += [g.inverse().apply(z) for _, g in tiles[1:]]
+    if cut is None:
+        pairs = table._bounded(ws)
+    elif len(ws) == 1 and cut <= _NEAR_CUT:
+        pairs = table._bound(own, cut)
+    else:
+        pairs = table._bounded(ws, cut)
     best = math.inf
-    for b, k, p in sorted(_passages(segments)._bounded(ws)):
+    for b, k, p in sorted(pairs):
         if b > best + _STOP_MARGIN:
             break
         best = min(best, segments[p].dist_to_point(ws[k]))

@@ -39,6 +39,7 @@ from .halfplane import (
     GeodesicSegment,
     IntMatrix,
     axis,
+    axis_root,
     dist,
     intersect_lines,
     lines_cross,
@@ -129,14 +130,28 @@ class TraceStep:
         """Passage j of the step in polygon coordinates."""
         if self.count == 1:
             return self.segment
-        b = self.wall(j + 1)
+        return self._between(j, self.wall(j) if j else None,
+                             self.wall(j + 1))
+
+    def passages(self) -> list[GeodesicSegment]:
+        """Every passage of the step, as passage gives them, with each
+        wall crossing of a run computed once."""
+        if self.count == 1:
+            return [self.segment]
+        walls = [None] + [self.wall(i) for i in range(1, self.count + 1)]
+        return [self._between(j, walls[j], walls[j + 1])
+                for j in range(self.count)]
+
+    def _between(self, j: int, a: complex | None,
+                 b: complex) -> GeodesicSegment:
+        """A run's passage j from its wall crossings a = wall(j), unused
+        for j = 0, and b = wall(j + 1)."""
         if j == 0:   # developed from the start of the chart arc
             ch, s0 = self.run.chart, self.segment.s0
             return self.segment.subsegment(
                 s0, s0 + (ch.line.param_of(b) - ch.s0))
         x_in, x_out = _strip_walls(self.run.cusp, self.side)
-        return self.in_frame(j, complex(x_in, self.wall(j).imag),
-                             complex(x_out, b.imag))
+        return self.in_frame(j, complex(x_in, a.imag), complex(x_out, b.imag))
 
 
 @dataclass(slots=True)
@@ -155,7 +170,7 @@ class Trace:
                 for _ in range(s.count)]
 
     def segments(self) -> list[GeodesicSegment]:
-        return [s.passage(j) for s in self.steps for j in range(s.count)]
+        return [seg for s in self.steps for seg in s.passages()]
 
 
 def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
@@ -504,7 +519,9 @@ def close_exact(model: SurfaceModel, m0: IntMatrix, z: complex) -> Trace:
     or turning back, a walk past m0's length, or more than TRACE_STEPS
     chords (one stuck at a vertex) raise TraceError.
     """
-    line, length = axis(m0)
+    # every chord's matrix is a conjugate of m0, of the same trace
+    root = axis_root(m0[0] + m0[3])
+    line, length = axis(m0, root)
     s = line.param_of(z)
     back = _first_exit(model, line.reversed(), -s)
     if back is None:
@@ -536,7 +553,7 @@ def close_exact(model: SurfaceModel, m0: IntMatrix, z: complex) -> Trace:
         if walked > length + TOL_LOOSE * max(1.0, length):
             raise TraceError(f"walk passes length {length:.6g} unclosed")
         m = mat_mul(mat_mul(mat_inv(step), m), step)
-        line = axis(m)[0]
+        line = axis(m, root)[0]
         entry = model.sides[st.side].partner
         cusp = model.wall_cusps.get(st.side)
     raise TraceError(f"walk does not close in {TRACE_STEPS} steps")

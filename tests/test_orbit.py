@@ -412,14 +412,19 @@ def _plain_scan(model, z, segments, radius):
 
 
 def _certify(model, z, segments, radius):
-    """The answer, or the RadiusTooSmall message."""
+    """The answer, or the RadiusTooSmall or ValueError message."""
     try:
         return dist_to_closed_geodesic(model, z, segments, radius)
-    except RadiusTooSmall as exc:
+    except (RadiusTooSmall, ValueError) as exc:
         return str(exc)
 
 
 def _expected(model, z, segments, radius):
+    """The same from a scan of every pair over the ball of the full
+    radius, or the message refusing a point that ball holds no tile of."""
+    if not ball(model, z, radius):
+        return (f"{z:.6g} lies {dist_to_domain(model, z):.6g} from the "
+                f"polygon, farther than the radius {radius:.6g}")
     return _verdict(z, radius, _plain_scan(model, z, segments, radius))
 
 
@@ -735,6 +740,32 @@ class TestSphere:
         assert kinds == ({float} if radius == 0.2 else {float, str})
 
 
+def _past_a_bound(z, half, monkeypatch):
+    """Two vertical passages of length 2 half centred at z's height,
+    0.005 to either side of it, the farther one's dist_to_point patched
+    to come out DIST_TOL / 2 short, below the nearer one's, while its
+    bound stays above.  Returns them and that shortened distance."""
+
+    def vertical(d):
+        x = z.real + z.imag * math.sinh(d)
+        s = math.log(z.imag)
+        return GeodesicSegment(GeodesicLine.vertical(x), s - half, s + half)
+
+    near_seg, far_seg = vertical(-0.005), vertical(0.005 + DIST_TOL / 4)
+    dist_to_point = GeodesicSegment.dist_to_point
+
+    def short(seg, w):
+        return dist_to_point(seg, w) - 0.5 * DIST_TOL * (seg is far_seg)
+
+    monkeypatch.setattr(GeodesicSegment, "dist_to_point", short)
+    curve = [near_seg, far_seg]
+    (b_near, _, _), (b_far, _, _) = sorted(
+        _Passages(curve)._bounded([z]), key=lambda pair: pair[2])
+    assert b_near < b_far
+    assert short(far_seg, z) < short(near_seg, z) < b_far
+    return curve, short(far_seg, z)
+
+
 class TestBestFirst:
     """dist_to_closed_geodesic evaluates _bounded's pairs in increasing
     lower bound and stops at the first bound above the best by more than
@@ -802,23 +833,160 @@ class TestBestFirst:
         would miss it."""
         z = complex(0.3, 1.2)
         assert [w for w, _ in ball(torus, z, 0.01)] == [""]
+        curve, want = _past_a_bound(z, 0.1, monkeypatch)
+        assert dist_to_closed_geodesic(torus, z, curve, 0.01) == want
 
-        def vertical(d):
-            x = z.real + z.imag * math.sinh(d)
-            s = math.log(z.imag)
-            return GeodesicSegment(GeodesicLine.vertical(x), s - 0.1, s + 0.1)
 
-        near_seg, far_seg = vertical(-0.005), vertical(0.005 + DIST_TOL / 4)
-        dist_to_point = GeodesicSegment.dist_to_point
+def _off_the_sides(model, count, seed, lo, hi, outside=False):
+    """Points 10^lo to 10^hi heights off a side line, along its segment
+    up to parameter 3, inside the polygon or outside it."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        side = rng.choice(model.sides)
+        s = rng.uniform(max(side.s_lo, -3.0), min(side.s_hi, 3.0))
+        p = side.line.point_at(s)
+        z = p + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi) \
+            * p.imag * 1j * side.line.tangent_at(s)
+        if (not model.inside(z)) if outside else model.inside(z, tol=0.0):
+            out.append(z)
+    return out
 
-        def short(seg, w):
-            return dist_to_point(seg, w) - 0.5 * DIST_TOL * (seg is far_seg)
 
-        monkeypatch.setattr(GeodesicSegment, "dist_to_point", short)
-        curve = [near_seg, far_seg]
-        (b_near, _, _), (b_far, _, _) = sorted(
-            _Passages(curve)._bounded([z]), key=lambda pair: pair[2])
-        assert b_near < b_far
-        assert short(far_seg, z) < short(near_seg, z) < b_far
-        assert dist_to_closed_geodesic(torus, z, curve, 0.01) \
-            == short(far_seg, z)
+def _near_vertices(model, count, seed):
+    """Points of the polygon 1e-6 to 1e-2 heights from a finite vertex."""
+    rng = random.Random(seed)
+    vertices = [v for v in model.spec.vertices if isinstance(v, complex)]
+    out = []
+    while len(out) < count:
+        v = rng.choice(vertices)
+        z = v + 10.0 ** rng.uniform(-6.0, -2.0) * v.imag \
+            * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        if model.inside(z, tol=0.0):
+            out.append(z)
+    return out
+
+
+def _recorded_balls(monkeypatch):
+    """(reach, tiles kept) of each ball dist_to_closed_geodesic makes."""
+    made, plain = [], orbit.ball
+    monkeypatch.setattr(orbit, "ball", lambda model, z, reach: (
+        lambda out: (made.append((reach, len(out))), out)[1])(
+            plain(model, z, reach)))
+    return made
+
+
+class TestOwnTileFirst:
+    """A polygon point is bounded from its own tile first, and its ball
+    reaches only as far as that bound: the answers are those of a scan
+    of every pair over the ball of the full radius."""
+
+    @pytest.mark.parametrize("radius", [0.2, 0.001])
+    def test_near_the_sides_and_vertices(self, torus, torus_curve, radius,
+                                         monkeypatch):
+        """Points within the cut of a side or a finite vertex, where the
+        smaller ball still holds two tiles or more."""
+        made = _recorded_balls(monkeypatch)
+        for z in _off_the_sides(torus, 40, seed=21, lo=-6.0, hi=-2.0) \
+                + _near_vertices(torus, 10, seed=22):
+            assert _certify(torus, z, torus_curve, radius) \
+                == _expected(torus, z, torus_curve, radius)
+        if radius == 0.2:
+            assert sum(n >= 2 for reach, n in made if reach < radius) >= 40
+
+    @pytest.mark.parametrize("radius", [0.2, 0.001])
+    def test_outside_the_polygon(self, torus, torus_curve, radius,
+                                 monkeypatch):
+        """Points outside take the ball of the full radius, and are
+        refused with ValueError when it holds no tile."""
+        made = _recorded_balls(monkeypatch)
+        kinds = set()
+        for z in _off_the_sides(torus, 30, seed=23, lo=-7.0, hi=-0.5,
+                                outside=True):
+            want = _expected(torus, z, torus_curve, radius)
+            assert _certify(torus, z, torus_curve, radius) == want
+            kinds.add(type(want) if isinstance(want, float)
+                      else want.split()[1])
+        assert {reach for reach, _ in made} == {radius}
+        assert kinds == ({float, "lies"} if radius == 0.2
+                         else {float, "stays", "lies"})
+
+    @pytest.mark.parametrize("radius", [0.2, 0.001])
+    def test_nearest_lift_in_the_neighbouring_tile(self, torus, radius,
+                                                   monkeypatch):
+        """z lies 0.002 inside side 0, 0.006 from a passage of its own
+        tile; a passage 0.001 inside the partner side passes 0.003 from
+        z's lift in the tile across side 0.  The smaller ball holds both
+        tiles and the answer is that lift's distance."""
+        side = torus.sides[0]
+        partner = torus.sides[side.partner]
+        s = 0.5 * (max(side.s_lo, -3.0) + min(side.s_hi, 3.0))
+        p = side.line.point_at(s)
+        inward = 1j * side.line.tangent_at(s)
+        if not torus.inside(p + 1e-3 * p.imag * inward, tol=0.0):
+            inward = -inward
+        z = p + math.sinh(0.002) * p.imag * inward
+
+        def across(q, d, direction):
+            """A short passage through the point d from q along
+            direction, perpendicular to it."""
+            c = q + math.sinh(d) * q.imag * direction
+            t = 1j * direction * 0.01 * c.imag
+            return GeodesicSegment.between(c - t, c + t)
+
+        q = side.pairing.apply(p)
+        t = partner.line.tangent_at(partner.line.param_of(q))
+        inward_q = 1j * t if torus.inside(q + 1e-3 * q.imag * 1j * t,
+                                          tol=0.0) else -1j * t
+        curve = [across(z, 0.006, inward), across(q, 0.001, inward_q)]
+        made = _recorded_balls(monkeypatch)
+        got = _certify(torus, z, curve, radius)
+        assert got == _expected(torus, z, curve, radius)
+        if radius == 0.2:
+            assert got == pytest.approx(0.003, abs=1e-5)
+            assert got < min(seg.dist_to_point(z) for seg in curve)
+            assert len(made) == 1 and made[0][0] < 0.01 and made[0][1] >= 2
+
+    @pytest.mark.parametrize("radius", [0.2, 0.001])
+    def test_sphere_cusp_vertices(self, sphere, sphere_curve, radius,
+                                  monkeypatch):
+        """Points near the sphere's cusp vertices 0 and 1, up their
+        cusps and on their walls, where the polygon is narrow in polygon
+        coordinates."""
+        made = _recorded_balls(monkeypatch)
+        for cusp in sphere.cusps[1:]:
+            for y in (1.5, 4.0, 9.5):
+                for f in (1e-6, 1e-3, 0.3, 0.999):
+                    z = cusp.chart_inv.apply(
+                        complex(cusp.strip_lo + f * cusp.width, y))
+                    assert _certify(sphere, z, sphere_curve, radius) \
+                        == _expected(sphere, z, sphere_curve, radius)
+        if radius == 0.2:
+            assert sum(n >= 2 for reach, n in made if reach < radius) >= 12
+
+    @pytest.mark.parametrize("half", [0.1, 0.02])
+    def test_scan_goes_past_a_bound_through_the_smaller_ball(
+            self, torus, half, monkeypatch):
+        """TestBestFirst's passage DIST_TOL / 2 short, at radius 0.2:
+        the ball reaches only the cut of z's own tile and holds that tile
+        alone.  The nearest of four pieces' midpoints gives a cut of
+        0.026, bounded from a second gather; a single piece's gives
+        0.005, bounded from the rows gathered first."""
+        z = complex(0.3, 1.2)
+        curve, want = _past_a_bound(z, half, monkeypatch)
+        made = _recorded_balls(monkeypatch)
+        assert dist_to_closed_geodesic(torus, z, curve, 0.2) == want
+        [(reach, tiles)] = made
+        assert tiles == 1
+        assert reach == pytest.approx(0.026 if half == 0.1 else 0.005,
+                                      abs=1e-3)
+
+    def test_one_tile_per_point(self, torus, torus_curve, monkeypatch):
+        """Work per point: over 100 truncated points at radius 0.2, at
+        most one point's ball keeps a second tile.  A ball of the full
+        radius keeps one for 40 of them."""
+        made = _recorded_balls(monkeypatch)
+        for z in _truncated_points(torus, 100, seed=11):
+            dist_to_closed_geodesic(torus, z, torus_curve, 0.2)
+        assert len(made) == 100
+        assert sum(n > 1 for _, n in made) <= 1

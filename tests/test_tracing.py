@@ -629,6 +629,25 @@ class TestCycleAxes:
         assert hyperbolic > 9000
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("which", ["torus", "sphere"])
+    def test_one_root_per_closure(self, which, request, monkeypatch):
+        """close_exact takes the scaled root of m0's trace once, and every
+        frame's axis from it is the axis of the frame's own root, bit for
+        bit: the frames are conjugates of m0, of the same trace."""
+        model = request.getfixturevalue(which)
+        word = _random_word(random.Random(f"one root {which}"), 200)
+        root_of, axis_of, roots, axes = tracing.axis_root, tracing.axis, [], []
+        monkeypatch.setattr(tracing, "axis_root", lambda t: (
+            roots.append(t), root_of(t))[1])
+        monkeypatch.setattr(tracing, "axis", lambda m, root=None: (
+            lambda got: (axes.append((m, got)), got)[1])(axis_of(m, root)))
+        g = base_geodesic(model, word)
+        assert len(roots) == 1
+        assert len(axes) >= len(g.trace.steps)
+        for m, got in axes:
+            assert m[0] + m[3] in (roots[0], -roots[0])
+            assert got == axis_of(m)
+
     @staticmethod
     def _assert_reshot(model, g):
         """A fresh walk from chord 0's start crosses the period's sides
@@ -971,6 +990,24 @@ class TestCuspRuns:
                 assert _hd(on, full.steps[k + 1].segment.start) < 1e-9
                 assert got.length == sum(st.segment.length
                                          for st in got.steps)
+
+    @pytest.mark.parametrize("name,j", [("torus", 0), ("sphere", 1),
+                                        ("sphere", 2)])
+    def test_segments_take_each_wall_crossing_once(self, name, j, request,
+                                                   monkeypatch):
+        """Trace.segments() lists a run's passages as passage(k) gives
+        them, bit for bit, from one wall crossing per passage, where
+        passage by passage a run of k takes 2k - 1."""
+        model = request.getfixturevalue(name)
+        p, u, length = _cusp_ray(model, j, 1e2, True, True)
+        tr = trace_geodesic(model, p, u, length)
+        want = [st.passage(k) for st in tr.steps for k in range(st.count)]
+        crossing, calls = tracing._wall_crossing, []
+        monkeypatch.setattr(tracing, "_wall_crossing", lambda *args: (
+            calls.append(args), crossing(*args))[1])
+        assert tr.segments() == want
+        assert len(calls) == sum(st.count for st in tr.steps
+                                 if st.count > 1) > 20
 
     def test_tiles_take_one_product_per_run(self, sphere):
         p, u, length = _cusp_ray(sphere, 1, 1e3, True, True)
