@@ -114,7 +114,7 @@ class GeodesicLine:
         if abs(z1 - z2) <= TOL_GEO:
             raise ValueError("coincident points")
         dx = z2.real - z1.real
-        if abs(dx) <= TOL_GEO * max(1.0, abs(z1.imag), abs(z2.imag)):
+        if dx == 0.0:
             return GeodesicLine.vertical(0.5 * (z1.real + z2.real),
                                          up=(z2.imag > z1.imag))
         # center equidistant from both points, kept exact far out

@@ -316,16 +316,27 @@ class _Passages:
         f = self.fields.take(i, axis=0)
         return _Gathered(x, y, t, i, f, self._q2(x, y, f))
 
+    def _near(self, ws: list[complex]) -> _Gathered:
+        """The rows gathered at cut _NEAR_CUT, or every row when that
+        gathers none."""
+        rows = self._rows(ws, *self._gather(ws, _NEAR_CUT))
+        if not len(rows.i):
+            rows = self._rows(ws, *self._every(len(ws)))
+        return rows
+
     @staticmethod
     def _default_cut(rows: _Gathered) -> float:
         """d(w, midpoint) + slack at the nearest midpoint of the rows,
-        with a 1e-9 relative slack and twice DIST_TOL added."""
+        with a 1e-9 relative slack and twice DIST_TOL added; inf when
+        there is no row."""
+        if not len(rows.i):
+            return math.inf
         k = int(rows.q2.argmin())
         upper = 2.0 * math.asinh(math.sqrt(rows.q2[k])) \
             + float(rows.f[k, _SLACK])
         return upper * (1.0 + 1e-9) + 2.0 * DIST_TOL
 
-    def _bounded(self, ws: list[complex], cut: float | None = None):
+    def _bounded(self, ws: list[complex], cut: float):
         """(lower bound, point index, passage index) of each pair whose
         lower bound on the distance is at most cut, one per pair, in no
         particular order.
@@ -333,27 +344,14 @@ class _Passages:
         A piece's lower bound is the larger of d(w, midpoint) -
         half-length - slack and the distance to the carrying line; the
         pair's is the smallest over its pieces, and exceeds its computed
-        ``dist_to_point`` by at most DIST_TOL.  Every gathered piece has
-        its bound formed, and one mask keeps those at most the cut: over
-        some 80 rows a NumPy call costs more than the elements it runs.
-
-        The default cut, ``_default_cut`` of the rows gathered at cut
-        _NEAR_CUT (of every row when that gathers none), is an upper
-        bound on the nearest midpoint's distance.  It exceeds that pair's
-        computed distance, so every pair left out has a computed distance
-        above the smallest.  When it comes out no larger than _NEAR_CUT,
-        the same gather serves the bounds.  Only the rows ``_gather``
-        returns are bounded; the midpoint bound rules out every other one.
+        ``dist_to_point`` by at most DIST_TOL.  Only the rows ``_gather``
+        returns at cut are bounded; the midpoint bound rules out every
+        other one.  Every gathered piece has its bound formed, and one
+        mask keeps those at most the cut: over some 80 rows a NumPy call
+        costs more than the elements it runs.
         """
         if not ws or not self.segments:
             return []
-        if cut is None:
-            rows = self._rows(ws, *self._gather(ws, _NEAR_CUT))
-            if not len(rows.i):
-                rows = self._rows(ws, *self._every(len(ws)))
-            cut = self._default_cut(rows)
-            if cut <= _NEAR_CUT:
-                return self._bound(rows, cut)
         return self._bound(self._rows(ws, *self._gather(ws, cut)), cut)
 
     def _bound(self, rows: _Gathered, cut: float):
@@ -412,28 +410,31 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     within the radius runs through some tile of the ball, so the minimum
     over ball tiles is exact whenever it is at most the radius; a larger
     minimum only certifies a lower bound, which is reported by raising
-    RadiusTooSmall.  A point farther than the radius from the polygon
-    has no tile in its ball and raises ValueError: the curve may pass
-    through it.  A passage with an infinite parameter raises ValueError
-    as well.
+    RadiusTooSmall.  A z that is not a point of the half-plane (not
+    finite, or Im z <= 0) is refused first with ValueError.  A point
+    farther than the radius from the polygon has no tile in its ball and
+    raises ValueError: the curve may pass through it.  A passage with an
+    infinite parameter raises ValueError as well.
 
-    A point of the polygon is bounded from its own tile first.  Its rows
-    gathered at _NEAR_CUT give a cut, as ``_Passages._bounded``'s default
-    one: an upper bound on the nearest midpoint's distance with a 1e-9
-    relative slack and 2 DIST_TOL added, so that nearest pair computes
-    at most cut - DIST_TOL.  The ball then reaches only min(radius, cut
-    + DIST_TOL).  A tile it leaves out has a computed dist_to_domain
-    above cut + DIST_TOL + 1e-9, so its point lies more than cut + 1e-9
-    from the polygon, and every lift there, a passage of the polygon,
-    computes above cut - DIST_TOL: above that nearest pair, whose
-    computed distance is at least the minimum.  So the smaller ball has
-    the full ball's minimum.  It holds z's tile alone for nearly every
-    point; then, when the cut is at most _NEAR_CUT, the pairs are
-    bounded from the rows already gathered.  A point outside the
-    polygon, or one whose own gather is empty, takes the ball of the
-    full radius and the default cut over all its tiles.  A point so deep
-    in a cusp that the full ball would exceed MAX_TILES is certified
-    when the smaller one does not.
+    Every point is bounded from its own tile first, in the polygon or
+    not.  Its rows gathered at _NEAR_CUT, or every row when that gathers
+    none, give the cut ``_Passages._default_cut``: an upper bound on the
+    nearest midpoint's distance with a 1e-9 relative slack and 2
+    DIST_TOL added (inf for an empty curve), so that nearest pair
+    computes at most cut - DIST_TOL.  The ball then reaches only
+    min(radius, cut + DIST_TOL).  A tile it leaves out has a computed
+    dist_to_domain above cut + DIST_TOL + 1e-9, so its point lies more
+    than cut + 1e-9 from the polygon, and every lift there, a passage of
+    the polygon, computes above cut - DIST_TOL: above that nearest pair,
+    whose computed distance is at least the minimum.  So the smaller
+    ball has the full ball's minimum.  Its identity tile is kept unless
+    the reach is the radius: z lies within cut of that nearest passage,
+    in the polygon, so z's computed dist_to_domain is at most cut +
+    DIST_TOL.  The ball holds z's tile alone for nearly every point;
+    then, when the cut is at most _NEAR_CUT, the pairs are bounded from
+    the rows already gathered.  Otherwise every tile's image of z is
+    bounded at the cut.  A point so deep in a cusp that the full ball
+    would exceed MAX_TILES is certified when the smaller one does not.
 
     The minimum over tiles and passages of ``dist_to_point`` is taken
     over the pairs ``_Passages._bounded`` keeps at that cut, best first:
@@ -453,28 +454,25 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     gather of ``_bounded`` leaves out only pieces its midpoint bound
     rules out.
     """
+    # refused before the gather takes log(Im z)
+    if not (z.imag > 0.0 and math.isfinite(z.real)
+            and math.isfinite(z.imag)):
+        raise ValueError(f"cannot certify {z}: not a point of the "
+                         "half-plane")
     # the first tile is the identity, whose inverse maps z to z + 0.0
     ws = [z + 0.0]
-    table = own = cut = None
-    if model.inside(z):   # dist_to_domain's test for 0
-        table = _passages(segments)
-        own = table._rows(ws, *table._gather(ws, _NEAR_CUT))
-        if len(own.i):
-            cut = table._default_cut(own)
-    tiles = ball(model, z, radius if cut is None
-                 else min(radius, cut + DIST_TOL))
+    table = _passages(segments)
+    own = table._near(ws)
+    cut = table._default_cut(own)
+    tiles = ball(model, z, min(radius, cut + DIST_TOL))
     if not tiles:
         raise ValueError(
             f"{z:.6g} lies {dist_to_domain(model, z):.6g} from the polygon, "
             f"farther than the radius {radius:.6g}")
-    if table is None:
-        table = _passages(segments)
-    ws += [g.inverse().apply(z) for _, g in tiles[1:]]
-    if cut is None:
-        pairs = table._bounded(ws)
-    elif len(ws) == 1 and cut <= _NEAR_CUT:
+    if len(tiles) == 1 and cut <= _NEAR_CUT:
         pairs = table._bound(own, cut)
     else:
+        ws += [g.inverse().apply(z) for _, g in tiles[1:]]
         pairs = table._bounded(ws, cut)
     best = math.inf
     for b, k, p in sorted(pairs):

@@ -17,6 +17,7 @@ from geodense.densify import (
 from geodense.errors import (
     ArrangementDegenerate,
     CaseBoundViolated,
+    HorocyclesIntersect,
     SafetyCapExceeded,
 )
 from geodense.halfplane import (
@@ -668,14 +669,9 @@ class TestGuards:
     def test_bb_extension_outside_its_bracket(self, sphere, sphere_dec,
                                               sphere_g0, monkeypatch,
                                               end, match):
-        # the sphere BB witness of test_symmetric_bb_gap_matches_depth,
-        # with the bracket moved past its two extensions on one side
-        params = DensityParams(0.5, 0.5)
-        K = sphere_dec.constants
-        c = GeodesicSegment.between(complex(0.5, 0.5), complex(0.5, 0.9))
-        outs = classify_and_extend(c, params, K, sphere, gamma0=sphere_g0)
-        pa = replace_arc(c, outs, params, K, sphere, gamma0=sphere_g0)
-        assert pa.case == "BB"
+        # the sphere BB witness, with the bracket moved past its two
+        # extensions on one side
+        params, K, c, outs, pa = _sphere_bb(sphere, sphere_dec, sphere_g0)
         v = (pa.detail["v_dive"], pa.detail["v_tail"])
         lo, hi = formulas.bb_v_bracket(params.eps, params.xi, K.theta0,
                                        K.cusp_reach)
@@ -688,6 +684,118 @@ class TestGuards:
                 replace_arc(c, outs, params, K, sphere, gamma0=sphere_g0)
         finally:
             densify._setting.cache_clear()
+
+    @pytest.mark.parametrize("patch, match", [
+        (lambda m: _meet_scaled(m, 2.0),
+         r"reroute endpoint displaced by 0\.69\d+, over the deep-length "
+         r"bound 0\.029"),
+        (lambda m: _eps_shrunk(m),
+         "candidate tail endpoints farther apart than eps/2"),
+        (lambda m: m.setattr(densify, "horocycle_perpendicular",
+                             _horoballs_overlap),
+         "reroute horoballs are not separated: the horoballs overlap"),
+        (lambda m: m.setattr(formulas, "bb_u_bracket", lambda *a: (0.0, 1.0)),
+         r"horoball gap 11\.23\d+ outside \[0, 1\]"),
+        (lambda m: m.setattr(formulas, "quad_half_width", lambda *a: 1.0),
+         "quad half-width 1 not under 2/e"),
+        (lambda m: m.setattr(densify, "GeodesicLine", _HalfSpeedSide),
+         r"quad side length 22\.46\d+ over its bound 11\.26"),
+        (lambda m: _in_bb_assemble(m, lambda m: _meet_scaled(m, 2.0)),
+         r"reroute endpoint displaced by 0\.69\d+, over twice the "
+         r"half-width 0\.029"),
+        (lambda m: m.setattr(densify, "GeodesicLine", _SideReadPastItsTop),
+         "replacement endpoints leave the bridging segment"),
+    ], ids=["ba_displacement", "tails_apart", "horoballs_overlap",
+            "u_bracket", "half_width", "quad_side", "bb_displacement",
+            "bridge"])
+    def test_reroute_guard(self, sphere, sphere_dec, sphere_g0, monkeypatch,
+                           patch, match):
+        """Each guard of _reroute and _bb_assemble raises its named error,
+        tripped on the sphere BB witness by one patch.  The quad side's
+        length and the bridge hold by construction for any gap and
+        half-width, so those two are tripped by reading the side's
+        parameters otherwise."""
+        params, K, c, outs, _ = _sphere_bb(sphere, sphere_dec, sphere_g0)
+        patch(monkeypatch)
+        with pytest.raises(CaseBoundViolated, match=match):
+            replace_arc(c, outs, params, K, sphere, gamma0=sphere_g0)
+
+
+def _sphere_bb(sphere, sphere_dec, sphere_g0):
+    """The sphere BB witness of test_symmetric_bb_gap_matches_depth:
+    params, constants, the arc, its outcomes and its processed arc."""
+    params = DensityParams(0.5, 0.5)
+    K = sphere_dec.constants
+    c = GeodesicSegment.between(complex(0.5, 0.5), complex(0.5, 0.9))
+    outs = classify_and_extend(c, params, K, sphere, gamma0=sphere_g0)
+    pa = replace_arc(c, outs, params, K, sphere, gamma0=sphere_g0)
+    assert pa.case == "BB"
+    return params, K, c, outs, pa
+
+
+def _meet_scaled(monkeypatch, k):
+    """Reroutes meet the centered circle of k times the radius."""
+    meet = densify._centered_meet
+    monkeypatch.setattr(densify, "_centered_meet",
+                        lambda line, radius: meet(line, k * radius))
+
+
+def _in_bb_assemble(monkeypatch, patch):
+    """patch applied only while _bb_assemble runs."""
+    bb_assemble = densify._bb_assemble
+
+    def patched(*args):
+        with monkeypatch.context() as m:
+            patch(m)
+            return bb_assemble(*args)
+
+    monkeypatch.setattr(densify, "_bb_assemble", patched)
+
+
+def _eps_shrunk(monkeypatch):
+    """The run's setting with eps 1e-6 in its params, every threshold
+    derived from it unchanged."""
+    setting = densify._setting
+    monkeypatch.setattr(densify, "_setting", lambda *a: dataclasses.replace(
+        setting(*a), params=DensityParams(1e-6, a[0].xi)))
+
+
+def _horoballs_overlap(h1, h2):
+    raise HorocyclesIntersect("the horoballs overlap")
+
+
+def _side(cls, line):
+    return cls(*dataclasses.astuple(line))
+
+
+class _HalfSpeedSide(GeodesicLine):
+    """A BB quad side read at half speed: its tangents are the side's,
+    its lengths come out doubled."""
+
+    @staticmethod
+    def from_points(z1, z2):
+        return _side(_HalfSpeedSide, GeodesicLine.from_points(z1, z2))
+
+    def param_of(self, z):
+        return 2.0 * GeodesicLine.param_of(self, z)
+
+    def tangent_at(self, s):
+        return GeodesicLine.tangent_at(self, 0.5 * s)
+
+
+class _SideReadPastItsTop(GeodesicLine):
+    """A BB quad side that reads every point but its two corners 100
+    past its true parameter."""
+
+    @staticmethod
+    def from_points(z1, z2):
+        side = _side(_SideReadPastItsTop, GeodesicLine.from_points(z1, z2))
+        side.corners = (z1, z2)
+        return side
+
+    def param_of(self, z):
+        s = GeodesicLine.param_of(self, z)
+        return s if z in self.corners else s + 100.0
 
 
 class TestCenteredMeet:

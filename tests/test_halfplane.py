@@ -209,6 +209,20 @@ class TestLines:
         assert s2 > s1
         assert s2 - s1 == pytest.approx(dist(z1, z2), rel=1e-9, abs=TOL_LOOSE)
 
+    def test_low_points_on_a_small_circle(self):
+        """Two points of the circle of center -0.0716 and radius 0.6122
+        at heights 1.8e-5 and 1.1e-5: their real parts differ by 1.7e-10,
+        under TOL_GEO, yet the vertical through them puts the segment's
+        midpoint 1.4e-6 (sinh distance) off the circle."""
+        true = GeodesicLine.circle(-0.0716, 0.6122)
+        z1, z2 = (complex(true.center + math.sqrt((true.radius - y)
+                                                  * (true.radius + y)), y)
+                  for y in (1.8e-5, 1.1e-5))
+        assert 0.0 < z2.real - z1.real < TOL_GEO
+        seg = GeodesicSegment.between(z1, z2)
+        mid = seg.point_at(0.5 * (seg.s0 + seg.s1))
+        assert abs(true.signed_sinh_dist(mid)) < 1e-11
+
     @given(points, points)
     def test_point_at_roundtrip(self, z1, z2):
         if abs(z1 - z2) < 1e-3:
