@@ -207,14 +207,6 @@ def connection_bound(n_arcs: int, mean_arc_len: float, eps: float, xi: float,
                      + 8.0 * math.log(1.0 / xi))
 
 
-def ortho_connection_bound(n_arcs: int, mean_arc_len: float, eps: float, xi: float,
-                           budget: float) -> float:
-    """Same as connection_bound with one extra arc slot for the two
-    perpendicular end legs."""
-    return (n_arcs + 1) * (budget + mean_arc_len + 10.0 * math.log(1.0 / eps)
-                           + 8.0 * math.log(1.0 / xi))
-
-
 def display_bound(genus: int, cusps: int, eps: float, xi: float, perimeter: float,
                   budget: float) -> float:
     """End-to-end length bound for the eps-dense closed geodesic, with

@@ -394,6 +394,13 @@ def _passages(segments: list[GeodesicSegment]) -> _Passages:
     return table
 
 
+# The bounds square a point's coordinates, and distances multiply two
+# heights.  Up to this size, and down to its inverse for a height, a
+# square and such a product stay within the normal floats, with room for
+# the constant factors; a coordinate beyond overflows them or a height
+# below underflows them.
+_COORD_RANGE = 1e150
+
 # How far past the best distance so far a lower bound must lie to end
 # the scan of dist_to_closed_geodesic: the bound's own error, DIST_TOL,
 # and the rounding of its asinh, a few ulps, with room to spare.
@@ -411,10 +418,13 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     over ball tiles is exact whenever it is at most the radius; a larger
     minimum only certifies a lower bound, which is reported by raising
     RadiusTooSmall.  A z that is not a point of the half-plane (not
-    finite, or Im z <= 0) is refused first with ValueError.  A point
-    farther than the radius from the polygon has no tile in its ball and
-    raises ValueError: the curve may pass through it.  A passage with an
-    infinite parameter raises ValueError as well.
+    finite, or Im z <= 0) is refused first with ValueError, and so is a
+    point whose height lies outside [1e-150, 1e150] or whose real part
+    exceeds 1e150 in size (_COORD_RANGE): the squares of its coordinates
+    would leave the float range.  A point farther than the radius from
+    the polygon has no tile in its ball and raises ValueError: the curve
+    may pass through it.  A passage with an infinite parameter raises
+    ValueError as well.
 
     Every point is bounded from its own tile first, in the polygon or
     not.  Its rows gathered at _NEAR_CUT, or every row when that gathers
@@ -459,6 +469,11 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
             and math.isfinite(z.imag)):
         raise ValueError(f"cannot certify {z}: not a point of the "
                          "half-plane")
+    if not (1.0 / _COORD_RANGE <= z.imag <= _COORD_RANGE
+            and abs(z.real) <= _COORD_RANGE):
+        raise ValueError(f"cannot certify {z}: its height must lie in "
+                         f"[{1.0 / _COORD_RANGE:g}, {_COORD_RANGE:g}] and "
+                         f"its real part within {_COORD_RANGE:g} of 0")
     # the first tile is the identity, whose inverse maps z to z + 0.0
     ws = [z + 0.0]
     table = _passages(segments)

@@ -12,9 +12,7 @@ is the intersection of the half-planes left of each oriented side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from .catalog import CATALOG, SurfaceSpec, surface_names
 from .errors import InvalidSurface, RelatorFails, TraceError
@@ -95,9 +93,14 @@ def chart_top(chart: Isometry, line: GeodesicLine, a, b) -> float:
     return top
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Side:
-    """One polygon side with its pairing."""
+    """One polygon side with its pairing.
+
+    lo < hi are the ends of the side's line, and outer says whether the
+    open boundary interval (lo, hi) lies outside the polygon: a ray
+    leaves across a side only from its inner arc to its outer arc.
+    """
 
     index: int
     line: GeodesicLine          # oriented from vertex index to index+1
@@ -106,56 +109,22 @@ class Side:
     word: str
     matrix: IntMatrix           # the pairing, onto the partner side
     partner: int
+    # derived from the fields above, which alone the repr shows
+    segment: GeodesicSegment = field(init=False, repr=False)
+    pairing: Isometry = field(init=False, repr=False)
+    lo: float = field(init=False, repr=False)
+    hi: float = field(init=False, repr=False)
+    outer: bool = field(init=False, repr=False)
 
-    @cached_property
-    def segment(self) -> GeodesicSegment:
-        return GeodesicSegment(self.line, self.s_lo, self.s_hi)
-
-    @cached_property
-    def pairing(self) -> Isometry:
-        return to_isometry(self.matrix)
-
-
-class SideRow(NamedTuple):
-    """One side in plain floats, as membership and each trace step read
-    it (SurfaceModel.side_table).
-
-    lo < hi are the ends of the side's line, and outer says whether the
-    open boundary interval (lo, hi) lies outside the polygon: a ray
-    leaves across a side only from its inner arc to its outer arc.  k is
-    the line's foot when it is vertical, else its center, r its radius
-    and fwd its orientation: up, or pos_to_neg.  s_lo and s_hi are the
-    side's parameter window, and a, b, c, d its pairing's coefficients.
-    """
-
-    index: int
-    line: GeodesicLine
-    lo: float
-    hi: float
-    outer: bool
-    vertical: bool
-    k: float
-    r: float
-    fwd: bool
-    s_lo: float
-    s_hi: float
-    a: float
-    b: float
-    c: float
-    d: float
+    def __post_init__(self):
+        ln = self.line
+        self.segment = GeodesicSegment(ln, self.s_lo, self.s_hi)
+        self.pairing = to_isometry(self.matrix)
+        self.lo, self.hi = ln.ends
+        self.outer = ln.up if ln.is_vertical else not ln.pos_to_neg
 
 
-def _side_row(s: Side) -> SideRow:
-    ln, g = s.line, s.pairing
-    if ln.is_vertical:
-        k, fwd, outer = ln.foot, ln.up, ln.up
-    else:
-        k, fwd, outer = ln.center, ln.pos_to_neg, not ln.pos_to_neg
-    return SideRow(s.index, ln, *ln.ends, outer, ln.is_vertical, k,
-                   ln.radius, fwd, s.s_lo, s.s_hi, g.a, g.b, g.c, g.d)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Cusp:
     """One cusp with its chart to infinity."""
 
@@ -168,14 +137,13 @@ class Cusp:
     strip_lo: float             # chart image of the polygon corner wedge:
                                 # vertical strip [strip_lo, strip_lo + width]
     walls: tuple[int, int]      # sides on x = strip_lo, x = strip_lo + width
+    # derived from matrix, which the repr shows in their place
+    chart: Isometry = field(init=False, repr=False)
+    chart_inv: Isometry = field(init=False, repr=False)
 
-    @cached_property
-    def chart(self) -> Isometry:
-        return to_isometry(self.matrix)
-
-    @cached_property
-    def chart_inv(self) -> Isometry:
-        return self.chart.inverse()
+    def __post_init__(self):
+        self.chart = to_isometry(self.matrix)
+        self.chart_inv = self.chart.inverse()
 
     def shift_matrix(self, k: int) -> IntMatrix:
         """The cusp parabolic moving the chart by k widths, chart^-1 @
@@ -202,11 +170,6 @@ class SurfaceModel:
             g = _unimodular(m, f"generator {ch}")
             self.gens[ch], self.gens[ch.upper()] = g, mat_inv(g)
         self.sides = self._build_sides()
-        self.side_table = tuple(_side_row(s) for s in self.sides)
-        # the table's line fields as plain tuples, which unpack faster
-        # than a row's fields read by name
-        self._side_lines = tuple((row.vertical, row.k, row.r, row.fwd)
-                                 for row in self.side_table)
         self.cusps = self._build_cusps()
         self.wall_cusps = {s: c for c in self.cusps for s in c.walls}
         self._validate()
@@ -275,21 +238,23 @@ class SurfaceModel:
 
     def side_signed_dists(self, z: complex) -> list[float]:
         """Each side line's signed_sinh_dist at z, bit for bit: that
-        method's arithmetic on the plain floats of the side table."""
+        method's arithmetic, written out on the line's fields."""
         x, y = z.real, z.imag
         out = []
-        for vertical, k, r, fwd in self._side_lines:
-            if vertical:
-                v = (k - x) / y
-                if not fwd:
+        for side in self.sides:
+            ln = side.line
+            if ln.is_vertical:
+                v = (ln.foot - x) / y
+                if not ln.up:
                     v = -v
             else:
                 # r^2 - (x - k)^2 as halfplane._sq_gap forms it
+                k, r = ln.center, ln.radius
                 d = x - k
                 bb = x - d
                 e = (x - (d + bb)) + (bb - k)
                 v = (y * y - ((r - d) - e) * ((r + d) + e)) / (2.0 * r * y)
-                if fwd:
+                if ln.pos_to_neg:
                     v = -v
             out.append(v)
         return out

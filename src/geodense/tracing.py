@@ -47,7 +47,7 @@ from .halfplane import (
     mat_mul,
     same_line,
 )
-from .surface import Cusp, SideRow, SurfaceModel
+from .surface import Cusp, Side, SurfaceModel
 from .tolerances import TOL_GEO, TOL_LOOSE
 from .words import cyclic_reduce
 
@@ -180,11 +180,12 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     The polygon is the intersection of the half-planes left of its
     sides, so the ray leaves it only across a side line it crosses from
     inside to outside: its back end on the side's inner boundary arc,
-    its forward end on the outer one (SideRow.outer).  Other sides are
-    not tested, and a side line crossed inward is not reported even
-    when the ray starts a tolerance outside it.  The ends come from the
-    line's fields and the rows of model.side_table, and the crossing's
-    parameters on both lines are GeodesicLine.param_of's arithmetic.
+    its forward end on the outer one (Side.outer).  Other sides are not
+    tested, and a side line crossed inward is not reported even when the
+    ray starts a tolerance outside it.  The ends come from the line's
+    fields and each Side's lo, hi and outer; only a side the ray crosses
+    has its line's orientation read.  The crossing's parameters on both
+    lines are GeodesicLine.param_of's arithmetic.
 
     A crossing at the ray start itself counts only when the ray heads
     strictly out through that side; this is how passages exactly through
@@ -204,18 +205,18 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
         fwd_on = line.pos_to_neg
         p, q = line.center + line.radius, line.center - line.radius
         back, fwd = (p, q) if fwd_on else (q, p)
-    for row in model.side_table:
-        lo, hi, outer = row.lo, row.hi, row.outer
+    for side in model.sides:
+        lo, hi, outer = side.lo, side.hi, side.outer
         if (lo < fwd < hi) != outer or (lo < back < hi) == outer:
             continue
-        side = row.line
-        if not lines_cross(line, side) or same_line(line, side):
+        ln = side.line
+        if not lines_cross(line, ln) or same_line(line, ln):
             continue
-        pt = intersect_lines(line, side)
+        pt = intersect_lines(line, ln)
         if pt is None:
             raise TraceError(
-                f"side {row.index} crosses the traced line but has no "
-                f"intersection point: side {side}, line {line}")
+                f"side {side.index} crosses the traced line but has no "
+                f"intersection point: side {ln}, line {line}")
         s = math.log(abs(pt - p))
         if not vertical:
             s -= math.log(abs(pt - q))
@@ -223,25 +224,27 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
             s = -s
         if s <= s0 - _BEHIND:
             continue
-        if row.vertical:
+        if ln.is_vertical:
             t = math.log(abs(pt - lo))
+            if not ln.up:
+                t = -t
         else:
             t = math.log(abs(pt - hi)) - math.log(abs(pt - lo))
-        if not row.fwd:
-            t = -t
-        if t < row.s_lo - TOL_GEO or t > row.s_hi + TOL_GEO:
+            if not ln.pos_to_neg:
+                t = -t
+        if t < side.s_lo - TOL_GEO or t > side.s_hi + TOL_GEO:
             continue
         if s <= s0 + _AHEAD:
             if probe is None:
                 probe = line.point_at(s0 + 1e-6)
-            f_here = side.signed_sinh_dist(line.point_at(s0))
-            f_next = side.signed_sinh_dist(probe)
+            f_here = ln.signed_sinh_dist(line.point_at(s0))
+            f_next = ln.signed_sinh_dist(probe)
             if f_next >= f_here - 1e-13:
                 continue
             s = s0
             pt = line.point_at(s0)
         if best is None or s < best[0]:
-            best = (s, row.index, pt)
+            best = (s, side.index, pt)
     return best
 
 
@@ -262,12 +265,12 @@ def _ray(p: complex, u: complex) -> tuple[GeodesicLine, float]:
     return GeodesicLine(False, 0.0, True, c, r, fwd), s if fwd else -s
 
 
-def _land(row: SideRow, pt: complex, line: GeodesicLine,
+def _land(side: Side, pt: complex, line: GeodesicLine,
           s: float) -> tuple[complex, complex]:
     """Where a ray crossing a side at pt, parameter s of its line, goes
-    on, and its unit direction there: the side's pairing applied to the
-    point and to the ray's tangent, as Isometry.apply, apply_tangent and
-    GeodesicLine.tangent_at give them, in plain floats."""
+    on, and its unit direction there: side.pairing applied to the point
+    and to the ray's tangent, as Isometry.apply, apply_tangent and
+    GeodesicLine.tangent_at give them, on the pairing's coefficients."""
     if line.is_vertical:
         t = 1j if line.up else -1j
     else:
@@ -276,10 +279,11 @@ def _land(row: SideRow, pt: complex, line: GeodesicLine,
         t = 1j * cmath.exp(1j * phi)
         if not fwd:
             t = -t
-    den = row.c * pt + row.d
+    g = side.pairing
+    den = g.c * pt + g.d
     v = t / (den * den)
     v = v / abs(v)
-    return (row.a * pt + row.b) / den, v / abs(v)
+    return (g.a * pt + g.b) / den, v / abs(v)
 
 
 def _cusp_run(c: Cusp, line: GeodesicLine, p: complex, u: complex,
@@ -393,7 +397,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
             else:
                 stalled = 0
             wall_of = model.wall_cusps.get(side_idx)
-            p, u = _land(model.side_table[side_idx], pt, line, s_exit)
+            p, u = _land(model.sides[side_idx], pt, line, s_exit)
         steps.append(step)
         walked += step.segment.length
         if not model.inside(p, tol=1e-6):

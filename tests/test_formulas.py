@@ -324,10 +324,8 @@ class TestSeedAndDisplay:
 
     def test_connection_bounds(self):
         a = fm.connection_bound(10, 4.0, 0.5, 0.5, 30.0)
-        b = fm.ortho_connection_bound(10, 4.0, 0.5, 0.5, 30.0)
         per = 30.0 + 4.0 + 10.0 * math.log(2.0) + 8.0 * math.log(2.0)
         assert a == pytest.approx(10 * per, abs=1e-9)
-        assert b == pytest.approx(11 * per, abs=1e-9)
 
     def test_display_positive_and_monotone(self):
         d1 = fm.display_bound(0, 3, 1.0, 1.0, 6.7, 55.0)

@@ -375,6 +375,31 @@ class TestDistToClosedGeodesic:
                 f"cannot certify {z}: not a point of the half-plane")):
             dist_to_closed_geodesic(torus, z, curve, 0.2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, z", [
+        ("torus", complex(0.1, 1e160)), ("torus", complex(0.1, 1e300)),
+        ("torus", complex(0.1, 1.7e308)), ("torus", complex(1e300, 1.0)),
+        ("sphere", complex(1e-200, 1e-200))],
+        ids=["1e160", "1e300", "1.7e308", "far_right", "sphere_cusp_0"])
+    def test_refuses_a_point_out_of_range(self, name, z, request):
+        """A point too high, too low or too far out for the squares of
+        the bounds is refused by name, with no float warning: the high
+        ones overflowed the midpoint bound (a RuntimeWarning, then
+        RadiusTooSmall, and a bare math domain error at 1.7e308), the low
+        one divided by a product of heights rounded to 0."""
+        model = request.getfixturevalue(name)
+        curve = request.getfixturevalue(f"{name}_g0").trace.segments()
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot certify {z}: its height must lie in [1e-150, "
+                f"1e+150] and its real part within 1e+150 of 0")):
+            dist_to_closed_geodesic(model, z, curve, 0.2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_highest_point_in_range_is_answered(self, torus, torus_dec):
+        curve = torus_dec.base.trace.segments()
+        with pytest.raises(RadiusTooSmall, match="exceeds 20000 tiles"):
+            dist_to_closed_geodesic(torus, complex(0.1, 1e150), curve, 0.2)
+
 
 @pytest.fixture(scope="module")
 def torus_curve(torus, torus_dec):

@@ -265,7 +265,6 @@ _UNUSED_KEPT = {
     "formulas.connection_bound": "held back for ROADMAP item 1",
     "formulas.display_bound": "held back for ROADMAP items 4-5",
     "formulas.normalized_length_constant": "held back for ROADMAP items 4-5",
-    "formulas.ortho_connection_bound": "held back for ROADMAP item 8",
 }
 
 
@@ -425,6 +424,7 @@ _VALUE_CLASSES = {
                   "Isometry"),
     "densify": ("CrossingRecord", "ExtensionOutcome"),
     "tracing": ("TraceStep", "Trace", "CuspRun"),
+    "surface": ("Side", "Cusp"),
 }
 
 

@@ -19,6 +19,7 @@ from geodense.errors import (
 from geodense.halfplane import (
     INF,
     GeodesicLine,
+    GeodesicSegment,
     Isometry,
     axis,
     dist,
@@ -132,6 +133,26 @@ def test_sides_and_cusps_hash_by_identity(name, request):
 
 
 @pytest.mark.parametrize("name", ["sphere", "torus"])
+def test_side_and_cusp_fields_are_their_data(name, request):
+    """Each side's segment, pairing and line ends are its window, its
+    matrix and its line's, and outer says whether the boundary between
+    the ends lies outside: right of the side, off which a point over it
+    lies.  Each cusp's chart and its inverse are its matrix's."""
+    model = request.getfixturevalue(name)
+    for side in model.sides:
+        ln = side.line
+        assert side.segment == GeodesicSegment(ln, side.s_lo, side.s_hi)
+        assert side.pairing == to_isometry(side.matrix)
+        assert (side.lo, side.hi) == ln.ends and side.lo < side.hi
+        over = complex(ln.foot + 1.0, 1.0) if ln.is_vertical \
+            else complex(ln.center, 0.5 * ln.radius)
+        assert side.outer == (ln.signed_sinh_dist(over) < 0.0)
+    for c in model.cusps:
+        assert c.chart == to_isometry(c.matrix)
+        assert c.chart_inv == to_isometry(mat_inv(c.matrix))
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus"])
 class TestInside:
     """inside returns at the first side a point is outside of."""
 
@@ -158,7 +179,7 @@ class TestInside:
                     d >= -tol for d in model.side_signed_dists(z))
 
     def test_side_distances_are_the_lines(self, name, request):
-        """side_signed_dists reads the side table with signed_sinh_dist's
+        """side_signed_dists reads each side's line with signed_sinh_dist's
         arithmetic: bit for bit, on the points above and on points off
         each side by 1e-12 to 1e-5 of their height, along the whole line
         and high in each cusp."""

@@ -24,7 +24,7 @@ from geodense.halfplane import (
     to_isometry,
 )
 from geodense import densify, tracing
-from geodense.surface import Side, _side_row
+from geodense.surface import Side
 from test_halfplane import _by_ends, line_pairs
 from geodense.tolerances import TOL_GEO, TOL_LOOSE
 from geodense.words import cyclic_reduce, inverse_word
@@ -392,7 +392,7 @@ class TestPlainFloatStep:
             s, i, pt = got
             w = model.sides[i].pairing
             v = w.apply_tangent(pt, line.tangent_at(s))
-            assert tracing._land(model.side_table[i], pt, line, s) \
+            assert tracing._land(model.sides[i], pt, line, s) \
                 == (w.apply(pt), v / abs(v))
 
     @settings(max_examples=300, deadline=None)
@@ -410,7 +410,7 @@ class TestPlainFloatStep:
         # the other line both ways
         l1, l2 = pair
         side = Side(0, l2, -INF, INF, "a", (1, 0, 0, 1), 0)
-        model = SimpleNamespace(side_table=(_side_row(side),))
+        model = SimpleNamespace(sides=(side,))
         for line in (l1, l1.reversed()):
             assert _outcome(tracing._first_exit, model, line, s0) \
                 == _outcome(_reference_first_exit, [side], line, s0, True)
