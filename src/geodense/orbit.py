@@ -1,8 +1,9 @@
 """Deck group enumeration and certified distances.
 
-The deck groups of the catalog surfaces are free, so freely reduced
-words identify group elements exactly and breadth-first search over the
-side pairings enumerates tiles without numerical dedup.
+The deck groups of the catalog surfaces are free, and each element is
+an integer matrix, the product of its side pairings' matrices, so
+breadth-first search over the side pairings enumerates tiles by exact
+matrix keys without numerical dedup.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import RadiusTooSmall
-from .halfplane import GeodesicSegment, Isometry, _sq_gap, mat_mul, to_isometry
+from .halfplane import (GeodesicSegment, IntMatrix, Isometry, _sq_gap,
+                         mat_mul, to_isometry)
 from .surface import SurfaceModel
 from .tolerances import TOL_GEO
-from .words import join_reduced
 
 # How far GeodesicSegment.dist_to_point may sit from the true distance,
 # besides the slack of _Passages.  halfplane.dist itself is good to a
@@ -26,8 +27,10 @@ from .words import join_reduced
 DIST_TOL = 1e-7
 
 
-def dist_to_domain(model: SurfaceModel, z: complex) -> float:
-    """Distance from z to the closed fundamental polygon.
+def dist_to_domain(model: SurfaceModel, z: complex,
+                   dists: list[float]) -> float:
+    """Distance from z to the closed fundamental polygon, given z's
+    signed side distances ``model.side_signed_dists(z)``.
 
     Zero inside, by the test of ``inside``; outside, the nearest
     boundary point lies on one of the side segments because the polygon
@@ -44,7 +47,6 @@ def dist_to_domain(model: SurfaceModel, z: complex) -> float:
     tie and one line lies nearly as far, exceeds 1e-12 of distances
     below about 1e-4.
     """
-    dists = model.side_signed_dists(z)
     for v in dists:
         # "not >=" so that a NaN distance counts as outside, as inside does
         if not v >= -TOL_GEO:
@@ -60,78 +62,92 @@ def dist_to_domain(model: SurfaceModel, z: complex) -> float:
     return best
 
 
+def _refuse_off_the_half_plane(what: str, z: complex) -> None:
+    """Raise ValueError "cannot {what} z: not a point of the half-plane"
+    unless z is finite with Im z > 0."""
+    if not (z.imag > 0.0 and math.isfinite(z.real)
+            and math.isfinite(z.imag)):
+        raise ValueError(f"cannot {what} {z}: not a point of the "
+                         "half-plane")
+
+
 # How far ball's half-plane bound is widened, in sinh units.  It covers
-# three errors: dist_to_point's own, at most DIST_TOL; the drift of the
-# point the search carries from the point the exact test computes, at
-# most 6.3e-12 times 1 + |sinh| on either surface over 300 centers up to
-# height 3,000 and balls of up to 3,000 tiles; and the rounding of one
-# signed_sinh_dist, a few ulps for the polygon's unit-size sides.  The
-# bound reads the carried point's own side distances, with no map in
-# between, so no other rounding enters.  Widening the sinh s to
-# s (1 + d) + d moves its asinh up by about d at least, and 2 DIST_TOL
-# leaves room over the three.
+# three errors: dist_to_point's own, at most DIST_TOL; the rounding of
+# the two tile points it relates, a kept tile's and a candidate's, each
+# computed from its own matrix; and that of one signed_sinh_dist, a few
+# ulps for the polygon's unit-size sides.  The last two stay below
+# 3.5e-14 times 1 + |sinh| on the torus and 1.2e-9 on the sphere, near
+# its cusp vertex 1, over 300 centers 1e-12 to 0.3 heights off a side or
+# up to chart height 3,000 in a cusp and balls of up to 3,000 tiles.
+# Widening the sinh s to s (1 + d) + d moves its asinh up by about d at
+# least, and 2 DIST_TOL leaves room over the three.
 _HALF_PLANE_SLACK = 2.0 * DIST_TOL
 # a ball of more tiles than this raises RadiusTooSmall
 MAX_TILES = 20000
 
 
 def ball(model: SurfaceModel, center: complex,
-         radius: float) -> list[tuple[str, Isometry]]:
+         radius: float) -> list[tuple[IntMatrix, Isometry]]:
     """All deck elements whose tile meets the disk around center.
 
-    Returned as (word, isometry) pairs in breadth-first order starting
-    with the identity, each element multiplied as an integer matrix
-    along its word and converted once.  A tile g is kept when
-    ``dist_to_domain(model, g.inverse().apply(center))`` is at most
-    radius + 1e-9; the identity's inverse maps center to center + 0.0
-    bit for bit (a real part -0.0 comes out 0.0), which its tile tests.
-    Deep centers make the tile count explode along the cusp, which trips
-    the budget MAX_TILES.  ``dist_to_closed_geodesic`` asks for the
-    reach its point's own tile bounds, mostly a few thousandths, so that
-    for nearly every point the identity is the only tile kept.
+    Returned as (integer matrix, isometry) pairs in breadth-first order
+    starting with the identity, each matrix a product of side pairing
+    matrices, converted once.  A tile g is kept when its point
+    ``g.inverse().apply(center)`` lies at most radius + 1e-9 from the
+    polygon by ``dist_to_domain``; the identity's point is center + 0.0
+    bit for bit (a real part -0.0 comes out 0.0).  A tile's point and
+    its six side distances are computed once, for its exact test and
+    the bound alike.  Deep centers make the tile count explode along
+    the cusp, which trips the budget MAX_TILES, as does an infinite
+    radius; a radius that is not a number >= 0, or a center off the
+    half-plane, raises ValueError first.  ``dist_to_closed_geodesic``
+    asks for the reach its point's own tile bounds, mostly a few
+    thousandths, so that for nearly every point the identity is the
+    only tile kept.
 
-    Most candidates are rejected before their word is joined.  The
-    search carries each kept tile's point w = g^-1(center), and the
-    candidate across side i has the point ``side.pairing.apply(w)``.
-    The pairing maps the polygon's side of line i onto the far side of
-    its partner's line, isometrically, so that point lies as far beyond
-    the partner's line as w lies inside line i: the sinh of that
-    distance is w's signed distance d_i.  The polygon lies on the inner
-    side of the partner's line, so a candidate with d_i above
-    sinh(radius) lies more than radius from the polygon.  Widened by
-    _HALF_PLANE_SLACK, the bound rejects only candidates the exact test
-    rejects too.  Such a candidate's word is never kept, so leaving it
-    unseen changes no kept word's discoverer: the list is the one the
-    exact test alone gives, in the same order.  The word may still be
+    Most candidates are rejected before their matrix is formed.  The
+    candidate across side i of a kept tile with point w has the point
+    ``side.pairing.apply(w)``.  The pairing maps the polygon's side of
+    line i onto the far side of its partner's line, isometrically, so
+    that point lies as far beyond the partner's line as w lies inside
+    line i: the sinh of that distance is w's signed distance d_i.  The
+    polygon lies on the inner side of the partner's line, so a candidate
+    with d_i above sinh(radius) lies more than radius from the polygon.
+    Widened by _HALF_PLANE_SLACK, the bound rejects only candidates the
+    exact test rejects too.  Such a candidate is never kept, so leaving
+    it unseen changes no kept tile's discoverer: the list is the one the
+    exact test alone gives, in the same order.  The element may still be
     queued along another path, whose exact test drops it.
     """
+    if not radius >= 0.0:
+        raise ValueError(f"cannot build a ball of radius {radius}: the "
+                         "radius must be a number >= 0")
+    _refuse_off_the_half_plane("build a ball around", center)
     reach = radius + 1e-9
     ceiling = math.sinh(reach) * (1.0 + _HALF_PLANE_SLACK) \
         + _HALF_PLANE_SLACK
-    seen = {""}
+    seen = {(1, 0, 0, 1)}
     out = []
-    queue = deque([("", (1, 0, 0, 1), center)])
+    queue = deque(seen)
     while queue:
-        word, m, w = queue.popleft()
+        m = queue.popleft()
         g = to_isometry(m)
-        if dist_to_domain(model, g.inverse().apply(center) if word
-                          else center + 0.0) > reach:
+        w = g.inverse().apply(center)
+        dists = model.side_signed_dists(w)
+        if dist_to_domain(model, w, dists) > reach:
             continue
-        out.append((word, g))
+        out.append((m, g))
         if len(out) > MAX_TILES:
             raise RadiusTooSmall(
                 f"radius {radius:.3g} ball around {center:.6g} exceeds "
                 f"{MAX_TILES} tiles")
-        for side, d in zip(model.sides, model.side_signed_dists(w)):
+        for side, d in zip(model.sides, dists):
             if d > ceiling:
                 continue
-            partner = model.sides[side.partner]
-            nw = join_reduced(word, partner.word)
-            if nw in seen:
-                continue
-            seen.add(nw)
-            queue.append((nw, mat_mul(m, partner.matrix),
-                          side.pairing.apply(w)))
+            nm = mat_mul(m, model.sides[side.partner].matrix)
+            if nm not in seen:
+                seen.add(nm)
+                queue.append(nm)
     return out
 
 
@@ -247,7 +263,6 @@ class _Passages:
         self.passage = n[rows]
         self.fields = np.stack((x, y, 4.0 * y, reach, c, r, slack),
                                axis=1)[rows]
-        self.slack = self.fields[:, _SLACK]
         self.vertical = vertical[rows]
         self.any_vertical = bool(self.vertical.any())
         indexed = len(band)
@@ -465,10 +480,7 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     rules out.
     """
     # refused before the gather takes log(Im z)
-    if not (z.imag > 0.0 and math.isfinite(z.real)
-            and math.isfinite(z.imag)):
-        raise ValueError(f"cannot certify {z}: not a point of the "
-                         "half-plane")
+    _refuse_off_the_half_plane("certify", z)
     if not (1.0 / _COORD_RANGE <= z.imag <= _COORD_RANGE
             and abs(z.real) <= _COORD_RANGE):
         raise ValueError(f"cannot certify {z}: its height must lie in "
@@ -481,9 +493,9 @@ def dist_to_closed_geodesic(model: SurfaceModel, z: complex,
     cut = table._default_cut(own)
     tiles = ball(model, z, min(radius, cut + DIST_TOL))
     if not tiles:
-        raise ValueError(
-            f"{z:.6g} lies {dist_to_domain(model, z):.6g} from the polygon, "
-            f"farther than the radius {radius:.6g}")
+        d = dist_to_domain(model, z, model.side_signed_dists(z))
+        raise ValueError(f"{z:.6g} lies {d:.6g} from the polygon, "
+                         f"farther than the radius {radius:.6g}")
     if len(tiles) == 1 and cut <= _NEAR_CUT:
         pairs = table._bound(own, cut)
     else:

@@ -29,6 +29,7 @@ from geodense.orbit import (
     DIST_TOL,
     _HALF_PLANE_SLACK,
     _NEAR_CUT,
+    _SLACK,
     _STOP_MARGIN,
     _Passages,
     ball,
@@ -37,7 +38,7 @@ from geodense.orbit import (
 )
 from geodense.surface import SurfaceModel, load_surface
 from geodense.tracing import base_geodesic, trace_geodesic
-from geodense.words import free_reduce, join_reduced
+from geodense.words import free_reduce
 
 
 def all_reduced_words(letters, max_len):
@@ -50,16 +51,18 @@ def all_reduced_words(letters, max_len):
 
 class TestDistToDomain:
     def test_inside_is_zero(self, sphere):
-        assert dist_to_domain(sphere, sphere.base_point) == 0.0
-        assert dist_to_domain(sphere, 0.3 + 20.0j) == 0.0
+        for z in (sphere.base_point, 0.3 + 20.0j):
+            assert dist_to_domain(sphere, z, sphere.side_signed_dists(z)) \
+                == 0.0
 
     def test_beyond_wall(self, sphere):
-        assert dist_to_domain(sphere, complex(-1.5, 1.0)) \
+        z = complex(-1.5, 1.0)
+        assert dist_to_domain(sphere, z, sphere.side_signed_dists(z)) \
             == pytest.approx(math.asinh(0.5))
 
     def test_near_corner(self, sphere):
         z = complex(-1.5, 0.3)
-        assert dist_to_domain(sphere, z) \
+        assert dist_to_domain(sphere, z, sphere.side_signed_dists(z)) \
             == pytest.approx(dist(z, complex(-1.0, 1.0)))
 
 
@@ -97,14 +100,17 @@ class TestSideDistances:
     @given(st.one_of(_near_a_side(), _up_a_cusp()))
     def test_pairing_carries_the_distance_across(self, model_w):
         """Side i's pairing maps the polygon's side of line i onto the far
-        side of its partner's line: the partner's signed distance of the
-        mapped point is -d_i(w), to within the room _HALF_PLANE_SLACK
-        leaves over DIST_TOL for the bound's other errors."""
+        side of its partner's line: in a ball around w, the partner's
+        signed distance of the point of the tile across side i, computed
+        from its matrix as ball computes it, is -d_i(w), to within the
+        room _HALF_PLANE_SLACK leaves over DIST_TOL for the bound's other
+        errors."""
         model, w = model_w
         room = _HALF_PLANE_SLACK - DIST_TOL
         for side, d in zip(model.sides, model.side_signed_dists(w)):
             partner = model.sides[side.partner]
-            e = partner.line.signed_sinh_dist(side.pairing.apply(w))
+            across = to_isometry(partner.matrix).inverse().apply(w)
+            e = partner.line.signed_sinh_dist(across)
             assert abs(-d - e) <= room * (1.0 + abs(d))
 
     @settings(max_examples=300, deadline=None)
@@ -114,7 +120,7 @@ class TestSideDistances:
         dist_to_point, bit for bit, though most segments go unmeasured."""
         model, z = model_w
         assume(not model.inside(z))
-        assert dist_to_domain(model, z).hex() \
+        assert dist_to_domain(model, z, model.side_signed_dists(z)).hex() \
             == min(s.segment.dist_to_point(z) for s in model.sides).hex()
 
     @pytest.mark.parametrize("name", ["torus", "sphere"])
@@ -141,7 +147,9 @@ class TestSideDistances:
                         * normal * cmath.exp(1j * turn)
                     if model.inside(z):
                         continue
-                    assert dist_to_domain(model, z).hex() == min(
+                    got = dist_to_domain(model, z,
+                                         model.side_signed_dists(z))
+                    assert got.hex() == min(
                         s.segment.dist_to_point(z) for s in model.sides).hex()
 
     @pytest.mark.parametrize("name", ["torus", "sphere"])
@@ -149,14 +157,14 @@ class TestSideDistances:
         """The bound drops nearly every candidate the exact test would:
         over the centers of TestBallBound, fewer than two exact tests per
         tile kept.  On the torus no candidate is tested in vain up to
-        radius 1.  On the sphere a word the bound drops along one path
-        may be queued along another and fail the exact test there, up
-        to 1.6 tests per tile."""
+        radius 1.  On the sphere an element the bound drops along one
+        path may be queued along another and fail the exact test there,
+        up to 1.6 tests per tile."""
         model = request.getfixturevalue(name)
         exact = dist_to_domain
         calls = []
-        monkeypatch.setattr(orbit, "dist_to_domain", lambda model, z: (
-            calls.append(z), exact(model, z))[1])
+        monkeypatch.setattr(orbit, "dist_to_domain", lambda model, z, dists: (
+            calls.append(z), exact(model, z, dists))[1])
         for radius in (0.01, 0.2, 1.0, 2.5):
             calls.clear()
             kept = sum(len(ball(model, z, radius))
@@ -180,69 +188,132 @@ class TestSideDistances:
             == ((x + 0.0).hex(), y.hex())
 
 
+_IDENTITY = (1, 0, 0, 1)
+
+
 class TestBall:
     def test_tiny_radius_identity_only(self, sphere):
         got = ball(sphere, sphere.base_point, 0.1)
-        assert [w for w, _ in got] == [""]
+        assert [m for m, _ in got] == [_IDENTITY]
 
     def test_nearest_neighbor_appears(self, sphere):
-        words = {w for w, _ in ball(sphere, sphere.base_point, 0.5)}
-        assert words == {"", "B"}
+        got = {m for m, _ in ball(sphere, sphere.base_point, 0.5)}
+        assert got == {_IDENTITY, sphere.word_matrix("B")}
 
     def test_breadth_first_order_and_words(self, sphere):
+        """Each tile is the integer matrix of a reduced word, found once,
+        and its isometry is that matrix converted."""
         got = ball(sphere, sphere.base_point, 2.5)
-        assert got[0][0] == ""
+        assert got[0][0] == _IDENTITY
         assert len(got) > 10
-        words = [w for w, _ in got]
-        assert len(set(words)) == len(words)
-        for w, g in got:
-            assert free_reduce(w) == w
-            m = sphere.word_matrix(w)
-            assert (g.a, g.b, g.c, g.d) in (m, tuple(-v for v in m))
+        matrices = [m for m, _ in got]
+        assert len(set(matrices)) == len(matrices)
+        reduced = {sphere.word_matrix(w) for w in all_reduced_words("abAB", 6)}
+        for m, g in got:
+            assert m in reduced
+            assert g == to_isometry(m)
 
     def test_completeness_against_brute_force(self, sphere):
         r = 2.0
-        words = {w for w, _ in ball(sphere, sphere.base_point, r)}
+        matrices = {m for m, _ in ball(sphere, sphere.base_point, r)}
         for w in all_reduced_words("abAB", 4):
-            g = to_isometry(sphere.word_matrix(w))
-            d = dist_to_domain(sphere, g.inverse().apply(sphere.base_point))
-            if d <= r - 1e-9:
-                assert w in words, w
+            m = sphere.word_matrix(w)
+            z = to_isometry(m).inverse().apply(sphere.base_point)
+            if dist_to_domain(sphere, z, sphere.side_signed_dists(z)) \
+                    <= r - 1e-9:
+                assert m in matrices, w
 
     def test_deep_center_trips_budget(self, sphere, monkeypatch):
         monkeypatch.setattr(orbit, "MAX_TILES", 50)
         with pytest.raises(RadiusTooSmall, match="exceeds 50 tiles"):
             ball(sphere, complex(0.05, 2000.0), 2.0)
 
-    def test_join_is_free_reduction(self):
-        words = list(all_reduced_words("abAB", 4))
-        for u, v in itertools.product(words, repeat=2):
-            assert join_reduced(u, v) == free_reduce(u + v)
-        for spec in CATALOG.values():
-            for v in spec.side_words:
-                assert free_reduce(v) == v
-                for u in words + list(spec.side_words):
-                    assert join_reduced(u, v) == free_reduce(u + v)
-                    assert join_reduced(v, u) == free_reduce(v + u)
-
     def test_deep_center_long_words(self, torus):
-        # up the cusp each strip lengthens the words by the cusp word;
-        # joining at the junction keeps this a fraction of a second
+        # up the cusp each strip multiplies the element by the cusp's
+        # parabolic matrix: words of up to 2,420 letters, 605 cusp words,
+        # whose matrices' entries grow only linearly along the strips
         got = ball(torus, complex(0.3, 600.0), 2.5)
         assert len(got) == 1211
-        assert max(len(w) for w, _ in got) == 2420
+        assert max(abs(v) for m, _ in got for v in m) == 3630
+
+    @pytest.mark.parametrize("name", ["torus", "sphere"])
+    def test_one_side_reading_per_popped_tile(self, name, request,
+                                              monkeypatch):
+        """A popped tile's point has its side distances computed once,
+        for its exact test and the half-plane bound alike: as many
+        readings as exact tests."""
+        model = request.getfixturevalue(name)
+        centers = _ball_centers(model)
+        tests, reads = [0], [0]
+        exact, side_signed_dists = dist_to_domain, \
+            SurfaceModel.side_signed_dists
+
+        def tested(model, z, dists):
+            tests[0] += 1
+            return exact(model, z, dists)
+
+        def read(model, z):
+            reads[0] += 1
+            return side_signed_dists(model, z)
+
+        monkeypatch.setattr(orbit, "dist_to_domain", tested)
+        monkeypatch.setattr(SurfaceModel, "side_signed_dists", read)
+        for z in centers:
+            for radius in (0.01, 1.0):
+                ball(model, z, radius)
+        assert reads[0] == tests[0] > len(centers)
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0],
+                             ids=["nan", "negative"])
+    def test_refuses_a_radius_by_name(self, torus, torus_dec, radius):
+        """A NaN radius built MAX_TILES tiles before RadiusTooSmall
+        called it nan; a negative one gave the point's tile-less ball a
+        message saying the point lay 0 from the polygon.  Both are
+        refused by name, by ball and through dist_to_closed_geodesic."""
+        curve = torus_dec.base.trace.segments()
+        message = re.escape(f"cannot build a ball of radius {radius}: "
+                            "the radius must be a number >= 0")
+        with pytest.raises(ValueError, match=message):
+            ball(torus, complex(0.3, 1.3), radius)
+        with pytest.raises(ValueError, match=message):
+            dist_to_closed_geodesic(torus, complex(0.3, 1.3), curve, radius)
+
+    @pytest.mark.parametrize("z", [complex(0.5, 0.0), complex(0.5, -1.0),
+                                   complex(0.5, math.inf)],
+                             ids=["on_the_axis", "below", "inf"])
+    def test_refuses_a_center_off_the_half_plane(self, torus, z):
+        """ZeroDivisionError on the axis and a bare math domain error
+        below it, before the center was named."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot build a ball around {z}: not a point of the "
+                "half-plane")):
+            ball(torus, z, 0.2)
+
+    def test_infinite_radius_runs_into_the_budget(self, torus, torus_dec,
+                                                  monkeypatch):
+        monkeypatch.setattr(orbit, "MAX_TILES", 50)
+        with pytest.raises(RadiusTooSmall, match="radius inf ball .* "
+                           "exceeds 50 tiles"):
+            ball(torus, complex(0.3, 1.3), math.inf)
+        curve = torus_dec.base.trace.segments()
+        assert dist_to_closed_geodesic(torus, complex(0.3, 1.3), curve,
+                                       math.inf) >= 0.0
 
 
 def _plain_ball(model, center, radius, max_tiles=20000):
-    """Breadth-first search that gives every candidate the exact test."""
+    """Breadth-first search over reduced words that gives every
+    candidate the exact test: (word matrix, isometry) pairs, the
+    isometries multiplied in floats."""
     seen = {""}
     out = []
     queue = deque([("", Isometry(1.0, 0.0, 0.0, 1.0))])
     while queue:
         word, g = queue.popleft()
-        if dist_to_domain(model, g.inverse().apply(center)) > radius + 1e-9:
+        z = g.inverse().apply(center)
+        if dist_to_domain(model, z, model.side_signed_dists(z)) \
+                > radius + 1e-9:
             continue
-        out.append((word, g))
+        out.append((model.word_matrix(word), g))
         if len(out) > max_tiles:
             raise RadiusTooSmall(
                 f"radius {radius:.3g} ball around {center:.6g} exceeds "
@@ -296,7 +367,8 @@ class TestBallBound:
         model = request.getfixturevalue(name)
         for z in _ball_centers(model)[:4]:
             for _, g in _plain_ball(model, z, 1.0)[1:]:
-                d = dist_to_domain(model, g.inverse().apply(z))
+                w = g.inverse().apply(z)
+                d = dist_to_domain(model, w, model.side_signed_dists(w))
                 for radius in (d - 1e-9, math.nextafter(d - 1e-9, 0.0)):
                     assert ball(model, z, radius) \
                         == _plain_ball(model, z, radius)
@@ -356,7 +428,7 @@ class TestDistToClosedGeodesic:
         z = curve[0].point_at_fraction(0.625)
         assert dist_to_closed_geodesic(torus, z, curve, 0.2) < 1e-12
         image = torus.sides[0].pairing.apply(z)
-        d = dist_to_domain(torus, image)
+        d = dist_to_domain(torus, image, torus.side_signed_dists(image))
         assert d > 1.0 and ball(torus, image, 0.2) == []
         with pytest.raises(ValueError, match=re.escape(
                 f"{image:.6g} lies {d:.6g} from the polygon")):
@@ -461,8 +533,9 @@ def _expected(model, z, segments, radius):
     """The same from a scan of every pair over the ball of the full
     radius, or the message refusing a point that ball holds no tile of."""
     if not ball(model, z, radius):
-        return (f"{z:.6g} lies {dist_to_domain(model, z):.6g} from the "
-                f"polygon, farther than the radius {radius:.6g}")
+        d = dist_to_domain(model, z, model.side_signed_dists(z))
+        return (f"{z:.6g} lies {d:.6g} from the polygon, farther than the "
+                f"radius {radius:.6g}")
     return _verdict(z, radius, _plain_scan(model, z, segments, radius))
 
 
@@ -652,8 +725,8 @@ class TestHeightWindow:
         side = GeodesicSegment(GeodesicLine.vertical(x),
                                math.log(m.imag) - 1.0, math.log(m.imag) + 1.0)
         table = _Passages([short, long_, side])
-        assert _Passages([long_]).slack.max() \
-            > 10.0 * _Passages([short]).slack.max() > 0.0
+        assert _Passages([long_]).fields[:, _SLACK].max() \
+            > 10.0 * _Passages([short]).fields[:, _SLACK].max() > 0.0
         assert len(table.wide) > 0
         assert {(0, 0), (0, 1)} <= set(_pairs(table, [m]))
         assert _pairs(table, [m], 1e-5) == [(0, 0), (0, 1), (0, 2)]
@@ -874,7 +947,7 @@ class TestBestFirst:
         above: a scan that stopped at the first bound above the best
         would miss it."""
         z = complex(0.3, 1.2)
-        assert [w for w, _ in ball(torus, z, 0.01)] == [""]
+        assert [m for m, _ in ball(torus, z, 0.01)] == [_IDENTITY]
         curve, want = _past_a_bound(z, 0.1, monkeypatch)
         assert dist_to_closed_geodesic(torus, z, curve, 0.01) == want
 
@@ -1038,11 +1111,12 @@ class TestOwnTileFirst:
         assert len(made) == 100
         assert sum(n > 1 for _, n in made) <= 1
 
-    def test_two_side_reads_per_point(self, torus, torus_curve, monkeypatch):
+    def test_one_side_reading_per_point(self, torus, torus_curve,
+                                        monkeypatch):
         """Work per point: over 100 truncated points at radius 0.2, a
         point whose ball keeps its own tile alone reads its side
-        distances twice, in the identity's exact test and in its
-        half-plane bound."""
+        distances once, for the identity's exact test and its
+        half-plane bound alike."""
         points = _truncated_points(torus, 100, seed=11)
         made = _recorded_balls(monkeypatch)
         reads, side_signed_dists = [0], SurfaceModel.side_signed_dists
@@ -1059,4 +1133,4 @@ class TestOwnTileFirst:
             if made[-1][1] == 1:
                 per_point.append(reads[0])
         assert len(per_point) >= 99
-        assert max(per_point) <= 2
+        assert set(per_point) == {1}
