@@ -245,7 +245,7 @@ def _ray_events(S: _Setting, steps: list[TraceStep], walked: float = 0.0,
 def _run_deep_events(S: _Setting, st: TraceStep, walked: float,
                      k: int) -> list[CrossingRecord]:
     """Crossings of a run with its cusp's deep horocycle."""
-    c, ch = st.run.cusp, st.run.chart
+    c, ch = st.cusp, st.chart_arc
     h = S.deep_chart[c.index]
     out = []
     for sp, zc in line_horocycle_crossings(ch.line, h):

@@ -133,19 +133,6 @@ class GeodesicLine:
         dot = t.real * dx + t.imag * (z2.imag - z1.imag)
         return GeodesicLine.circle(c, r, pos_to_neg=(dot > 0))
 
-    @staticmethod
-    def from_point_direction(z: complex, u: complex) -> "GeodesicLine":
-        """Geodesic through z with forward unit tangent parallel to u."""
-        if abs(u) <= TOL_GEO:
-            raise ValueError("zero direction")
-        if abs(u.real) <= TOL_GEO * abs(u):
-            return GeodesicLine.vertical(z.real, up=(u.imag > 0))
-        c = z.real + z.imag * (u.imag / u.real)
-        r = abs(z - c)
-        t = 1j * (z - c) / r
-        dot = t.real * u.real + t.imag * u.imag
-        return GeodesicLine.circle(c, r, pos_to_neg=(dot > 0))
-
     # -- endpoints ----------------------------------------------------------
 
     @property
@@ -236,6 +223,26 @@ def same_line(l1: GeodesicLine, l2: GeodesicLine, tol: float = TOL_GEO) -> bool:
         return abs(l1.foot - l2.foot) <= tol
     return abs(l1.center - l2.center) <= tol and \
         abs(l1.radius - l2.radius) <= tol
+
+
+def ray(p: complex, u: complex) -> tuple[GeodesicLine, float]:
+    """The geodesic through p with forward tangent parallel to u, and
+    p's parameter on it (param_of's arithmetic), in plain floats: the
+    tracer builds one per step."""
+    n = abs(u)
+    if n <= TOL_GEO:
+        raise ValueError("zero direction")
+    x, y = p.real, p.imag
+    if abs(u.real) <= TOL_GEO * n:
+        up = u.imag > 0
+        s = math.log(abs(p - x))
+        return GeodesicLine(True, x, up), s if up else -s
+    c = x + y * (u.imag / u.real)
+    r = abs(p - c)
+    t = 1j * (p - c) / r
+    fwd = t.real * u.real + t.imag * u.imag > 0
+    s = math.log(abs(p - (c + r))) - math.log(abs(p - (c - r)))
+    return GeodesicLine(False, 0.0, True, c, r, fwd), s if fwd else -s
 
 
 # ---------------------------------------------------------------------------

@@ -302,15 +302,21 @@ class SurfaceModel:
 
         Returns (point, m) with m the applied deck element as an integer
         matrix, the product of the side pairings and cusp shifts taken
-        (point = m(z)).  The point itself is moved step by step.
+        (point = m(z)).  The point itself is moved step by step; a move
+        that rounds it off the half-plane raises TraceError.
         """
         if not (z.imag > 0.0 and math.isfinite(z.real)
                 and math.isfinite(z.imag)):
             raise TraceError(f"cannot reduce {z}: not a point of the "
                              "half-plane")
-        m = (1, 0, 0, 1)
+        z0, m = z, (1, 0, 0, 1)
         for _ in range(NORMALIZE_STEPS):
-            if self.inside(z):
+            if not z.imag > 0.0:
+                raise TraceError(f"cannot reduce {z0}: a move took it to "
+                                 f"{z}, off the half-plane")
+            dists = self.side_signed_dists(z)
+            # inside(z): a NaN distance counts as outside
+            if all(v >= -TOL_GEO for v in dists):
                 return z, m
             moved = False
             for c in self.cusps:
@@ -325,7 +331,6 @@ class SurfaceModel:
                         break
             if moved:
                 continue
-            dists = self.side_signed_dists(z)
             i = min(range(len(dists)), key=lambda t: dists[t])
             if dists[i] >= -TOL_GEO:
                 return z, m
@@ -368,7 +373,7 @@ class SurfaceModel:
                 raise InvalidSurface(f"side pairing not involutive at {s.index}")
             if s.index != p.index and inverse_word(s.word) != p.word:
                 raise InvalidSurface(
-                    f"pairing words of sides {s.index}/{p.partner} not inverse")
+                    f"pairing words of sides {s.index}/{p.index} not inverse")
             # the pairing reverses boundary orientation: start -> end
             v0 = spec.vertices[s.index]
             v1 = spec.vertices[(s.index + 1) % k]

@@ -14,10 +14,11 @@ between the cusp's two walls, and the walk crosses one wall per strip
 width.  There a step becomes a run: one step for all of those wall
 crossings but the last.  A run's segment is the developed arc in the
 frame of its first passage, its count the number of crossings, and it
-lands in the polygon with one power of the cusp parabolic.  A plain
-step is the case count 1.  ``Trace.sides`` and ``Trace.segments()``
-list runs crossing by crossing and passage by passage, in polygon
-coordinates, as a walk without runs gives them.
+carries its cusp and the same arc in that cusp's chart; it lands in the
+polygon with one power of the cusp parabolic.  A plain step is the case
+count 1.  ``Trace.sides`` and ``Trace.segments()`` list runs crossing
+by crossing and passage by passage, in polygon coordinates, as a walk
+without runs gives them.
 
 A closed geodesic is walked on integer axes instead (close_exact): each
 chord's line is rounded once from an exact conjugate of its deck element.
@@ -45,6 +46,7 @@ from .halfplane import (
     lines_cross,
     mat_inv,
     mat_mul,
+    ray,
     same_line,
 )
 from .surface import Cusp, Side, SurfaceModel
@@ -56,20 +58,6 @@ _AHEAD = 1e-11
 _BEHIND = 1e-5
 # a trace taking more steps than this, a run counting as one, fails
 TRACE_STEPS = 400000
-
-
-@dataclass(slots=True)
-class CuspRun:
-    """Where a run lives: its cusp, and its developed arc in the cusp
-    chart, starting in the strip as the run's first passage does.
-
-    Wall crossings and passages are computed from the chart arc: chart
-    coordinates stay well conditioned where polygon coordinates near a
-    finite cusp vertex lose digits.
-    """
-
-    cusp: Cusp
-    chart: GeodesicSegment
 
 
 def _strip_walls(cusp: Cusp, side: int) -> tuple[float, float]:
@@ -98,21 +86,26 @@ class TraceStep:
 
     A plain step (count 1) is a segment of the traced geodesic in
     polygon coordinates and the side crossed at its far end (None when
-    the trace ends inside the polygon).  A run crosses side, a wall of
-    run.cusp, count times; its segment is the developed arc in the
-    polygon frame of its first passage, ending on the last of those
-    crossings.
+    the trace ends inside the polygon); its cusp and chart_arc are None.
+    A run crosses side, a wall of cusp, count times; its segment is the
+    developed arc in the polygon frame of its first passage, ending on
+    the last of those crossings, and chart_arc is the same arc developed
+    in the cusp chart, starting in the strip as the first passage does.
+    Wall crossings and passages are computed from chart_arc: chart
+    coordinates stay well conditioned where polygon coordinates near a
+    finite cusp vertex lose digits.
     """
 
     segment: GeodesicSegment
     side: int | None
     count: int = 1
-    run: CuspRun | None = None
+    cusp: Cusp | None = None
+    chart_arc: GeodesicSegment | None = None
 
     def wall(self, i: int) -> complex:
         """Chart point of a run's wall crossing i, from 1 to count, in
         the chart frame of its first passage."""
-        z = _wall_crossing(self.run.chart.line, self.run.cusp, self.side, i)
+        z = _wall_crossing(self.chart_arc.line, self.cusp, self.side, i)
         if z is None:
             raise TraceError(f"run misses its wall crossing {i}")
         return z
@@ -120,9 +113,9 @@ class TraceStep:
     def in_frame(self, j: int, a: complex, b: complex) -> GeodesicSegment:
         """A run's arc between chart points a and b, both given in the
         chart frame of passage j, in the polygon frame of passage j."""
-        c = self.run.cusp
+        c = self.cusp
         line = c.chart_inv.apply_line(_shifted(
-            self.run.chart.line, c.jump(self.side) * j * c.width))
+            self.chart_arc.line, c.jump(self.side) * j * c.width))
         return GeodesicSegment(line, line.param_of(c.chart_inv.apply(a)),
                                line.param_of(c.chart_inv.apply(b)))
 
@@ -147,10 +140,10 @@ class TraceStep:
         """A run's passage j from its wall crossings a = wall(j), unused
         for j = 0, and b = wall(j + 1)."""
         if j == 0:   # developed from the start of the chart arc
-            ch, s0 = self.run.chart, self.segment.s0
+            ch, s0 = self.chart_arc, self.segment.s0
             return self.segment.subsegment(
                 s0, s0 + (ch.line.param_of(b) - ch.s0))
-        x_in, x_out = _strip_walls(self.run.cusp, self.side)
+        x_in, x_out = _strip_walls(self.cusp, self.side)
         return self.in_frame(j, complex(x_in, a.imag), complex(x_out, b.imag))
 
 
@@ -248,23 +241,6 @@ def _first_exit(model: SurfaceModel, line: GeodesicLine, s0: float):
     return best
 
 
-def _ray(p: complex, u: complex) -> tuple[GeodesicLine, float]:
-    """The line through p along the unit direction u, and p's parameter
-    on it: GeodesicLine.from_point_direction and param_of, in plain
-    floats."""
-    x, y = p.real, p.imag
-    if abs(u.real) <= TOL_GEO * abs(u):
-        up = u.imag > 0
-        s = math.log(abs(p - x))
-        return GeodesicLine(True, x, up), s if up else -s
-    c = x + y * (u.imag / u.real)
-    r = abs(p - c)
-    t = 1j * (p - c) / r
-    fwd = t.real * u.real + t.imag * u.imag > 0
-    s = math.log(abs(p - (c + r))) - math.log(abs(p - (c - r)))
-    return GeodesicLine(False, 0.0, True, c, r, fwd), s if fwd else -s
-
-
 def _land(side: Side, pt: complex, line: GeodesicLine,
           s: float) -> tuple[complex, complex]:
     """Where a ray crossing a side at pt, parameter s of its line, goes
@@ -305,7 +281,7 @@ def _cusp_run(c: Cusp, line: GeodesicLine, p: complex, u: complex,
     w = c.width
     if zc.imag < w:
         return None
-    cl = GeodesicLine.from_point_direction(zc, c.chart.apply_tangent(p, u))
+    cl, sc = ray(zc, c.chart.apply_tangent(p, u))
     if cl.is_vertical:
         return None
     right = not cl.pos_to_neg
@@ -324,7 +300,6 @@ def _cusp_run(c: Cusp, line: GeodesicLine, p: complex, u: complex,
     n = walls_before(cl.center + drop if right else cl.center - drop)
     if n < 3:
         return None
-    sc = cl.param_of(zc)
     # (600 past the start the ray is at its endpoint; exp overflows later)
     n = min(n, walls_before(cl.point_at(sc + min(remaining, 600.0)).real))
     if n < 3:   # a run of one crossing is the plain step
@@ -338,7 +313,7 @@ def _cusp_run(c: Cusp, line: GeodesicLine, p: complex, u: complex,
         return None
     land = complex(_strip_walls(c, side)[0], z.imag)
     step = TraceStep(GeodesicSegment(line, s_here, s_here + ch.length),
-                     side, n - 1, CuspRun(c, ch))
+                     side, n - 1, c, ch)
     return (step, c.chart_inv.apply(land),
             c.chart_inv.apply_tangent(land, cl.tangent_at(ch.s1)))
 
@@ -357,8 +332,13 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
     trace holds the steps so far, and ends where the next step would
     start, with the length walked.
     """
-    if length < 0.0:
-        raise ValueError("trace length must be nonnegative")
+    if not (p.imag > 0.0 and cmath.isfinite(p)):
+        raise TraceError(f"trace start {p} is not a point of the half-plane")
+    if u == 0 or not cmath.isfinite(u):
+        raise ValueError(f"trace direction {u} is zero or not finite")
+    if not 0.0 <= length < INF:
+        raise ValueError(f"trace length {length} is not a finite number "
+                         "at least 0")
     if not model.inside(p, tol=1e-6):
         raise TraceError(f"trace start {p} is not in the polygon")
     u = u / abs(u)
@@ -369,7 +349,7 @@ def trace_geodesic(model: SurfaceModel, p: complex, u: complex,
     # horocycle starts on a wall, since no other side climbs that high
     wall_of = None
     for _ in range(TRACE_STEPS):
-        line, s_here = _ray(p, u)
+        line, s_here = ray(p, u)
         remaining = length - walked
         run = None if wall_of is None else \
             _cusp_run(wall_of, line, p, u, s_here, remaining)
@@ -439,7 +419,7 @@ def _reversed_tail(model: SurfaceModel, st: TraceStep) -> TraceStep:
     n = st.count - 1
     if n == 1:
         return TraceStep(st.passage(1).reversed(), partner)
-    c, ch = st.run.cusp, st.run.chart
+    c, ch = st.cusp, st.chart_arc
     t = c.jump(st.side) * n * c.width
     a = st.wall(1) + t
     b = complex(_strip_walls(c, st.side)[1], st.wall(st.count).imag)
@@ -447,7 +427,7 @@ def _reversed_tail(model: SurfaceModel, st: TraceStep) -> TraceStep:
     chart = GeodesicSegment(line, line.param_of(a), line.param_of(b))
     seg = st.in_frame(n, a, b).reversed()
     return TraceStep(seg.subsegment(seg.s0, seg.s0 + chart.length),
-                     partner, n, CuspRun(c, chart.reversed()))
+                     partner, n, c, chart.reversed())
 
 
 def concat_traces(legs: list[Trace]) -> Trace:
@@ -498,8 +478,7 @@ def _step_map(model: SurfaceModel, st: TraceStep) -> IntMatrix:
     """A side step's deck map: its inverse pairing, or a run's shift."""
     if st.count == 1:
         return mat_inv(model.sides[st.side].matrix)
-    cusp = model.wall_cusps[st.side]
-    return cusp.shift_matrix(-cusp.jump(st.side) * st.count)
+    return st.cusp.shift_matrix(-st.cusp.jump(st.side) * st.count)
 
 
 def _cut(model: SurfaceModel, line: GeodesicLine, i: int, k: int) -> float:

@@ -30,6 +30,7 @@ from .halfplane import (
     folded_angle,
     line_horocycle_crossings,
     lines_cross,
+    ray,
     segments_cross,
 )
 
@@ -98,8 +99,7 @@ def _line_through(z: complex, acute: float, tilt: int) -> GeodesicLine:
 
     tilt +1 leans the forward tangent toward +x, -1 toward -x.
     """
-    return GeodesicLine.from_point_direction(
-        z, cmath.exp(1j * (HALF_PI - tilt * acute)))
+    return ray(z, cmath.exp(1j * (HALF_PI - tilt * acute)))[0]
 
 
 def _line_to_ideal(z: complex, u: float) -> GeodesicLine:

@@ -27,6 +27,7 @@ from geodense.halfplane import (
     Horocycle,
     Isometry,
     dist,
+    ray,
     to_isometry,
 )
 from geodense.tracing import tile_elements, trace_geodesic
@@ -447,9 +448,8 @@ class TestIncrementalHunt:
         assert 0.15 < K.theta0 < 0.6
         chord = g0.chords[0][1]
         z = chord.end
-        line = GeodesicLine.from_point_direction(
-            z, chord.line.tangent_at(chord.s1)
-            * complex(math.cos(alpha), math.sin(alpha)))
+        line = ray(z, chord.line.tangent_at(chord.s1)
+                   * complex(math.cos(alpha), math.sin(alpha)))[0]
         s0 = line.param_of(z) - 0.05
         p, u = line.point_at(s0), line.tangent_at(s0)
         first = trace_geodesic(model, p, u, 1.0).steps[:2]

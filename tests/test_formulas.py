@@ -19,6 +19,7 @@ from geodense.halfplane import (
     angle_with_horocycle,
     dist,
     lines_cross,
+    ray,
 )
 
 E = math.e
@@ -252,13 +253,13 @@ class TestTransversalLimitAngle:
         # crossing line through i at angle theta0 (tilted toward +x),
         # observer at i*e^{-r}; ray to the back ideal endpoint
         u = 1j * complex(math.cos(-theta0), math.sin(-theta0))
-        crossing = GeodesicLine.from_point_direction(1j, u)
+        crossing = ray(1j, u)[0]
         end = crossing.endpoint_back
         q = 1j * math.exp(-r)
         c = (abs(q) ** 2 - end ** 2) / (2.0 * (q.real - end))
-        ray = GeodesicLine.from_endpoints(2.0 * c - end, end)
-        assert ray.dist_to(q) < 1e-9
-        measured = angle_between(ray.tangent_at(ray.param_of(q)), 1j)
+        sight = GeodesicLine.from_endpoints(2.0 * c - end, end)
+        assert sight.dist_to(q) < 1e-9
+        measured = angle_between(sight.tangent_at(sight.param_of(q)), 1j)
         assert measured == pytest.approx(
             fm.transversal_limit_angle(r, theta0), abs=1e-9)
 

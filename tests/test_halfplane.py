@@ -29,6 +29,7 @@ from geodense.halfplane import (
     lines_cross,
     mat_inv,
     mat_mul,
+    ray,
     segments_cross,
     to_isometry,
 )
@@ -234,9 +235,15 @@ class TestLines:
     @given(points, st.floats(0.0, 2 * math.pi))
     def test_from_direction(self, z, theta):
         u = complex(math.cos(theta), math.sin(theta))
-        line = GeodesicLine.from_point_direction(z, u)
-        t = line.tangent_at(line.param_of(z))
+        line, s = ray(z, u)
+        assert s == line.param_of(z)
+        t = line.tangent_at(s)
         assert abs(t - u) < 1e-6
+
+    @pytest.mark.parametrize("u", [0j, 1e-12 + 0j])
+    def test_ray_refuses_zero_direction(self, u):
+        with pytest.raises(ValueError, match="zero direction"):
+            ray(1j, u)
 
     def test_unit_speed(self):
         line = GeodesicLine.circle(2.0, 3.0)
@@ -615,7 +622,7 @@ class TestIsometry:
         v = g.apply_tangent(z, u)
         assert abs(abs(v) - 1.0) < TOL_GEO
         # transported tangent generates the image geodesic
-        line = GeodesicLine.from_point_direction(z, u)
+        line = ray(z, u)[0]
         img = g.apply_line(line)
         w = g.apply(z)
         t = img.tangent_at(img.param_of(w))

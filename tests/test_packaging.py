@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "geodense"
 BENCH = ROOT / "perfbench"
@@ -20,6 +18,7 @@ BENCH = ROOT / "perfbench"
 
 def _declared() -> set[str]:
     """Import names of the distributions pyproject.toml depends on."""
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 on
     with open(ROOT / "pyproject.toml", "rb") as f:
         deps = tomllib.load(f)["project"]["dependencies"]
     return {re.match(r"[A-Za-z0-9_.\-]+", d).group().lower().replace("-", "_")
@@ -237,6 +236,14 @@ def test_trace_is_its_steps_and_length():
     assert fields == ["steps", "length"]
 
 
+def test_trace_step_is_one_record():
+    """A step holds its passage, its side and count, and for a cusp run
+    its cusp and chart arc: a run is one record."""
+    tracing = importlib.import_module("geodense.tracing")
+    fields = [f.name for f in dataclasses.fields(tracing.TraceStep)]
+    assert fields == ["segment", "side", "count", "cusp", "chart_arc"]
+
+
 def test_every_error_is_raised():
     """Each error class names a step that is built: something in the
     package raises it."""
@@ -423,7 +430,7 @@ _VALUE_CLASSES = {
     "halfplane": ("GeodesicLine", "GeodesicSegment", "Horocycle",
                   "Isometry"),
     "densify": ("CrossingRecord", "ExtensionOutcome"),
-    "tracing": ("TraceStep", "Trace", "CuspRun"),
+    "tracing": ("TraceStep", "Trace"),
     "surface": ("Side", "Cusp"),
 }
 

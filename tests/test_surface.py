@@ -311,6 +311,15 @@ class TestNormalize:
                            match=re.escape(f"cannot reduce {z0}:")):
             torus.normalize(z0)
 
+    @pytest.mark.parametrize("z0", [complex(1e20, 1.0),
+                                    complex(1e200, 1.0)])
+    def test_refuses_a_point_its_moves_take_off(self, sphere, z0):
+        # so far out, rounding makes the pairings' images land on the
+        # real axis (at 0.5), where no side distance exists
+        with pytest.raises(TraceError, match=re.escape(
+                f"cannot reduce {z0}: a move took it to (0.5+0j)")):
+            sphere.normalize(z0)
+
     @settings(max_examples=200, deadline=None)
     @given(st.booleans(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_element_is_exact_in_the_box(self, torus, sphere, on_torus,
@@ -393,6 +402,16 @@ class TestChartTop:
             == pytest.approx(w3.imag, rel=1e-12)
 
 
+def _sphere_cusp(j, **change):
+    """The sphere's cusps, cusp j changed, as a spec change."""
+    cusps = list(CATALOG["thrice-punctured-sphere"].cusps)
+    cusps[j] = dataclasses.replace(cusps[j], **change)
+    return {"cusps": tuple(cusps)}
+
+
+_P = complex(-1.0, 3.0)
+
+
 class TestValidation:
     def test_bad_relator(self):
         spec = dataclasses.replace(CATALOG["thrice-punctured-sphere"],
@@ -458,6 +477,47 @@ class TestValidation:
         cusps = (dataclasses.replace(spec.cusps[0], width=3.0),) + spec.cusps[1:]
         spec = dataclasses.replace(spec, cusps=cusps)
         with pytest.raises(InvalidSurface):
+            SurfaceModel(spec)
+
+    @pytest.mark.parametrize("change, error, match", [
+        pytest.param({"relator": "x"}, ValueError,
+                     "unknown generator letter 'x'", id="relator"),
+        pytest.param(_sphere_cusp(0, vertex_index=1), InvalidSurface,
+                     "cusp 0 vertex is not ideal", id="cusp vertex"),
+        pytest.param(_sphere_cusp(1, chart=((1.0, 0.0), (0.0, 1.0))),
+                     InvalidSurface,
+                     "cusp 1: adjacent side 1 does not map to a chart wall",
+                     id="cusp chart"),
+        pytest.param({"side_words": ("a", "b", "B", "aB", "Ab", "A")},
+                     InvalidSurface, "pairing words of sides 3/4 not inverse",
+                     id="side words"),
+        # a is z -> z + 3: side 0 lands off side 5
+        pytest.param({"gen_matrices": (((1.0, 3.0), (0.0, 1.0)),
+                                       ((1.0, 0.0), (2.0, 1.0)))},
+                     InvalidSurface, "side 0 does not map onto side 5",
+                     id="generator"),
+        # a, spelt otherwise
+        pytest.param(_sphere_cusp(0, word="abB"), InvalidSurface,
+                     "cusp 0 walls are not paired by its word",
+                     id="cusp word"),
+        # P = -1 + 3i and its images by b and a: every pairing still
+        # matches, but side 1 climbs to height 3 in cusp 0's strip
+        pytest.param({"vertices": (INF, _P, 0.0, _P / (2.0 * _P + 1.0), 1.0,
+                                   _P + 2.0)},
+                     InvalidSurface, "side 1 climbs into the cusp 0 wedge",
+                     id="vertices"),
+        pytest.param({"genus": 1}, InvalidSurface,
+                     r"polygon area 6\.28318531 does not match Euler "
+                     r"characteristic value 18\.8495559", id="genus"),
+        pytest.param({"base_point": complex(5.0, 1.0)}, InvalidSurface,
+                     "base point is outside the polygon", id="base point"),
+    ])
+    def test_refusal_names_its_check(self, change, error, match):
+        """Each check of a model's construction refuses a spec that breaks
+        it alone, by its own message."""
+        spec = dataclasses.replace(CATALOG["thrice-punctured-sphere"],
+                                   **change)
+        with pytest.raises(error, match=f"^{match}"):
             SurfaceModel(spec)
 
     def test_word_inverse_consistency(self, sphere):

@@ -20,6 +20,7 @@ from geodense.halfplane import (
     line_horocycle_crossings,
     mat_inv,
     mat_mul,
+    ray,
     same_line,
     to_isometry,
 )
@@ -93,6 +94,29 @@ def _end(tr):
     there: the end of its last step's segment."""
     seg = tr.steps[-1].segment
     return seg.end, seg.line.tangent_at(seg.s1)
+
+
+class TestMalformedInput:
+    """A start off the half-plane, a direction that is zero or not
+    finite, or a length that is not a finite number at least 0 is
+    refused by name before the walk starts."""
+
+    @pytest.mark.parametrize("p, u, length, error, match", [
+        (None, 0j, 1.0, ValueError, r"direction 0j is zero"),
+        (0.1 + 0j, 1j, 1.0, TraceError,
+         r"start \(0\.1\+0j\) is not a point of the half-plane"),
+        (None, complex(math.nan, 1.0), 1.0, ValueError,
+         r"direction \(nan\+1j\) is zero or not finite"),
+        (None, complex(math.inf, 0.0), 1.0, ValueError,
+         r"direction \(inf\+0j\) is zero or not finite"),
+        (None, 1j, math.nan, ValueError, r"length nan is not a finite"),
+        (None, 1j, math.inf, ValueError, r"length inf is not a finite"),
+    ], ids=["zero direction", "start on the axis", "nan direction",
+            "inf direction", "nan length", "inf length"])
+    def test_refused_by_name(self, torus, p, u, length, error, match):
+        with pytest.raises(error, match=match):
+            trace_geodesic(torus, torus.base_point if p is None else p, u,
+                           length)
 
 
 class TestStraightIntoCusp:
@@ -280,8 +304,7 @@ class TestExitRule:
         rng = random.Random(23)
         same = inward = 0
         for p, u in _exit_starts(model, name, rng, 300):
-            line = GeodesicLine.from_point_direction(p, u)
-            s0 = line.param_of(p)
+            line, s0 = ray(p, u)
             want = _reference_first_exit(model.sides, line, s0)
             got = tracing._first_exit(model, line, s0)
             if want is None or _crossed_outward(model, line, want):
@@ -343,10 +366,10 @@ def _outcome(f, *args):
 
 
 class TestPlainFloatStep:
-    """A trace step reads the side table and evaluates the halfplane
+    """A trace step reads the polygon's sides and evaluates the halfplane
     formulas on plain floats: the membership test, the exit search, the
-    ray's line and start parameter, and the landing.  Each equals what
-    the GeodesicLine and Isometry methods give, bit for bit."""
+    ray's start parameter, and the landing.  Each equals what the
+    GeodesicLine and Isometry methods give, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -382,9 +405,8 @@ class TestPlainFloatStep:
             assert not model.inside(z, math.nextafter(-least, -INF))
             for tol in (0.0, 1e-6, TOL_GEO):
                 assert model.inside(z, tol) == (least >= -tol)
-        line = GeodesicLine.from_point_direction(p, u)
-        s0 = line.param_of(p)
-        assert tracing._ray(p, u) == (line, s0)
+        line, s0 = ray(p, u)
+        assert s0 == line.param_of(p)
         got = _outcome(tracing._first_exit, model, line, s0)
         assert got == _outcome(_reference_first_exit, model.sides, line, s0,
                                True)
@@ -793,7 +815,7 @@ class TestCycleAxes:
         _assert_closed(sphere, g, 2.0 * math.acosh(11.0))
         assert [(st.side, st.count) for st in g.trace.steps] \
             == [(2, 1), (5, 1), (5, 3), (5, 1)]
-        assert g.trace.steps[2].run.cusp.index == 0
+        assert g.trace.steps[2].cusp.index == 0
         self._assert_reshot(sphere, g)
 
 
@@ -804,8 +826,7 @@ def _walk_passages(model, p, u, length):
     steps = []
     walked = 0.0
     while True:
-        line = GeodesicLine.from_point_direction(p, u)
-        s_here = line.param_of(p)
+        line, s_here = ray(p, u)
         remaining = length - walked
         exit_ = tracing._first_exit(model, line, s_here)
         if exit_ is None or exit_[0] - s_here >= remaining:
